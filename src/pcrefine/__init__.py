@@ -20,7 +20,6 @@ from .embeddings import (
     SyntheticProviderConfig,
     FileFeatureProvider,
     class_anchors,
-    embed_scene,
     load_embeddings,
     save_embeddings,
 )

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark, metrics, sim
-from .embeddings import SyntheticFeatureProvider, SyntheticProviderConfig, load_embeddings, save_embeddings
+from .embeddings import FileFeatureProvider, SyntheticFeatureProvider, SyntheticProviderConfig
+from .embeddings import load_embeddings, save_embeddings
 from .errors import ConfigError, ContractError, FormatError, PcrefineError
 from .infill import InfillConfig
 from .mix import MixConfig, mix
 from .pipeline import refine_labels
-from .prototypes import PrototypeSet, SupportSet, SupportShot, masked_pool
+from .prototypes import SupportSet, SupportShot, support_prototypes
 from .scene import ClassSchema, VoxelConfig, voxelize
 from .scene_io import (
     Manifest,
@@ -217,46 +218,48 @@ def cmd_simulate(args) -> None:
     }))
 
 
-def _load_support(manifest: Manifest) -> SupportSet:
+def _load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
+    """The corpus's support set, each support scene file loaded once, and a
+    provider serving the embedding file listed for each support scene."""
     if not manifest.support:
         raise ConfigError("manifest has no support entry")
     path = manifest.resolve(manifest.support)
-    doc = json.loads(path.read_text())
-    shots = {}
-    for c_str, shot_entries in doc["classes"].items():
-        c = int(c_str)
-        shots[c] = tuple(
-            SupportShot(load_scene(manifest.resolve(e["scene"])),
-                        np.load(manifest.resolve(e["mask"])))
-            for e in shot_entries
-        )
-    return SupportSet(schema=manifest.schema, shots=shots)
-
-
-def _support_prototypes_from_files(manifest: Manifest) -> PrototypeSet:
-    """Support prototypes from precomputed embedding files (no provider)."""
-    if not manifest.support:
-        raise ConfigError("manifest has no support entry")
-    support_path = manifest.resolve(manifest.support)
-    if not support_path.exists():
-        raise ConfigError(f"support file not found: {support_path}")
-    doc = json.loads(support_path.read_text())
-    vectors = {}
-    for c_str, shot_entries in doc["classes"].items():
-        per_shot = []
+    if not path.exists():
+        raise ConfigError(f"support file not found: {path}")
+    scenes, embeddings, shots = {}, {}, {}
+    for c, shot_entries in _parse_support(path).items():
+        class_shots = []
         for e in shot_entries:
-            feats = load_embeddings(manifest.resolve(e["embedding"]))
-            mask = np.load(manifest.resolve(e["mask"]))
-            per_shot.append(masked_pool(feats, mask))
-        vectors[int(c_str)] = np.mean(per_shot, axis=0)
-    return PrototypeSet(vectors)
+            if e["scene"] not in scenes:
+                scenes[e["scene"]] = load_scene(manifest.resolve(e["scene"]))
+            scene = scenes[e["scene"]]
+            if "embedding" in e:
+                embeddings[scene.source_path] = manifest.resolve(e["embedding"])
+            class_shots.append(SupportShot(scene, np.load(manifest.resolve(e["mask"]))))
+        shots[c] = tuple(class_shots)
+    return SupportSet(schema=manifest.schema, shots=shots), FileFeatureProvider(embeddings)
+
+
+def _parse_support(path: Path) -> dict[int, list[dict]]:
+    """Shot entries per class index of a support.json, structure checked."""
+    try:
+        classes = json.loads(path.read_bytes())["classes"]
+        parsed = {int(c): list(shot_entries) for c, shot_entries in classes.items()}
+        for c, shot_entries in parsed.items():
+            for e in shot_entries:
+                paths = (e["scene"], e["mask"], e.get("embedding", ""))
+                if not all(isinstance(p, str) for p in paths):
+                    raise FormatError(f"{path}: class {c}: shot paths must be strings")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed support file: {type(exc).__name__}: {exc}") from exc
+    return parsed
 
 
 def cmd_refine(args) -> None:
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
     manifest = load_manifest(Path(args.manifest))
-    support = _support_prototypes_from_files(manifest)
+    support = support_prototypes(*_load_support(manifest))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -286,7 +289,7 @@ def cmd_refine(args) -> None:
 def cmd_mix(args) -> None:
     cfg = MixConfig(n_blocks=args.blocks, crop_margin_xy=args.margin, seed=args.seed)
     manifest = load_manifest(Path(args.manifest))
-    support = _load_support(manifest)
+    support, _ = _load_support(manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(manifest.entries("train")):

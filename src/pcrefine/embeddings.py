@@ -23,17 +23,10 @@ from .scene import ClassSchema, PointCloudScene
 EMBEDDING_MAGIC = b"GFVE"
 EMBEDDING_VERSION = 1
 
-# Recorded for provenance when exporting features from a real encoder.
-PROMPT_TEMPLATE = "a CLASS_NAME in a scene"
-
 
 class FeatureProvider(Protocol):
-    def embed_scene(self, scene: PointCloudScene) -> np.ndarray: ...
-
-
-def embed_scene(provider: FeatureProvider, scene: PointCloudScene) -> np.ndarray:
-    """Return the (N, D) feature matrix for a scene, rows in point order."""
-    return provider.embed_scene(scene)
+    def embed_scene(self, scene: PointCloudScene) -> np.ndarray:
+        """Return the (N, D) feature matrix for a scene, rows in point order."""
 
 
 def save_embeddings(features: np.ndarray, path: str | Path) -> None:

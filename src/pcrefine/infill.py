@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigError
-from .prototypes import PrototypeSet, pool_by_class
+from .prototypes import PrototypeSet, novel_prototypes
 from .scene import ClassSchema
 
 
@@ -27,14 +27,7 @@ def context_prototypes(
     features: np.ndarray, y_prime: np.ndarray, schema: ClassSchema
 ) -> PrototypeSet:
     """Masked mean feature per novel class present in the current labels."""
-    features = np.asarray(features, dtype=np.float64)
-    y_prime = np.asarray(y_prime, dtype=np.int64)
-    if y_prime.shape[0] != features.shape[0]:
-        raise AlignmentError(
-            f"labels length {y_prime.shape[0]} != feature rows {features.shape[0]}"
-        )
-    pooled = pool_by_class(features, y_prime)
-    return PrototypeSet({c: v for c, v in pooled.items() if schema.is_novel(c)})
+    return novel_prototypes(features, y_prime, schema)
 
 
 def adaptive_set(

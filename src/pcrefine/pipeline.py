@@ -11,13 +11,7 @@ import numpy as np
 from .infill import InfillConfig, adaptive_set, context_prototypes, infill
 from .prototypes import PrototypeSet
 from .scene import ClassSchema
-from .selection import (
-    SelectionConfig,
-    merge_into_background,
-    predicted_prototypes,
-    prototype_agreement,
-    select_pseudo_labels,
-)
+from .selection import SelectionConfig, select_and_merge
 
 
 @dataclass
@@ -51,10 +45,9 @@ def refine_labels(
     selection_cfg = selection_cfg or SelectionConfig()
     infill_cfg = infill_cfg or InfillConfig()
 
-    predicted = predicted_prototypes(features, raw, schema)
-    agreement = prototype_agreement(predicted, support)
-    filtered = select_pseudo_labels(raw, predicted, support, selection_cfg, schema)
-    y_prime = merge_into_background(base_labels, filtered, schema)
+    y_prime, agreement = select_and_merge(
+        features, raw, base_labels, support, selection_cfg, schema
+    )
 
     context = context_prototypes(features, y_prime, schema)
     adaptive = adaptive_set(context, support, schema)

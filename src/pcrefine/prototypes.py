@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import AlignmentError, ConfigError, ContractError, EmptyMaskError, FormatError
+from .errors import AlignmentError, ContractError, EmptyMaskError, FormatError
 from .scene import ClassSchema, PointCloudScene
 
 PROTOTYPE_MAGIC = b"GFVP"
@@ -66,6 +66,14 @@ def pool_by_class(
     sums = indicator @ features
     counts = np.bincount(inverse)
     return {int(c): sums[i] / counts[i] for i, c in enumerate(values)}
+
+
+def novel_prototypes(
+    features: np.ndarray, labels: np.ndarray, schema: ClassSchema
+) -> PrototypeSet:
+    """Masked mean feature per novel class present in a label map."""
+    pooled = pool_by_class(features, labels)
+    return PrototypeSet({c: v for c, v in pooled.items() if schema.is_novel(c)})
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -206,23 +214,27 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
     """Per novel class: pool each shot with its mask, average the K results.
 
     Each shot contributes with equal weight regardless of its mask size;
-    for K = 1 this is the plain masked mean.
+    for K = 1 this is the plain masked mean. Each distinct support scene is
+    embedded once, and its features are released once every shot on it is
+    pooled, so at most one scene's features are held at a time.
     """
+    by_scene: dict[int, list[tuple[int, int, SupportShot]]] = {}
+    for c in support.classes():
+        for k, shot in enumerate(support.shots[c]):
+            by_scene.setdefault(id(shot.scene), []).append((c, k, shot))
+    pooled: dict[tuple[int, int], np.ndarray] = {}
+    for shots in by_scene.values():
+        feats = provider.embed_scene(shots[0][2].scene)
+        for c, k, shot in shots:
+            pooled[c, k] = masked_pool(feats, shot.mask)
+        del feats
+
     vectors = {}
     for c in support.classes():
-        per_shot = []
-        for k, shot in enumerate(support.shots[c]):
-            feats = provider.embed_scene(shot.scene)
-            try:
-                per_shot.append(masked_pool(feats, shot.mask))
-            except EmptyMaskError as e:
-                raise EmptyMaskError(f"class {c}, shot {k}: {e}") from e
-        stacked = np.stack(per_shot)
+        stacked = np.stack([pooled[c, k] for k in range(support.k)])
         if (stacked == stacked[0]).all():
             # K identical shots must reduce to the K = 1 result bitwise.
             vectors[c] = stacked[0]
         else:
             vectors[c] = stacked.mean(axis=0)
-    if not vectors:
-        raise ConfigError("support set produced no prototypes")
     return PrototypeSet(vectors)

@@ -142,12 +142,6 @@ def validate_scene(scene: PointCloudScene, schema: ClassSchema) -> ValidationRep
     Never raises; reports the first offending index per violation class.
     """
     violations = []
-    n = scene.point_count
-    if scene.labels.shape[0] != n:
-        violations.append(
-            Violation("length_mismatch", 0,
-                      f"labels length {scene.labels.shape[0]} != {n} points")
-        )
     bad = ~np.isfinite(scene.positions)
     if bad.any():
         i = int(np.argwhere(bad.any(axis=1))[0, 0])

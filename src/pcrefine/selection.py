@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, ContractError
-from .prototypes import PrototypeSet, cosine, pool_by_class
+from .prototypes import PrototypeSet, cosine, novel_prototypes
 from .scene import ClassSchema
 
 
@@ -27,14 +27,7 @@ def predicted_prototypes(
     features: np.ndarray, raw: np.ndarray, schema: ClassSchema
 ) -> PrototypeSet:
     """Masked mean feature per novel class present in the raw predictions."""
-    features = np.asarray(features, dtype=np.float64)
-    raw = np.asarray(raw, dtype=np.int64)
-    if raw.shape[0] != features.shape[0]:
-        raise AlignmentError(
-            f"raw labels length {raw.shape[0]} != feature rows {features.shape[0]}"
-        )
-    pooled = pool_by_class(features, raw)
-    return PrototypeSet({c: v for c, v in pooled.items() if schema.is_novel(c)})
+    return novel_prototypes(features, raw, schema)
 
 
 def prototype_agreement(
@@ -65,8 +58,13 @@ def select_pseudo_labels(
     of its points iff cosine(predicted, support) >= tau; the decision is one
     cosine per class, applied via mask indexing.
     """
+    return _filter_by_agreement(raw, prototype_agreement(predicted, support), cfg, schema)
+
+
+def _filter_by_agreement(
+    raw: np.ndarray, agreement: dict[int, float], cfg: SelectionConfig, schema: ClassSchema
+) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.int64)
-    agreement = prototype_agreement(predicted, support)
     out = raw.copy()
     out[(raw >= 0) & (raw < schema.n_base)] = -1
     for c, sim in agreement.items():
@@ -101,6 +99,21 @@ def merge_into_background(
     return np.where(base_labels != -1, base_labels, filtered)
 
 
+def select_and_merge(
+    features: np.ndarray,
+    raw: np.ndarray,
+    base_labels: np.ndarray,
+    support: PrototypeSet,
+    cfg: SelectionConfig,
+    schema: ClassSchema,
+) -> tuple[np.ndarray, dict[int, float]]:
+    """ps_refine plus the per-class agreement behind each keep/drop decision."""
+    predicted = predicted_prototypes(features, raw, schema)
+    agreement = prototype_agreement(predicted, support)
+    filtered = _filter_by_agreement(raw, agreement, cfg, schema)
+    return merge_into_background(base_labels, filtered, schema), agreement
+
+
 def ps_refine(
     features: np.ndarray,
     raw: np.ndarray,
@@ -110,6 +123,4 @@ def ps_refine(
     schema: ClassSchema,
 ) -> np.ndarray:
     """Selection pipeline: predicted prototypes -> class filter -> merge."""
-    predicted = predicted_prototypes(features, raw, schema)
-    filtered = select_pseudo_labels(raw, predicted, support, cfg, schema)
-    return merge_into_background(base_labels, filtered, schema)
+    return select_and_merge(features, raw, base_labels, support, cfg, schema)[0]

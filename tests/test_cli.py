@@ -94,6 +94,29 @@ class TestRefine:
         assert code == EXIT_CONTRACT
         assert "support" in json.loads(err)["error"]["message"]
 
+    def test_identical_shots_match_single_shot(self, tmp_path, capsys):
+        # Feature noise, so the pooled shot is no exact float32 vector and a
+        # plain mean of three copies would drift from it in the last bits.
+        corpus = simulate(tmp_path, capsys, **{"--shots": "1", "--noise-sigma": "0.1"})
+        manifest = str(corpus / "manifest.json")
+        assert run(capsys, "refine", "--manifest", manifest,
+                   "--out", str(tmp_path / "k1"))[0] == EXIT_OK
+        support_path = corpus / "support.json"
+        doc = json.loads(support_path.read_text())
+        doc["k"] = 3
+        doc["classes"] = {c: shots[:1] * 3 for c, shots in doc["classes"].items()}
+        support_path.write_text(json.dumps(doc))
+        assert run(capsys, "refine", "--manifest", manifest,
+                   "--out", str(tmp_path / "k3"))[0] == EXIT_OK
+
+        # K identical shots reduce to the K = 1 prototype bitwise.
+        k1 = json.loads((tmp_path / "k1/report.json").read_text())["scenes"]
+        k3 = json.loads((tmp_path / "k3/report.json").read_text())["scenes"]
+        assert k3 == k1
+        for scene_id in k1:
+            np.testing.assert_array_equal(load_labels(tmp_path / f"k3/{scene_id}.npy"),
+                                          load_labels(tmp_path / f"k1/{scene_id}.npy"))
+
     def test_corrupt_embedding_is_io_error(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
         victim = corpus / "embeddings/train_000.gfve"
@@ -142,6 +165,42 @@ class TestMix:
         b = load_scene(tmp_path / "m2/train_001.ply")
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def break_support(path, case):
+    if case == "missing":
+        path.unlink()
+        return
+    if case == "invalid_json":
+        path.write_text('{"classes": ')
+        return
+    doc = json.loads(path.read_text())
+    first = next(iter(doc["classes"]))
+    if case == "no_classes":
+        del doc["classes"]
+    elif case == "non_integer_class":
+        doc["classes"]["novel"] = doc["classes"].pop(first)
+    else:
+        del doc["classes"][first][0][case.removeprefix("shot_without_")]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command", ["refine", "mix"])
+@pytest.mark.parametrize("case, code, error", [
+    ("missing", EXIT_CONTRACT, "ConfigError"),
+    ("invalid_json", EXIT_IO, "FormatError"),
+    ("no_classes", EXIT_IO, "FormatError"),
+    ("shot_without_scene", EXIT_IO, "FormatError"),
+    ("shot_without_mask", EXIT_IO, "FormatError"),
+    ("non_integer_class", EXIT_IO, "FormatError"),
+])
+def test_bad_support_file(tmp_path, capsys, command, case, code, error):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+    break_support(corpus / "support.json", case)
+    got, _, err = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
+                      "--out", str(tmp_path / "out"))
+    assert got == code
+    assert json.loads(err)["error"]["type"] == error
 
 
 class TestStatsAndSplit:

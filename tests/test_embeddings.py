@@ -9,7 +9,6 @@ from pcrefine import (
     SyntheticProviderConfig,
     class_anchors,
     cosine,
-    embed_scene,
     load_embeddings,
     save_embeddings,
 )
@@ -95,7 +94,7 @@ class TestSyntheticProvider:
             schema, SyntheticProviderConfig(dim=16, anchor_seed=1)
         )
         scene = make_scene([0, 3, 7, -1])
-        feats = embed_scene(provider, scene)
+        feats = provider.embed_scene(scene)
         for i, label in enumerate(scene.labels):
             np.testing.assert_allclose(
                 feats[i], provider.anchor_for(int(label)), atol=1e-12
