@@ -5,7 +5,7 @@ frequency-threshold retention, and base/novel assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -60,47 +60,25 @@ class SplitSpec:
             raise ConfigError(f"freq_threshold must be >= 1, got {self.freq_threshold}")
 
 
-def class_stats(
-    scenes: Iterable[PointCloudScene],
-    schema: ClassSchema,
-    count_mode: str = "scenes",
-    instance_ids: Iterable[np.ndarray] | None = None,
-) -> ClassStats:
+def class_stats(scenes: Iterable[PointCloudScene], schema: ClassSchema) -> ClassStats:
     """Accumulate per-class statistics over a scene corpus.
 
-    count_mode "scenes" counts the number of scenes where a class has at
-    least one point; "instances" counts distinct instance IDs per class and
-    requires a parallel iterator of per-point instance-ID arrays.
+    A class's occurrences are the scenes where it has at least one point;
+    its mean points are averaged over those scenes.
     """
-    if count_mode not in ("scenes", "instances"):
-        raise ConfigError(f"count_mode must be 'scenes' or 'instances', got {count_mode!r}")
-    if count_mode == "instances" and instance_ids is None:
-        raise ConfigError("count_mode 'instances' requires per-point instance IDs")
-
     n = schema.n_classes
-    occ = np.zeros(n, dtype=np.int64)
+    occ = np.zeros(n, dtype=np.int64)  # scenes with >= 1 point
     points = np.zeros(n, dtype=np.int64)
-    present_in = np.zeros(n, dtype=np.int64)  # scenes with >= 1 point
-
-    inst_iter = iter(instance_ids) if instance_ids is not None else None
     for scene in scenes:
         labels = scene.labels
-        valid = labels >= 0
-        counts = np.bincount(labels[valid], minlength=n)
-        present = counts > 0
-        present_in += present
+        counts = np.bincount(labels[labels >= 0], minlength=n)
+        occ += counts > 0
         points += counts
-        if count_mode == "scenes":
-            occ += present
-        else:
-            inst = np.asarray(next(inst_iter))
-            pairs = np.unique(np.stack([labels[valid], inst[valid]], axis=1), axis=0)
-            occ += np.bincount(pairs[:, 0], minlength=n)
 
     stats = {}
     for c in range(n):
         name = schema.name_of(c)
-        mean_pts = float(points[c] / present_in[c]) if present_in[c] else 0.0
+        mean_pts = float(points[c] / occ[c]) if occ[c] else 0.0
         stats[name] = ClassStat(int(occ[c]), mean_pts)
     return ClassStats(stats)
 

@@ -28,6 +28,7 @@ from .scene_io import (
     SceneEntry,
     load_labels,
     load_manifest,
+    load_npy,
     load_scene,
     save_labels,
     save_manifest,
@@ -85,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("stats", help="per-class occurrence statistics over a corpus")
     tp.add_argument("--manifest", required=True)
     tp.add_argument("--out", help="write JSON stats here (default stdout only)")
-    tp.add_argument("--count-mode", choices=["scenes", "instances"], default="scenes",
-                    help="occurrence counting unit (default scenes)")
     tp.set_defaults(func=cmd_stats)
 
     lp = sub.add_parser("split", help="build a base/novel split from class stats")
@@ -235,7 +234,7 @@ def _load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
             scene = scenes[e["scene"]]
             if "embedding" in e:
                 embeddings[scene.source_path] = manifest.resolve(e["embedding"])
-            class_shots.append(SupportShot(scene, np.load(manifest.resolve(e["mask"]))))
+            class_shots.append(SupportShot(scene, load_npy(manifest.resolve(e["mask"]))))
         shots[c] = tuple(class_shots)
     return SupportSet(schema=manifest.schema, shots=shots), FileFeatureProvider(embeddings)
 
@@ -308,8 +307,8 @@ def cmd_stats(args) -> None:
     manifest = load_manifest(Path(args.manifest))
     scenes = (load_scene(manifest.resolve(e.path)) for e in manifest.scenes
               if e.role != "support")
-    stats = benchmark.class_stats(scenes, manifest.schema, count_mode=args.count_mode)
-    doc = {"version": REPORT_SCHEMA_VERSION, "count_mode": args.count_mode,
+    stats = benchmark.class_stats(scenes, manifest.schema)
+    doc = {"version": REPORT_SCHEMA_VERSION, "count_mode": "scenes",
            "classes": stats.to_dict()}
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2))

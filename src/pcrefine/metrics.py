@@ -145,12 +145,6 @@ class QualityReport:
     def mean_recall(self) -> float | None:
         return float(np.mean(list(self.recall.values()))) if self.recall else None
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": {str(c): v for c, v in sorted(self.precision.items())},
-            "recall": {str(c): v for c, v in sorted(self.recall.items())},
-        }
-
 
 def pseudo_label_quality(
     pseudo: np.ndarray, gt: np.ndarray, schema: ClassSchema

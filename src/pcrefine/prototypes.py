@@ -7,18 +7,13 @@ class, and all agreement decisions are cosine comparisons between them.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import AlignmentError, ContractError, EmptyMaskError, FormatError
+from .errors import AlignmentError, ContractError, EmptyMaskError
 from .scene import ClassSchema, PointCloudScene
-
-PROTOTYPE_MAGIC = b"GFVP"
-PROTOTYPE_VERSION = 1
 
 
 def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -114,12 +109,6 @@ class PrototypeSet:
     def classes(self) -> list[int]:
         return sorted(self.vectors)
 
-    @property
-    def dim(self) -> int:
-        if not self.vectors:
-            raise ContractError("empty prototype set has no dimension")
-        return next(iter(self.vectors.values())).shape[0]
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -134,33 +123,6 @@ class PrototypeSet:
         ids = np.array(self.classes(), dtype=np.int64)
         mat = np.stack([self.vectors[int(c)] for c in ids])
         return ids, mat
-
-
-def save_prototypes(protos: PrototypeSet, path: str | Path) -> None:
-    ids, mat = protos.matrix()
-    mat = mat.astype("<f4")
-    with open(path, "wb") as f:
-        f.write(PROTOTYPE_MAGIC)
-        f.write(struct.pack("<III", PROTOTYPE_VERSION, len(ids), mat.shape[1]))
-        f.write(ids.astype("<i4").tobytes())
-        f.write(mat.tobytes())
-
-
-def load_prototypes(path: str | Path) -> PrototypeSet:
-    path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != PROTOTYPE_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {PROTOTYPE_MAGIC!r}")
-    version, n, d = struct.unpack_from("<III", data, 4)
-    if version != PROTOTYPE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    off = 16
-    need = n * 4 + n * d * 4
-    if len(data) - off < need:
-        raise FormatError(f"{path}: truncated payload: need {need} bytes, have {len(data) - off}")
-    ids = np.frombuffer(data, dtype="<i4", count=n, offset=off)
-    mat = np.frombuffer(data, dtype="<f4", count=n * d, offset=off + n * 4).reshape(n, d)
-    return PrototypeSet({int(c): mat[i].astype(np.float64) for i, c in enumerate(ids)})
 
 
 @dataclass(frozen=True)

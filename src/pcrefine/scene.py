@@ -6,11 +6,12 @@ indices [0, n_base), novel classes [n_base, n_classes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, ContractError
 
 
 @dataclass
@@ -166,11 +167,6 @@ def validate_scene(scene: PointCloudScene, schema: ClassSchema) -> ValidationRep
     return ValidationReport(tuple(violations))
 
 
-def voxel_cells(positions: np.ndarray, grid_size: float) -> np.ndarray:
-    """Per-axis integer cell index: floor(coordinate / grid_size)."""
-    return np.floor(positions / grid_size).astype(np.int64)
-
-
 def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     """Collapse each occupied voxel cell to one representative point.
 
@@ -178,10 +174,23 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     with ties broken toward the smallest label value. Output points are
     ordered by lexicographic cell index, so the result is independent of
     input point order.
+
+    Raises ContractError for a non-finite position, and ConfigError when the
+    grid is so fine for the scene extent that a cell index or the packed
+    cell key would not fit in int64.
     """
-    cells = voxel_cells(scene.positions, cfg.grid_size)
-    rel = cells - cells.min(axis=0)
-    spans = rel.max(axis=0) + 1
+    if not np.isfinite(scene.positions).all():
+        raise ContractError("voxelize: every position must be finite")
+    cells = np.floor(scene.positions / cfg.grid_size)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    too_fine = f"grid_size {cfg.grid_size} is too fine for this scene: cell keys overflow int64"
+    if lo.min() < -2**63 or hi.max() >= 2**63:
+        raise ConfigError(too_fine)
+    # Python ints, so a packed key past int64 is caught rather than wrapped.
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        raise ConfigError(too_fine)
+    rel = cells.astype(np.int64) - lo.astype(np.int64)
     # Packing preserves lexicographic (x, y, z) cell order under integer sort.
     key = (rel[:, 0] * spans[1] + rel[:, 1]) * spans[2] + rel[:, 2]
     _, inverse = np.unique(key, return_inverse=True)
@@ -201,20 +210,17 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
             axis=1,
         )
 
-    labels = _majority_labels(inverse, scene.labels, n_cells)
+    labels = _majority_labels(inverse, scene.labels)
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
 
 
-def _majority_labels(inverse: np.ndarray, labels: np.ndarray, n_cells: int) -> np.ndarray:
-    shifted = labels - labels.min()  # non-negative for packing
-    span = int(shifted.max()) + 1
-    pair = inverse * span + shifted
-    uniq, counts = np.unique(pair, return_counts=True)
-    cell_of = uniq // span
-    label_of = uniq % span
-    # Per cell: highest count first, smallest label on ties.
-    order = np.lexsort((label_of, -counts, cell_of))
-    first = np.unique(cell_of[order], return_index=True)[1]
-    out = label_of[order][first] + labels.min()
-    assert out.shape[0] == n_cells
-    return out.astype(np.int64)
+def _majority_labels(inverse: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Most frequent label per cell, the smallest one on ties, from one sort."""
+    lo = labels.min()
+    span = int(labels.max() - lo) + 1
+    # Sorted by cell, then by label: each cell is one run of distinct labels.
+    pairs, counts = np.unique(inverse * span + (labels - lo), return_counts=True)
+    cell_of, label_of = np.divmod(pairs, span)
+    starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
+    top = np.maximum.reduceat(counts, starts)
+    return np.minimum.reduceat(np.where(counts == top[cell_of], label_of, span), starts) + lo

@@ -221,8 +221,15 @@ def save_labels(labels: np.ndarray, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> np.ndarray:
-    arr = np.load(path)
-    return np.asarray(arr, dtype=np.int64)
+    return np.asarray(load_npy(path), dtype=np.int64)
+
+
+def load_npy(path: str | Path) -> np.ndarray:
+    """The array in an .npy file; a file numpy cannot parse is a FormatError."""
+    try:
+        return np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: malformed .npy file: {exc}") from exc
 
 
 @dataclass
@@ -278,18 +285,21 @@ def load_manifest(path: str | Path) -> Manifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON at line {e.lineno}") from e
-    if doc.get("version") != 1:
-        raise FormatError(f"{path}: unsupported manifest version {doc.get('version')}")
-    schema = ClassSchema.from_dict(doc["schema"])
-    scenes = []
-    for e in doc.get("scenes", []):
-        scenes.append(SceneEntry(
-            scene_id=e["id"],
-            path=e["path"],
-            role=e["role"],
-            embedding=e.get("embedding"),
-            raw_predictions=e.get("raw_predictions"),
-            base_labels=e.get("base_labels"),
-        ))
+    try:
+        if doc.get("version") != 1:
+            raise FormatError(f"{path}: unsupported manifest version {doc.get('version')}")
+        schema = ClassSchema.from_dict(doc["schema"])
+        scenes = []
+        for e in doc.get("scenes", []):
+            scenes.append(SceneEntry(
+                scene_id=e["id"],
+                path=e["path"],
+                role=e["role"],
+                embedding=e.get("embedding"),
+                raw_predictions=e.get("raw_predictions"),
+                base_labels=e.get("base_labels"),
+            ))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
     return Manifest(schema=schema, scenes=scenes,
                     support=doc.get("support"), root=path.parent)

@@ -62,22 +62,6 @@ class TestClassStats:
             expected = total / occ if occ else 0.0
             assert stats.mean_points(name) == pytest.approx(expected)
 
-    def test_instance_mode(self, schema):
-        scenes = [scene_with_labels([3, 3, 3, 0])]
-        # Two distinct instances of class 3 within one scene.
-        inst = [np.array([0, 0, 1, 0])]
-        stats = class_stats(scenes, schema, count_mode="instances", instance_ids=inst)
-        assert stats.occurrences(schema.name_of(3)) == 2
-        assert stats.occurrences(schema.name_of(0)) == 1
-
-    def test_instance_mode_requires_ids(self, schema):
-        with pytest.raises(ConfigError):
-            class_stats([], schema, count_mode="instances")
-
-    def test_bad_count_mode(self, schema):
-        with pytest.raises(ConfigError):
-            class_stats([], schema, count_mode="points")
-
     def test_round_trip_dict(self, schema):
         stats = ClassStats({"a": ClassStat(5, 12.5), "b": ClassStat(1, 3.0)})
         assert ClassStats.from_dict(stats.to_dict()) == stats

@@ -203,6 +203,54 @@ def test_bad_support_file(tmp_path, capsys, command, case, code, error):
     assert json.loads(err)["error"]["type"] == error
 
 
+def break_input(corpus, pred_dir, case):
+    """Corrupt one input file of a one-scene corpus; return the file's path."""
+    manifest_path = corpus / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    if case == "manifest_without_schema":
+        del doc["schema"]
+    elif case.startswith("entry_without_"):
+        del doc["scenes"][0][case.removeprefix("entry_without_")]
+    else:
+        if case.startswith("raw_"):
+            target = corpus / doc["scenes"][0]["raw_predictions"]
+        elif case.startswith("pred_"):
+            target = pred_dir / f"{doc['scenes'][0]['id']}.npy"
+            np.save(target, np.zeros(3, dtype=np.int64))
+        else:
+            support = json.loads((corpus / "support.json").read_text())
+            target = corpus / next(iter(support["classes"].values()))[0]["mask"]
+        # Cut inside the .npy header, or emptied.
+        target.write_bytes(target.read_bytes()[:20] if "truncated" in case else b"")
+        return target
+    manifest_path.write_text(json.dumps(doc))
+    return manifest_path
+
+
+MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
+                  "entry_without_path", "entry_without_role"]
+
+
+@pytest.mark.parametrize("command, case", [
+    *[(command, case) for case in MANIFEST_CASES for command in ("refine", "eval", "mix")],
+    ("refine", "raw_truncated_labels_npy"), ("refine", "raw_empty_labels_npy"),
+    ("eval", "pred_truncated_labels_npy"), ("eval", "pred_empty_labels_npy"),
+    ("refine", "truncated_mask_npy"), ("mix", "empty_mask_npy"),
+])
+def test_malformed_input_file(tmp_path, capsys, command, case):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    broken = break_input(corpus, pred_dir, case)
+    argv = [command, "--manifest", str(corpus / "manifest.json")]
+    argv += ["--pred-dir", str(pred_dir)] if command == "eval" else ["--out", str(tmp_path / "out")]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_IO
+    error = json.loads(err)["error"]
+    assert error["type"] == "FormatError"
+    assert str(broken) in error["message"]
+
+
 class TestStatsAndSplit:
     def test_stats_then_split(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)

@@ -14,7 +14,6 @@ from pcrefine import (
     support_prototypes,
 )
 from pcrefine.errors import AlignmentError, ContractError, EmptyMaskError
-from pcrefine.prototypes import load_prototypes, save_prototypes
 
 
 class TestMaskedPool:
@@ -106,16 +105,6 @@ class TestPrototypeSet:
         ids, mat = ps.matrix()
         np.testing.assert_array_equal(ids, [3, 5])
         np.testing.assert_array_equal(mat[0], [0.0, 1.0])
-
-    def test_serialization_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        ps = PrototypeSet({c: rng.normal(size=6).astype(np.float32)
-                           for c in (3, 4, 7)})
-        save_prototypes(ps, tmp_path / "p.gfvp")
-        back = load_prototypes(tmp_path / "p.gfvp")
-        assert back.classes() == [3, 4, 7]
-        for c in ps.classes():
-            np.testing.assert_array_equal(back[c], ps[c])
 
 
 def constant_scene(n, value, dim_labels):

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, validate_scene, voxelize
-from pcrefine.errors import AlignmentError, ConfigError
+from pcrefine.errors import AlignmentError, ConfigError, ContractError
 
 
 class TestSchema:
@@ -140,3 +142,43 @@ class TestVoxelize:
         )
         out = voxelize(scene, VoxelConfig(0.02))
         np.testing.assert_allclose(out.colors[0], [0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("seed, n, n_labels", [(0, 400, 2), (1, 900, 3), (2, 2000, 2)])
+    def test_majority_matches_counter_oracle(self, seed, n, n_labels):
+        # Few points per cell and two or three label values make ties common.
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 1, size=(n, 3))
+        labels = rng.integers(-1, n_labels - 1, size=n)
+        out = voxelize(PointCloudScene(pos, labels), VoxelConfig(0.2))
+        by_cell = {}
+        for p, label in zip(pos, labels):
+            by_cell.setdefault(tuple(int(np.floor(v / 0.2)) for v in p), Counter())[int(label)] += 1
+        assert out.point_count == len(by_cell)
+        expected, ties = [], 0
+        for cell in sorted(by_cell):
+            counts = by_cell[cell]
+            top = max(counts.values())
+            winners = [label for label, c in counts.items() if c == top]
+            ties += len(winners) > 1
+            expected.append(min(winners))
+        assert ties >= 5
+        np.testing.assert_array_equal(out.labels, expected)
+
+    @pytest.mark.parametrize("positions", [
+        # Packed key past int64: a wrapped key merges the first two cells, losing label 2.
+        [[0, 0, 0], [2**20, 0, 0], [2**22 - 1] * 3],
+        # Cell indices past int64 on one axis.
+        [[1e20, 0, 0], [1e20 + 2**40, 0, 0]],
+    ])
+    def test_grid_too_fine_for_extent_rejected(self, positions):
+        scene = PointCloudScene(np.array(positions, dtype=np.float64),
+                                np.arange(1, len(positions) + 1))
+        with pytest.raises(ConfigError, match="too fine"):
+            voxelize(scene, VoxelConfig(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, bad):
+        pos = np.zeros((3, 3))
+        pos[1, 2] = bad
+        with pytest.raises(ContractError, match="finite"):
+            voxelize(PointCloudScene(pos, np.zeros(3)), VoxelConfig(0.1))
