@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import AlignmentError, ContractError, EmptyMaskError
 from .scene import ClassSchema, PointCloudScene
@@ -53,6 +52,8 @@ def pool_by_class(
     valid = np.flatnonzero(labels >= 0)
     if valid.size == 0:
         return {}
+    from scipy.sparse import csr_matrix  # here, not at module level: slow import
+
     values, inverse = np.unique(labels[valid], return_inverse=True)
     indicator = csr_matrix(
         (np.ones(valid.size), (inverse, valid)),

@@ -210,14 +210,20 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
             axis=1,
         )
 
-    labels = _majority_labels(inverse, scene.labels)
+    labels = _majority_labels(inverse, n_cells, scene.labels)
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
 
 
-def _majority_labels(inverse: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _majority_labels(inverse: np.ndarray, n_cells: int, labels: np.ndarray) -> np.ndarray:
     """Most frequent label per cell, the smallest one on ties, from one sort."""
-    lo = labels.min()
-    span = int(labels.max() - lo) + 1
+    lo, hi = int(labels.min()), int(labels.max())
+    span = hi - lo + 1
+    # Python ints, so a packed (cell, label) key past int64 is caught rather than wrapped.
+    if n_cells * span > np.iinfo(np.int64).max:
+        raise ContractError(
+            f"voxelize: label range [{lo}, {hi}] is too wide to pack "
+            f"with {n_cells} cells into int64"
+        )
     # Sorted by cell, then by label: each cell is one run of distinct labels.
     pairs, counts = np.unique(inverse * span + (labels - lo), return_counts=True)
     cell_of, label_of = np.divmod(pairs, span)

@@ -293,13 +293,25 @@ def load_manifest(path: str | Path) -> Manifest:
         for e in doc.get("scenes", []):
             scenes.append(SceneEntry(
                 scene_id=e["id"],
-                path=e["path"],
+                path=_path_field(path, e, "path", required=True),
                 role=e["role"],
-                embedding=e.get("embedding"),
-                raw_predictions=e.get("raw_predictions"),
-                base_labels=e.get("base_labels"),
+                embedding=_path_field(path, e, "embedding"),
+                raw_predictions=_path_field(path, e, "raw_predictions"),
+                base_labels=_path_field(path, e, "base_labels"),
             ))
+        support = _path_field(path, doc, "support")
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
-    return Manifest(schema=schema, scenes=scenes,
-                    support=doc.get("support"), root=path.parent)
+    return Manifest(schema=schema, scenes=scenes, support=support, root=path.parent)
+
+
+def _path_field(manifest: Path, obj: dict, name: str, required: bool = False) -> str | None:
+    """A relative-path field of a manifest object: a string, or absent/null
+    unless required."""
+    value = obj[name] if required else obj.get(name)
+    if not (isinstance(value, str) or (value is None and not required)):
+        raise FormatError(
+            f"{manifest}: manifest field '{name}' must be a string path, "
+            f"got {type(value).__name__}"
+        )
+    return value

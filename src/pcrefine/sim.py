@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, ContractError
 from .prototypes import SupportSet, SupportShot
@@ -134,6 +133,8 @@ def corrupt_predictions(
 
     # 2. Boundary erosion: relabel the mask points closest to the complement.
     if noise.erosion_frac > 0:
+        from scipy.spatial import cKDTree  # here, not at module level: slow import
+
         for c in sorted(schema.novel_indices):
             mask = out == c
             n_mask = int(mask.sum())

@@ -211,6 +211,10 @@ def break_input(corpus, pred_dir, case):
         del doc["schema"]
     elif case.startswith("entry_without_"):
         del doc["scenes"][0][case.removeprefix("entry_without_")]
+    elif case == "non_string_support":
+        doc["support"] = 5
+    elif case.startswith("non_string_"):
+        doc["scenes"][0][case.removeprefix("non_string_")] = 5
     else:
         if case.startswith("raw_"):
             target = corpus / doc["scenes"][0]["raw_predictions"]
@@ -228,7 +232,10 @@ def break_input(corpus, pred_dir, case):
 
 
 MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
-                  "entry_without_path", "entry_without_role"]
+                  "entry_without_path", "entry_without_role",
+                  "non_string_path", "non_string_embedding",
+                  "non_string_raw_predictions", "non_string_base_labels",
+                  "non_string_support"]
 
 
 @pytest.mark.parametrize("command, case", [
@@ -249,6 +256,8 @@ def test_malformed_input_file(tmp_path, capsys, command, case):
     error = json.loads(err)["error"]
     assert error["type"] == "FormatError"
     assert str(broken) in error["message"]
+    if case.startswith("non_string_"):
+        assert f"'{case.removeprefix('non_string_')}'" in error["message"]
 
 
 class TestStatsAndSplit:

@@ -176,6 +176,12 @@ class TestVoxelize:
         with pytest.raises(ConfigError, match="too fine"):
             voxelize(scene, VoxelConfig(1.0))
 
+    def test_label_range_too_wide_rejected(self):
+        pos = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        scene = PointCloudScene(pos, np.array([0, 2**62, 0]))
+        with pytest.raises(ContractError, match="label range"):
+            voxelize(scene, VoxelConfig(0.5))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, bad):
         pos = np.zeros((3, 3))
