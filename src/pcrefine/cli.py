@@ -217,6 +217,14 @@ def cmd_simulate(args) -> None:
     }))
 
 
+def _role_entries(manifest: Manifest, role: str) -> list[SceneEntry]:
+    """The manifest's scenes with this role; none at all is a usage error."""
+    entries = manifest.entries(role)
+    if not entries:
+        raise ConfigError(f"manifest has no scenes with role {role!r}")
+    return entries
+
+
 def _load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
     """The corpus's support set, each support scene file loaded once, and a
     provider serving the embedding file listed for each support scene."""
@@ -258,12 +266,13 @@ def cmd_refine(args) -> None:
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
     manifest = load_manifest(Path(args.manifest))
+    entries = _role_entries(manifest, "train")
     support = support_prototypes(*_load_support(manifest))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     scene_reports = {}
-    for entry in manifest.entries("train"):
+    for entry in entries:
         if not (entry.embedding and entry.raw_predictions and entry.base_labels):
             raise ConfigError(f"scene {entry.scene_id} lacks embedding/raw/base_labels")
         feats = load_embeddings(manifest.resolve(entry.embedding))
@@ -288,17 +297,18 @@ def cmd_refine(args) -> None:
 def cmd_mix(args) -> None:
     cfg = MixConfig(n_blocks=args.blocks, crop_margin_xy=args.margin, seed=args.seed)
     manifest = load_manifest(Path(args.manifest))
+    entries = _role_entries(manifest, "train")
     support, _ = _load_support(manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, entry in enumerate(manifest.entries("train")):
+    for i, entry in enumerate(entries):
         scene = load_scene(manifest.resolve(entry.path))
         rng = np.random.default_rng([args.seed, i])
         mixed = mix(scene, support, cfg, rng)
         save_scene(mixed, out / f"{entry.scene_id}.ply")
     print(json.dumps({
         "version": REPORT_SCHEMA_VERSION,
-        "mixed_scenes": len(manifest.entries("train")),
+        "mixed_scenes": len(entries),
         "blocks": args.blocks,
     }))
 
@@ -331,7 +341,7 @@ def cmd_eval(args) -> None:
     manifest = load_manifest(Path(args.manifest))
     pred_dir = Path(args.pred_dir)
     conf = metrics.ConfusionMatrix(manifest.schema.n_classes)
-    for entry in manifest.entries(args.role):
+    for entry in _role_entries(manifest, args.role):
         scene = load_scene(manifest.resolve(entry.path))
         if args.grid > 0:
             scene = voxelize(scene, VoxelConfig(grid_size=args.grid))

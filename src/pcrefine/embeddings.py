@@ -7,6 +7,7 @@ precomputed feature files or a deterministic synthetic generator.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 import zlib
@@ -41,24 +42,32 @@ def save_embeddings(features: np.ndarray, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> np.ndarray:
+    """The (N, D) float32 matrix of an embedding file, as stored.
+
+    The payload size is checked against the file size before anything is
+    allocated, then read straight into the result array.
+    """
     path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {EMBEDDING_MAGIC!r}")
-    if len(data) < 20:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    version, n, d = struct.unpack_from("<IQI", data, 4)
-    if version != EMBEDDING_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    need = n * d * 4
-    payload = data[20:]
-    if len(payload) < need:
+    with open(path, "rb") as f:
+        header = f.read(20)
+        if header[:4] != EMBEDDING_MAGIC:
+            raise FormatError(f"{path}: bad magic {header[:4]!r}, expected {EMBEDDING_MAGIC!r}")
+        if len(header) < 20:
+            raise FormatError(f"{path}: truncated header ({len(header)} bytes)")
+        version, n, d = struct.unpack_from("<IQI", header, 4)
+        if version != EMBEDDING_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        need = n * d * 4
+        have = os.fstat(f.fileno()).st_size - 20
+        if have >= need:
+            mat = np.empty((n, d), dtype="<f4")
+            have = f.readinto(mat)
+    if have < need:
         raise FormatError(
             f"{path}: truncated payload: need {need} bytes for {n}x{d}, "
-            f"have {len(payload)}"
+            f"have {have}"
         )
-    mat = np.frombuffer(payload, dtype="<f4", count=n * d).reshape(n, d)
-    return mat.astype(np.float64)
+    return mat
 
 
 def class_anchors(schema: ClassSchema, dim: int, anchor_seed: int) -> PrototypeSet:

@@ -58,7 +58,7 @@ def infill(
     class index. Single pass, no iteration.
     """
     y_prime = np.asarray(y_prime, dtype=np.int64)
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if y_prime.shape[0] != features.shape[0]:
         raise AlignmentError(
             f"labels length {y_prime.shape[0]} != feature rows {features.shape[0]}"
@@ -69,7 +69,7 @@ def infill(
         return out
 
     ids, protos = adaptive.matrix()
-    sims = pairwise_cosine(features[unlabeled], protos)
+    sims = pairwise_cosine(np.asarray(features[unlabeled], dtype=np.float64), protos)
     best = np.argmax(sims, axis=1)  # first max -> smallest class id wins ties
     best_sim = sims[np.arange(sims.shape[0]), best]
     assign = np.where(best_sim >= cfg.delta, ids[best], -1)

@@ -18,10 +18,10 @@ from .scene import ClassSchema, PointCloudScene
 def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Arithmetic mean of feature rows selected by a binary mask.
 
-    Summation runs in ascending row order in float64, so results are
-    bitwise reproducible.
+    The selected rows are cast to float64 and summed in ascending row
+    order, so results are bitwise reproducible whatever the stored dtype.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     mask = np.asarray(mask)
     if mask.shape[0] != features.shape[0]:
         raise AlignmentError(
@@ -31,45 +31,46 @@ def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     count = int(mask.sum())
     if count == 0:
         raise EmptyMaskError("mask selects no points")
-    return features[mask].sum(axis=0) / count
+    return np.asarray(features[mask], dtype=np.float64).sum(axis=0) / count
 
 
 def pool_by_class(
     features: np.ndarray, labels: np.ndarray
 ) -> dict[int, np.ndarray]:
-    """Masked mean per label value in one pass over the data.
+    """Masked mean per label value, for every c >= 0 present in labels.
 
-    Equivalent to masked_pool(features, labels == c) for every c >= 0
-    present in labels. The per-class sums run through a sparse indicator
-    matrix so the feature matrix is read once, not once per class.
+    Bitwise equal to masked_pool(features, labels == c): the labeled rows
+    are stably sorted by label, and each class's rows are gathered in
+    ascending row order, cast to float64 and summed. Only labeled rows are
+    read, and the feature matrix is never cast as a whole.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != features.shape[0]:
         raise AlignmentError(
             f"labels length {labels.shape[0]} != feature rows {features.shape[0]}"
         )
     valid = np.flatnonzero(labels >= 0)
-    if valid.size == 0:
-        return {}
-    from scipy.sparse import csr_matrix  # here, not at module level: slow import
-
-    values, inverse = np.unique(labels[valid], return_inverse=True)
-    indicator = csr_matrix(
-        (np.ones(valid.size), (inverse, valid)),
-        shape=(values.size, labels.shape[0]),
+    order = valid[np.argsort(labels[valid], kind="stable")]
+    values, starts, counts = np.unique(
+        labels[order], return_index=True, return_counts=True
     )
-    sums = indicator @ features
-    counts = np.bincount(inverse)
-    return {int(c): sums[i] / counts[i] for i, c in enumerate(values)}
+    return {
+        int(c): np.asarray(features[order[i:i + n]], dtype=np.float64).sum(axis=0) / n
+        for c, i, n in zip(values, starts, counts)
+    }
 
 
 def novel_prototypes(
     features: np.ndarray, labels: np.ndarray, schema: ClassSchema
 ) -> PrototypeSet:
-    """Masked mean feature per novel class present in a label map."""
-    pooled = pool_by_class(features, labels)
-    return PrototypeSet({c: v for c, v in pooled.items() if schema.is_novel(c)})
+    """Masked mean feature per novel class present in a label map.
+
+    Only rows labeled with a novel class are pooled.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    novel = (labels >= schema.n_base) & (labels < schema.n_classes)
+    return PrototypeSet(pool_by_class(features, np.where(novel, labels, -1)))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -232,11 +232,14 @@ def load_npy(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: malformed .npy file: {exc}") from exc
 
 
+ROLES = ("train", "test", "support")
+
+
 @dataclass
 class SceneEntry:
     scene_id: str
     path: str
-    role: str  # train / test / support
+    role: str  # one of ROLES
     embedding: str | None = None
     raw_predictions: str | None = None
     base_labels: str | None = None
@@ -294,7 +297,7 @@ def load_manifest(path: str | Path) -> Manifest:
             scenes.append(SceneEntry(
                 scene_id=e["id"],
                 path=_path_field(path, e, "path", required=True),
-                role=e["role"],
+                role=_role_field(path, e),
                 embedding=_path_field(path, e, "embedding"),
                 raw_predictions=_path_field(path, e, "raw_predictions"),
                 base_labels=_path_field(path, e, "base_labels"),
@@ -303,6 +306,16 @@ def load_manifest(path: str | Path) -> Manifest:
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
     return Manifest(schema=schema, scenes=scenes, support=support, root=path.parent)
+
+
+def _role_field(manifest: Path, entry: dict) -> str:
+    role = entry.get("role")
+    if role not in ROLES:
+        raise FormatError(
+            f"{manifest}: scene {entry['id']!r}: manifest field 'role' must be "
+            f"one of {', '.join(ROLES)}, got {role!r}"
+        )
+    return role
 
 
 def _path_field(manifest: Path, obj: dict, name: str, required: bool = False) -> str | None:

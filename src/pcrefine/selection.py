@@ -108,6 +108,13 @@ def select_and_merge(
     schema: ClassSchema,
 ) -> tuple[np.ndarray, dict[int, float]]:
     """ps_refine plus the per-class agreement behind each keep/drop decision."""
+    features = np.asarray(features)
+    width = next((v.shape[0] for v in support.vectors.values()), None)
+    if width is not None and (features.ndim != 2 or features.shape[1] != width):
+        raise ContractError(
+            f"feature matrix of shape {features.shape} does not match the "
+            f"support prototype width {width}"
+        )
     predicted = predicted_prototypes(features, raw, schema)
     agreement = prototype_agreement(predicted, support)
     filtered = _filter_by_agreement(raw, agreement, cfg, schema)

@@ -117,6 +117,19 @@ class TestRefine:
             np.testing.assert_array_equal(load_labels(tmp_path / f"k3/{scene_id}.npy"),
                                           load_labels(tmp_path / f"k1/{scene_id}.npy"))
 
+    def test_feature_width_mismatch(self, tmp_path, capsys):
+        wide = simulate(tmp_path / "wide", capsys, **{"--scenes": "1", "--dim": "32"})
+        narrow = simulate(tmp_path / "narrow", capsys, **{"--scenes": "1"})
+        # Same seed, so the scenes match point for point; only the width differs.
+        for src in (narrow / "embeddings").iterdir():
+            (wide / "embeddings" / src.name).write_bytes(src.read_bytes())
+        code, _, err = run(capsys, "refine", "--manifest", str(wide / "manifest.json"),
+                           "--out", str(tmp_path / "refined"))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert ", 16)" in error["message"] and "width 32" in error["message"]
+
     def test_corrupt_embedding_is_io_error(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
         victim = corpus / "embeddings/train_000.gfve"
@@ -209,6 +222,10 @@ def break_input(corpus, pred_dir, case):
     doc = json.loads(manifest_path.read_text())
     if case == "manifest_without_schema":
         del doc["schema"]
+    elif case == "misspelled_role":
+        doc["scenes"][0]["role"] = "tran"
+    elif case == "non_string_role":
+        doc["scenes"][0]["role"] = 5
     elif case.startswith("entry_without_"):
         del doc["scenes"][0][case.removeprefix("entry_without_")]
     elif case == "non_string_support":
@@ -235,7 +252,7 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
                   "entry_without_path", "entry_without_role",
                   "non_string_path", "non_string_embedding",
                   "non_string_raw_predictions", "non_string_base_labels",
-                  "non_string_support"]
+                  "non_string_support", "misspelled_role", "non_string_role"]
 
 
 @pytest.mark.parametrize("command, case", [
@@ -258,6 +275,33 @@ def test_malformed_input_file(tmp_path, capsys, command, case):
     assert str(broken) in error["message"]
     if case.startswith("non_string_"):
         assert f"'{case.removeprefix('non_string_')}'" in error["message"]
+    if case.endswith("_role"):
+        assert "'train_000'" in error["message"]
+
+
+@pytest.mark.parametrize("command, role", [
+    ("refine", None), ("mix", None), ("eval", None), ("eval", "test"), ("eval", "trian"),
+])
+def test_no_scenes_for_role(tmp_path, capsys, command, role):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+    manifest_path = corpus / "manifest.json"
+    if role is None:
+        # Every scene moved out of the role the command reads.
+        doc = json.loads(manifest_path.read_text())
+        for entry in doc["scenes"]:
+            entry["role"] = "test"
+        manifest_path.write_text(json.dumps(doc))
+    argv = [command, "--manifest", str(manifest_path)]
+    if command == "eval":
+        argv += ["--pred-dir", str(tmp_path)] + (["--role", role] if role else [])
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONTRACT
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert repr(role or "train") in error["message"]
+    assert out == ""
 
 
 class TestStatsAndSplit:

@@ -1,7 +1,7 @@
 """Which scipy modules each CLI command loads, checked in a fresh interpreter.
 
-scipy is imported at its two call sites only (CSR pooling in refine, the
-k-d tree of simulated erosion), so the other commands start without it.
+scipy is imported at one call site only, the k-d tree of simulated
+erosion, so every other command, refine included, starts without it.
 The test process has scipy loaded already, so every check runs in a new
 `sys.executable` with `PYTHONPATH` pointing at this checkout's `src`.
 """
@@ -58,16 +58,10 @@ def scipy_after(root, argv):
     ["stats", "--manifest", "corpus/manifest.json"],
     ["split", "--stats", "stats.json", "--threshold", "1", "--base", "2"],
     ["simulate", "--out", "sim0", "--scenes", "1", "--support-scenes", "1", "--dim", "16"],
-], ids=["import", "eval", "mix", "stats", "split", "simulate-no-erosion"])
+    ["refine", "--manifest", "corpus/manifest.json", "--out", "refined2"],
+], ids=["import", "eval", "mix", "stats", "split", "simulate-no-erosion", "refine"])
 def test_command_loads_no_scipy(corpus, argv):
     assert scipy_after(corpus, argv) == set()
-
-
-def test_refine_loads_only_scipy_sparse(corpus):
-    loaded = scipy_after(corpus, ["refine", "--manifest", "corpus/manifest.json",
-                                  "--out", "refined2"])
-    assert "scipy.sparse" in loaded
-    assert "scipy.spatial" not in loaded
 
 
 def test_simulate_with_erosion_loads_scipy_spatial(corpus):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,28 @@ class TestFileFormat:
         (tmp_path / "short.gfve").write_bytes(data[:-4])
         with pytest.raises(FormatError, match="truncated"):
             load_embeddings(tmp_path / "short.gfve")
+
+    def test_loads_float32_as_stored(self, tmp_path):
+        mat = np.random.default_rng(0).standard_normal((37, 5)).astype(np.float32)
+        mat[0, :4] = [-0.0, np.inf, np.nan, np.float32(1e-45)]
+        save_embeddings(mat, tmp_path / "e.gfve")
+        back = load_embeddings(tmp_path / "e.gfve")
+        assert back.dtype == np.float32
+        assert back.flags.c_contiguous
+        assert back.shape == mat.shape
+        assert back.tobytes() == mat.tobytes()
+
+    def test_huge_header_on_short_file_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.gfve"
+        path.write_bytes(b"GFVE" + struct.pack("<IQI", 1, 2**40, 4) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated payload"):
+                load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.gfve").write_bytes(b"NOPE" + b"\x00" * 16)

@@ -1,0 +1,80 @@
+import numpy as np
+import pytest
+
+from pcrefine import (
+    ClassSchema,
+    InfillConfig,
+    NoiseSpec,
+    SelectionConfig,
+    SyntheticFeatureProvider,
+    SyntheticProviderConfig,
+    corrupt_predictions,
+    gen_scene,
+    make_support,
+    refine_labels,
+    support_prototypes,
+)
+from pcrefine.errors import ContractError
+from pcrefine.selection import select_and_merge
+from pcrefine.sim import base_only_labels, random_scene_spec
+
+SCHEMA = ClassSchema(
+    tuple(f"base_{i:02d}" for i in range(3)),
+    tuple(f"novel_{i:02d}" for i in range(5)),
+)
+
+
+class Float32Provider:
+    """Serves another provider's features as stored embedding files hold
+    them: rounded to float32."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def embed_scene(self, scene):
+        return self.inner.embed_scene(scene).astype(np.float32)
+
+
+def noisy_case(seed, dim=16):
+    provider = Float32Provider(SyntheticFeatureProvider(SCHEMA, SyntheticProviderConfig(
+        dim=dim, anchor_seed=seed, noise_sigma=0.6, confusion_prob=0.1)))
+    scene = gen_scene(random_scene_spec(SCHEMA, seed=seed, novel_prob=1.0))
+    raw = corrupt_predictions(scene.labels, scene.positions,
+                              NoiseSpec(0.2, 0.1, 0.3, seed=seed), SCHEMA)
+    pool = [gen_scene(random_scene_spec(SCHEMA, seed=seed * 7919 + j, novel_prob=1.0))
+            for j in range(3)]
+    support = support_prototypes(make_support(pool, SCHEMA, k=2, seed=seed), provider)
+    base = base_only_labels(scene.labels, SCHEMA)
+    return provider.embed_scene(scene), raw, base, support
+
+
+class TestStoredDtype:
+    def test_float32_and_float64_features_refine_bitwise_equal(self):
+        sel_cfg, inf_cfg = SelectionConfig(0.6), InfillConfig(0.8)
+        kept = filtered = infilled = 0
+        for seed in range(6):
+            feats, raw, base, support = noisy_case(seed)
+            assert feats.dtype == np.float32
+            y32, r32 = refine_labels(feats, raw, base, support, SCHEMA, sel_cfg, inf_cfg)
+            y64, r64 = refine_labels(feats.astype(np.float64), raw, base, support,
+                                     SCHEMA, sel_cfg, inf_cfg)
+            np.testing.assert_array_equal(y32, y64)
+            assert r32.to_dict() == r64.to_dict()
+            kept += len(r32.kept_classes)
+            filtered += len(r32.filtered_classes)
+            infilled += r32.infilled_points
+        # The seeds exercise both selection outcomes and infilling.
+        assert kept and filtered and infilled
+
+
+class TestFeatureWidth:
+    def test_width_mismatch_is_contract_error(self):
+        feats, raw, base, _ = noisy_case(0, dim=16)
+        _, _, _, support = noisy_case(0, dim=32)
+        assert ((raw >= SCHEMA.n_base) & (raw < SCHEMA.n_classes)).any()
+        for call in (
+            lambda: refine_labels(feats, raw, base, support, SCHEMA),
+            lambda: select_and_merge(feats, raw, base, support, SelectionConfig(), SCHEMA),
+        ):
+            with pytest.raises(ContractError, match=r"shape \(\d+, 16\).*width 32"):
+                call()

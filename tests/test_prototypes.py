@@ -14,6 +14,7 @@ from pcrefine import (
     support_prototypes,
 )
 from pcrefine.errors import AlignmentError, ContractError, EmptyMaskError
+from pcrefine.prototypes import novel_prototypes, pool_by_class
 
 
 class TestMaskedPool:
@@ -66,6 +67,32 @@ class TestMaskedPool:
         np.testing.assert_allclose(
             masked_pool(rows, np.ones(30)), rows.mean(axis=0), atol=1e-12
         )
+
+
+class TestPoolByClass:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_masked_pool(self, schema, dtype, seed):
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((500, 7)).astype(dtype)
+        # Interleaved labels with background, negative and out-of-schema values.
+        labels = rng.integers(-3, schema.n_classes + 4, size=500)
+        pooled = pool_by_class(feats, labels)
+        assert sorted(pooled) == sorted(set(labels[labels >= 0].tolist()))
+        for c, v in pooled.items():
+            assert v.dtype == np.float64
+            assert v.tobytes() == masked_pool(feats, labels == c).tobytes()
+        novel = novel_prototypes(feats, labels, schema)
+        assert novel.classes() == [c for c in sorted(pooled) if schema.is_novel(c)]
+        for c in novel.classes():
+            assert novel[c].tobytes() == pooled[c].tobytes()
+
+    def test_no_labeled_rows(self):
+        assert pool_by_class(np.ones((3, 2)), [-1, -1, -1]) == {}
+
+    def test_length_mismatch(self):
+        with pytest.raises(AlignmentError):
+            pool_by_class(np.ones((3, 2)), [0, 1])
 
 
 class TestCosine:
