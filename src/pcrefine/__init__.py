@@ -9,9 +9,7 @@ benchmark split construction, and segmentation metrics.
 from .scene import (
     ClassSchema,
     PointCloudScene,
-    ValidationReport,
     VoxelConfig,
-    validate_scene,
     voxelize,
 )
 from .scene_io import load_scene, save_scene, load_manifest, save_manifest
@@ -34,9 +32,7 @@ from .prototypes import (
 from .selection import (
     SelectionConfig,
     merge_into_background,
-    predicted_prototypes,
     ps_refine,
-    select_pseudo_labels,
 )
 from .infill import InfillConfig, adaptive_set, context_prototypes, infill
 from .pipeline import RefineReport, refine_labels
@@ -45,10 +41,8 @@ from .benchmark import (
     ClassStat,
     ClassStats,
     SplitSpec,
-    StatsSummary,
     build_split,
     class_stats,
-    summarize,
 )
 from .metrics import (
     ConfusionMatrix,

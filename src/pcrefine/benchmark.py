@@ -100,55 +100,3 @@ def build_split(stats: ClassStats, spec: SplitSpec) -> ClassSchema:
     retained.sort(key=lambda t: (-t[1], t[0]))
     names = [name for name, _ in retained]
     return ClassSchema(tuple(names[: spec.n_base]), tuple(names[spec.n_base:]))
-
-
-@dataclass(frozen=True)
-class StatsSummary:
-    max_occurrences: int
-    min_occurrences: int
-    max_mean_points: float
-    min_mean_points: float
-    rows: tuple[tuple[str, int, float], ...]  # (name, occurrences, mean_points)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_occurrences": self.max_occurrences,
-            "min_occurrences": self.min_occurrences,
-            "max_mean_points": self.max_mean_points,
-            "min_mean_points": self.min_mean_points,
-            "novel_classes": [
-                {"name": n, "occurrences": f, "mean_points": p}
-                for n, f, p in self.rows
-            ],
-        }
-
-    def table(self) -> str:
-        width = max(len(n) for n, _, _ in self.rows) if self.rows else 4
-        lines = [f"{'class':<{width}}  {'occ':>8}  {'mean_pts':>12}"]
-        for name, f, p in self.rows:
-            lines.append(f"{name:<{width}}  {f:>8}  {p:>12.1f}")
-        lines.append(
-            f"max/min occ: {self.max_occurrences}/{self.min_occurrences}  "
-            f"max/min mean_pts: {self.max_mean_points:.1f}/{self.min_mean_points:.1f}"
-        )
-        return "\n".join(lines)
-
-
-def summarize(stats: ClassStats, schema: ClassSchema) -> StatsSummary:
-    """Max/min occurrence and point statistics over the novel classes."""
-    missing = [n for n in schema.novel_names if n not in stats.stats]
-    if missing:
-        raise ConfigError(f"stats missing novel classes {missing}")
-    rows = tuple(
-        (name, stats.occurrences(name), stats.mean_points(name))
-        for name in schema.novel_names
-    )
-    occs = [f for _, f, _ in rows]
-    pts = [p for _, _, p in rows]
-    return StatsSummary(
-        max_occurrences=max(occs),
-        min_occurrences=min(occs),
-        max_mean_points=max(pts),
-        min_mean_points=min(pts),
-        rows=rows,
-    )

@@ -41,11 +41,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.n_classes != self.n_classes:
-            raise ContractError("cannot merge confusion matrices of different sizes")
-        return ConfusionMatrix(self.n_classes, self.counts + other.counts)
-
 
 def accumulate(
     conf: ConfusionMatrix, pred: np.ndarray, gt: np.ndarray

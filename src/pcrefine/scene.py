@@ -121,52 +121,6 @@ class VoxelConfig:
             raise ConfigError(f"grid_size must be positive, got {self.grid_size}")
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    index: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_scene(scene: PointCloudScene, schema: ClassSchema) -> ValidationReport:
-    """Diagnostic check of scene invariants against a schema.
-
-    Never raises; reports the first offending index per violation class.
-    """
-    violations = []
-    bad = ~np.isfinite(scene.positions)
-    if bad.any():
-        i = int(np.argwhere(bad.any(axis=1))[0, 0])
-        violations.append(
-            Violation("non_finite_coordinate", i, f"non-finite position at point {i}")
-        )
-    out = (scene.labels < -1) | (scene.labels >= schema.n_classes)
-    if out.any():
-        i = int(np.argmax(out))
-        violations.append(
-            Violation("label_out_of_range", i,
-                      f"label {scene.labels[i]} at point {i} outside "
-                      f"[-1, {schema.n_classes})")
-        )
-    if scene.colors is not None:
-        badc = ~np.isfinite(scene.colors)
-        if badc.any():
-            i = int(np.argwhere(badc.any(axis=1))[0, 0])
-            violations.append(
-                Violation("non_finite_color", i, f"non-finite color at point {i}")
-            )
-    return ValidationReport(tuple(violations))
-
-
 def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     """Collapse each occupied voxel cell to one representative point.
 

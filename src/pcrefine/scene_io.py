@@ -221,7 +221,13 @@ def save_labels(labels: np.ndarray, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> np.ndarray:
-    return np.asarray(load_npy(path), dtype=np.int64)
+    """A 1-D integer label array as int64; any other array is a FormatError."""
+    labels = load_npy(path)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise FormatError(
+            f"{path}: expected a 1-D integer label array, got {labels.ndim}-D {labels.dtype}"
+        )
+    return labels.astype(np.int64, copy=False)
 
 
 def load_npy(path: str | Path) -> np.ndarray:
@@ -262,9 +268,7 @@ class Manifest:
     support: str | None = None
     root: Path = Path(".")
 
-    def entries(self, role: str | None = None) -> list[SceneEntry]:
-        if role is None:
-            return list(self.scenes)
+    def entries(self, role: str) -> list[SceneEntry]:
         return [e for e in self.scenes if e.role == role]
 
     def resolve(self, rel: str) -> Path:

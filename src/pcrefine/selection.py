@@ -23,13 +23,6 @@ class SelectionConfig:
             raise ConfigError(f"tau must be in [-1, 1], got {self.tau}")
 
 
-def predicted_prototypes(
-    features: np.ndarray, raw: np.ndarray, schema: ClassSchema
-) -> PrototypeSet:
-    """Masked mean feature per novel class present in the raw predictions."""
-    return novel_prototypes(features, raw, schema)
-
-
 def prototype_agreement(
     predicted: PrototypeSet, support: PrototypeSet
 ) -> dict[int, float]:
@@ -43,34 +36,6 @@ def prototype_agreement(
             )
         agreement[c] = cosine(predicted[c], support[c])
     return agreement
-
-
-def select_pseudo_labels(
-    raw: np.ndarray,
-    predicted: PrototypeSet,
-    support: PrototypeSet,
-    cfg: SelectionConfig,
-    schema: ClassSchema,
-) -> np.ndarray:
-    """Class-level filter of raw predictions.
-
-    Base-class predictions are always cleared to -1. A novel class keeps all
-    of its points iff cosine(predicted, support) >= tau; the decision is one
-    cosine per class, applied via mask indexing.
-    """
-    return _filter_by_agreement(raw, prototype_agreement(predicted, support), cfg, schema)
-
-
-def _filter_by_agreement(
-    raw: np.ndarray, agreement: dict[int, float], cfg: SelectionConfig, schema: ClassSchema
-) -> np.ndarray:
-    raw = np.asarray(raw, dtype=np.int64)
-    out = raw.copy()
-    out[(raw >= 0) & (raw < schema.n_base)] = -1
-    for c, sim in agreement.items():
-        if sim < cfg.tau:
-            out[raw == c] = -1
-    return out
 
 
 def merge_into_background(
@@ -107,7 +72,13 @@ def select_and_merge(
     cfg: SelectionConfig,
     schema: ClassSchema,
 ) -> tuple[np.ndarray, dict[int, float]]:
-    """ps_refine plus the per-class agreement behind each keep/drop decision."""
+    """ps_refine plus the per-class agreement behind each keep/drop decision.
+
+    Base-class predictions are always cleared to -1. A novel class keeps all
+    of its points iff cosine(predicted, support) >= tau, one decision per
+    class. Raises ContractError when raw or base labels are not one integer
+    in [-1, n_classes) per feature row.
+    """
     features = np.asarray(features)
     width = next((v.shape[0] for v in support.vectors.values()), None)
     if width is not None and (features.ndim != 2 or features.shape[1] != width):
@@ -115,10 +86,38 @@ def select_and_merge(
             f"feature matrix of shape {features.shape} does not match the "
             f"support prototype width {width}"
         )
-    predicted = predicted_prototypes(features, raw, schema)
-    agreement = prototype_agreement(predicted, support)
-    filtered = _filter_by_agreement(raw, agreement, cfg, schema)
+    raw = _label_vector("raw", raw, features.shape[:1], schema)
+    base_labels = _label_vector("base", base_labels, features.shape[:1], schema)
+    agreement = prototype_agreement(novel_prototypes(features, raw, schema), support)
+    filtered = np.where(raw < schema.n_base, -1, raw)
+    for c, sim in agreement.items():
+        if sim < cfg.tau:
+            filtered[raw == c] = -1
     return merge_into_background(base_labels, filtered, schema), agreement
+
+
+def _label_vector(
+    name: str, labels: np.ndarray, shape: tuple[int, ...], schema: ClassSchema
+) -> np.ndarray:
+    """Labels as int64, checked before the cast: a float array may carry only
+    whole values, so nothing is truncated into range."""
+    labels = np.asarray(labels)
+    if labels.shape != shape:
+        raise AlignmentError(
+            f"{name} labels of shape {labels.shape} do not match the feature rows {shape}"
+        )
+    if labels.dtype.kind not in "biuf":
+        raise ContractError(f"{name} labels must be integers, got dtype {labels.dtype}")
+    bad = (labels < -1) | (labels >= schema.n_classes)
+    if labels.dtype.kind == "f":
+        bad |= labels != np.floor(labels)  # NaN compares unequal, so it is caught too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(
+            f"{name} label {labels[i].item()!r} at point {i} is not an integer "
+            f"in [-1, {schema.n_classes})"
+        )
+    return labels.astype(np.int64, copy=False)
 
 
 def ps_refine(

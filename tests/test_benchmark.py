@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from pcrefine import (
-    ClassSchema,
     ClassStat,
     ClassStats,
     PointCloudScene,
     SplitSpec,
     build_split,
     class_stats,
-    summarize,
 )
 from pcrefine.errors import ConfigError
 
@@ -113,34 +111,3 @@ class TestBuildSplit:
             SplitSpec(freq_threshold=0, n_base=12)
         with pytest.raises(ConfigError):
             SplitSpec(freq_threshold=10, n_base=0)
-
-
-class TestSummarize:
-    def test_extremes_over_novel_only(self):
-        schema = ClassSchema(("b0",), ("n0", "n1"))
-        stats = ClassStats({
-            "b0": ClassStat(1000, 9999.0),
-            "n0": ClassStat(5, 10.0),
-            "n1": ClassStat(30, 2.0),
-        })
-        s = summarize(stats, schema)
-        assert s.max_occurrences == 30
-        assert s.min_occurrences == 5
-        assert s.max_mean_points == 10.0
-        assert s.min_mean_points == 2.0
-        assert len(s.rows) == 2
-
-    def test_missing_class_errors(self):
-        schema = ClassSchema(("b0",), ("n0",))
-        with pytest.raises(ConfigError, match="n0"):
-            summarize(ClassStats({"b0": ClassStat(1, 1.0)}), schema)
-
-    def test_table_mentions_every_novel_class(self):
-        schema = ClassSchema(("b0",), ("n0", "n1"))
-        stats = ClassStats({
-            "b0": ClassStat(3, 1.0),
-            "n0": ClassStat(5, 10.0),
-            "n1": ClassStat(30, 2.0),
-        })
-        table = summarize(stats, schema).table()
-        assert "n0" in table and "n1" in table

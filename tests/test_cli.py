@@ -140,6 +140,20 @@ class TestRefine:
         assert code == EXIT_IO
         assert json.loads(err)["error"]["type"] == "FormatError"
 
+    def test_out_of_range_raw_label(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+        raw_path = corpus / "raw/train_000.npy"
+        raw = np.load(raw_path)
+        raw[0] = 99
+        np.save(raw_path, raw)
+        code, _, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                           "--out", str(tmp_path / "refined"))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert "raw label 99 at point 0" in error["message"]
+        assert not (tmp_path / "refined/train_000.npy").exists()
+
     def test_bad_tau(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
         code, _, err = run(capsys, "refine",
@@ -241,8 +255,13 @@ def break_input(corpus, pred_dir, case):
         else:
             support = json.loads((corpus / "support.json").read_text())
             target = corpus / next(iter(support["classes"].values()))[0]["mask"]
-        # Cut inside the .npy header, or emptied.
-        target.write_bytes(target.read_bytes()[:20] if "truncated" in case else b"")
+        if case.endswith("_float_labels_npy"):
+            np.save(target, np.load(target).astype(np.float64))
+        elif case.endswith("_2d_labels_npy"):
+            np.save(target, np.load(target)[:, None])
+        else:
+            # Cut inside the .npy header, or emptied.
+            target.write_bytes(target.read_bytes()[:20] if "truncated" in case else b"")
         return target
     manifest_path.write_text(json.dumps(doc))
     return manifest_path
@@ -258,7 +277,9 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
 @pytest.mark.parametrize("command, case", [
     *[(command, case) for case in MANIFEST_CASES for command in ("refine", "eval", "mix")],
     ("refine", "raw_truncated_labels_npy"), ("refine", "raw_empty_labels_npy"),
+    ("refine", "raw_float_labels_npy"), ("refine", "raw_2d_labels_npy"),
     ("eval", "pred_truncated_labels_npy"), ("eval", "pred_empty_labels_npy"),
+    ("eval", "pred_float_labels_npy"),
     ("refine", "truncated_mask_npy"), ("mix", "empty_mask_npy"),
 ])
 def test_malformed_input_file(tmp_path, capsys, command, case):

@@ -70,14 +70,6 @@ class TestAccumulate:
         with pytest.raises(AlignmentError):
             accumulate(ConfusionMatrix(2), np.array([0, 1]), np.array([0]))
 
-    def test_merge(self):
-        a = accumulate(ConfusionMatrix(2), np.array([0]), np.array([0]))
-        b = accumulate(ConfusionMatrix(2), np.array([1]), np.array([1]))
-        merged = a.merge(b)
-        assert merged.total == 2
-        with pytest.raises(ContractError):
-            a.merge(ConfusionMatrix(3))
-
 
 class TestIoU:
     def test_hand_example(self):

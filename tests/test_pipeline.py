@@ -14,7 +14,7 @@ from pcrefine import (
     refine_labels,
     support_prototypes,
 )
-from pcrefine.errors import ContractError
+from pcrefine.errors import AlignmentError, ContractError
 from pcrefine.selection import select_and_merge
 from pcrefine.sim import base_only_labels, random_scene_spec
 
@@ -78,3 +78,29 @@ class TestFeatureWidth:
         ):
             with pytest.raises(ContractError, match=r"shape \(\d+, 16\).*width 32"):
                 call()
+
+
+class TestLabelContract:
+    @pytest.mark.parametrize("which, value", [
+        ("raw", 99), ("raw", -5), ("raw", -4.3), ("raw", np.nan), ("base", 2.5),
+    ])
+    def test_label_outside_schema_rejected(self, which, value):
+        feats, raw, base, support = noisy_case(0)
+        labels = {"raw": raw, "base": base}
+        i = int(np.flatnonzero(labels[which] == -1)[0])
+        labels[which] = labels[which].astype(type(value))
+        labels[which][i] = value
+        with pytest.raises(ContractError, match=rf"{which} label {value!r} at point {i}\b"):
+            refine_labels(feats, labels["raw"], labels["base"], support, SCHEMA)
+
+    def test_non_numeric_labels_rejected(self):
+        feats, raw, base, support = noisy_case(0)
+        with pytest.raises(ContractError, match="raw labels must be integers"):
+            refine_labels(feats, raw.astype(str), base, support, SCHEMA)
+
+    def test_misaligned_labels_rejected(self):
+        feats, raw, base, support = noisy_case(0)
+        with pytest.raises(AlignmentError, match="raw labels"):
+            refine_labels(feats, raw[:, None], base, support, SCHEMA)
+        with pytest.raises(AlignmentError, match="base labels"):
+            refine_labels(feats, raw, base[1:], support, SCHEMA)

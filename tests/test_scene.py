@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, validate_scene, voxelize
+from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, voxelize
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
 
 
@@ -29,32 +29,9 @@ class TestSchema:
 
 
 class TestValidate:
-    def test_valid_scene(self, schema):
-        scene = PointCloudScene(
-            positions=np.zeros((3, 3)), labels=np.array([0, -1, schema.n_classes - 1])
-        )
-        assert validate_scene(scene, schema).ok
-
-    def test_label_out_of_range(self, schema):
-        scene = PointCloudScene(
-            positions=np.zeros((3, 3)), labels=np.array([0, schema.n_classes, 1])
-        )
-        report = validate_scene(scene, schema)
-        assert not report.ok
-        v = report.violations[0]
-        assert v.kind == "label_out_of_range"
-        assert v.index == 1
-
     def test_length_mismatch_rejected_at_construction(self):
         with pytest.raises(AlignmentError):
             PointCloudScene(positions=np.zeros((5, 3)), labels=np.zeros(4))
-
-    def test_non_finite_coordinate(self, schema):
-        pos = np.zeros((4, 3))
-        pos[2, 1] = np.nan
-        report = validate_scene(PointCloudScene(pos, np.zeros(4)), schema)
-        kinds = {v.kind: v for v in report.violations}
-        assert kinds["non_finite_coordinate"].index == 2
 
 
 class TestVoxelize:

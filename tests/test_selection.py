@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pcrefine import (
     PrototypeSet,
@@ -8,11 +7,11 @@ from pcrefine import (
     cosine,
     masked_pool,
     merge_into_background,
-    predicted_prototypes,
     ps_refine,
-    select_pseudo_labels,
 )
 from pcrefine.errors import ConfigError, ContractError
+from pcrefine.prototypes import novel_prototypes
+from pcrefine.selection import select_and_merge
 
 
 def unit(d, axis):
@@ -21,25 +20,45 @@ def unit(d, axis):
     return v
 
 
+def select(raw, predicted, support, tau, schema, d):
+    """Selection alone through select_and_merge: base labels all -1, and each
+    point labeled c carries predicted[c] as its feature row. The vectors hold
+    small multiples of 1/4, so the pooled mean is exactly predicted[c]."""
+    raw = np.asarray(raw)
+    feats = np.zeros((raw.shape[0], d))
+    for c, v in predicted.items():
+        feats[raw == c] = v
+    out, agreement = select_and_merge(
+        feats, raw, np.full(raw.shape[0], -1), PrototypeSet(support),
+        SelectionConfig(tau), schema,
+    )
+    assert agreement == {c: cosine(v, support[c]) for c, v in predicted.items()}
+    return out
+
+
+def quarter_vector(rng, d):
+    return rng.integers(-8, 9, size=d) / 4.0
+
+
 class TestPredictedPrototypes:
     def test_singleton_mask(self, schema):
         feats = np.zeros((3, 4))
         feats[1] = [1.0, 2.0, 3.0, 4.0]
         raw = np.array([-1, 5, 0])
-        protos = predicted_prototypes(feats, raw, schema)
+        protos = novel_prototypes(feats, raw, schema)
         assert protos.classes() == [5]
         np.testing.assert_array_equal(protos[5], [1.0, 2.0, 3.0, 4.0])
 
     def test_no_novel_labels(self, schema):
         feats = np.ones((4, 3))
         raw = np.array([0, 1, 2, -1])
-        assert len(predicted_prototypes(feats, raw, schema)) == 0
+        assert len(novel_prototypes(feats, raw, schema)) == 0
 
     def test_matches_pool_oracle(self, schema):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(200, 6))
         raw = rng.integers(-1, schema.n_classes, size=200)
-        protos = predicted_prototypes(feats, raw, schema)
+        protos = novel_prototypes(feats, raw, schema)
         for c in schema.novel_indices:
             if (raw == c).any():
                 np.testing.assert_allclose(
@@ -51,49 +70,41 @@ class TestPredictedPrototypes:
 
 class TestSelect:
     def test_base_predictions_cleared(self, schema):
-        raw = np.array([2, 0, 1])
-        out = select_pseudo_labels(
-            raw, PrototypeSet({}), PrototypeSet({}), SelectionConfig(), schema
-        )
+        out = select([2, 0, 1], {}, {}, 0.6, schema, d=3)
         np.testing.assert_array_equal(out, [-1, -1, -1])
 
     def test_orthogonal_prototypes_filtered(self, schema):
-        raw = np.array([4, 4, -1])
-        predicted = PrototypeSet({4: unit(4, 0)})
-        support = PrototypeSet({4: unit(4, 1)})
-        out = select_pseudo_labels(raw, predicted, support, SelectionConfig(0.6), schema)
+        out = select([4, 4, -1], {4: unit(4, 0)}, {4: unit(4, 1)}, 0.6, schema, d=4)
         np.testing.assert_array_equal(out, [-1, -1, -1])
 
     def test_per_class_decision_against_point_oracle(self, schema):
         rng = np.random.default_rng(1)
         raw = rng.integers(-1, schema.n_classes, size=500)
         d = 6
-        predicted_vecs, support_vecs = {}, {}
+        predicted, support = {}, {}
         for c in schema.novel_indices:
             if (raw == c).any():
-                predicted_vecs[c] = rng.normal(size=d)
-                support_vecs[c] = rng.normal(size=d)
-        predicted = PrototypeSet(predicted_vecs)
-        support = PrototypeSet(support_vecs)
+                predicted[c] = quarter_vector(rng, d)
+                support[c] = rng.normal(size=d)
         tau = 0.3
-        out = select_pseudo_labels(raw, predicted, support, SelectionConfig(tau), schema)
+        out = select(raw, predicted, support, tau, schema, d)
+        # The seed must exercise both decisions for the oracle to mean anything.
+        keep = {c: cosine(predicted[c], support[c]) >= tau for c in predicted}
+        assert any(keep.values()) and not all(keep.values())
         # Oracle: evaluate the filter point by point.
         for i in range(500):
             c = int(raw[i])
             if 0 <= c < schema.n_base:
                 expected = -1
             elif c >= schema.n_base:
-                keep = cosine(predicted[c], support[c]) >= tau
-                expected = c if keep else -1
+                expected = c if keep[c] else -1
             else:
                 expected = -1
             assert out[i] == expected
 
     def test_missing_support_class_errors(self, schema):
-        raw = np.array([5])
-        predicted = PrototypeSet({5: unit(3, 0)})
         with pytest.raises(ConfigError, match="5"):
-            select_pseudo_labels(raw, predicted, PrototypeSet({}), SelectionConfig(), schema)
+            select([5], {5: unit(3, 0)}, {}, 0.6, schema, d=3)
 
     def test_tau_range(self):
         with pytest.raises(ConfigError):
@@ -104,13 +115,12 @@ class TestSelect:
         rng = np.random.default_rng(2)
         raw = rng.integers(-1, schema.n_classes, size=300)
         d = 5
-        vecs = {c: rng.normal(size=d) for c in schema.novel_indices}
-        sup = {c: rng.normal(size=d) for c in schema.novel_indices}
-        predicted = PrototypeSet({c: v for c, v in vecs.items() if (raw == c).any()})
-        support = PrototypeSet(sup)
+        predicted = {c: quarter_vector(rng, d) for c in schema.novel_indices
+                     if (raw == c).any()}
+        support = {c: rng.normal(size=d) for c in schema.novel_indices}
         previous = None
         for tau in (0.2, 0.4, 0.6, 0.8):
-            out = select_pseudo_labels(raw, predicted, support, SelectionConfig(tau), schema)
+            out = select(raw, predicted, support, tau, schema, d)
             labeled = set(np.flatnonzero(out != -1))
             if previous is not None:
                 assert labeled <= previous
@@ -178,7 +188,7 @@ class TestPsRefine:
         support = PrototypeSet({c: rng.normal(size=d) for c in schema.novel_indices})
         tau = 0.1
         out = ps_refine(feats, raw, base, support, SelectionConfig(tau), schema)
-        predicted = predicted_prototypes(feats, raw, schema)
+        predicted = novel_prototypes(feats, raw, schema)
         for i in np.flatnonzero(out != -1):
             c = int(out[i])
             if c >= schema.n_base:
