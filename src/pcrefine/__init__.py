@@ -36,7 +36,7 @@ from .selection import (
 )
 from .infill import InfillConfig, adaptive_set, context_prototypes, infill
 from .pipeline import RefineReport, refine_labels
-from .mix import CornerSet, MixConfig, corners_xy, crop_novel, mix, pick_pair, translate_and_align
+from .mix import MixConfig, corners_xy, crop_novel, mix, pick_pair
 from .benchmark import (
     ClassStat,
     ClassStats,

@@ -271,18 +271,21 @@ def cmd_refine(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    scene_reports = {}
+    # Every scene is refined before anything is written, so a run that fails
+    # on a later scene leaves no labels behind.
+    refined_labels, scene_reports = {}, {}
     for entry in entries:
         if not (entry.embedding and entry.raw_predictions and entry.base_labels):
             raise ConfigError(f"scene {entry.scene_id} lacks embedding/raw/base_labels")
         feats = load_embeddings(manifest.resolve(entry.embedding))
         raw = load_labels(manifest.resolve(entry.raw_predictions))
         base = load_labels(manifest.resolve(entry.base_labels))
-        refined, report = refine_labels(
+        refined_labels[entry.scene_id], report = refine_labels(
             feats, raw, base, support, manifest.schema, sel_cfg, inf_cfg
         )
-        save_labels(refined, out / f"{entry.scene_id}.npy")
         scene_reports[entry.scene_id] = report.to_dict()
+    for scene_id, refined in refined_labels.items():
+        save_labels(refined, out / f"{scene_id}.npy")
 
     report_doc = {
         "version": REPORT_SCHEMA_VERSION,
@@ -326,8 +329,12 @@ def cmd_stats(args) -> None:
 
 
 def cmd_split(args) -> None:
-    doc = json.loads(Path(args.stats).read_text())
-    stats = benchmark.ClassStats.from_dict(doc["classes"] if "classes" in doc else doc)
+    path = Path(args.stats)
+    try:
+        doc = json.loads(path.read_text())
+        stats = benchmark.ClassStats.from_dict(doc["classes"] if "classes" in doc else doc)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed stats file: {type(exc).__name__}: {exc}") from exc
     schema = benchmark.build_split(
         stats, benchmark.SplitSpec(freq_threshold=args.threshold, n_base=args.base)
     )

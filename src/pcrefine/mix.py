@@ -33,31 +33,19 @@ class MixConfig:
             raise ConfigError(f"crop_margin_xy must be >= 0, got {self.crop_margin_xy}")
 
 
-@dataclass(frozen=True)
-class CornerSet:
-    """XY-extreme points of a cloud: top (max Y), bottom (min Y),
-    left (min X), right (max X). Full 3D coordinates are retained."""
-
-    top: np.ndarray
-    bottom: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return getattr(self, key)
-
-
-def corners_xy(points: np.ndarray) -> CornerSet:
-    """Extreme points in the XY plane; ties break to the smallest index."""
+def corners_xy(points: np.ndarray) -> dict[str, np.ndarray]:
+    """XY-extreme points of a cloud keyed by PAIRINGS: bottom (min Y), top
+    (max Y), left (min X), right (max X), full 3D coordinates. Ties break to
+    the smallest index."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ConfigError("corners_xy needs at least one point")
-    return CornerSet(
-        top=points[int(np.argmax(points[:, 1]))].copy(),
-        bottom=points[int(np.argmin(points[:, 1]))].copy(),
-        left=points[int(np.argmin(points[:, 0]))].copy(),
-        right=points[int(np.argmax(points[:, 0]))].copy(),
-    )
+    return {
+        "bottom": points[int(np.argmin(points[:, 1]))].copy(),
+        "top": points[int(np.argmax(points[:, 1]))].copy(),
+        "left": points[int(np.argmin(points[:, 0]))].copy(),
+        "right": points[int(np.argmax(points[:, 0]))].copy(),
+    }
 
 
 def pick_pair(rng: np.random.Generator) -> str:
@@ -92,30 +80,6 @@ def crop_novel(
     return cropped, kept_mask
 
 
-def translate_and_align(
-    base: PointCloudScene, novel_local: PointCloudScene, pairing: str
-) -> PointCloudScene:
-    """Snap the novel block's opposite corner onto the chosen base corner in
-    XY, drop it to the base floor level in Z, and concatenate."""
-    if pairing not in PAIRINGS:
-        raise ConfigError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
-    base_corner = corners_xy(base.positions)[pairing]
-    novel_corner = corners_xy(novel_local.positions)[_OPPOSITE[pairing]]
-
-    translation = np.array(
-        [base_corner[0] - novel_corner[0], base_corner[1] - novel_corner[1], 0.0]
-    )
-    moved = novel_local.positions + translation
-    moved[:, 2] += base.positions[:, 2].min() - moved[:, 2].min()
-
-    positions = np.concatenate([base.positions, moved])
-    labels = np.concatenate([base.labels, novel_local.labels])
-    colors = None
-    if base.colors is not None and novel_local.colors is not None:
-        colors = np.concatenate([base.colors, novel_local.colors])
-    return PointCloudScene(positions=positions, labels=labels, colors=colors)
-
-
 def mix(
     base: PointCloudScene,
     support: SupportSet,
@@ -131,11 +95,33 @@ def mix(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     classes = support.classes()
-    mixed = base
+    # The grown cloud's corners and floor, carried block to block. Taking
+    # each corner over the pair (carried, block) keeps corners_xy's rule:
+    # ties and NaN resolve as argmax/argmin over the whole cloud would.
+    corners = corners_xy(base.positions)
+    floor = base.positions[:, 2].min()
+    positions, labels, colors = [base.positions], [base.labels], [base.colors]
     for _ in range(cfg.n_blocks):
         c = classes[int(rng.integers(0, len(classes)))]
         shot = support.shots[c][int(rng.integers(0, support.k))]
         cropped, _ = crop_novel(shot.scene, shot.mask, cfg.crop_margin_xy)
         pairing = pick_pair(rng)
-        mixed = translate_and_align(mixed, cropped, pairing)
-    return mixed
+        # Snap the block's opposite corner onto the chosen corner in XY and
+        # drop it to the floor in Z.
+        target = corners[pairing]
+        source = corners_xy(cropped.positions)[_OPPOSITE[pairing]]
+        moved = cropped.positions + np.array(
+            [target[0] - source[0], target[1] - source[1], 0.0]
+        )
+        moved[:, 2] += floor - moved[:, 2].min()
+        block = corners_xy(moved)
+        corners = {k: corners_xy(np.stack([corners[k], block[k]]))[k] for k in PAIRINGS}
+        floor = np.min([floor, moved[:, 2].min()])
+        positions.append(moved)
+        labels.append(cropped.labels)
+        colors.append(cropped.colors)
+    return PointCloudScene(
+        positions=np.concatenate(positions),
+        labels=np.concatenate(labels),
+        colors=None if any(col is None for col in colors) else np.concatenate(colors),
+    )

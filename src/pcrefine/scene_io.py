@@ -2,7 +2,8 @@
 
 Supported PLY vertex layout: x, y, z as float32 (required), red/green/blue
 as uint8 (optional), label as int32 (optional; missing labels load as -1
-with a MissingLabelWarning). ASCII and binary little-endian formats.
+with a MissingLabelWarning). Reads ASCII and binary little-endian PLY;
+writes binary little-endian.
 """
 
 from __future__ import annotations
@@ -27,44 +28,31 @@ _COLOR_TYPES = {"uchar", "uint8"}
 _LABEL_TYPES = {"int", "int32"}
 
 
-def save_scene(scene: PointCloudScene, path: str | Path, *, binary: bool = True) -> None:
-    """Write a scene as PLY; positions stored as float32, labels as int32."""
+def save_scene(scene: PointCloudScene, path: str | Path) -> None:
+    """Write a scene as binary little-endian PLY; positions stored as float32,
+    labels as int32."""
     path = Path(path)
     has_color = scene.colors is not None
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {scene.point_count}"]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {scene.point_count}"]
     header += ["property float x", "property float y", "property float z"]
+    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
     if has_color:
         header += ["property uchar red", "property uchar green", "property uchar blue"]
+        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
     header += ["property int label", "end_header"]
+    fields += [("label", "<i4")]
 
+    rec = np.empty(scene.point_count, dtype=np.dtype(fields))
     pos = scene.positions.astype("<f4")
-    lab = scene.labels.astype("<i4")
-    rgb = None
+    rec["x"], rec["y"], rec["z"] = pos[:, 0], pos[:, 1], pos[:, 2]
     if has_color:
         rgb = np.clip(np.rint(scene.colors * 255.0), 0, 255).astype(np.uint8)
+        rec["red"], rec["green"], rec["blue"] = rgb[:, 0], rgb[:, 1], rgb[:, 2]
+    rec["label"] = scene.labels.astype("<i4")
 
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-            if has_color:
-                fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-            fields += [("label", "<i4")]
-            rec = np.empty(scene.point_count, dtype=np.dtype(fields))
-            rec["x"], rec["y"], rec["z"] = pos[:, 0], pos[:, 1], pos[:, 2]
-            if has_color:
-                rec["red"], rec["green"], rec["blue"] = rgb[:, 0], rgb[:, 1], rgb[:, 2]
-            rec["label"] = lab
-            f.write(rec.tobytes())
-        else:
-            for i in range(scene.point_count):
-                parts = [repr(float(pos[i, 0])), repr(float(pos[i, 1])),
-                         repr(float(pos[i, 2]))]
-                if has_color:
-                    parts += [str(int(v)) for v in rgb[i]]
-                parts.append(str(int(lab[i])))
-                f.write((" ".join(parts) + "\n").encode("ascii"))
+        f.write(rec.tobytes())
 
 
 def load_scene(path: str | Path) -> PointCloudScene:

@@ -154,6 +154,20 @@ class TestRefine:
         assert "raw label 99 at point 0" in error["message"]
         assert not (tmp_path / "refined/train_000.npy").exists()
 
+    def test_failure_on_later_scene_writes_nothing(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+        raw_path = corpus / "raw/train_001.npy"
+        raw = np.load(raw_path)
+        raw[0] = 99
+        np.save(raw_path, raw)
+        out = tmp_path / "refined"
+        code, _, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                           "--out", str(out))
+        assert code == EXIT_CONTRACT
+        assert json.loads(err)["error"]["type"] == "ContractError"
+        assert not list(out.glob("*.npy"))
+        assert not (out / "report.json").exists()
+
     def test_bad_tau(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
         code, _, err = run(capsys, "refine",
@@ -354,6 +368,27 @@ class TestStatsAndSplit:
         code, _, err = run(capsys, "split", "--stats", str(stats_path),
                            "--threshold", "1000", "--base", "2")
         assert code == EXIT_CONTRACT
+
+
+STATS_ROW = {"occurrences": 3, "mean_points": 10.0}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({"classes": {"a": {"occurrences": 3}}}),
+    json.dumps([STATS_ROW]),
+    json.dumps({"classes": {"a": {"occurrences": "many", "mean_points": 1.0}}}),
+], ids=["invalid-json", "no-mean-points", "json-list", "non-numeric-occurrences"])
+def test_split_malformed_stats(tmp_path, capsys, text):
+    stats_path = tmp_path / "stats.json"
+    stats_path.write_text(text)
+    code, out, err = run(capsys, "split", "--stats", str(stats_path),
+                         "--threshold", "1", "--base", "1")
+    assert code == EXIT_IO
+    error = json.loads(err)["error"]
+    assert error["type"] == "FormatError"
+    assert str(stats_path) in error["message"]
+    assert out == ""
 
 
 class TestEval:

@@ -1,7 +1,8 @@
-"""Which scipy modules each CLI command loads, checked in a fresh interpreter.
+"""Which modules each CLI command loads, checked in a fresh interpreter.
 
 scipy is imported at one call site only, the k-d tree of simulated
 erosion, so every other command, refine included, starts without it.
+Importing the CLI loads no third-party package but numpy.
 The test process has scipy loaded already, so every check runs in a new
 `sys.executable` with `PYTHONPATH` pointing at this checkout's `src`.
 """
@@ -27,6 +28,24 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 with open(sys.argv[2], "w") as f:
     json.dump({"code": code, "scipy": loaded}, f)
 """
+
+
+# The top-level packages outside the standard library loaded once the CLI
+# is imported. The child runs with -S, so no site .pth hook preloads any,
+# and finds packages on this process's sys.path.
+THIRD_PARTY = """
+import json, sys
+import pcrefine.cli
+top = {m.split(".")[0] for m in sys.modules} - {"__main__"}
+print(json.dumps(sorted(top - set(sys.stdlib_module_names))))
+"""
+
+
+def test_cli_import_loads_only_numpy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, sys.path)])}
+    out = subprocess.run([sys.executable, "-S", "-c", THIRD_PARTY], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert set(json.loads(out)) == {"numpy", "pcrefine"}
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcrefine import (
+    ClassSchema,
     MixConfig,
     PointCloudScene,
     SupportSet,
@@ -10,10 +11,11 @@ from pcrefine import (
     crop_novel,
     mix,
     pick_pair,
-    translate_and_align,
 )
 from pcrefine.errors import ConfigError, EmptyMaskError
 from pcrefine.mix import PAIRINGS
+
+OPPOSITE = {"bottom": "top", "top": "bottom", "left": "right", "right": "left"}
 
 
 def scene_from(points, labels=None):
@@ -28,11 +30,12 @@ def scene_from(points, labels=None):
 class TestCorners:
     def test_extremes(self):
         c = corners_xy(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 3.0, 0.0]]))
-        np.testing.assert_array_equal(c.left, [0, 0, 0])
-        np.testing.assert_array_equal(c.right, [2, 0, 0])
-        np.testing.assert_array_equal(c.top, [1, 3, 0])
+        assert list(c) == list(PAIRINGS)
+        np.testing.assert_array_equal(c["left"], [0, 0, 0])
+        np.testing.assert_array_equal(c["right"], [2, 0, 0])
+        np.testing.assert_array_equal(c["top"], [1, 3, 0])
         # Bottom tie (y = 0) breaks to the smallest index.
-        np.testing.assert_array_equal(c.bottom, [0, 0, 0])
+        np.testing.assert_array_equal(c["bottom"], [0, 0, 0])
 
     def test_single_point(self):
         c = corners_xy(np.array([[1.0, 2.0, 3.0]]))
@@ -43,10 +46,10 @@ class TestCorners:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(1000, 3))
         c = corners_xy(pts)
-        assert c.left[0] == pts[:, 0].min()
-        assert c.right[0] == pts[:, 0].max()
-        assert c.bottom[1] == pts[:, 1].min()
-        assert c.top[1] == pts[:, 1].max()
+        assert c["left"][0] == pts[:, 0].min()
+        assert c["right"][0] == pts[:, 0].max()
+        assert c["bottom"][1] == pts[:, 1].min()
+        assert c["top"][1] == pts[:, 1].max()
 
 
 class TestPickPair:
@@ -107,11 +110,30 @@ class TestCrop:
             crop_novel(scene_from([[0, 0]]), [0], 1.0)
 
 
+ONE_NOVEL = ClassSchema(("floor",), ("lamp",))
+
+
+def mix_one_block(base, novel, pairing, mask=None):
+    """`mix` inserting the whole `novel` scene (the margin covers it) as its
+    one block, at the first seed whose stream picks `pairing`."""
+    mask = np.ones(novel.point_count, dtype=bool) if mask is None else mask
+    support = SupportSet(ONE_NOVEL, {1: (SupportShot(novel, mask),)})
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 1), rng.integers(0, 1)  # class, then shot
+        if pick_pair(rng) == pairing:
+            return mix(base, support, MixConfig(n_blocks=1, crop_margin_xy=1e6, seed=seed))
+    raise AssertionError(f"no seed below 100 picks {pairing}")
+
+
 class TestTranslateAlign:
+    """The per-block step of `mix`: snap the block's opposite corner onto
+    the grown cloud's chosen corner in XY, drop it to the floor in Z."""
+
     def test_translation_arithmetic(self):
         base = scene_from([[5.0, 0.0], [5.0, 5.0]])
-        novel = scene_from([[1.0, 4.0], [1.0, 0.0]], labels=[4, -1])
-        out = translate_and_align(base, novel, "bottom")
+        novel = scene_from([[1.0, 4.0], [1.0, 0.0]], labels=[4, 0])
+        out = mix_one_block(base, novel, "bottom", mask=np.array([True, False]))
         # T = base bottom - novel top = (4, -4, 0); z floors already equal.
         np.testing.assert_allclose(out.positions[2], [5.0, 0.0, 0.0], atol=1e-12)
         assert out.point_count == 4
@@ -120,7 +142,7 @@ class TestTranslateAlign:
     def test_floor_alignment(self):
         base = scene_from(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 2.0]]))
         novel = scene_from(np.array([[4.0, 4.0, 0.3], [4.0, 5.0, 1.3]]), [5, 5])
-        out = translate_and_align(base, novel, "top")
+        out = mix_one_block(base, novel, "top")
         inserted = out.positions[2:]
         assert inserted[:, 2].min() == pytest.approx(0.0, abs=1e-12)
 
@@ -129,11 +151,9 @@ class TestTranslateAlign:
         for pairing in PAIRINGS:
             base = scene_from(rng.uniform(0, 3, size=(30, 3)))
             novel = scene_from(rng.uniform(10, 12, size=(20, 3)), np.full(20, 3))
-            out = translate_and_align(base, novel, pairing)
-            opposite = {"bottom": "top", "top": "bottom",
-                        "left": "right", "right": "left"}[pairing]
+            out = mix_one_block(base, novel, pairing)
             bc = corners_xy(base.positions)[pairing]
-            nc = corners_xy(out.positions[30:])[opposite]
+            nc = corners_xy(out.positions[30:])[OPPOSITE[pairing]]
             np.testing.assert_allclose(nc[:2], bc[:2], atol=1e-9)
 
     def test_rigidity(self):
@@ -141,11 +161,27 @@ class TestTranslateAlign:
         base = scene_from(rng.uniform(0, 3, size=(10, 3)))
         novel_pts = rng.uniform(5, 8, size=(15, 3))
         novel = scene_from(novel_pts, np.full(15, 4))
-        out = translate_and_align(base, novel, "left")
+        out = mix_one_block(base, novel, "left")
         moved = out.positions[10:]
         orig_d = np.linalg.norm(novel_pts[:, None] - novel_pts[None, :], axis=2)
         new_d = np.linalg.norm(moved[:, None] - moved[None, :], axis=2)
         np.testing.assert_allclose(new_d, orig_d, atol=1e-9)
+
+    def test_later_block_aligns_against_grown_cloud(self):
+        # Block 2 snaps onto a corner of base + block 1, not of the base alone.
+        base = scene_from([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        novel = scene_from([[0.0, 0.0, 0.0], [0.0, 3.0, 1.0]], [2, 2])
+        support = SupportSet(ONE_NOVEL, {1: (SupportShot(novel, [True, True]),)})
+        for seed in range(50):
+            out = mix(base, support, MixConfig(n_blocks=2, crop_margin_xy=1e6, seed=seed))
+            rng = np.random.default_rng(seed)
+            pairings = []
+            for _ in range(2):
+                rng.integers(0, 1), rng.integers(0, 1)
+                pairings.append(pick_pair(rng))
+            grown = corners_xy(out.positions[:4])[pairings[1]]
+            block = corners_xy(out.positions[4:])[OPPOSITE[pairings[1]]]
+            np.testing.assert_array_equal(block[:2], grown[:2])
 
 
 def build_support(schema, seed=0, k=2):
@@ -174,17 +210,7 @@ class TestMix:
         base = PointCloudScene(rng.uniform(0, 8, size=(100, 3)),
                                rng.integers(0, schema.n_base, size=100))
         cfg = MixConfig(n_blocks=1, crop_margin_xy=1.0, seed=4)
-        out = mix(base, support, cfg)
-        # Same sampling stream, applied manually.
-        rng2 = np.random.default_rng(4)
-        classes = support.classes()
-        c = classes[int(rng2.integers(0, len(classes)))]
-        shot = support.shots[c][int(rng2.integers(0, support.k))]
-        from pcrefine.mix import crop_novel as crop, pick_pair as pick, translate_and_align as align
-        cropped, _ = crop(shot.scene, shot.mask, 1.0)
-        expected = align(base, cropped, pick(rng2))
-        np.testing.assert_array_equal(out.positions, expected.positions)
-        np.testing.assert_array_equal(out.labels, expected.labels)
+        assert_same_scene(mix(base, support, cfg), reference_mix(base, support, cfg))
 
     def test_count_conservation_and_base_immutability(self, schema):
         support = build_support(schema, seed=1)
@@ -225,3 +251,110 @@ class TestMix:
             MixConfig(n_blocks=0)
         with pytest.raises(ConfigError):
             MixConfig(crop_margin_xy=-1.0)
+
+
+def translate_and_align(base, novel_local, pairing):
+    """The sequential step `mix` replaced, kept as a reference: align one
+    block against the whole cloud grown so far, rescanning it for its
+    corners and floor, and concatenate."""
+    base_corner = corners_xy(base.positions)[pairing]
+    novel_corner = corners_xy(novel_local.positions)[OPPOSITE[pairing]]
+    translation = np.array(
+        [base_corner[0] - novel_corner[0], base_corner[1] - novel_corner[1], 0.0]
+    )
+    moved = novel_local.positions + translation
+    moved[:, 2] += base.positions[:, 2].min() - moved[:, 2].min()
+    positions = np.concatenate([base.positions, moved])
+    labels = np.concatenate([base.labels, novel_local.labels])
+    colors = None
+    if base.colors is not None and novel_local.colors is not None:
+        colors = np.concatenate([base.colors, novel_local.colors])
+    return PointCloudScene(positions=positions, labels=labels, colors=colors)
+
+
+def reference_mix(base, support, cfg):
+    """`mix` as a loop of translate_and_align over the same sampling stream."""
+    rng = np.random.default_rng(cfg.seed)
+    classes = support.classes()
+    mixed = base
+    for _ in range(cfg.n_blocks):
+        c = classes[int(rng.integers(0, len(classes)))]
+        shot = support.shots[c][int(rng.integers(0, support.k))]
+        cropped, _ = crop_novel(shot.scene, shot.mask, cfg.crop_margin_xy)
+        mixed = translate_and_align(mixed, cropped, pick_pair(rng))
+    return mixed
+
+
+def assert_same_scene(out, ref):
+    """Bitwise equality of positions, labels and colours."""
+    assert out.positions.shape == ref.positions.shape
+    assert out.positions.tobytes() == ref.positions.tobytes()
+    assert out.labels.tobytes() == ref.labels.tobytes()
+    assert (out.colors is None) == (ref.colors is None)
+    if ref.colors is not None:
+        assert out.colors.tobytes() == ref.colors.tobytes()
+
+
+TIE_SCHEMA = ClassSchema(("floor", "wall"), ("lamp", "plant"))
+
+
+def random_case(seed):
+    """A base scene, a support set and a config. Three cases in four sit on
+    a small integer grid, so corners and floors tie across blocks. Colour
+    modes cycle through: none, everywhere, base only, and all but one shot."""
+    rng = np.random.default_rng(seed)
+    on_grid = seed % 4 != 3
+    colour_mode = (seed // 4) % 4
+
+    def cloud(n, lo, hi):
+        if on_grid:
+            return rng.integers(lo, hi + 1, size=(n, 3)).astype(np.float64)
+        return rng.uniform(lo, hi, size=(n, 3))
+
+    def colours(n, on):
+        return rng.integers(0, 256, size=(n, 3)) / 255.0 if on else None
+
+    nb = int(rng.integers(1, 40))
+    base = PointCloudScene(cloud(nb, -3, 3), rng.integers(0, 2, size=nb),
+                           colours(nb, colour_mode in (1, 2)))
+    k = int(rng.integers(1, 3))
+    bare = (int(rng.integers(0, 2)), int(rng.integers(0, k)))
+    shots = {}
+    for c in TIE_SCHEMA.novel_indices:
+        per = []
+        for j in range(k):
+            n = int(rng.integers(1, 25))
+            mask = rng.random(n) < 0.5
+            mask[int(rng.integers(0, n))] = True
+            labels = np.where(mask, c, 0)
+            on = colour_mode == 1 or (colour_mode == 3 and (c - 2, j) != bare)
+            per.append(SupportShot(PointCloudScene(cloud(n, -2, 2), labels,
+                                                   colours(n, on)), mask))
+        shots[c] = tuple(per)
+    support = SupportSet(schema=TIE_SCHEMA, shots=shots)
+    margin = float(rng.integers(0, 3)) if on_grid else float(rng.uniform(0, 2))
+    cfg = MixConfig(n_blocks=1 + seed % 5, crop_margin_xy=margin, seed=seed)
+    return base, support, cfg
+
+
+class TestMatchesSequentialReference:
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_bitwise_equal(self, chunk):
+        # 4 x 60 = 240 seeded cases, n_blocks 1-5, 180 of them on a grid.
+        for seed in range(chunk * 60, (chunk + 1) * 60):
+            base, support, cfg = random_case(seed)
+            assert_same_scene(mix(base, support, cfg), reference_mix(base, support, cfg))
+
+    def test_nan_positions_match(self):
+        # A NaN coordinate in the base, or a NaN height in a shot (a NaN in
+        # a shot's XY would empty its crop box), resolves corners and the
+        # floor as argmax/argmin/min over the whole cloud do.
+        for seed in range(40):
+            base, support, cfg = random_case(seed)
+            rng = np.random.default_rng(10_000 + seed)
+            if seed % 2:
+                scene, axis = base, int(rng.integers(0, 3))
+            else:
+                scene, axis = support.shots[2][0].scene, 2
+            scene.positions[int(rng.integers(0, scene.point_count)), axis] = np.nan
+            assert_same_scene(mix(base, support, cfg), reference_mix(base, support, cfg))

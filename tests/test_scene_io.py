@@ -23,11 +23,10 @@ def make_scene(n=3, colors=True, seed=0):
     )
 
 
-@pytest.mark.parametrize("binary", [True, False])
-def test_round_trip(tmp_path, binary):
+def test_round_trip(tmp_path):
     scene = make_scene(17)
     path = tmp_path / "scene.ply"
-    save_scene(scene, path, binary=binary)
+    save_scene(scene, path)
     back = load_scene(path)
     assert back.point_count == 17
     # Positions are stored as float32.
@@ -38,17 +37,43 @@ def test_round_trip(tmp_path, binary):
     np.testing.assert_allclose(back.colors, scene.colors, atol=1 / 510)
 
 
-@pytest.mark.parametrize("binary", [True, False])
-def test_double_round_trip_is_identity(tmp_path, binary):
+def test_double_round_trip_is_identity(tmp_path):
     scene = make_scene(9, seed=5)
     p1, p2 = tmp_path / "a.ply", tmp_path / "b.ply"
-    save_scene(scene, p1, binary=binary)
+    save_scene(scene, p1)
     first = load_scene(p1)
-    save_scene(first, p2, binary=binary)
+    save_scene(first, p2)
     second = load_scene(p2)
     np.testing.assert_array_equal(first.positions, second.positions)
     np.testing.assert_array_equal(first.labels, second.labels)
     np.testing.assert_array_equal(first.colors, second.colors)
+
+
+def test_ascii_reader(tmp_path):
+    path = tmp_path / "ascii.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\ncomment written by hand\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        "property int label\nend_header\n"
+        "0.5 -1.25 2 255 0 51 3\n"
+        "0.1 0 -7.5 0 128 255 -1\n"
+        "\n"
+        "1e3 4 0.25 10 20 30 12\n"
+    )
+    scene = load_scene(path)
+    # Positions pass through float32, as a binary file stores them.
+    np.testing.assert_array_equal(
+        scene.positions,
+        np.array([[0.5, -1.25, 2.0], [0.1, 0.0, -7.5], [1000.0, 4.0, 0.25]],
+                 dtype=np.float32).astype(np.float64),
+    )
+    assert scene.positions.dtype == np.float64
+    np.testing.assert_array_equal(
+        scene.colors, np.array([[255, 0, 51], [0, 128, 255], [10, 20, 30]]) / 255.0
+    )
+    np.testing.assert_array_equal(scene.labels, [3, -1, 12])
+    assert scene.labels.dtype == np.int64
 
 
 def test_no_colors(tmp_path):
@@ -85,7 +110,7 @@ def test_truncated_ascii_payload(tmp_path):
 def test_truncated_binary_payload(tmp_path):
     scene = make_scene(10)
     path = tmp_path / "full.ply"
-    save_scene(scene, path, binary=True)
+    save_scene(scene, path)
     data = path.read_bytes()
     short = tmp_path / "short.ply"
     short.write_bytes(data[:-8])
