@@ -113,17 +113,23 @@ class TestCrop:
 ONE_NOVEL = ClassSchema(("floor",), ("lamp",))
 
 
+def picked_pairings(seed, n_blocks):
+    """The pairings `mix` draws at `seed` from a one-class, one-shot support."""
+    rng = np.random.default_rng(seed)
+    pairings = []
+    for _ in range(n_blocks):
+        rng.integers(0, 1), rng.integers(0, 1)  # class, then shot
+        pairings.append(pick_pair(rng))
+    return pairings
+
+
 def mix_one_block(base, novel, pairing, mask=None):
     """`mix` inserting the whole `novel` scene (the margin covers it) as its
     one block, at the first seed whose stream picks `pairing`."""
     mask = np.ones(novel.point_count, dtype=bool) if mask is None else mask
     support = SupportSet(ONE_NOVEL, {1: (SupportShot(novel, mask),)})
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        rng.integers(0, 1), rng.integers(0, 1)  # class, then shot
-        if pick_pair(rng) == pairing:
-            return mix(base, support, MixConfig(n_blocks=1, crop_margin_xy=1e6, seed=seed))
-    raise AssertionError(f"no seed below 100 picks {pairing}")
+    seed = next(s for s in range(100) if picked_pairings(s, 1) == [pairing])
+    return mix(base, support, MixConfig(n_blocks=1, crop_margin_xy=1e6, seed=seed))
 
 
 class TestTranslateAlign:
@@ -174,13 +180,9 @@ class TestTranslateAlign:
         support = SupportSet(ONE_NOVEL, {1: (SupportShot(novel, [True, True]),)})
         for seed in range(50):
             out = mix(base, support, MixConfig(n_blocks=2, crop_margin_xy=1e6, seed=seed))
-            rng = np.random.default_rng(seed)
-            pairings = []
-            for _ in range(2):
-                rng.integers(0, 1), rng.integers(0, 1)
-                pairings.append(pick_pair(rng))
-            grown = corners_xy(out.positions[:4])[pairings[1]]
-            block = corners_xy(out.positions[4:])[OPPOSITE[pairings[1]]]
+            second = picked_pairings(seed, 2)[1]
+            grown = corners_xy(out.positions[:4])[second]
+            block = corners_xy(out.positions[4:])[OPPOSITE[second]]
             np.testing.assert_array_equal(block[:2], grown[:2])
 
 
