@@ -4,6 +4,7 @@ frequency-threshold retention, and base/novel assignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,10 +43,17 @@ class ClassStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassStats":
-        return cls({
-            name: ClassStat(int(v["occurrences"]), float(v["mean_points"]))
-            for name, v in d.items()
-        })
+        """Raises ValueError unless each row's occurrences is a whole number and
+        its mean_points a finite one; a JSON boolean is neither."""
+        stats = {}
+        for name, v in d.items():
+            occ, mean = v["occurrences"], v["mean_points"]
+            if type(occ) not in (int, float) or not float(occ).is_integer():
+                raise ValueError(f"class {name!r}: occurrences {occ!r} is not a whole number")
+            if type(mean) not in (int, float) or not math.isfinite(mean):
+                raise ValueError(f"class {name!r}: mean_points {mean!r} is not a finite number")
+            stats[name] = ClassStat(int(occ), float(mean))
+        return cls(stats)
 
 
 @dataclass(frozen=True)

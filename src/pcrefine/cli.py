@@ -43,8 +43,15 @@ EXIT_CONTRACT = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag faults raise ConfigError (exit 2, JSON on stderr), not SystemExit."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pcrefine",
         description="Point-cloud pseudo-label refinement toolkit",
     )
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--pred-dir", required=True, help="directory of <scene-id>.npy label files")
     ep.add_argument("--role", default="train", help="which manifest role to evaluate (default train)")
     ep.add_argument("--grid", type=float, default=0.0,
-                    help="voxelize ground truth at this grid size before eval (default off)")
+                    help="voxelize ground truth at this grid size before eval (default 0: off)")
     ep.add_argument("--out", help="write the JSON report here (default stdout only)")
     ep.set_defaults(func=cmd_eval)
 
@@ -116,9 +123,8 @@ def _error_object(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except (FormatError, OSError) as exc:
         print(_error_object(exc), file=sys.stderr)
@@ -333,7 +339,7 @@ def cmd_split(args) -> None:
     try:
         doc = json.loads(path.read_text())
         stats = benchmark.ClassStats.from_dict(doc["classes"] if "classes" in doc else doc)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed stats file: {type(exc).__name__}: {exc}") from exc
     schema = benchmark.build_split(
         stats, benchmark.SplitSpec(freq_threshold=args.threshold, n_base=args.base)
@@ -350,7 +356,7 @@ def cmd_eval(args) -> None:
     conf = metrics.ConfusionMatrix(manifest.schema.n_classes)
     for entry in _role_entries(manifest, args.role):
         scene = load_scene(manifest.resolve(entry.path))
-        if args.grid > 0:
+        if args.grid != 0:  # VoxelConfig rejects a negative or NaN grid
             scene = voxelize(scene, VoxelConfig(grid_size=args.grid))
         pred_path = pred_dir / f"{entry.scene_id}.npy"
         if not pred_path.exists():

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
+from .errors import ConfigError
 from .prototypes import PrototypeSet, novel_prototypes
-from .scene import ClassSchema
+from .scene import ClassSchema, checked_labels
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,8 @@ def infill(
     Labeled points are never modified; argmax ties break toward the smallest
     class index. Single pass, no iteration.
     """
-    y_prime = np.asarray(y_prime, dtype=np.int64)
     features = np.asarray(features)
-    if y_prime.shape[0] != features.shape[0]:
-        raise AlignmentError(
-            f"labels length {y_prime.shape[0]} != feature rows {features.shape[0]}"
-        )
+    y_prime = checked_labels("y_prime", y_prime, features.shape[0])
     out = y_prime.copy()
     unlabeled = y_prime == -1
     if not unlabeled.any() or len(adaptive) == 0:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError
-from .scene import ClassSchema
+from .errors import ContractError
+from .scene import ClassSchema, checked_labels
 
 UNLABELED = -1
 
@@ -46,13 +46,9 @@ def accumulate(
     conf: ConfusionMatrix, pred: np.ndarray, gt: np.ndarray
 ) -> ConfusionMatrix:
     """Add one scene's (pred, gt) pair to the confusion matrix in place."""
-    pred = np.asarray(pred, dtype=np.int64)
-    gt = np.asarray(gt, dtype=np.int64)
-    if pred.shape != gt.shape:
-        raise AlignmentError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
     n = conf.n_classes
-    if ((pred < -1) | (pred >= n)).any() or ((gt < -1) | (gt >= n)).any():
-        raise ContractError(f"labels must lie in [-1, {n})")
+    gt = checked_labels("gt", gt, hi=n)
+    pred = checked_labels("pred", pred, gt.shape[0], n)
     keep = gt != UNLABELED
     g = gt[keep]
     p = pred[keep]
@@ -145,10 +141,8 @@ def pseudo_label_quality(
     pseudo: np.ndarray, gt: np.ndarray, schema: ClassSchema
 ) -> QualityReport:
     """Precision/recall of pseudo-labels against ground truth, per novel class."""
-    pseudo = np.asarray(pseudo, dtype=np.int64)
-    gt = np.asarray(gt, dtype=np.int64)
-    if pseudo.shape != gt.shape:
-        raise AlignmentError(f"length mismatch: pseudo {pseudo.shape} vs gt {gt.shape}")
+    gt = checked_labels("gt", gt, hi=schema.n_classes)
+    pseudo = checked_labels("pseudo", pseudo, gt.shape[0], schema.n_classes)
     precision = {}
     recall = {}
     for c in schema.novel_indices:

@@ -112,6 +112,32 @@ class ClassSchema:
         return cls(tuple(d["base_names"]), tuple(d["novel_names"]))
 
 
+def checked_labels(
+    name: str, labels: np.ndarray, n: int | None = None, hi: int = np.iinfo(np.int64).max
+) -> np.ndarray:
+    """Labels as int64, checked before the cast: a 1-D vector (of n labels, if
+    n is given) of integers in [-1, hi); floats must be whole-valued, so
+    nothing is truncated into range. A shape fault is an AlignmentError, a
+    value fault a ContractError naming the first bad value and its index."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or n not in (None, labels.shape[0]):
+        rows = "a 1-D vector" if n is None else f"{n} labels, one per row"
+        raise AlignmentError(f"{name} labels of shape {labels.shape} are not {rows}")
+    if labels.dtype.kind not in "iuf":
+        bad = np.ones(labels.shape, dtype=bool)
+    else:
+        bad = (labels < -1) | (labels >= hi)
+        if labels.dtype.kind == "f":
+            bad |= labels != np.floor(labels)  # NaN compares unequal, so it is caught too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(
+            f"{name} label {labels[i].item()!r} at point {i} breaks the label contract: "
+            f"{name} labels must be integers in [-1, {hi}), got dtype {labels.dtype}"
+        )
+    return labels.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class VoxelConfig:
     grid_size: float = 0.02

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, ContractError
+from .errors import ConfigError, ContractError
 from .prototypes import PrototypeSet, cosine, novel_prototypes
-from .scene import ClassSchema
+from .scene import ClassSchema, checked_labels
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,8 @@ def merge_into_background(
     only carry novel indices and -1; a base index there means selection was
     skipped or mis-ordered.
     """
-    base_labels = np.asarray(base_labels, dtype=np.int64)
-    filtered = np.asarray(filtered, dtype=np.int64)
-    if base_labels.shape != filtered.shape:
-        raise AlignmentError(
-            f"length mismatch: base {base_labels.shape} vs filtered {filtered.shape}"
-        )
-    if ((base_labels >= schema.n_base) | (base_labels < -1)).any():
-        raise ContractError("base labels must contain only base indices and -1")
+    filtered = checked_labels("filtered", filtered, hi=schema.n_classes)
+    base_labels = checked_labels("base", base_labels, filtered.shape[0], schema.n_base)
     bad = (filtered >= 0) & (filtered < schema.n_base)
     if bad.any():
         raise ContractError(
@@ -76,8 +70,8 @@ def select_and_merge(
 
     Base-class predictions are always cleared to -1. A novel class keeps all
     of its points iff cosine(predicted, support) >= tau, one decision per
-    class. Raises ContractError when raw or base labels are not one integer
-    in [-1, n_classes) per feature row.
+    class. Raises ContractError unless raw labels are one integer in
+    [-1, n_classes) per feature row, and base labels one in [-1, n_base).
     """
     features = np.asarray(features)
     width = next((v.shape[0] for v in support.vectors.values()), None)
@@ -86,38 +80,14 @@ def select_and_merge(
             f"feature matrix of shape {features.shape} does not match the "
             f"support prototype width {width}"
         )
-    raw = _label_vector("raw", raw, features.shape[:1], schema)
-    base_labels = _label_vector("base", base_labels, features.shape[:1], schema)
+    raw = checked_labels("raw", raw, features.shape[0], schema.n_classes)
+    base_labels = checked_labels("base", base_labels, features.shape[0], schema.n_base)
     agreement = prototype_agreement(novel_prototypes(features, raw, schema), support)
     filtered = np.where(raw < schema.n_base, -1, raw)
     for c, sim in agreement.items():
         if sim < cfg.tau:
             filtered[raw == c] = -1
     return merge_into_background(base_labels, filtered, schema), agreement
-
-
-def _label_vector(
-    name: str, labels: np.ndarray, shape: tuple[int, ...], schema: ClassSchema
-) -> np.ndarray:
-    """Labels as int64, checked before the cast: a float array may carry only
-    whole values, so nothing is truncated into range."""
-    labels = np.asarray(labels)
-    if labels.shape != shape:
-        raise AlignmentError(
-            f"{name} labels of shape {labels.shape} do not match the feature rows {shape}"
-        )
-    if labels.dtype.kind not in "biuf":
-        raise ContractError(f"{name} labels must be integers, got dtype {labels.dtype}")
-    bad = (labels < -1) | (labels >= schema.n_classes)
-    if labels.dtype.kind == "f":
-        bad |= labels != np.floor(labels)  # NaN compares unequal, so it is caught too
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ContractError(
-            f"{name} label {labels[i].item()!r} at point {i} is not an integer "
-            f"in [-1, {schema.n_classes})"
-        )
-    return labels.astype(np.int64, copy=False)
 
 
 def ps_refine(

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import from_dtype
 
 from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
 from pcrefine.scene_io import load_labels, load_manifest, load_scene
@@ -378,7 +383,14 @@ STATS_ROW = {"occurrences": 3, "mean_points": 10.0}
     json.dumps({"classes": {"a": {"occurrences": 3}}}),
     json.dumps([STATS_ROW]),
     json.dumps({"classes": {"a": {"occurrences": "many", "mean_points": 1.0}}}),
-], ids=["invalid-json", "no-mean-points", "json-list", "non-numeric-occurrences"])
+    json.dumps({"classes": {"a": {"occurrences": 2.7, "mean_points": 1.0}}}),
+    json.dumps({"classes": {"a": {"occurrences": True, "mean_points": 1.0}}}),
+    json.dumps({"classes": {"a": {"occurrences": 3, "mean_points": "nan"}}}),
+    json.dumps({"classes": {"a": {"occurrences": 3, "mean_points": float("nan")}}}),
+    json.dumps({"classes": {"a": {"occurrences": 3, "mean_points": False}}}),
+], ids=["invalid-json", "no-mean-points", "json-list", "non-numeric-occurrences",
+        "fractional-occurrences", "boolean-occurrences", "string-nan-mean-points",
+        "nan-mean-points", "boolean-mean-points"])
 def test_split_malformed_stats(tmp_path, capsys, text):
     stats_path = tmp_path / "stats.json"
     stats_path.write_text(text)
@@ -389,6 +401,40 @@ def test_split_malformed_stats(tmp_path, capsys, text):
     assert error["type"] == "FormatError"
     assert str(stats_path) in error["message"]
     assert out == ""
+
+
+def test_split_whole_float_occurrences(tmp_path, capsys):
+    stats_path = tmp_path / "stats.json"
+    stats_path.write_text(json.dumps({"a": {"occurrences": 3.0, "mean_points": 2}}))
+    code, out, _ = run(capsys, "split", "--stats", str(stats_path),
+                       "--threshold", "1", "--base", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["schema"]["base_names"] == ["a"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["refine", "--manifest", "m.json", "--out", "o", "--tau", "abc"],
+     "argument --tau: invalid float value: 'abc'"),
+    (["refine", "--manifest", "m.json"], "required: --out"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "required: command"),
+    (["eval", "--manifest", "m.json", "--pred-dir", "p", "--bogus"],
+     "unrecognized arguments: --bogus"),
+])
+def test_flag_fault_is_json_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONTRACT
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert message in error["message"]
+    assert out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "--help"])
+    assert exc.value.code == 0
+    assert "--tau" in capsys.readouterr().out
 
 
 class TestEval:
@@ -447,6 +493,17 @@ class TestEval:
                               "--grid", "0.1")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("grid", ["-1", "nan"])
+    def test_bad_grid(self, tmp_path, capsys, grid):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+        code, out, err = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
+                             "--pred-dir", str(tmp_path), "--grid", grid)
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "grid_size must be positive" in error["message"]
+        assert out == ""
+
 
 class TestEndToEnd:
     def test_refine_improves_noisy_predictions(self, tmp_path, capsys):
@@ -471,3 +528,78 @@ class TestEndToEnd:
                 raw_prec.append(q_raw.mean_precision())
                 ref_prec.append(q_ref.mean_precision())
         assert np.mean(ref_prec) > np.mean(raw_prec)
+
+
+def run_quiet(*argv):
+    """main() with stdout dropped and stderr returned; Hypothesis examples
+    cannot share the function-scoped capsys."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A 2-scene corpus and its clean refined labels."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus, refined = root / "corpus", root / "refined"
+    assert run_quiet("simulate", "--out", str(corpus), "--scenes", "2",
+                     "--support-scenes", "2", "--dim", "16")[0] == EXIT_OK
+    assert run_quiet("refine", "--manifest", str(corpus / "manifest.json"),
+                     "--out", str(refined))[0] == EXIT_OK
+    return root, load_manifest(corpus / "manifest.json")
+
+
+@st.composite
+def label_file_fault(draw):
+    """A dtype, up to three (position, value) edits, and a length change."""
+    dtype = np.dtype(draw(st.sampled_from(
+        ["int8", "uint8", "int16", "int32", "int64", "uint64",
+         "float32", "float64", "bool", "<U3"])))
+    value = st.one_of(st.integers(-3, 10), from_dtype(dtype))
+    edits = draw(st.lists(st.tuples(st.integers(0, 2**16), value), max_size=3))
+    return dtype, edits, draw(st.sampled_from([0, 0, 0, -1, 1]))
+
+
+def apply_fault(labels, dtype, edits, resize):
+    out = labels.astype(dtype)
+    for pos, value in edits:
+        out[pos % len(out)] = np.asarray(value).astype(dtype)
+    return np.resize(out, len(out) + resize)
+
+
+def assert_clean_exit(code, err):
+    assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_IO)
+    if code != EXIT_OK:
+        assert "error" in json.loads(err)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(target=st.sampled_from(["raw", "base", "pred"]), fault=label_file_fault())
+def test_fuzzed_label_file_through_main(fuzz_corpus, target, fault):
+    """One raw, base or prediction .npy of the later scene is rewritten with a
+    drawn dtype and values; refine and eval exit 0, 2 or 3, and a refine that
+    exits 0 writes only labels in [-1, n_classes)."""
+    root, manifest = fuzz_corpus
+    manifest_path = str(root / "corpus/manifest.json")
+    entry = manifest.entries("train")[-1]
+    path = {"raw": manifest.resolve(entry.raw_predictions),
+            "base": manifest.resolve(entry.base_labels),
+            "pred": root / f"refined/{entry.scene_id}.npy"}[target]
+    original = path.read_bytes()
+    try:
+        np.save(path, apply_fault(np.load(path), *fault))
+        pred_dir = root / "refined"
+        if target != "pred":
+            pred_dir = tempfile.mkdtemp(dir=root)
+            code, err = run_quiet("refine", "--manifest", manifest_path, "--out", pred_dir)
+            assert_clean_exit(code, err)
+            if code == EXIT_OK:
+                for e in manifest.entries("train"):
+                    labels = load_labels(f"{pred_dir}/{e.scene_id}.npy")
+                    assert labels.min() >= -1 and labels.max() < manifest.schema.n_classes
+        assert_clean_exit(*run_quiet("eval", "--manifest", manifest_path,
+                                     "--pred-dir", str(pred_dir)))
+    finally:
+        path.write_bytes(original)

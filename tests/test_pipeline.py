@@ -15,7 +15,10 @@ from pcrefine import (
     support_prototypes,
 )
 from pcrefine.errors import AlignmentError, ContractError
-from pcrefine.selection import select_and_merge
+from pcrefine.infill import infill
+from pcrefine.metrics import ConfusionMatrix, accumulate, pseudo_label_quality
+from pcrefine.prototypes import PrototypeSet
+from pcrefine.selection import merge_into_background, select_and_merge
 from pcrefine.sim import base_only_labels, random_scene_spec
 
 SCHEMA = ClassSchema(
@@ -80,9 +83,34 @@ class TestFeatureWidth:
                 call()
 
 
+# Each library function that takes label vectors: the labels of one valid
+# call, the name the checker gives the corrupted argument, its upper bound,
+# and the call with that argument replaced.
+N_BASE, N = SCHEMA.n_base, SCHEMA.n_classes
+GT = np.array([0, 1, N_BASE, N - 1, -1, N_BASE + 1])
+FILTERED = np.array([-1, N_BASE, -1, N - 1, N_BASE + 1, -1])
+INT64_MAX = np.iinfo(np.int64).max
+BASE = np.array([0, -1, 2, -1, -1, 1])
+CONTRACT_CALLS = {
+    "merge_into_background:filtered": (
+        FILTERED, "filtered", N, lambda y: merge_into_background(BASE, y, SCHEMA)),
+    "merge_into_background:base": (
+        BASE, "base", N_BASE, lambda y: merge_into_background(y, FILTERED, SCHEMA)),
+    "infill": (
+        FILTERED, "y_prime", INT64_MAX,
+        lambda y: infill(y, np.eye(6), PrototypeSet({N_BASE: np.ones(6)}), InfillConfig())),
+    "accumulate:pred": (GT, "pred", N, lambda y: accumulate(ConfusionMatrix(N), y, GT)),
+    "accumulate:gt": (GT, "gt", N, lambda y: accumulate(ConfusionMatrix(N), GT, y)),
+    "pseudo_label_quality:pseudo": (
+        GT, "pseudo", N, lambda y: pseudo_label_quality(y, GT, SCHEMA)),
+    "pseudo_label_quality:gt": (GT, "gt", N, lambda y: pseudo_label_quality(GT, y, SCHEMA)),
+}
+
+
 class TestLabelContract:
     @pytest.mark.parametrize("which, value", [
         ("raw", 99), ("raw", -5), ("raw", -4.3), ("raw", np.nan), ("base", 2.5),
+        ("base", SCHEMA.n_base),  # a novel index in the base labels
     ])
     def test_label_outside_schema_rejected(self, which, value):
         feats, raw, base, support = noisy_case(0)
@@ -104,3 +132,32 @@ class TestLabelContract:
             refine_labels(feats, raw[:, None], base, support, SCHEMA)
         with pytest.raises(AlignmentError, match="base labels"):
             refine_labels(feats, raw, base[1:], support, SCHEMA)
+
+    @pytest.mark.parametrize("call", CONTRACT_CALLS)
+    def test_valid_labels_accepted(self, call):
+        labels, _, _, fn = CONTRACT_CALLS[call]
+        fn(labels)
+        fn(labels.astype(np.float32))  # whole-valued floats are integers
+
+    @pytest.mark.parametrize("fault", ["fractional", "nan", "string", "below", "at_bound"])
+    @pytest.mark.parametrize("call", CONTRACT_CALLS)
+    def test_bad_value_rejected(self, call, fault):
+        labels, name, hi, fn = CONTRACT_CALLS[call]
+        i = 3
+        if fault == "string":
+            bad, i = labels.astype(str), 0
+        else:
+            value = {"fractional": 2.5, "nan": np.nan, "below": -2, "at_bound": hi}[fault]
+            bad = labels.astype(type(value))
+            bad[i] = value
+        with pytest.raises(ContractError, match=rf"{name} label {bad[i].item()!r} at point {i}\b"):
+            fn(bad)
+
+    @pytest.mark.parametrize("call", CONTRACT_CALLS)
+    def test_misaligned_rejected(self, call):
+        labels, name, _, fn = CONTRACT_CALLS[call]
+        with pytest.raises(AlignmentError, match=rf"{name} labels of shape \(6, 1\)"):
+            fn(labels[:, None])
+        # One short vector of a pair: whichever is checked second is blamed.
+        with pytest.raises(AlignmentError, match="labels of shape"):
+            fn(labels[:-1])
