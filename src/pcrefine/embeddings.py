@@ -45,8 +45,12 @@ def load_embeddings(path: str | Path) -> np.ndarray:
     """The (N, D) float32 matrix of an embedding file, as stored.
 
     The payload size is checked against the file size before anything is
-    allocated, then read straight into the result array.
+    mapped. The result is a read-only, C-contiguous view of the mapped
+    file, so only the pages of the rows a caller reads are ever loaded.
+    Truncating the file while the view is alive raises SIGBUS on access.
     """
+    import mmap  # here, not at module level, as np.memmap does: keeps CLI start-up lean
+
     path = Path(path)
     with open(path, "rb") as f:
         header = f.read(20)
@@ -59,15 +63,15 @@ def load_embeddings(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: unsupported version {version}")
         need = n * d * 4
         have = os.fstat(f.fileno()).st_size - 20
-        if have >= need:
-            mat = np.empty((n, d), dtype="<f4")
-            have = f.readinto(mat)
-    if have < need:
-        raise FormatError(
-            f"{path}: truncated payload: need {need} bytes for {n}x{d}, "
-            f"have {have}"
-        )
-    return mat
+        if have < need:
+            raise FormatError(
+                f"{path}: truncated payload: need {need} bytes for {n}x{d}, "
+                f"have {have}"
+            )
+        if need == 0:  # an empty payload cannot be mapped
+            return np.empty((n, d), dtype="<f4")
+        buf = mmap.mmap(f.fileno(), 20 + need, access=mmap.ACCESS_READ)
+    return np.frombuffer(buf, dtype="<f4", count=n * d, offset=20).reshape(n, d)
 
 
 def class_anchors(schema: ClassSchema, dim: int, anchor_seed: int) -> PrototypeSet:

@@ -65,12 +65,34 @@ def infill(
         return out
 
     ids, protos = adaptive.matrix()
-    sims = pairwise_cosine(np.asarray(features[unlabeled], dtype=np.float64), protos)
-    best = np.argmax(sims, axis=1)  # first max -> smallest class id wins ties
-    best_sim = sims[np.arange(sims.shape[0]), best]
-    assign = np.where(best_sim >= cfg.delta, ids[best], -1)
-    out[unlabeled] = assign
+    rows = np.flatnonzero(unlabeled)
+    best, best_sim = _nearest_prototype(features, rows, protos)
+    out[rows] = np.where(best_sim >= cfg.delta, ids[best], -1)
     return out
+
+
+# Rows per infill block. Every block has at least this many rows (or is the
+# whole set), so BLAS keeps the same gemm kernel as for the whole set and the
+# similarities stay bitwise equal to the unblocked product; OpenBLAS's
+# small-matrix path for a short tail block would change their last bits.
+INFILL_BLOCK_ROWS = 4096
+
+
+def _nearest_prototype(
+    features: np.ndarray, rows: np.ndarray, protos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index and cosine of the most similar prototype for each listed row.
+
+    Rows are gathered and cast to float64 one block at a time, so the whole
+    float64 copy of the unlabeled set is never built. Ties go to the first
+    prototype.
+    """
+    best, best_sim = [], []
+    for block in np.array_split(rows, max(1, rows.size // INFILL_BLOCK_ROWS)):
+        sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos)
+        best.append(np.argmax(sims, axis=1))
+        best_sim.append(sims[np.arange(block.size), best[-1]])
+    return np.concatenate(best), np.concatenate(best_sim)
 
 
 def pairwise_cosine(rows: np.ndarray, protos: np.ndarray) -> np.ndarray:

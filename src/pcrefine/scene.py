@@ -125,10 +125,13 @@ def checked_labels(
         raise AlignmentError(f"{name} labels of shape {labels.shape} are not {rows}")
     if labels.dtype.kind not in "iuf":
         bad = np.ones(labels.shape, dtype=bool)
+    elif labels.dtype.kind == "f":
+        # Compared in at least float64: a bound like int64 max overflows a narrower float.
+        values = labels.astype(np.result_type(labels.dtype, np.float64), copy=False)
+        # NaN compares unequal to its floor, so it is caught too.
+        bad = (values < -1) | (values >= hi) | (values != np.floor(values))
     else:
         bad = (labels < -1) | (labels >= hi)
-        if labels.dtype.kind == "f":
-            bad |= labels != np.floor(labels)  # NaN compares unequal, so it is caught too
     if bad.any():
         i = int(np.argmax(bad))
         raise ContractError(

@@ -55,6 +55,11 @@ def merge_into_background(
             f"filtered labels contain base index {int(filtered[bad][0])}; "
             f"expected only novel indices and -1"
         )
+    return _fill_background(base_labels, filtered)
+
+
+def _fill_background(base_labels: np.ndarray, filtered: np.ndarray) -> np.ndarray:
+    """merge_into_background on labels that already meet its contract."""
     return np.where(base_labels != -1, base_labels, filtered)
 
 
@@ -87,7 +92,9 @@ def select_and_merge(
     for c, sim in agreement.items():
         if sim < cfg.tau:
             filtered[raw == c] = -1
-    return merge_into_background(base_labels, filtered, schema), agreement
+    # filtered holds only -1 and novel indices of the checked raw labels, and
+    # base was checked above, so the merge needs no second check.
+    return _fill_background(base_labels, filtered), agreement
 
 
 def ps_refine(

@@ -1,3 +1,4 @@
+import mmap
 import struct
 import tracemalloc
 
@@ -7,15 +8,24 @@ import pytest
 from pcrefine import (
     ClassSchema,
     FileFeatureProvider,
+    InfillConfig,
+    NoiseSpec,
     PointCloudScene,
+    SelectionConfig,
     SyntheticFeatureProvider,
     SyntheticProviderConfig,
     class_anchors,
+    corrupt_predictions,
     cosine,
+    gen_scene,
     load_embeddings,
+    make_support,
+    refine_labels,
     save_embeddings,
+    support_prototypes,
 )
 from pcrefine.errors import AlignmentError, ConfigError, FormatError
+from pcrefine.sim import base_only_labels, random_scene_spec
 
 
 def make_scene(labels):
@@ -24,6 +34,14 @@ def make_scene(labels):
         positions=np.arange(labels.size * 3, dtype=float).reshape(-1, 3),
         labels=labels,
     )
+
+
+@pytest.fixture
+def no_mmap(monkeypatch):
+    """Fails the test if load_embeddings maps a file."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was mapped")
+    monkeypatch.setattr(mmap, "mmap", refuse)
 
 
 class TestFileFormat:
@@ -42,7 +60,7 @@ class TestFileFormat:
         assert int.from_bytes(data[16:20], "little") == 3  # D
         assert len(data) == 20 + 2 * 3 * 4
 
-    def test_truncated(self, tmp_path):
+    def test_truncated(self, tmp_path, no_mmap):
         save_embeddings(np.zeros((4, 4)), tmp_path / "e.gfve")
         data = (tmp_path / "e.gfve").read_bytes()
         (tmp_path / "short.gfve").write_bytes(data[:-4])
@@ -59,7 +77,7 @@ class TestFileFormat:
         assert back.shape == mat.shape
         assert back.tobytes() == mat.tobytes()
 
-    def test_huge_header_on_short_file_allocates_nothing(self, tmp_path):
+    def test_huge_header_on_short_file_allocates_nothing(self, tmp_path, no_mmap):
         path = tmp_path / "huge.gfve"
         path.write_bytes(b"GFVE" + struct.pack("<IQI", 1, 2**40, 4) + b"\x00" * 64)
         tracemalloc.start()
@@ -75,6 +93,48 @@ class TestFileFormat:
         (tmp_path / "bad.gfve").write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
             load_embeddings(tmp_path / "bad.gfve")
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+    def test_empty_payload_loads_without_mapping(self, tmp_path, no_mmap, shape):
+        save_embeddings(np.zeros(shape), tmp_path / "e.gfve")
+        back = load_embeddings(tmp_path / "e.gfve")
+        assert back.shape == shape
+        assert back.dtype == np.float32
+
+    def test_mapped_view_is_read_only_and_contiguous(self, tmp_path):
+        mat = np.arange(12, dtype=np.float32).reshape(4, 3)
+        save_embeddings(mat, tmp_path / "e.gfve")
+        back = load_embeddings(tmp_path / "e.gfve")
+        assert back.flags.c_contiguous
+        assert not back.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back[0, 0] = 1.0
+        np.testing.assert_array_equal(back, mat)
+
+    def test_refine_on_mapped_file_equals_refine_on_a_copy(self, tmp_path):
+        schema = ClassSchema(("b0", "b1", "b2"), ("n0", "n1", "n2", "n3"))
+        provider = SyntheticFeatureProvider(schema, SyntheticProviderConfig(
+            dim=16, anchor_seed=3, noise_sigma=0.6, confusion_prob=0.1))
+        scene = gen_scene(random_scene_spec(schema, seed=3, novel_prob=1.0))
+        raw = corrupt_predictions(scene.labels, scene.positions,
+                                  NoiseSpec(0.2, 0.1, 0.3, seed=3), schema)
+        pool = [gen_scene(random_scene_spec(schema, seed=30 + j, novel_prob=1.0))
+                for j in range(2)]
+        support = support_prototypes(make_support(pool, schema, k=1, seed=3), provider)
+        base = base_only_labels(scene.labels, schema)
+        save_embeddings(provider.embed_scene(scene), tmp_path / "e.gfve")
+
+        mapped = load_embeddings(tmp_path / "e.gfve")
+        copied = np.array(mapped)
+        assert not mapped.flags.writeable and copied.flags.writeable
+        cfgs = SelectionConfig(0.3), InfillConfig(0.5)
+        y_mapped, r_mapped = refine_labels(mapped, raw, base, support, schema, *cfgs)
+        y_copied, r_copied = refine_labels(copied, raw, base, support, schema, *cfgs)
+        assert y_mapped.tobytes() == y_copied.tobytes()
+        assert r_mapped.to_dict() == r_copied.to_dict()
+        # Both selection outcomes and infilling are exercised.
+        assert r_mapped.kept_classes and r_mapped.filtered_classes
+        assert r_mapped.infilled_points
 
 
 class TestAnchors:

@@ -11,6 +11,7 @@ from pcrefine import (
     masked_pool,
 )
 from pcrefine.errors import ConfigError
+from pcrefine.infill import INFILL_BLOCK_ROWS, _nearest_prototype, pairwise_cosine
 
 
 def unit(d, axis):
@@ -179,3 +180,42 @@ class TestInfill:
     def test_delta_range(self):
         with pytest.raises(ConfigError):
             InfillConfig(-1.5)
+
+
+def unblocked_infill(y, feats, adaptive, delta):
+    """Reference: one pairwise_cosine over every unlabeled row at once."""
+    ids, protos = adaptive.matrix()
+    unlabeled = y == -1
+    sims = pairwise_cosine(np.asarray(feats[unlabeled], dtype=np.float64), protos)
+    best = np.argmax(sims, axis=1)
+    best_sim = sims[np.arange(sims.shape[0]), best]
+    out = y.copy()
+    out[unlabeled] = np.where(best_sim >= delta, ids[best], -1)
+    return out, best, best_sim
+
+
+class TestBlockedInfill:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_unlabeled", [
+        1, INFILL_BLOCK_ROWS - 1, INFILL_BLOCK_ROWS + 1, 2 * INFILL_BLOCK_ROWS + 1,
+        4 * INFILL_BLOCK_ROWS + 123,  # more than three blocks
+    ])
+    def test_bitwise_equal_to_unblocked(self, schema, n_unlabeled, dtype):
+        rng = np.random.default_rng(n_unlabeled)
+        n_labeled, d = 500, 32
+        y = np.concatenate([np.full(n_unlabeled, -1),
+                            rng.integers(0, schema.n_classes, size=n_labeled)])
+        y = y[rng.permutation(y.size)]
+        feats = rng.normal(size=(y.size, d)).astype(dtype)
+        feats[np.flatnonzero(y == -1)[0]] = 0  # a zero row scores -1 everywhere
+        adaptive = PrototypeSet({c: rng.normal(size=d) for c in schema.novel_indices})
+        best, best_sim = _nearest_prototype(feats, np.flatnonzero(y == -1), adaptive.matrix()[1])
+        outcomes = set()
+        for delta in (-1.0, 0.0, 0.05):
+            expected, expected_best, expected_sim = unblocked_infill(y, feats, adaptive, delta)
+            assert best.tobytes() == expected_best.tobytes()
+            assert best_sim.tobytes() == expected_sim.tobytes()
+            out = infill(y, feats, adaptive, InfillConfig(delta))
+            assert out.tobytes() == expected.tobytes()
+            outcomes.update(np.unique(out[y == -1] == -1))
+        assert outcomes == {True, False}  # some rows infilled, some left unlabeled

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from pcrefine.errors import AlignmentError, ContractError
 from pcrefine.infill import infill
 from pcrefine.metrics import ConfusionMatrix, accumulate, pseudo_label_quality
 from pcrefine.prototypes import PrototypeSet
+from pcrefine.scene import checked_labels
 from pcrefine.selection import merge_into_background, select_and_merge
 from pcrefine.sim import base_only_labels, random_scene_spec
 
@@ -68,6 +71,21 @@ class TestStoredDtype:
             infilled += r32.infilled_points
         # The seeds exercise both selection outcomes and infilling.
         assert kept and filtered and infilled
+
+
+class TestChecksOnce:
+    def test_each_label_vector_checked_once_per_refine(self, monkeypatch):
+        checked = []
+
+        def recording(name, *args, **kwargs):
+            checked.append(name)
+            return checked_labels(name, *args, **kwargs)
+
+        for module in ("pcrefine.selection", "pcrefine.infill"):
+            monkeypatch.setattr(sys.modules[module], "checked_labels", recording)
+        feats, raw, base, support = noisy_case(0)
+        refine_labels(feats, raw, base, support, SCHEMA)
+        assert checked == ["raw", "base", "y_prime"]
 
 
 class TestFeatureWidth:

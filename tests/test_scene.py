@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, voxelize
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
+from pcrefine.scene import checked_labels
 
 
 class TestSchema:
@@ -32,6 +33,19 @@ class TestValidate:
     def test_length_mismatch_rejected_at_construction(self):
         with pytest.raises(AlignmentError):
             PointCloudScene(positions=np.zeros((5, 3)), labels=np.zeros(4))
+
+
+class TestCheckedLabels:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_narrow_floats_checked_without_overflow(self, dtype):
+        # The default bound, int64 max, must not be cast into the label dtype.
+        for hi in ({}, {"hi": 3}):
+            out = checked_labels("x", np.array([-1, 0, 2], dtype), **hi)
+            assert out.dtype == np.int64 and out.tolist() == [-1, 0, 2]
+        for bad in (2.5, np.inf, -2):
+            with pytest.raises(ContractError, match="x label"):
+                checked_labels("x", np.array([0, bad], dtype))
 
 
 class TestVoxelize:
