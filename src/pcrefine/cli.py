@@ -28,7 +28,7 @@ from .scene_io import (
     SceneEntry,
     load_labels,
     load_manifest,
-    load_npy,
+    load_mask,
     load_scene,
     save_labels,
     save_manifest,
@@ -248,15 +248,19 @@ def _load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
             scene = scenes[e["scene"]]
             if "embedding" in e:
                 embeddings[scene.source_path] = manifest.resolve(e["embedding"])
-            class_shots.append(SupportShot(scene, load_npy(manifest.resolve(e["mask"]))))
+            class_shots.append(SupportShot(scene, load_mask(manifest.resolve(e["mask"]))))
         shots[c] = tuple(class_shots)
     return SupportSet(schema=manifest.schema, shots=shots), FileFeatureProvider(embeddings)
 
 
 def _parse_support(path: Path) -> dict[int, list[dict]]:
-    """Shot entries per class index of a support.json, structure checked."""
+    """Shot entries per class index of a version-1 support.json, structure
+    checked."""
     try:
-        classes = json.loads(path.read_bytes())["classes"]
+        doc = json.loads(path.read_bytes())
+        if doc.get("version") != 1:
+            raise FormatError(f"{path}: unsupported support file version {doc.get('version')!r}")
+        classes = doc["classes"]
         parsed = {int(c): list(shot_entries) for c, shot_entries in classes.items()}
         for c, shot_entries in parsed.items():
             for e in shot_entries:

@@ -13,7 +13,6 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
@@ -23,11 +22,6 @@ from .scene import ClassSchema, PointCloudScene
 
 EMBEDDING_MAGIC = b"GFVE"
 EMBEDDING_VERSION = 1
-
-
-class FeatureProvider(Protocol):
-    def embed_scene(self, scene: PointCloudScene) -> np.ndarray:
-        """Return the (N, D) feature matrix for a scene, rows in point order."""
 
 
 def save_embeddings(features: np.ndarray, path: str | Path) -> None:

@@ -19,7 +19,8 @@ class PointCloudScene:
     """A point cloud with per-point labels and optional colors.
 
     positions: (N, 3) float64 coordinates in meters.
-    labels: (N,) int64 class indices (-1 for background).
+    labels: (N,) int64 class indices (-1 for background), checked by
+        checked_labels: integers or whole-valued floats, none below -1.
     colors: optional (N, 3) float64 in [0, 1].
     """
 
@@ -30,7 +31,6 @@ class PointCloudScene:
 
     def __post_init__(self):
         self.positions = np.ascontiguousarray(self.positions, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise AlignmentError(
                 f"positions must be (N, 3), got {self.positions.shape}"
@@ -38,10 +38,7 @@ class PointCloudScene:
         n = self.positions.shape[0]
         if n < 1:
             raise AlignmentError("a scene must contain at least one point")
-        if self.labels.shape != (n,):
-            raise AlignmentError(
-                f"labels length {self.labels.shape} does not match {n} points"
-            )
+        self.labels = np.ascontiguousarray(checked_labels("scene", self.labels, n))
         if self.colors is not None:
             self.colors = np.ascontiguousarray(self.colors, dtype=np.float64)
             if self.colors.shape != (n, 3):

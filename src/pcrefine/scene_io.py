@@ -1,9 +1,9 @@
 """Scene file I/O: PLY read/write, JSON scene manifests, label arrays.
 
 Supported PLY vertex layout: x, y, z as float32 (required), red/green/blue
-as uint8 (optional), label as int32 (optional; missing labels load as -1
-with a MissingLabelWarning). Reads ASCII and binary little-endian PLY;
-writes binary little-endian.
+as uint8 (optional, all three or none), label as int32 (optional; missing
+labels load as -1 with a MissingLabelWarning). Reads ASCII and binary
+little-endian PLY into one vertex record; writes binary little-endian.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ class MissingLabelWarning(UserWarning):
     """Raised as a warning when a PLY file carries no 'label' property."""
 
 
-_XYZ_TYPES = {"float", "float32"}
-_COLOR_TYPES = {"uchar", "uint8"}
-_LABEL_TYPES = {"int", "int32"}
+# Vertex property name -> (the PLY type names it may be declared as, the
+# little-endian numpy type it is stored as).
+_PROPERTIES = {
+    **dict.fromkeys(("x", "y", "z"), ({"float", "float32"}, "<f4")),
+    **dict.fromkeys(("red", "green", "blue"), ({"uchar", "uint8"}, "u1")),
+    "label": ({"int", "int32"}, "<i4"),
+}
 
 
 def save_scene(scene: PointCloudScene, path: str | Path) -> None:
@@ -58,44 +62,18 @@ def save_scene(scene: PointCloudScene, path: str | Path) -> None:
 def load_scene(path: str | Path) -> PointCloudScene:
     """Read a PLY scene.
 
-    Raises FormatError on malformed headers, unknown properties, or truncated
-    payloads, naming the line number or byte offset. A missing 'label'
-    property yields all-(-1) labels and a MissingLabelWarning.
+    Every malformed header or body is a FormatError naming the file, and
+    the line number or byte offset. A missing 'label' property yields
+    all-(-1) labels and a MissingLabelWarning.
     """
     path = Path(path)
     with open(path, "rb") as f:
         data = f.read()
 
-    header_lines, body_offset = _split_header(data)
-    fmt, count, props = _parse_header(header_lines)
-
-    names = [name for name, _ in props]
-    for req in ("x", "y", "z"):
-        if req not in names:
-            raise FormatError(f"{path}: missing required vertex property '{req}'")
-    has_color = "red" in names
-    has_label = "label" in names
-
+    fmt, count, dtype, body_offset = _parse_header(path, data)
     if fmt == "ascii":
-        rows = _read_ascii(data[body_offset:], count, len(props), path)
-        cols = {name: rows[:, i] for i, (name, _) in enumerate(props)}
-        positions = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
-        positions = positions.astype(np.float32).astype(np.float64)
-        colors = None
-        if has_color:
-            colors = np.stack([cols["red"], cols["green"], cols["blue"]], axis=1) / 255.0
-        labels = cols["label"].astype(np.int64) if has_label else None
+        rec = _read_ascii(path, data[body_offset:], count, dtype)
     else:
-        fields = []
-        for name, typ in props:
-            if typ in _XYZ_TYPES:
-                np_t = "<f4"
-            elif typ in _COLOR_TYPES:
-                np_t = "u1"
-            else:
-                np_t = "<i4"
-            fields.append((name, np_t))
-        dtype = np.dtype(fields)
         need = count * dtype.itemsize
         avail = len(data) - body_offset
         if avail < need:
@@ -104,12 +82,13 @@ def load_scene(path: str | Path) -> PointCloudScene:
                 f"need {need} bytes for {count} vertices, have {avail}"
             )
         rec = np.frombuffer(data, dtype=dtype, count=count, offset=body_offset)
-        positions = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
-        colors = None
-        if has_color:
-            colors = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1) / 255.0
-        labels = rec["label"].astype(np.int64) if has_label else None
 
+    positions = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
+    colors = None
+    if "red" in dtype.names:
+        colors = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1) / 255.0
+    # Cast in one pass over the packed record; the scene checks the int64 copy.
+    labels = rec["label"].astype(np.int64) if "label" in dtype.names else None
     if labels is None:
         warnings.warn(
             f"{path}: no 'label' property; labels default to -1", MissingLabelWarning
@@ -121,87 +100,96 @@ def load_scene(path: str | Path) -> PointCloudScene:
     )
 
 
-def _split_header(data: bytes) -> tuple[list[str], int]:
+def _parse_header(path: Path, data: bytes) -> tuple[str, int, np.dtype, int]:
+    """The format, vertex count, record dtype (the declared properties in file
+    order, typed by _PROPERTIES) and body offset of a PLY file."""
     end = data.find(b"end_header\n")
     if end < 0:
-        raise FormatError("missing 'end_header' line")
+        raise FormatError(f"{path}: missing 'end_header' line")
     body_offset = end + len(b"end_header\n")
-    try:
-        text = data[:body_offset].decode("ascii")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"non-ASCII header at byte offset {e.start}") from e
-    return text.splitlines(), body_offset
-
-
-def _parse_header(lines: list[str]) -> tuple[str, int, list[tuple[str, str]]]:
-    if not lines or lines[0].strip() != "ply":
-        raise FormatError("line 1: expected 'ply' magic")
+    # A non-ASCII byte decodes to U+FFFD, which matches no keyword, name or type.
+    lines = data[:body_offset].decode("ascii", "replace").splitlines()
+    if lines[0].strip() != "ply":
+        raise FormatError(f"{path}: line 1: expected 'ply' magic")
     fmt = None
     count = None
-    props: list[tuple[str, str]] = []
-    in_vertex = False
+    fields: dict[str, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}: line {lineno}"
         tokens = line.split()
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
             if len(tokens) != 3 or tokens[1] not in ("ascii", "binary_little_endian"):
-                raise FormatError(f"line {lineno}: unsupported format '{line.strip()}'")
+                raise FormatError(f"{where}: unsupported format '{line.strip()}'")
             fmt = tokens[1]
         elif tokens[0] == "element":
-            if tokens[1] != "vertex":
-                raise FormatError(f"line {lineno}: unsupported element '{tokens[1]}'")
-            try:
-                count = int(tokens[2])
-            except (IndexError, ValueError):
-                raise FormatError(f"line {lineno}: bad vertex count") from None
-            in_vertex = True
+            # An ASCII string of digits: a vertex count of 0 or more.
+            if len(tokens) != 3 or tokens[1] != "vertex" or not tokens[2].isdigit():
+                raise FormatError(f"{where}: expected 'element vertex <count>': '{line.strip()}'")
+            count = int(tokens[2])
         elif tokens[0] == "property":
-            if not in_vertex:
-                raise FormatError(f"line {lineno}: property outside vertex element")
+            if count is None:
+                raise FormatError(f"{where}: property outside vertex element")
             if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: malformed property '{line.strip()}'")
+                raise FormatError(f"{where}: malformed property '{line.strip()}'")
             typ, name = tokens[1], tokens[2]
-            if name in ("x", "y", "z"):
-                if typ not in _XYZ_TYPES:
-                    raise FormatError(f"line {lineno}: '{name}' must be float32, got {typ}")
-            elif name in ("red", "green", "blue"):
-                if typ not in _COLOR_TYPES:
-                    raise FormatError(f"line {lineno}: '{name}' must be uchar, got {typ}")
-            elif name == "label":
-                if typ not in _LABEL_TYPES:
-                    raise FormatError(f"line {lineno}: 'label' must be int32, got {typ}")
-            else:
-                raise FormatError(f"line {lineno}: unknown property '{name}'")
-            props.append((name, typ))
+            if name not in _PROPERTIES:
+                raise FormatError(f"{where}: unknown property '{name}'")
+            if name in fields:
+                raise FormatError(f"{where}: property '{name}' declared twice")
+            ply_types, np_type = _PROPERTIES[name]
+            if typ not in ply_types:
+                raise FormatError(f"{where}: '{name}' must be {np.dtype(np_type).name}, got {typ}")
+            fields[name] = np_type
         elif tokens[0] == "end_header":
             break
         else:
-            raise FormatError(f"line {lineno}: unexpected keyword '{tokens[0]}'")
+            raise FormatError(f"{where}: unexpected keyword '{tokens[0]}'")
     if fmt is None:
-        raise FormatError("header missing 'format' line")
+        raise FormatError(f"{path}: header missing 'format' line")
     if count is None:
-        raise FormatError("header missing 'element vertex' line")
-    return fmt, count, props
+        raise FormatError(f"{path}: header missing 'element vertex' line")
+    for group, required in ((("x", "y", "z"), True), (("red", "green", "blue"), False)):
+        missing = [name for name in group if name not in fields]
+        if missing and (required or len(missing) < len(group)):
+            raise FormatError(f"{path}: missing vertex property '{missing[0]}' ({'/'.join(group)})")
+    return fmt, count, np.dtype(list(fields.items())), body_offset
 
 
-def _read_ascii(body: bytes, count: int, n_props: int, path: Path) -> np.ndarray:
-    lines = body.decode("ascii").splitlines()
-    rows = [ln for ln in lines if ln.strip()]
+def _read_ascii(path: Path, body: bytes, count: int, dtype: np.dtype) -> np.ndarray:
+    """The first count non-blank lines of an ASCII body as a record of dtype.
+    A value that is not a number, or that an integer column's type cannot
+    hold exactly (a fraction, NaN, a colour of 300), is a FormatError."""
+    # A non-ASCII byte decodes to U+FFFD, which no number parses.
+    rows = [ln.split() for ln in body.decode("ascii", "replace").splitlines() if ln.strip()]
     if len(rows) < count:
         raise FormatError(
             f"{path}: truncated payload: header declares {count} vertices, "
             f"found {len(rows)} data lines"
         )
-    out = np.empty((count, n_props), dtype=np.float64)
-    for i in range(count):
-        parts = rows[i].split()
+    n_props = len(dtype.names)
+    values = np.empty((count, n_props), dtype=np.float64)
+    for i, parts in enumerate(rows[:count]):
         if len(parts) != n_props:
             raise FormatError(
                 f"{path}: vertex line {i + 1} has {len(parts)} values, expected {n_props}"
             )
-        out[i] = [float(p) for p in parts]
-    return out
+        try:
+            values[i] = [float(p) for p in parts]
+        except ValueError as e:
+            raise FormatError(f"{path}: vertex line {i + 1}: {e}") from None
+    rec = np.empty(count, dtype=dtype)
+    for j, name in enumerate(dtype.names):
+        # NaN, infinities and out-of-range values cast to garbage in an
+        # integer column, so the column must round-trip exactly.
+        with np.errstate(invalid="ignore", over="ignore"):
+            rec[name] = values[:, j]
+        if dtype[name].kind in "iu" and not (rec[name] == values[:, j]).all():
+            i = int(np.argmax(rec[name] != values[:, j]))
+            raise FormatError(f"{path}: vertex line {i + 1}: '{name}' value "
+                              f"{values[i, j].item()!r} does not fit {dtype[name].name}")
+    return rec
 
 
 def save_labels(labels: np.ndarray, path: str | Path) -> None:
@@ -216,6 +204,17 @@ def load_labels(path: str | Path) -> np.ndarray:
             f"{path}: expected a 1-D integer label array, got {labels.ndim}-D {labels.dtype}"
         )
     return labels.astype(np.int64, copy=False)
+
+
+def load_mask(path: str | Path) -> np.ndarray:
+    """A 1-D support mask as bool, stored as bools or as integers that are all
+    0 or 1; any other array is a FormatError."""
+    mask = load_npy(path)
+    binary = mask.dtype == bool or (mask.dtype.kind in "iu" and np.isin(mask, (0, 1)).all())
+    if mask.ndim != 1 or not binary:
+        raise FormatError(f"{path}: expected a 1-D mask of bools or 0/1 integers, "
+                          f"got {mask.ndim}-D {mask.dtype}")
+    return mask.astype(bool, copy=False)
 
 
 def load_npy(path: str | Path) -> np.ndarray:

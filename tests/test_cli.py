@@ -214,21 +214,31 @@ class TestMix:
 
 
 def break_support(path, case):
+    """Corrupt a support.json or its first shot's mask; return the file's path."""
     if case == "missing":
         path.unlink()
-        return
+        return path
     if case == "invalid_json":
         path.write_text('{"classes": ')
-        return
+        return path
     doc = json.loads(path.read_text())
     first = next(iter(doc["classes"]))
+    if case.startswith("mask_of_"):
+        mask_path = path.parent / doc["classes"][first][0]["mask"]
+        mask = np.load(mask_path)
+        np.save(mask_path, np.full(mask.shape, 2) if case == "mask_of_twos"
+                else np.where(mask, "yes", "no"))
+        return mask_path
     if case == "no_classes":
         del doc["classes"]
     elif case == "non_integer_class":
         doc["classes"]["novel"] = doc["classes"].pop(first)
+    elif case == "version_7":
+        doc["version"] = 7
     else:
         del doc["classes"][first][0][case.removeprefix("shot_without_")]
     path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.mark.parametrize("command", ["refine", "mix"])
@@ -239,14 +249,18 @@ def break_support(path, case):
     ("shot_without_scene", EXIT_IO, "FormatError"),
     ("shot_without_mask", EXIT_IO, "FormatError"),
     ("non_integer_class", EXIT_IO, "FormatError"),
+    ("version_7", EXIT_IO, "FormatError"),
+    ("mask_of_twos", EXIT_IO, "FormatError"),
+    ("mask_of_strings", EXIT_IO, "FormatError"),
 ])
 def test_bad_support_file(tmp_path, capsys, command, case, code, error):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
-    break_support(corpus / "support.json", case)
+    broken = break_support(corpus / "support.json", case)
     got, _, err = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
                       "--out", str(tmp_path / "out"))
     assert got == code
     assert json.loads(err)["error"]["type"] == error
+    assert str(broken) in json.loads(err)["error"]["message"]
 
 
 def break_input(corpus, pred_dir, case):
@@ -601,5 +615,78 @@ def test_fuzzed_label_file_through_main(fuzz_corpus, target, fault):
                     assert labels.min() >= -1 and labels.max() < manifest.schema.n_classes
         assert_clean_exit(*run_quiet("eval", "--manifest", manifest_path,
                                      "--pred-dir", str(pred_dir)))
+    finally:
+        path.write_bytes(original)
+
+
+HEADER_LINES = ["", "ply", "element", "element vertex", "element vertex -5", "element face 3",
+                "format ascii 1.0", "format binary_big_endian 1.0", "property float x",
+                "property double y", "property uchar red", "property int label",
+                "property list uchar int label", "comment é", "end_header"]
+PLY_TYPES = ["float", "float32", "double", "uchar", "char", "int", "int32", "uint", "short"]
+ASCII_VALUES = ["nan", "inf", "-inf", "abc", "2.5", "300", "-2", "-1", "1e40", "0x1", "é"]
+
+
+# The new text each kind of PLY fault writes; corrupt_ply says where.
+PLY_FAULT_TEXT = {
+    "header_line": st.sampled_from(HEADER_LINES),
+    "count": st.one_of(st.integers(-5, 2**40).map(str),
+                       st.sampled_from(["abc", "1e3", "+3", "", "7.0"])),
+    "type": st.sampled_from(PLY_TYPES),
+    "ascii_value": st.one_of(st.sampled_from(ASCII_VALUES), st.integers(-300, 300).map(str),
+                             st.floats().map(repr)),
+    "truncate": st.just(""),
+}
+
+
+def corrupt_ply(path, kind, at, text):
+    """Rewrite the binary PLY at path with one fault: a header line, the
+    vertex count or a property type replaced by text, one value of an ASCII
+    rewrite replaced by text, or a cut; `at` picks the line, value or offset."""
+    data = path.read_bytes()
+    if kind == "truncate":
+        path.write_bytes(data[:at % len(data)])
+        return
+    head, _, body = data.partition(b"end_header\n")
+    lines = head.decode("ascii").splitlines()
+    if kind == "header_line":
+        lines[at % len(lines)] = text
+    elif kind == "count":
+        lines[2] = f"element vertex {text}"
+    elif kind == "type":
+        i = 3 + at % (len(lines) - 3)  # a property line
+        lines[i] = f"property {text} {lines[i].split()[-1]}"
+    else:
+        scene = load_scene(path)
+        lines[1] = "format ascii 1.0"
+        rows = [[repr(float(v)) for v in p] + [str(label)]
+                for p, label in zip(scene.positions, scene.labels)]
+        row = rows[at % len(rows)]
+        row[at % len(row)] = text
+        body = "".join(" ".join(row) + "\n" for row in rows).encode("utf-8")
+    path.write_bytes("\n".join(lines + ["end_header", ""]).encode("utf-8") + body)
+
+
+@pytest.mark.parametrize("kind", list(PLY_FAULT_TEXT))
+@settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@given(at=st.integers(0, 2**20), data=st.data())
+def test_fuzzed_ply_file_through_main(fuzz_corpus, kind, at, data):
+    """The later train PLY is corrupted, 5 examples per kind of fault; eval
+    and mix exit 0, 2 or 3, and a mix that exits 0 writes PLYs that load
+    with labels of -1 or more."""
+    root, manifest = fuzz_corpus
+    manifest_path = str(root / "corpus/manifest.json")
+    path = manifest.resolve(manifest.entries("train")[-1].path)
+    original = path.read_bytes()
+    try:
+        corrupt_ply(path, kind, at, data.draw(PLY_FAULT_TEXT[kind]))
+        assert_clean_exit(*run_quiet("eval", "--manifest", manifest_path,
+                                     "--pred-dir", str(root / "refined")))
+        out = tempfile.mkdtemp(dir=root)
+        code, err = run_quiet("mix", "--manifest", manifest_path, "--out", out)
+        assert_clean_exit(code, err)
+        if code == EXIT_OK:
+            for e in manifest.entries("train"):
+                assert load_scene(f"{out}/{e.scene_id}.ply").labels.min() >= -1
     finally:
         path.write_bytes(original)

@@ -34,6 +34,18 @@ class TestValidate:
         with pytest.raises(AlignmentError):
             PointCloudScene(positions=np.zeros((5, 3)), labels=np.zeros(4))
 
+    @pytest.mark.parametrize("labels", [[0.5, -5.0, 2.7], [0, -5, 2], [0, np.nan, 1], ["a", "b", "c"]])
+    def test_labels_follow_the_label_contract(self, labels):
+        # Never truncated or passed through: a fraction, NaN, a string or a
+        # value below -1 is rejected, naming the scene's labels.
+        with pytest.raises(ContractError, match="scene label"):
+            PointCloudScene(positions=np.zeros((3, 3)), labels=np.array(labels))
+
+    def test_whole_float_labels_become_int64(self):
+        scene = PointCloudScene(positions=np.zeros((3, 3)), labels=np.array([-1.0, 0.0, 7.0]))
+        assert scene.labels.dtype == np.int64 and scene.labels.tolist() == [-1, 0, 7]
+        assert scene.labels.flags.c_contiguous
+
 
 class TestCheckedLabels:
     @pytest.mark.filterwarnings("error")

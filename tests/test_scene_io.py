@@ -9,6 +9,7 @@ from pcrefine.scene_io import (
     SceneEntry,
     load_labels,
     load_manifest,
+    load_mask,
     save_labels,
     save_manifest,
 )
@@ -134,6 +135,85 @@ def test_bad_magic(tmp_path):
     path.write_text("plx\nformat ascii 1.0\nend_header\n")
     with pytest.raises(FormatError, match="line 1"):
         load_scene(path)
+
+
+ASCII_PLY = (
+    "ply\nformat ascii 1.0\nelement vertex 2\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    "property int label\nend_header\n"
+    "0.5 -1.25 2 10 20 30 1\n"
+    "0.1 0 -7.5 40 50 60 2\n"
+)
+
+
+@pytest.mark.parametrize("fmt, edits", [
+    ("ascii", [("element vertex 2", "element")]),
+    ("ascii", [("element vertex 2", "element vertex -5")]),
+    ("binary", [("element vertex 2", "element vertex -5")]),
+    ("binary", [("element vertex 2", "element vertex abc")]),
+    ("ascii", [("-1.25 2 10", "abc 2 10")]),
+    ("ascii", [("60 2\n", "60 2.5\n")]),
+    ("ascii", [("60 2\n", "60 nan\n")]),
+    ("ascii", [("40 50 60", "300 50 60")]),
+    # The body loses the green column too, so only the header is at fault.
+    ("ascii", [("property uchar green\n", ""), ("10 20 30", "10 30"), ("40 50 60", "40 60")]),
+    ("binary", [("property uchar green\n", "")]),
+    ("ascii", [("property float z\n", "property float z\nproperty float x\n"),
+               ("2 10 20", "2 0 10 20"), ("-7.5 40", "-7.5 0 40")]),
+], ids=["element_alone", "negative_count_ascii", "negative_count_binary",
+        "non_numeric_count", "non_number_value", "fractional_label", "nan_label",
+        "colour_300", "red_without_green_ascii", "red_without_green_binary",
+        "repeated_x"])
+def test_malformed_ply_is_format_error_naming_file(tmp_path, fmt, edits):
+    """Each fault in a two-vertex coloured PLY, ASCII or binary as save_scene
+    writes it, is a FormatError whose message names the file."""
+    if fmt == "ascii":
+        data = ASCII_PLY.encode()
+    else:
+        save_scene(make_scene(2), tmp_path / "clean.ply")
+        data = (tmp_path / "clean.ply").read_bytes()
+    for old, new in edits:
+        assert old.encode() in data
+        data = data.replace(old.encode(), new.encode(), 1)
+    path = tmp_path / "fault.ply"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as info:
+        load_scene(path)
+    assert str(path) in str(info.value)
+
+
+def test_ascii_and_binary_decode_alike(tmp_path):
+    """The same vertices as ASCII text and as binary load to equal arrays."""
+    ascii_path = tmp_path / "a.ply"
+    ascii_path.write_text(ASCII_PLY)
+    from_ascii = load_scene(ascii_path)
+    save_scene(from_ascii, tmp_path / "b.ply")
+    from_binary = load_scene(tmp_path / "b.ply")
+    for field in ("positions", "labels", "colors"):
+        a, b = getattr(from_ascii, field), getattr(from_binary, field)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("mask", [
+    np.array([True, False, True]), np.array([1, 0, 1], dtype=np.uint8),
+    np.array([1, 0, 1], dtype=np.int64),
+])
+def test_mask_of_bools_or_zeros_and_ones(tmp_path, mask):
+    np.save(tmp_path / "m.npy", mask)
+    out = load_mask(tmp_path / "m.npy")
+    assert out.dtype == bool and out.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("mask", [
+    np.array(["a", "b", "c"]), np.full(3, 2), np.array([1, 0, -1]),
+    np.array([1.0, 0.0, 1.0]), np.ones((3, 1), dtype=bool), np.array(True),
+])
+def test_other_mask_is_format_error(tmp_path, mask):
+    np.save(tmp_path / "m.npy", mask)
+    with pytest.raises(FormatError, match="m.npy"):
+        load_mask(tmp_path / "m.npy")
 
 
 def test_labels_npy_round_trip(tmp_path):
