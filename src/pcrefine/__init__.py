@@ -12,7 +12,14 @@ from .scene import (
     VoxelConfig,
     voxelize,
 )
-from .scene_io import load_scene, save_scene, load_manifest, save_manifest
+from .scene_io import (
+    load_manifest,
+    load_scene,
+    load_support,
+    save_manifest,
+    save_scene,
+    save_support,
+)
 from .embeddings import (
     SyntheticFeatureProvider,
     SyntheticProviderConfig,

@@ -21,18 +21,19 @@ from .errors import ConfigError, ContractError, FormatError, PcrefineError
 from .infill import InfillConfig
 from .mix import MixConfig, mix
 from .pipeline import refine_labels
-from .prototypes import SupportSet, SupportShot, support_prototypes
+from .prototypes import support_prototypes
 from .scene import ClassSchema, VoxelConfig, voxelize
 from .scene_io import (
     Manifest,
     SceneEntry,
     load_labels,
     load_manifest,
-    load_mask,
     load_scene,
+    load_support,
     save_labels,
     save_manifest,
     save_scene,
+    save_support,
 )
 from .selection import SelectionConfig
 
@@ -146,7 +147,7 @@ def cmd_simulate(args) -> None:
     if args.base < 1 or args.novel < 1:
         raise ConfigError("need at least one base and one novel class")
     out = Path(args.out)
-    for sub in ("scenes", "embeddings", "raw", "base_labels", "support"):
+    for sub in ("scenes", "embeddings", "raw", "base_labels"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     schema = _generic_schema(args.base, args.novel)
@@ -190,28 +191,7 @@ def cmd_simulate(args) -> None:
         pool.append(sim.gen_scene(spec))
     support = sim.make_support(pool, schema, args.shots, seed=args.seed)
 
-    support_doc = {"version": REPORT_SCHEMA_VERSION, "k": args.shots, "classes": {}}
-    saved = {}
-    for c in support.classes():
-        shot_entries = []
-        for j, shot in enumerate(support.shots[c]):
-            key = id(shot.scene)
-            if key not in saved:
-                sid = f"support_{len(saved):03d}"
-                save_scene(shot.scene, out / f"support/{sid}.ply")
-                save_embeddings(provider.embed_scene(shot.scene),
-                                out / f"support/{sid}.gfve")
-                saved[key] = sid
-            sid = saved[key]
-            mask_rel = f"support/mask_c{c}_s{j}.npy"
-            np.save(out / mask_rel, shot.mask)
-            shot_entries.append({
-                "scene": f"support/{sid}.ply",
-                "embedding": f"support/{sid}.gfve",
-                "mask": mask_rel,
-            })
-        support_doc["classes"][str(c)] = shot_entries
-    (out / "support.json").write_text(json.dumps(support_doc, indent=2))
+    save_support(support, out, provider.embed_scene)
 
     manifest = Manifest(schema=schema, scenes=entries, support="support.json", root=out)
     save_manifest(manifest, out / "manifest.json")
@@ -231,53 +211,14 @@ def _role_entries(manifest: Manifest, role: str) -> list[SceneEntry]:
     return entries
 
 
-def _load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
-    """The corpus's support set, each support scene file loaded once, and a
-    provider serving the embedding file listed for each support scene."""
-    if not manifest.support:
-        raise ConfigError("manifest has no support entry")
-    path = manifest.resolve(manifest.support)
-    if not path.exists():
-        raise ConfigError(f"support file not found: {path}")
-    scenes, embeddings, shots = {}, {}, {}
-    for c, shot_entries in _parse_support(path).items():
-        class_shots = []
-        for e in shot_entries:
-            if e["scene"] not in scenes:
-                scenes[e["scene"]] = load_scene(manifest.resolve(e["scene"]))
-            scene = scenes[e["scene"]]
-            if "embedding" in e:
-                embeddings[scene.source_path] = manifest.resolve(e["embedding"])
-            class_shots.append(SupportShot(scene, load_mask(manifest.resolve(e["mask"]))))
-        shots[c] = tuple(class_shots)
-    return SupportSet(schema=manifest.schema, shots=shots), FileFeatureProvider(embeddings)
-
-
-def _parse_support(path: Path) -> dict[int, list[dict]]:
-    """Shot entries per class index of a version-1 support.json, structure
-    checked."""
-    try:
-        doc = json.loads(path.read_bytes())
-        if doc.get("version") != 1:
-            raise FormatError(f"{path}: unsupported support file version {doc.get('version')!r}")
-        classes = doc["classes"]
-        parsed = {int(c): list(shot_entries) for c, shot_entries in classes.items()}
-        for c, shot_entries in parsed.items():
-            for e in shot_entries:
-                paths = (e["scene"], e["mask"], e.get("embedding", ""))
-                if not all(isinstance(p, str) for p in paths):
-                    raise FormatError(f"{path}: class {c}: shot paths must be strings")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise FormatError(f"{path}: malformed support file: {type(exc).__name__}: {exc}") from exc
-    return parsed
-
-
 def cmd_refine(args) -> None:
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
     manifest = load_manifest(Path(args.manifest))
     entries = _role_entries(manifest, "train")
-    support = support_prototypes(*_load_support(manifest))
+    support_set, embeddings = load_support(manifest)
+    support = support_prototypes(support_set, FileFeatureProvider(embeddings))
+    del support_set  # the support scenes are not needed once pooled
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -311,7 +252,7 @@ def cmd_mix(args) -> None:
     cfg = MixConfig(n_blocks=args.blocks, crop_margin_xy=args.margin, seed=args.seed)
     manifest = load_manifest(Path(args.manifest))
     entries = _role_entries(manifest, "train")
-    support, _ = _load_support(manifest)
+    support = load_support(manifest)[0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):

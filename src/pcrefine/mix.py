@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyMaskError
 from .prototypes import SupportSet
-from .scene import PointCloudScene
+from .scene import PointCloudScene, checked_mask
 
 PAIRINGS = ("bottom", "top", "left", "right")
 
@@ -63,7 +63,7 @@ def crop_novel(
     where masked and -1 elsewhere, so surrounding context comes along without
     leaking foreign labels.
     """
-    mask = np.asarray(mask).astype(bool)
+    mask = checked_mask("crop", mask, support_scene.point_count)
     if not mask.any():
         raise EmptyMaskError("crop mask selects no points")
     pos = support_scene.positions

@@ -12,22 +12,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, ContractError, EmptyMaskError
-from .scene import ClassSchema, PointCloudScene
+from .scene import ClassSchema, PointCloudScene, checked_mask
 
 
 def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of feature rows selected by a binary mask.
+    """Arithmetic mean of feature rows selected by a binary mask (checked
+    by checked_mask).
 
     The selected rows are cast to float64 and summed in ascending row
     order, so results are bitwise reproducible whatever the stored dtype.
     """
     features = np.asarray(features)
-    mask = np.asarray(mask)
-    if mask.shape[0] != features.shape[0]:
-        raise AlignmentError(
-            f"mask length {mask.shape[0]} != feature rows {features.shape[0]}"
-        )
-    mask = mask.astype(bool)
+    mask = checked_mask("pooling", mask, features.shape[0])
     count = int(mask.sum())
     if count == 0:
         raise EmptyMaskError("mask selects no points")
@@ -129,18 +125,14 @@ class PrototypeSet:
 
 @dataclass(frozen=True)
 class SupportShot:
-    """One labeled exemplar: a scene plus the binary mask of its novel class."""
+    """One labeled exemplar: a scene plus the binary mask of its novel class,
+    checked by checked_mask and stored as bool."""
 
     scene: PointCloudScene
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask).astype(bool)
-        if mask.shape != (self.scene.point_count,):
-            raise AlignmentError(
-                f"mask shape {mask.shape} does not match scene with "
-                f"{self.scene.point_count} points"
-            )
+        mask = checked_mask("support", self.mask, self.scene.point_count)
         if not mask.any():
             raise EmptyMaskError("support mask selects no points")
         object.__setattr__(self, "mask", mask)

@@ -138,6 +138,37 @@ def checked_labels(
     return labels.astype(np.int64, copy=False)
 
 
+def checked_mask(name: str, mask: np.ndarray, n: int | None = None) -> np.ndarray:
+    """A binary mask as bool, checked before the cast: a 1-D vector (of n
+    entries, if n is given) of bools, or of numbers that are all exactly 0
+    or 1. A shape fault is an AlignmentError, a value fault (2, 0.5, NaN, a
+    string) a ContractError naming the first bad value and its index."""
+    mask = np.asarray(mask)
+    if mask.ndim != 1 or n not in (None, mask.shape[0]):
+        rows = "a 1-D vector" if n is None else f"{n} entries, one per point"
+        raise AlignmentError(f"{name} mask of shape {mask.shape} is not {rows}")
+    if mask.dtype == bool:
+        return mask
+    bad = ~((mask == 0) | (mask == 1)) if mask.dtype.kind in "iuf" else np.ones(mask.shape, bool)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(
+            f"{name} mask value {mask[i].item()!r} at point {i} is not 0 or 1: "
+            f"a mask holds bools or 0/1 numbers, got dtype {mask.dtype}"
+        )
+    return mask.astype(bool)
+
+
+def check_finite(name: str, positions: np.ndarray) -> None:
+    """Raise a ContractError naming the first point with a NaN or infinite
+    coordinate."""
+    if not np.isfinite(positions).all():
+        i = int(np.argmin(np.isfinite(positions).all(axis=1)))
+        raise ContractError(
+            f"{name}: position {positions[i].tolist()} of point {i} is not finite"
+        )
+
+
 @dataclass(frozen=True)
 class VoxelConfig:
     grid_size: float = 0.02
@@ -159,8 +190,7 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     grid is so fine for the scene extent that a cell index or the packed
     cell key would not fit in int64.
     """
-    if not np.isfinite(scene.positions).all():
-        raise ContractError("voxelize: every position must be finite")
+    check_finite("voxelize", scene.positions)
     cells = np.floor(scene.positions / cfg.grid_size)
     lo, hi = cells.min(axis=0), cells.max(axis=0)
     too_fine = f"grid_size {cfg.grid_size} is too fine for this scene: cell keys overflow int64"

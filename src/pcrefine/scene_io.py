@@ -1,9 +1,11 @@
-"""Scene file I/O: PLY read/write, JSON scene manifests, label arrays.
+"""Corpus file I/O: PLY scenes, label and mask arrays, and the two JSON
+files of a corpus, manifest.json and support.json.
 
 Supported PLY vertex layout: x, y, z as float32 (required), red/green/blue
 as uint8 (optional, all three or none), label as int32 (optional; missing
 labels load as -1 with a MissingLabelWarning). Reads ASCII and binary
 little-endian PLY into one vertex record; writes binary little-endian.
+Both JSON files carry "version": FORMAT_VERSION, a JSON integer.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
-from .scene import ClassSchema, PointCloudScene
+from .embeddings import save_embeddings
+from .errors import ConfigError, ContractError, FormatError
+from .prototypes import SupportSet, SupportShot
+from .scene import ClassSchema, PointCloudScene, check_finite, checked_mask
+
+# The version of manifest.json and support.json; command output documents
+# are versioned apart, by the CLI's REPORT_SCHEMA_VERSION.
+FORMAT_VERSION = 1
 
 
 class MissingLabelWarning(UserWarning):
@@ -63,8 +71,9 @@ def load_scene(path: str | Path) -> PointCloudScene:
     """Read a PLY scene.
 
     Every malformed header or body is a FormatError naming the file, and
-    the line number or byte offset. A missing 'label' property yields
-    all-(-1) labels and a MissingLabelWarning.
+    the line number or byte offset; a NaN or infinite position is a
+    ContractError naming the file and the point. A missing 'label' property
+    yields all-(-1) labels and a MissingLabelWarning.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -84,6 +93,7 @@ def load_scene(path: str | Path) -> PointCloudScene:
         rec = np.frombuffer(data, dtype=dtype, count=count, offset=body_offset)
 
     positions = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
+    check_finite(str(path), positions)
     colors = None
     if "red" in dtype.names:
         colors = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1) / 255.0
@@ -207,14 +217,15 @@ def load_labels(path: str | Path) -> np.ndarray:
 
 
 def load_mask(path: str | Path) -> np.ndarray:
-    """A 1-D support mask as bool, stored as bools or as integers that are all
-    0 or 1; any other array is a FormatError."""
+    """A support mask file as bool: checked_mask's rule, stored as bools or
+    integers (never floats); any other array is a FormatError."""
     mask = load_npy(path)
-    binary = mask.dtype == bool or (mask.dtype.kind in "iu" and np.isin(mask, (0, 1)).all())
-    if mask.ndim != 1 or not binary:
-        raise FormatError(f"{path}: expected a 1-D mask of bools or 0/1 integers, "
-                          f"got {mask.ndim}-D {mask.dtype}")
-    return mask.astype(bool, copy=False)
+    if mask.dtype.kind not in "biu":
+        raise FormatError(f"{path}: expected a mask of bools or 0/1 integers, got {mask.dtype}")
+    try:
+        return checked_mask(str(path), mask)
+    except ContractError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def load_npy(path: str | Path) -> np.ndarray:
@@ -264,7 +275,7 @@ class Manifest:
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
     doc = {
-        "version": 1,
+        "version": FORMAT_VERSION,
         "schema": manifest.schema.to_dict(),
         "scenes": [e.to_dict() for e in manifest.scenes],
     }
@@ -280,13 +291,12 @@ def load_manifest(path: str | Path) -> Manifest:
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON at line {e.lineno}") from e
     try:
-        if doc.get("version") != 1:
-            raise FormatError(f"{path}: unsupported manifest version {doc.get('version')}")
+        _check_version(path, doc, "manifest")
         schema = ClassSchema.from_dict(doc["schema"])
         scenes = []
         for e in doc.get("scenes", []):
             scenes.append(SceneEntry(
-                scene_id=e["id"],
+                scene_id=_id_field(path, e),
                 path=_path_field(path, e, "path", required=True),
                 role=_role_field(path, e),
                 embedding=_path_field(path, e, "embedding"),
@@ -299,6 +309,18 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(schema=schema, scenes=scenes, support=support, root=path.parent)
 
 
+def _id_field(manifest: Path, entry: dict) -> str:
+    """A scene id names the scene's output files (<id>.npy, <id>.ply), so it
+    is a non-empty string without '/' or NUL."""
+    scene_id = entry["id"]
+    if not (isinstance(scene_id, str) and scene_id and not {"/", "\0"} & set(scene_id)):
+        raise FormatError(
+            f"{manifest}: manifest field 'id' must be a file name without '/' or NUL, "
+            f"got {scene_id!r}"
+        )
+    return scene_id
+
+
 def _role_field(manifest: Path, entry: dict) -> str:
     role = entry.get("role")
     if role not in ROLES:
@@ -309,13 +331,93 @@ def _role_field(manifest: Path, entry: dict) -> str:
     return role
 
 
-def _path_field(manifest: Path, obj: dict, name: str, required: bool = False) -> str | None:
-    """A relative-path field of a manifest object: a string, or absent/null
-    unless required."""
+def _check_version(path: Path, doc: dict, kind: str) -> None:
+    """A corpus file's version must be the JSON integer FORMAT_VERSION:
+    true and 1.0 equal 1 in Python, but are not accepted."""
+    version = doc.get("version")
+    if not (type(version) is int and version == FORMAT_VERSION):
+        raise FormatError(f"{path}: unsupported {kind} version {json.dumps(version)}, "
+                          f"expected the integer {FORMAT_VERSION}")
+
+
+def _path_field(path: Path, obj: dict, name: str, required: bool = False) -> str | None:
+    """A relative-path field of an object in the corpus file at path: a
+    string without NUL (no file system takes one), or absent/null unless
+    required."""
     value = obj[name] if required else obj.get(name)
+    if isinstance(value, str) and "\0" in value:
+        raise FormatError(f"{path}: field '{name}' holds a NUL character")
     if not (isinstance(value, str) or (value is None and not required)):
         raise FormatError(
-            f"{manifest}: manifest field '{name}' must be a string path, "
-            f"got {type(value).__name__}"
+            f"{path}: field '{name}' must be a string path, got {type(value).__name__}"
         )
     return value
+
+
+def save_support(support: SupportSet, out: str | Path, embed=None) -> None:
+    """Write out/support.json and the files it lists under out/support: each
+    distinct support scene once (and, if embed is given, its features
+    embed(scene) once) and one mask .npy per shot."""
+    out = Path(out)
+    (out / "support").mkdir(parents=True, exist_ok=True)
+    doc = {"version": FORMAT_VERSION, "k": support.k, "classes": {}}
+    saved: dict[int, str] = {}
+    for c in support.classes():
+        entries = []
+        for j, shot in enumerate(support.shots[c]):
+            if id(shot.scene) not in saved:
+                sid = f"support_{len(saved):03d}"
+                save_scene(shot.scene, out / f"support/{sid}.ply")
+                if embed is not None:
+                    save_embeddings(embed(shot.scene), out / f"support/{sid}.gfve")
+                saved[id(shot.scene)] = sid
+            sid = saved[id(shot.scene)]
+            entry = {"scene": f"support/{sid}.ply"}
+            if embed is not None:
+                entry["embedding"] = f"support/{sid}.gfve"
+            entry["mask"] = f"support/mask_c{c}_s{j}.npy"
+            np.save(out / entry["mask"], shot.mask)
+            entries.append(entry)
+        doc["classes"][str(c)] = entries
+    (out / "support.json").write_text(json.dumps(doc, indent=2))
+
+
+def load_support(manifest: Manifest) -> tuple[SupportSet, dict[str, Path]]:
+    """The corpus's support set, each support scene file loaded once, and the
+    embedding file listed for each support scene, keyed by its source path.
+
+    A manifest without a support entry, or a missing support file, is a
+    ConfigError; a support.json that is not JSON, has another version, no
+    `classes` object, a non-integer class key, or a shot without a string
+    `scene` or `mask` path is a FormatError naming the file.
+    """
+    if not manifest.support:
+        raise ConfigError("manifest has no support entry")
+    path = manifest.resolve(manifest.support)
+    if not path.exists():
+        raise ConfigError(f"support file not found: {path}")
+    try:
+        doc = json.loads(path.read_bytes())
+        _check_version(path, doc, "support file")
+        parsed = {
+            int(c): [(_path_field(path, e, "scene", required=True),
+                      _path_field(path, e, "mask", required=True),
+                      _path_field(path, e, "embedding")) for e in shot_entries]
+            for c, shot_entries in doc["classes"].items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed support file: {type(exc).__name__}: {exc}") from exc
+    scenes: dict[str, PointCloudScene] = {}
+    embeddings: dict[str, Path] = {}
+    shots = {}
+    for c, shot_paths in parsed.items():
+        class_shots = []
+        for scene_rel, mask_rel, embedding_rel in shot_paths:
+            if scene_rel not in scenes:
+                scenes[scene_rel] = load_scene(manifest.resolve(scene_rel))
+            scene = scenes[scene_rel]
+            if embedding_rel is not None:
+                embeddings[scene.source_path] = manifest.resolve(embedding_rel)
+            class_shots.append(SupportShot(scene, load_mask(manifest.resolve(mask_rel))))
+        shots[c] = tuple(class_shots)
+    return SupportSet(schema=manifest.schema, shots=shots), embeddings

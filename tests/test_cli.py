@@ -1,6 +1,9 @@
 import contextlib
+import copy
+import functools
 import io
 import json
+import operator
 import tempfile
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import from_dtype
 
 from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
-from pcrefine.scene_io import load_labels, load_manifest, load_scene
+from pcrefine.scene_io import load_labels, load_manifest, load_scene, save_scene
 
 
 def run(capsys, *argv):
@@ -233,12 +236,16 @@ def break_support(path, case):
         del doc["classes"]
     elif case == "non_integer_class":
         doc["classes"]["novel"] = doc["classes"].pop(first)
-    elif case == "version_7":
-        doc["version"] = 7
+    elif case.startswith("version_"):
+        doc["version"] = VERSIONS[case]
     else:
         del doc["classes"][first][0][case.removeprefix("shot_without_")]
     path.write_text(json.dumps(doc))
     return path
+
+
+# A version other than the JSON integer 1; true and 1.0 equal 1 in Python.
+VERSIONS = {"version_7": 7, "version_true": True, "version_float": 1.0}
 
 
 @pytest.mark.parametrize("command", ["refine", "mix"])
@@ -250,6 +257,8 @@ def break_support(path, case):
     ("shot_without_mask", EXIT_IO, "FormatError"),
     ("non_integer_class", EXIT_IO, "FormatError"),
     ("version_7", EXIT_IO, "FormatError"),
+    ("version_true", EXIT_IO, "FormatError"),
+    ("version_float", EXIT_IO, "FormatError"),
     ("mask_of_twos", EXIT_IO, "FormatError"),
     ("mask_of_strings", EXIT_IO, "FormatError"),
 ])
@@ -277,6 +286,8 @@ def break_input(corpus, pred_dir, case):
         del doc["scenes"][0][case.removeprefix("entry_without_")]
     elif case == "non_string_support":
         doc["support"] = 5
+    elif case.startswith("version_"):
+        doc["version"] = VERSIONS[case]
     elif case.startswith("non_string_"):
         doc["scenes"][0][case.removeprefix("non_string_")] = 5
     else:
@@ -304,7 +315,8 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
                   "entry_without_path", "entry_without_role",
                   "non_string_path", "non_string_embedding",
                   "non_string_raw_predictions", "non_string_base_labels",
-                  "non_string_support", "misspelled_role", "non_string_role"]
+                  "non_string_support", "misspelled_role", "non_string_role",
+                  "non_string_id", "version_true", "version_float"]
 
 
 @pytest.mark.parametrize("command, case", [
@@ -331,6 +343,23 @@ def test_malformed_input_file(tmp_path, capsys, command, case):
         assert f"'{case.removeprefix('non_string_')}'" in error["message"]
     if case.endswith("_role"):
         assert "'train_000'" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["mix", "eval"])
+def test_non_finite_position_in_ply(tmp_path, capsys, command):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+    path = corpus / "scenes/train_000.ply"
+    scene = load_scene(path)
+    scene.positions[5, 0] = np.nan
+    save_scene(scene, path)
+    argv = [command, "--manifest", str(corpus / "manifest.json")]
+    argv += ["--pred-dir", str(tmp_path)] if command == "eval" else ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONTRACT
+    error = json.loads(err)["error"]
+    assert error["type"] == "ContractError"
+    assert f"{path}: position [nan," in error["message"] and "point 5 " in error["message"]
+    assert out == ""
 
 
 @pytest.mark.parametrize("command, role", [
@@ -688,5 +717,70 @@ def test_fuzzed_ply_file_through_main(fuzz_corpus, kind, at, data):
         if code == EXIT_OK:
             for e in manifest.entries("train"):
                 assert load_scene(f"{out}/{e.scene_id}.ply").labels.min() >= -1
+    finally:
+        path.write_bytes(original)
+
+
+# Values a fuzzed corpus JSON field is given: every JSON type, near misses of
+# 1, empty and NUL-bearing strings, and a path to another corpus file.
+JSON_VALUES = [None, True, 1, 1.0, -1, 2**70, "", "x", "a\0b", "support.json",
+               [], {}, [1], {"a": 1}]
+DUPLICATE = "\0duplicate"
+
+
+def json_fields(node, path=()):
+    """The path (object keys and list indices) to every value below node."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from json_fields(child, path + (key,))
+
+
+def edit_json(doc, path, op, value):
+    """The JSON text of doc with the field at path dropped, retyped to value,
+    or duplicated: a list element is repeated, and an object key is written a
+    second time, with value (json.loads keeps the later one)."""
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    parent = functools.reduce(operator.getitem, parents, doc)
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = value
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent[DUPLICATE] = value
+    return json.dumps(doc).replace(json.dumps(DUPLICATE), json.dumps(key))
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "support.json"])
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_corpus_json_through_main(fuzz_corpus, name, data):
+    """One field of the corpus's manifest.json or support.json is dropped,
+    retyped or duplicated; refine and mix exit 0, 2 or 3, and a run that
+    exits 0 writes only labels in [-1, n_classes)."""
+    root, _ = fuzz_corpus
+    manifest_path = root / "corpus/manifest.json"
+    path = root / "corpus" / name
+    original = path.read_bytes()
+    doc = json.loads(original)
+    field = data.draw(st.sampled_from(list(json_fields(doc))))
+    op = data.draw(st.sampled_from(["drop", "retype", "duplicate"]))
+    value = data.draw(st.sampled_from(JSON_VALUES))
+    try:
+        path.write_text(edit_json(doc, field, op, value))
+        for command in ("refine", "mix"):
+            out = tempfile.mkdtemp(dir=root)
+            code, err = run_quiet(command, "--manifest", str(manifest_path), "--out", out)
+            assert_clean_exit(code, err)
+            if code == EXIT_OK:
+                manifest = load_manifest(manifest_path)
+                for e in manifest.entries("train"):
+                    labels = (load_labels(f"{out}/{e.scene_id}.npy") if command == "refine"
+                              else load_scene(f"{out}/{e.scene_id}.ply").labels)
+                    assert labels.min() >= -1 and labels.max() < manifest.schema.n_classes
     finally:
         path.write_bytes(original)

@@ -10,6 +10,7 @@ from pcrefine import (
     SyntheticFeatureProvider,
     SyntheticProviderConfig,
     cosine,
+    crop_novel,
     masked_pool,
     support_prototypes,
 )
@@ -149,6 +150,31 @@ class ConstantProvider:
 
     def embed_scene(self, scene):
         return np.tile(self.row, (scene.point_count, 1))
+
+
+# The three library functions that take a mask, each reduced to an array.
+MASK_USERS = {
+    "SupportShot": lambda scene, mask: SupportShot(scene, mask).mask,
+    "masked_pool": lambda scene, mask: masked_pool(scene.positions, mask),
+    "crop_novel": lambda scene, mask: crop_novel(scene, mask, 0.5)[0].positions,
+}
+
+
+@pytest.mark.parametrize("use", MASK_USERS)
+@pytest.mark.parametrize("mask, error", [
+    ([2, 2, 0], ContractError), (["a", "b", ""], ContractError),
+    ([0.5, 0.0, 1.0], ContractError), ([np.nan, 1.0, 0.0], ContractError),
+    ([1, 0], AlignmentError), ([[1], [0], [1]], AlignmentError),
+], ids=["twos", "strings", "fraction", "nan", "wrong_length", "2d"])
+def test_one_mask_contract(use, mask, error):
+    """checked_mask is the one mask rule: a bad mask is rejected, never cast,
+    and bool, integer and whole-float masks give bitwise-equal results."""
+    scene = PointCloudScene(np.arange(9.0).reshape(3, 3) ** 2, [0, 1, 0])
+    with pytest.raises(error, match=r"mask"):
+        MASK_USERS[use](scene, mask)
+    want = MASK_USERS[use](scene, np.array([True, False, True]))
+    for good in ([1, 0, 1], np.array([1, 0, 1], dtype=np.uint8), np.array([1.0, 0.0, 1.0])):
+        assert MASK_USERS[use](scene, good).tobytes() == want.tobytes()
 
 
 class TestSupportSet:
