@@ -22,7 +22,7 @@ from .infill import InfillConfig
 from .mix import MixConfig, mix
 from .pipeline import refine_labels
 from .prototypes import support_prototypes
-from .scene import ClassSchema, VoxelConfig, voxelize
+from .scene import ClassSchema, PointCloudScene, VoxelConfig, voxelize
 from .scene_io import (
     Manifest,
     SceneEntry,
@@ -253,10 +253,14 @@ def cmd_mix(args) -> None:
     manifest = load_manifest(Path(args.manifest))
     entries = _role_entries(manifest, "train")
     support = load_support(manifest)[0]
+    n_classes = manifest.schema.n_classes
+    for shots in support.shots.values():
+        for shot in shots:
+            _check_below(shot.scene, n_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
-        scene = load_scene(manifest.resolve(entry.path))
+        scene = _check_below(load_scene(manifest.resolve(entry.path)), n_classes)
         rng = np.random.default_rng([args.seed, i])
         mixed = mix(scene, support, cfg, rng)
         save_scene(mixed, out / f"{entry.scene_id}.ply")
@@ -265,6 +269,19 @@ def cmd_mix(args) -> None:
         "mixed_scenes": len(entries),
         "blocks": args.blocks,
     }))
+
+
+def _check_below(scene: PointCloudScene, n_classes: int) -> PointCloudScene:
+    """The scene, once its labels are known to lie below n_classes; the
+    scene checked them from below. mix copies labels into its output, so a
+    label past the schema is a ContractError naming the scene's file."""
+    if scene.labels.max() >= n_classes:
+        i = int(np.argmax(scene.labels >= n_classes))
+        raise ContractError(
+            f"{scene.source_path}: label {scene.labels[i]} at point {i} is outside "
+            f"the manifest schema's {n_classes} classes"
+        )
+    return scene
 
 
 def cmd_stats(args) -> None:

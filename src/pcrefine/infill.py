@@ -5,11 +5,14 @@ in-scene context prototypes and falls back to support prototypes.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .prototypes import PrototypeSet, novel_prototypes
 from .scene import ClassSchema, checked_labels
 
@@ -85,22 +88,112 @@ def _nearest_prototype(
 
     Rows are gathered and cast to float64 one block at a time, so the whole
     float64 copy of the unlabeled set is never built. Ties go to the first
-    prototype.
+    prototype. A listed row that is not finite is a ContractError naming
+    its index in features.
     """
     best, best_sim = [], []
-    for block in np.array_split(rows, max(1, rows.size // INFILL_BLOCK_ROWS)):
-        sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos)
-        best.append(np.argmax(sims, axis=1))
-        best_sim.append(sims[np.arange(block.size), best[-1]])
+    with _one_blas_thread():
+        for block in np.array_split(rows, max(1, rows.size // INFILL_BLOCK_ROWS)):
+            sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos,
+                                   row_ids=block)
+            best.append(np.argmax(sims, axis=1))
+            best_sim.append(sims[np.arange(block.size), best[-1]])
     return np.concatenate(best), np.concatenate(best_sim)
 
 
-def pairwise_cosine(rows: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """Cosine of every row against every prototype; zero norms score -1."""
+def pairwise_cosine(
+    rows: np.ndarray, protos: np.ndarray, row_ids: np.ndarray | None = None
+) -> np.ndarray:
+    """Cosine of every row against every prototype; zero norms score -1.
+
+    A row whose norm is not finite (a NaN or inf feature) is a
+    ContractError naming the first such row by its entry in row_ids, or by
+    its position in rows when row_ids is None.
+    """
     rn = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    finite = np.isfinite(rn)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        row = i if row_ids is None else int(row_ids[i])
+        raise ContractError(
+            f"feature row {row} is not finite (its norm is {rn[i, 0]}); "
+            f"features must be finite"
+        )
     pn = np.sqrt(np.einsum("ij,ij->i", protos, protos))[:, None]
     safe_p = np.where(pn < 1e-12, 1.0, pn)
     sims = rows @ (protos / safe_p).T
     sims /= np.where(rn < 1e-12, 1.0, rn)
     degenerate = (rn < 1e-12) | (pn < 1e-12).T
     return np.where(degenerate, -1.0, sims)
+
+
+# The thread count is process-global, so nested and concurrent scopes share
+# one: the first to enter saves the count and sets 1, the last to leave
+# restores it.
+_scope_lock = threading.Lock()
+_scope_depth = 0
+_scope_saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
+
+    After a threaded gemm, OpenBLAS keeps its idle workers spinning for a
+    while, so infill's one small gemm per scene would cost about twice its
+    wall time in CPU. The count is process-global: any BLAS call another
+    thread makes meanwhile also runs on one thread. Without an OpenBLAS
+    that exports its thread-count functions (MKL, Accelerate, ...) this
+    does nothing. Tests pin refine's outputs bitwise equal with and
+    without this scope.
+    """
+    global _scope_depth, _scope_saved
+    threads = _openblas_thread_functions()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    with _scope_lock:
+        if _scope_depth == 0:
+            _scope_saved = get_threads()
+            set_threads(1)
+        _scope_depth += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scope_depth -= 1
+            if _scope_depth == 0:
+                set_threads(_scope_saved)
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """The get and set thread-count functions of the OpenBLAS numpy loaded,
+    or None. Looked up once per process.
+
+    They are looked up through numpy's own extension module: a symbol
+    lookup on a loaded library's handle also searches the libraries it
+    was linked against, which finds the BLAS numpy uses whatever its file
+    name. The names follow OpenBLAS's builds: scipy-openblas wheels prefix
+    "scipy_", and ILP64 builds suffix "64_".
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as ext
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as ext
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", "_64", ""):
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                return get_threads, set_threads
+    return None

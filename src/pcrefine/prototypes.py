@@ -19,15 +19,16 @@ def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Arithmetic mean of feature rows selected by a binary mask (checked
     by checked_mask).
 
-    The selected rows are cast to float64 and summed in ascending row
-    order, so results are bitwise reproducible whatever the stored dtype.
+    The selected rows are summed in float64 in ascending row order, so
+    results are bitwise reproducible whatever the stored dtype; the sum
+    casts as it reads, so no float64 copy of the rows is made.
     """
     features = np.asarray(features)
     mask = checked_mask("pooling", mask, features.shape[0])
     count = int(mask.sum())
     if count == 0:
         raise EmptyMaskError("mask selects no points")
-    return np.asarray(features[mask], dtype=np.float64).sum(axis=0) / count
+    return features[mask].sum(axis=0, dtype=np.float64) / count
 
 
 def pool_by_class(
@@ -37,8 +38,8 @@ def pool_by_class(
 
     Bitwise equal to masked_pool(features, labels == c): the labeled rows
     are stably sorted by label, and each class's rows are gathered in
-    ascending row order, cast to float64 and summed. Only labeled rows are
-    read, and the feature matrix is never cast as a whole.
+    ascending row order and summed in float64. Only labeled rows are read,
+    and neither the feature matrix nor a class's rows are cast as a whole.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -52,7 +53,7 @@ def pool_by_class(
         labels[order], return_index=True, return_counts=True
     )
     return {
-        int(c): np.asarray(features[order[i:i + n]], dtype=np.float64).sum(axis=0) / n
+        int(c): features[order[i:i + n]].sum(axis=0, dtype=np.float64) / n
         for c, i, n in zip(values, starts, counts)
     }
 

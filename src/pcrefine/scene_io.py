@@ -306,6 +306,15 @@ def load_manifest(path: str | Path) -> Manifest:
         support = _path_field(path, doc, "support")
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
+    # A scene's id names its output files, so two scenes of one role with
+    # one id would write to one <id>.npy.
+    seen = set()
+    for e in scenes:
+        if (e.role, e.scene_id) in seen:
+            raise FormatError(
+                f"{path}: scene id {e.scene_id!r} appears twice in role {e.role!r}"
+            )
+        seen.add((e.role, e.scene_id))
     return Manifest(schema=schema, scenes=scenes, support=support, root=path.parent)
 
 

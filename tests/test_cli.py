@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import operator
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import from_dtype
 
 from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
+from pcrefine.embeddings import load_embeddings, save_embeddings
 from pcrefine.scene_io import load_labels, load_manifest, load_scene, save_scene
 
 
@@ -176,6 +178,38 @@ class TestRefine:
         assert not list(out.glob("*.npy"))
         assert not (out / "report.json").exists()
 
+    def test_non_finite_feature(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+        raw, base = (np.load(corpus / f"{kind}/train_001.npy") for kind in ("raw", "base_labels"))
+        i = int(np.flatnonzero((raw == -1) & (base == -1))[0])  # a row only infill reads
+        path = corpus / "embeddings/train_001.gfve"
+        feats = np.array(load_embeddings(path))
+        feats[i, 2] = np.nan
+        save_embeddings(feats, path)
+        out = tmp_path / "refined"
+        code, stdout, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                                "--out", str(out))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert f"feature row {i} is not finite" in error["message"]
+        assert stdout == ""
+        assert not list(out.glob("*.npy"))
+
+    def test_one_blas_thread_does_not_change_outputs(self, tmp_path, capsys, monkeypatch):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2", "--dim": "64"})
+        outputs = []
+        for name in ("scoped", "unscoped"):
+            if name == "unscoped":
+                monkeypatch.setattr(sys.modules["pcrefine.infill"], "_one_blas_thread",
+                                    contextlib.nullcontext)
+            code, _, _ = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                             "--out", str(tmp_path / name))
+            assert code == EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()})
+        assert sorted(outputs[0]) == ["report.json", "train_000.npy", "train_001.npy"]
+        assert outputs[0] == outputs[1]
+
     def test_bad_tau(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
         code, _, err = run(capsys, "refine",
@@ -202,6 +236,25 @@ class TestMix:
                 mixed.positions[:original.point_count], original.positions,
                 atol=1e-6,
             )
+
+    @pytest.mark.parametrize("role", ["train", "support"])
+    def test_label_past_schema(self, tmp_path, capsys, role):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+        path = corpus / ("scenes/train_000.ply" if role == "train"
+                         else "support/support_000.ply")
+        scene = load_scene(path)
+        i = int(np.flatnonzero(scene.labels >= 0)[0])
+        scene.labels[i:] = np.where(scene.labels[i:] >= 0, 99, -1)
+        save_scene(scene, path)
+        out = tmp_path / "mixed"
+        code, stdout, err = run(capsys, "mix", "--manifest", str(corpus / "manifest.json"),
+                                "--out", str(out))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert f"{path}: label 99 at point {i} " in error["message"]
+        assert stdout == ""
+        assert not list(out.glob("*.ply"))
 
     def test_deterministic(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
@@ -286,6 +339,8 @@ def break_input(corpus, pred_dir, case):
         del doc["scenes"][0][case.removeprefix("entry_without_")]
     elif case == "non_string_support":
         doc["support"] = 5
+    elif case == "duplicate_id":
+        doc["scenes"].append(dict(doc["scenes"][0]))
     elif case.startswith("version_"):
         doc["version"] = VERSIONS[case]
     elif case.startswith("non_string_"):
@@ -316,7 +371,7 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
                   "non_string_path", "non_string_embedding",
                   "non_string_raw_predictions", "non_string_base_labels",
                   "non_string_support", "misspelled_role", "non_string_role",
-                  "non_string_id", "version_true", "version_float"]
+                  "non_string_id", "version_true", "version_float", "duplicate_id"]
 
 
 @pytest.mark.parametrize("command, case", [
@@ -341,7 +396,7 @@ def test_malformed_input_file(tmp_path, capsys, command, case):
     assert str(broken) in error["message"]
     if case.startswith("non_string_"):
         assert f"'{case.removeprefix('non_string_')}'" in error["message"]
-    if case.endswith("_role"):
+    if case.endswith("_role") or case == "duplicate_id":
         assert "'train_000'" in error["message"]
 
 

@@ -1,3 +1,7 @@
+import importlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,8 +14,17 @@ from pcrefine import (
     infill,
     masked_pool,
 )
-from pcrefine.errors import ConfigError
-from pcrefine.infill import INFILL_BLOCK_ROWS, _nearest_prototype, pairwise_cosine
+from pcrefine.errors import ConfigError, ContractError
+from pcrefine.infill import (
+    INFILL_BLOCK_ROWS,
+    _nearest_prototype,
+    _one_blas_thread,
+    _openblas_thread_functions,
+    pairwise_cosine,
+)
+
+# The module, not the function of the same name that pcrefine exports.
+infill_module = importlib.import_module("pcrefine.infill")
 
 
 def unit(d, axis):
@@ -219,3 +232,147 @@ class TestBlockedInfill:
             assert out.tobytes() == expected.tobytes()
             outcomes.update(np.unique(out[y == -1] == -1))
         assert outcomes == {True, False}  # some rows infilled, some left unlabeled
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_unlabeled_row_named(self, schema, value, dtype):
+        rng = np.random.default_rng(0)
+        n = 2 * INFILL_BLOCK_ROWS + 5  # the bad row sits in the last block
+        feats = rng.normal(size=(n, 6)).astype(dtype)
+        feats[n - 3, 4] = value
+        feats[n - 1, 0] = value  # a later bad row is not the one named
+        y = np.full(n, -1)
+        adaptive = PrototypeSet({c: rng.normal(size=6) for c in schema.novel_indices})
+        with pytest.raises(ContractError, match=rf"feature row {n - 3} is not finite"):
+            infill(y, feats, adaptive, InfillConfig())
+
+    def test_labeled_row_not_read(self, schema):
+        feats = np.eye(3)
+        feats[0, 0] = np.nan
+        adaptive = PrototypeSet({c: np.ones(3) for c in schema.novel_indices})
+        out = infill(np.array([0, -1, -1]), feats, adaptive, InfillConfig(0.5))
+        assert out[0] == 0
+
+    def test_pairwise_cosine_names_position_without_row_ids(self):
+        rows = np.ones((4, 2))
+        rows[2, 1] = np.nan
+        with pytest.raises(ContractError, match=r"feature row 2 is not finite"):
+            pairwise_cosine(rows, np.ones((1, 2)))
+
+
+# The thread count the tests set before a scoped call, so that a restore
+# shows even on a one-core machine, where the default is already 1.
+SET_THREADS = 2
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS get/set functions, with the thread count set to
+    SET_THREADS for the test and restored after it."""
+    threads = _openblas_thread_functions()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with thread-count functions")
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(SET_THREADS)
+    yield get_threads
+    set_threads(before)
+
+
+class TestOneBlasThread:
+    def test_one_thread_inside_count_restored_after(self, schema, monkeypatch, openblas):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(openblas())
+            return pairwise_cosine(*args, **kwargs)
+
+        monkeypatch.setattr(infill_module, "pairwise_cosine", recording)
+        feats = np.random.default_rng(0).normal(size=(3 * INFILL_BLOCK_ROWS, 8))
+        _nearest_prototype(feats, np.arange(feats.shape[0]), np.eye(8)[:5])
+        assert seen == [1, 1, 1]
+        assert openblas() == SET_THREADS
+
+    def test_count_restored_when_body_raises(self, openblas):
+        with pytest.raises(ContractError):
+            with _one_blas_thread():
+                assert openblas() == 1
+                raise ContractError("raised inside the scope")
+        assert openblas() == SET_THREADS
+
+    def test_overlapping_scopes_in_two_threads(self, openblas):
+        # A enters, B enters, A leaves while B is still inside, B leaves.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with _one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with _one_blas_thread():
+                b_in.set()
+                a_out.wait(10)
+                seen["b_after_a_left"] = openblas()
+
+        workers = [threading.Thread(target=a), threading.Thread(target=b)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(10)
+            assert not w.is_alive()
+        assert seen == {"b_after_a_left": 1}
+        assert openblas() == SET_THREADS
+
+    def test_concurrent_scopes_stress(self, openblas):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        inside = []
+
+        def worker():
+            for _ in range(200):
+                with _one_blas_thread():
+                    inside.append(openblas())
+
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert inside == [1] * 1200
+        assert openblas() == SET_THREADS
+
+    def test_lookup_cached(self):
+        assert _openblas_thread_functions() is _openblas_thread_functions()
+
+    def test_no_op_without_symbols(self, monkeypatch):
+        class NoSymbols:
+            def __init__(self, name):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)  # as ctypes does for a missing symbol
+
+        monkeypatch.setattr("ctypes.CDLL", NoSymbols)
+        assert _openblas_thread_functions.__wrapped__() is None
+        monkeypatch.setattr(infill_module, "_openblas_thread_functions", lambda: None)
+        ran = []
+        with _one_blas_thread():
+            ran.append(True)
+        assert ran == [True]
+
+    def test_no_op_when_library_cannot_be_opened(self, monkeypatch):
+        def unopenable(name):
+            raise OSError(name)
+
+        monkeypatch.setattr("ctypes.CDLL", unopenable)
+        assert _openblas_thread_functions.__wrapped__() is None

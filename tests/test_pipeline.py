@@ -17,7 +17,7 @@ from pcrefine import (
     support_prototypes,
 )
 from pcrefine.errors import AlignmentError, ContractError
-from pcrefine.infill import infill
+from pcrefine.infill import _openblas_thread_functions, infill
 from pcrefine.metrics import ConfusionMatrix, accumulate, pseudo_label_quality
 from pcrefine.prototypes import PrototypeSet
 from pcrefine.scene import checked_labels
@@ -86,6 +86,29 @@ class TestChecksOnce:
         feats, raw, base, support = noisy_case(0)
         refine_labels(feats, raw, base, support, SCHEMA)
         assert checked == ["raw", "base", "y_prime"]
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_row_named_and_blas_threads_restored(self, value):
+        feats, raw, base, support = noisy_case(0)
+        i = int(np.flatnonzero((raw == -1) & (base == -1))[0])  # a row only infill reads
+        feats[i, 3] = value
+        threads = _openblas_thread_functions()
+        if threads is not None:
+            get_threads, set_threads = threads
+            before = get_threads()
+            set_threads(2)  # not 1, so that a missed restore shows
+        try:
+            with pytest.raises(ContractError, match=rf"feature row {i} is not finite"):
+                refine_labels(feats, raw, base, support, SCHEMA)
+            if threads is not None:
+                assert get_threads() == 2
+                refine_labels(*noisy_case(0), SCHEMA)
+                assert get_threads() == 2
+        finally:
+            if threads is not None:
+                set_threads(before)
 
 
 class TestFeatureWidth:

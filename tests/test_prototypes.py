@@ -88,6 +88,20 @@ class TestPoolByClass:
         for c in novel.classes():
             assert novel[c].tobytes() == pooled[c].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("n, d", [(1, 7), (3, 1), (4097, 3), (30_000, 16)])
+    def test_bitwise_equal_to_cast_then_sum(self, dtype, n, d):
+        # Reference: the whole gather cast to float64, then summed.
+        rng = np.random.default_rng(n)
+        feats = (rng.standard_normal((n, d)) * 100).astype(dtype)
+        labels = rng.integers(-1, 3, size=n)
+        labels[0] = 0
+        for c, v in pool_by_class(feats, labels).items():
+            rows = np.flatnonzero(labels == c)
+            expected = np.asarray(feats[rows], dtype=np.float64).sum(axis=0) / rows.size
+            assert v.tobytes() == expected.tobytes()
+            assert masked_pool(feats, labels == c).tobytes() == expected.tobytes()
+
     def test_no_labeled_rows(self):
         assert pool_by_class(np.ones((3, 2)), [-1, -1, -1]) == {}
 
