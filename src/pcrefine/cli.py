@@ -231,9 +231,13 @@ def cmd_refine(args) -> None:
         feats = load_embeddings(manifest.resolve(entry.embedding))
         raw = load_labels(manifest.resolve(entry.raw_predictions))
         base = load_labels(manifest.resolve(entry.base_labels))
-        refined_labels[entry.scene_id], report = refine_labels(
-            feats, raw, base, support, manifest.schema, sel_cfg, inf_cfg
-        )
+        try:
+            refined_labels[entry.scene_id], report = refine_labels(
+                feats, raw, base, support, manifest.schema, sel_cfg, inf_cfg
+            )
+        except PcrefineError as exc:
+            # Same type, so the exit code stays; the message gains the scene.
+            raise type(exc)(f"scene {entry.scene_id}: {exc}") from exc
         scene_reports[entry.scene_id] = report.to_dict()
     for scene_id, refined in refined_labels.items():
         save_labels(refined, out / f"{scene_id}.npy")

@@ -173,15 +173,26 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
     Each shot contributes with equal weight regardless of its mask size;
     for K = 1 this is the plain masked mean. Each distinct support scene is
     embedded once, and its features are released once every shot on it is
-    pooled, so at most one scene's features are held at a time.
+    pooled, so at most one scene's features are held at a time. Support
+    scenes whose features differ in width, and a shot whose pooled rows are
+    not finite, are ContractErrors naming the support scene's file.
     """
     by_scene: dict[int, list[tuple[int, int, SupportShot]]] = {}
     for c in support.classes():
         for k, shot in enumerate(support.shots[c]):
             by_scene.setdefault(id(shot.scene), []).append((c, k, shot))
     pooled: dict[tuple[int, int], np.ndarray] = {}
+    first = None  # the first support scene's path and feature shape
     for shots in by_scene.values():
-        feats = provider.embed_scene(shots[0][2].scene)
+        scene = shots[0][2].scene
+        feats = provider.embed_scene(scene)
+        if first is None:
+            first = scene.source_path, feats.shape
+        elif feats.shape[1:] != first[1][1:]:
+            raise ContractError(
+                f"support scene {scene.source_path}: features of shape {feats.shape} "
+                f"differ in width from those of support scene {first[0]}, of shape {first[1]}"
+            )
         for c, k, shot in shots:
             pooled[c, k] = masked_pool(feats, shot.mask)
         del feats
@@ -194,4 +205,13 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
             vectors[c] = stacked[0]
         else:
             vectors[c] = stacked.mean(axis=0)
-    return PrototypeSet(vectors)
+    try:
+        return PrototypeSet(vectors)
+    except ContractError as exc:
+        # Searched for on the error path only: a run that succeeds pays nothing.
+        for c in support.classes():
+            for k in range(support.k):
+                if not np.isfinite(pooled[c, k]).all():
+                    path = support.shots[c][k].scene.source_path
+                    raise ContractError(f"support scene {path}: {exc}") from exc
+        raise

@@ -191,19 +191,26 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     cell key would not fit in int64.
     """
     check_finite("voxelize", scene.positions)
-    cells = np.floor(scene.positions / cfg.grid_size)
-    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    # One contiguous column at a time: numpy reduces axis 0 of a C-ordered
+    # (N, 3) array through a 3-wide inner loop, so min/max over the whole
+    # cell array cost about as much as the sort. The values are the same.
+    cells = [np.floor(scene.positions[:, k] / cfg.grid_size) for k in range(3)]
+    lo, hi = [c.min() for c in cells], [c.max() for c in cells]
     too_fine = f"grid_size {cfg.grid_size} is too fine for this scene: cell keys overflow int64"
-    if lo.min() < -2**63 or hi.max() >= 2**63:
+    if min(lo) < -2**63 or max(hi) >= 2**63:
         raise ConfigError(too_fine)
     # Python ints, so a packed key past int64 is caught rather than wrapped.
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
     if math.prod(spans) > np.iinfo(np.int64).max:
         raise ConfigError(too_fine)
-    rel = cells.astype(np.int64) - lo.astype(np.int64)
     # Packing preserves lexicographic (x, y, z) cell order under integer sort.
-    key = (rel[:, 0] * spans[1] + rel[:, 1]) * spans[2] + rel[:, 2]
+    # Offsets are taken in int64: a float difference past 2**53 would round.
+    key = cells.pop(0).astype(np.int64) - np.int64(lo[0])
+    for k in (1, 2):
+        key *= spans[k]
+        key += cells.pop(0).astype(np.int64) - np.int64(lo[k])
     _, inverse = np.unique(key, return_inverse=True)
+    del key
     n_cells = int(inverse.max()) + 1
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
 

@@ -4,8 +4,10 @@ import functools
 import io
 import json
 import operator
+import struct
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,7 +163,7 @@ class TestRefine:
         assert code == EXIT_CONTRACT
         error = json.loads(err)["error"]
         assert error["type"] == "ContractError"
-        assert "raw label 99 at point 0" in error["message"]
+        assert "scene train_000: raw label 99 at point 0" in error["message"]
         assert not (tmp_path / "refined/train_000.npy").exists()
 
     def test_failure_on_later_scene_writes_nothing(self, tmp_path, capsys):
@@ -192,9 +194,61 @@ class TestRefine:
         assert code == EXIT_CONTRACT
         error = json.loads(err)["error"]
         assert error["type"] == "ContractError"
-        assert f"feature row {i} is not finite" in error["message"]
+        assert f"scene train_001: feature row {i} is not finite" in error["message"]
         assert stdout == ""
         assert not list(out.glob("*.npy"))
+
+    def test_non_finite_pooled_train_row_names_the_scene(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+        raw = np.load(corpus / "raw/train_001.npy")
+        i = int(np.flatnonzero(raw >= 3)[0])  # a raw novel row, which selection pools
+        path = corpus / "embeddings/train_001.gfve"
+        feats = np.array(load_embeddings(path))
+        feats[i, 0] = np.nan
+        save_embeddings(feats, path)
+        out = tmp_path / "refined"
+        code, _, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                           "--out", str(out))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert error["message"].startswith("scene train_001: prototype for class ")
+        assert error["message"].endswith(" is not finite")
+        assert not list(out.glob("*.npy"))
+
+    def test_non_finite_support_row_names_the_support_scene(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+        shot = json.loads((corpus / "support.json").read_text())["classes"]["5"][1]
+        mask = np.load(corpus / shot["mask"])
+        path = corpus / shot["embedding"]
+        feats = np.array(load_embeddings(path))
+        feats[np.flatnonzero(mask)[0], 0] = np.nan
+        save_embeddings(feats, path)
+        out = tmp_path / "refined"
+        code, _, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                           "--out", str(out))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert error["message"].startswith(f"support scene {corpus / shot['scene']}: ")
+        assert "prototype for class " in error["message"]
+        assert error["message"].endswith(" is not finite")
+        assert not out.exists() or not list(out.glob("*.npy"))
+
+    def test_narrower_support_embedding_names_the_support_scene(self, tmp_path, capsys):
+        # K = 2 shots per class on different support scenes: their pooled
+        # vectors of two widths cannot be averaged.
+        corpus = simulate(tmp_path, capsys)
+        shot = json.loads((corpus / "support.json").read_text())["classes"]["5"][1]
+        path = corpus / shot["embedding"]
+        save_embeddings(np.array(load_embeddings(path))[:, :8], path)
+        code, _, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                           "--out", str(tmp_path / "refined"))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert error["message"].startswith("support scene ")
+        assert str(corpus / shot["scene"]) in error["message"]
 
     def test_one_blas_thread_does_not_change_outputs(self, tmp_path, capsys, monkeypatch):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "2", "--dim": "64"})
@@ -837,5 +891,59 @@ def test_fuzzed_corpus_json_through_main(fuzz_corpus, name, data):
                     labels = (load_labels(f"{out}/{e.scene_id}.npy") if command == "refine"
                               else load_scene(f"{out}/{e.scene_id}.ply").labels)
                     assert labels.min() >= -1 and labels.max() < manifest.schema.n_classes
+    finally:
+        path.write_bytes(original)
+
+
+# Where each .gfve header field sits, and how it is packed (see save_embeddings).
+GFVE_HEADER = {"magic": (0, "4s"), "version": (4, "<I"), "n": (8, "<Q"), "d": (16, "<I")}
+
+
+@st.composite
+def gfve_fault(draw, n, d):
+    """A header field and its new value, or "length" and how many bytes to
+    cut (below 0) or append; new n and d values cluster near the true ones."""
+    field = draw(st.sampled_from([*GFVE_HEADER, "length"]))
+    value = {
+        "magic": st.one_of(st.binary(min_size=4, max_size=4), st.just(b"gfve")),
+        "version": st.sampled_from([0, 2, 2**32 - 1]),
+        "n": st.one_of(st.integers(0, 2**64 - 1), st.integers(max(0, n - 3), n + 3)),
+        "d": st.one_of(st.integers(0, 2**32 - 1), st.integers(max(0, d - 3), d + 3)),
+        "length": st.one_of(st.integers(-n * d * 4 - 20, -1), st.integers(1, 64)),
+    }[field]
+    return field, draw(value)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(target=st.sampled_from(["train", "support"]), data=st.data())
+def test_fuzzed_embedding_file_through_main(fuzz_corpus, target, data):
+    """The header of the later train scene's or the first support scene's
+    .gfve gets a drawn magic, version, n or d, or the file is cut or grown;
+    refine exits 0, 2 or 3, leaves no labels behind when it fails, and
+    writes only labels in [-1, n_classes) when it does not."""
+    root, manifest = fuzz_corpus
+    path = (manifest.resolve(manifest.entries("train")[-1].embedding) if target == "train"
+            else root / "corpus/support/support_000.gfve")
+    original = path.read_bytes()
+    n, d = load_embeddings(path).shape
+    field, value = data.draw(gfve_fault(n, d))
+    if field == "length":
+        corrupted = original[:len(original) + value] if value < 0 else original + bytes(value)
+    else:
+        offset, fmt = GFVE_HEADER[field]
+        packed = struct.pack(fmt, value)
+        corrupted = original[:offset] + packed + original[offset + len(packed):]
+    try:
+        path.write_bytes(corrupted)
+        out = tempfile.mkdtemp(dir=root)
+        code, err = run_quiet("refine", "--manifest", str(root / "corpus/manifest.json"),
+                              "--out", out)
+        assert_clean_exit(code, err)
+        if code != EXIT_OK:
+            assert not list(Path(out).glob("*.npy"))
+        else:
+            for e in manifest.entries("train"):
+                labels = load_labels(f"{out}/{e.scene_id}.npy")
+                assert labels.min() >= -1 and labels.max() < manifest.schema.n_classes
     finally:
         path.write_bytes(original)

@@ -1,12 +1,13 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, voxelize
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
-from pcrefine.scene import checked_labels
+from pcrefine.scene import _majority_labels, check_finite, checked_labels
 
 
 class TestSchema:
@@ -191,3 +192,80 @@ class TestVoxelize:
         pos[1, 2] = bad
         with pytest.raises(ContractError, match="finite"):
             voxelize(PointCloudScene(pos, np.zeros(3)), VoxelConfig(0.1))
+
+
+def voxelize_axis0(scene, cfg):
+    """The reference: voxelize as it was written over the whole (N, 3) cell
+    array, with axis-0 reductions and the key packed from (N, 3) temporaries."""
+    check_finite("voxelize", scene.positions)
+    cells = np.floor(scene.positions / cfg.grid_size)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    too_fine = f"grid_size {cfg.grid_size} is too fine for this scene: cell keys overflow int64"
+    if lo.min() < -2**63 or hi.max() >= 2**63:
+        raise ConfigError(too_fine)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        raise ConfigError(too_fine)
+    rel = cells.astype(np.int64) - lo.astype(np.int64)
+    key = (rel[:, 0] * spans[1] + rel[:, 1]) * spans[2] + rel[:, 2]
+    _, inverse = np.unique(key, return_inverse=True)
+    n_cells = int(inverse.max()) + 1
+    counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
+    positions = np.stack(
+        [np.bincount(inverse, weights=scene.positions[:, k], minlength=n_cells)
+         / counts for k in range(3)],
+        axis=1,
+    )
+    colors = None
+    if scene.colors is not None:
+        colors = np.stack(
+            [np.bincount(inverse, weights=scene.colors[:, k], minlength=n_cells)
+             / counts for k in range(3)],
+            axis=1,
+        )
+    labels = _majority_labels(inverse, n_cells, scene.labels)
+    return PointCloudScene(positions=positions, labels=labels, colors=colors)
+
+
+def assert_same_bytes(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([-1e3, -7.3, 0.0, 0.51, 250.0]),
+    scale=st.sampled_from([0.05, 1.0, 20.0]),
+    grid=st.sampled_from([0.03, 0.2, 1.0, 1e9]),  # 1e9: one cell for everything
+    labels=st.sampled_from(["ties", "background", "wide"]),
+    colored=st.booleans(),
+)
+@example(n=1, seed=0, offset=-7.3, scale=1.0, grid=0.2, labels="ties", colored=True)
+def test_voxelize_bitwise_equals_axis0_reference(n, seed, offset, scale, grid, labels, colored):
+    rng = np.random.default_rng(seed)
+    # Unequal extents per axis, so a key packed with the wrong span misorders cells.
+    pos = offset + scale * rng.uniform(-1, 1, size=(n, 3)) * [1.0, 0.25, 4.0]
+    label = {"ties": rng.integers(-1, 1, size=n),  # -1 and 0 only: ties in most shared cells
+             "background": np.full(n, -1),
+             "wide": rng.integers(-1, 40, size=n)}[labels]
+    colors = rng.uniform(0, 1, size=(n, 3)) if colored else None
+    scene = PointCloudScene(pos, label, colors)
+    got = voxelize(scene, VoxelConfig(grid))
+    want = voxelize_axis0(scene, VoxelConfig(grid))
+    for attr in ("positions", "colors", "labels"):
+        assert_same_bytes(getattr(got, attr), getattr(want, attr))
+
+
+def test_voxelize_cell_offsets_past_2_53_stay_exact():
+    # Cells 0 and 1 lie 2**60 and 2**60 + 1 above lo: a float difference
+    # rounds both to 2**60 and would merge them.
+    scene = PointCloudScene(np.array([[-(2.0**60), 0, 0], [0, 0, 0], [1, 0, 0]]),
+                            np.array([0, 1, 2]))
+    got = voxelize(scene, VoxelConfig(1.0))
+    assert got.labels.tolist() == [0, 1, 2]
+    for attr in ("positions", "colors", "labels"):
+        assert_same_bytes(getattr(got, attr), getattr(voxelize_axis0(scene, VoxelConfig(1.0)), attr))
