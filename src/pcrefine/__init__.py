@@ -10,6 +10,7 @@ from .scene import (
     ClassSchema,
     PointCloudScene,
     VoxelConfig,
+    voxel_labels,
     voxelize,
 )
 from .scene_io import (

@@ -22,7 +22,7 @@ from .infill import InfillConfig
 from .mix import MixConfig, mix
 from .pipeline import refine_labels
 from .prototypes import support_prototypes
-from .scene import ClassSchema, PointCloudScene, VoxelConfig, voxelize
+from .scene import ClassSchema, PointCloudScene, VoxelConfig, voxel_labels
 from .scene_io import (
     Manifest,
     SceneEntry,
@@ -316,24 +316,32 @@ def cmd_split(args) -> None:
     print(json.dumps(out_doc))
 
 
+def _truth_labels(path: Path, grid: float) -> np.ndarray:
+    """The ground-truth labels eval scores for the scene at path: per point,
+    or per voxel cell when grid is not 0. Only the labels outlive the call,
+    so a scene is freed before the next one loads."""
+    scene = load_scene(path)
+    if grid == 0:
+        return scene.labels
+    return voxel_labels(scene, VoxelConfig(grid_size=grid))  # rejects a negative or NaN grid
+
+
 def cmd_eval(args) -> None:
     manifest = load_manifest(Path(args.manifest))
     pred_dir = Path(args.pred_dir)
     conf = metrics.ConfusionMatrix(manifest.schema.n_classes)
     for entry in _role_entries(manifest, args.role):
-        scene = load_scene(manifest.resolve(entry.path))
-        if args.grid != 0:  # VoxelConfig rejects a negative or NaN grid
-            scene = voxelize(scene, VoxelConfig(grid_size=args.grid))
+        truth = _truth_labels(manifest.resolve(entry.path), args.grid)
         pred_path = pred_dir / f"{entry.scene_id}.npy"
         if not pred_path.exists():
             raise ConfigError(f"missing predictions for scene {entry.scene_id}: {pred_path}")
         pred = load_labels(pred_path)
-        if pred.shape[0] != scene.point_count:
+        if pred.shape[0] != truth.shape[0]:
             raise ContractError(
                 f"scene {entry.scene_id}: {pred.shape[0]} predictions for "
-                f"{scene.point_count} points"
+                f"{truth.shape[0]} points"
             )
-        metrics.accumulate(conf, pred, scene.labels)
+        metrics.accumulate(conf, pred, truth)
     result = metrics.summary(conf, manifest.schema)
     doc = {"version": REPORT_SCHEMA_VERSION, "metrics": result.to_dict(),
            "per_class_iou": {str(c): v for c, v in metrics.iou_per_class(conf).items()}}

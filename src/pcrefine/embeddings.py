@@ -38,10 +38,11 @@ def save_embeddings(features: np.ndarray, path: str | Path) -> None:
 def load_embeddings(path: str | Path) -> np.ndarray:
     """The (N, D) float32 matrix of an embedding file, as stored.
 
-    The payload size is checked against the file size before anything is
-    mapped. The result is a read-only, C-contiguous view of the mapped
-    file, so only the pages of the rows a caller reads are ever loaded.
-    Truncating the file while the view is alive raises SIGBUS on access.
+    The payload must be exactly n x d x 4 bytes, checked against the file
+    size before anything is mapped. The result is a read-only, C-contiguous
+    view of the mapped file, so only the pages of the rows a caller reads
+    are ever loaded. Truncating the file while the view is alive raises
+    SIGBUS on access.
     """
     import mmap  # here, not at module level, as np.memmap does: keeps CLI start-up lean
 
@@ -57,10 +58,12 @@ def load_embeddings(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: unsupported version {version}")
         need = n * d * 4
         have = os.fstat(f.fileno()).st_size - 20
-        if have < need:
+        # Exact: a header whose n or d was rewritten smaller would otherwise
+        # load the payload reinterpreted at the wrong width.
+        if have != need:
             raise FormatError(
-                f"{path}: truncated payload: need {need} bytes for {n}x{d}, "
-                f"have {have}"
+                f"{path}: {'truncated' if have < need else 'overlong'} payload: "
+                f"need {need} bytes for {n}x{d}, have {have}"
             )
         if need == 0:  # an empty payload cannot be mapped
             return np.empty((n, d), dtype="<f4")

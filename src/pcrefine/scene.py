@@ -190,28 +190,7 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     grid is so fine for the scene extent that a cell index or the packed
     cell key would not fit in int64.
     """
-    check_finite("voxelize", scene.positions)
-    # One contiguous column at a time: numpy reduces axis 0 of a C-ordered
-    # (N, 3) array through a 3-wide inner loop, so min/max over the whole
-    # cell array cost about as much as the sort. The values are the same.
-    cells = [np.floor(scene.positions[:, k] / cfg.grid_size) for k in range(3)]
-    lo, hi = [c.min() for c in cells], [c.max() for c in cells]
-    too_fine = f"grid_size {cfg.grid_size} is too fine for this scene: cell keys overflow int64"
-    if min(lo) < -2**63 or max(hi) >= 2**63:
-        raise ConfigError(too_fine)
-    # Python ints, so a packed key past int64 is caught rather than wrapped.
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        raise ConfigError(too_fine)
-    # Packing preserves lexicographic (x, y, z) cell order under integer sort.
-    # Offsets are taken in int64: a float difference past 2**53 would round.
-    key = cells.pop(0).astype(np.int64) - np.int64(lo[0])
-    for k in (1, 2):
-        key *= spans[k]
-        key += cells.pop(0).astype(np.int64) - np.int64(lo[k])
-    _, inverse = np.unique(key, return_inverse=True)
-    del key
-    n_cells = int(inverse.max()) + 1
+    inverse, n_cells = _voxel_cells(scene.positions, cfg.grid_size)
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
 
     positions = np.stack(
@@ -229,6 +208,60 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
 
     labels = _majority_labels(inverse, n_cells, scene.labels)
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
+
+
+def voxel_labels(scene: PointCloudScene, cfg: VoxelConfig) -> np.ndarray:
+    """voxelize(scene, cfg).labels, bitwise, without the cell means: for a
+    caller that reads only the labels and their count. Raises as voxelize."""
+    inverse, n_cells = _voxel_cells(scene.positions, cfg.grid_size)
+    return _majority_labels(inverse, n_cells, scene.labels)
+
+
+def _voxel_cells(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
+    """Each point's cell rank in lexicographic (x, y, z) cell order, which is
+    np.unique(key, return_inverse=True)[1] of the packed cell key, and the
+    number of occupied cells."""
+    check_finite("voxelize", positions)
+    # One contiguous column at a time: numpy reduces axis 0 of a C-ordered
+    # (N, 3) array through a 3-wide inner loop, so min/max over the whole
+    # cell array cost about as much as the sort. The values are the same.
+    cells = [np.floor(positions[:, k] / grid_size) for k in range(3)]
+    lo, hi = [c.min() for c in cells], [c.max() for c in cells]
+    too_fine = f"grid_size {grid_size} is too fine for this scene: cell keys overflow int64"
+    if min(lo) < -2**63 or max(hi) >= 2**63:
+        raise ConfigError(too_fine)
+    # Python ints, so a packed key past int64 is caught rather than wrapped.
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        raise ConfigError(too_fine)
+    # Packing preserves lexicographic (x, y, z) cell order under integer sort.
+    # Offsets are taken in int64: a float difference past 2**53 would round.
+    key = cells.pop(0).astype(np.int64) - np.int64(lo[0])
+    for k in (1, 2):
+        key *= spans[k]
+        key += cells.pop(0).astype(np.int64) - np.int64(lo[k])
+    n = key.shape[0]
+    bits = max(1, (n - 1).bit_length())
+    if math.prod(spans) << bits > np.iinfo(np.int64).max:
+        _, inverse = np.unique(key, return_inverse=True)
+        return inverse, int(inverse.max()) + 1
+    # key < prod(spans), so key << bits | row fits in int64, and the packed
+    # values are distinct: a value sort (SIMD, unlike argsort) orders the
+    # rows by cell and carries each row's index in the low bits.
+    key <<= bits
+    key |= np.arange(n, dtype=np.int64)
+    key.sort()
+    row = key & ((1 << bits) - 1)
+    key >>= bits
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    # The rank of each sorted key among the distinct keys, reusing key's buffer.
+    rank = np.cumsum(starts, out=key)
+    rank -= 1
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[row] = rank
+    return inverse, int(rank[-1]) + 1
 
 
 def _majority_labels(inverse: np.ndarray, n_cells: int, labels: np.ndarray) -> np.ndarray:

@@ -54,17 +54,20 @@ def save_scene(scene: PointCloudScene, path: str | Path) -> None:
     header += ["property int label", "end_header"]
     fields += [("label", "<i4")]
 
+    # Each column is cast straight into the record: no float32 or uint8 (N, 3) copy.
     rec = np.empty(scene.point_count, dtype=np.dtype(fields))
-    pos = scene.positions.astype("<f4")
-    rec["x"], rec["y"], rec["z"] = pos[:, 0], pos[:, 1], pos[:, 2]
+    for k, name in enumerate(("x", "y", "z")):
+        rec[name] = scene.positions[:, k]
     if has_color:
-        rgb = np.clip(np.rint(scene.colors * 255.0), 0, 255).astype(np.uint8)
-        rec["red"], rec["green"], rec["blue"] = rgb[:, 0], rgb[:, 1], rgb[:, 2]
-    rec["label"] = scene.labels.astype("<i4")
+        rgb = scene.colors * 255.0
+        np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb)
+        for k, name in enumerate(("red", "green", "blue")):
+            rec[name] = rgb[:, k]
+    rec["label"] = scene.labels
 
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
-        f.write(rec.tobytes())
+        f.write(rec)
 
 
 def load_scene(path: str | Path) -> PointCloudScene:
@@ -92,11 +95,12 @@ def load_scene(path: str | Path) -> PointCloudScene:
             )
         rec = np.frombuffer(data, dtype=dtype, count=count, offset=body_offset)
 
-    positions = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
+    positions = _columns(rec, ("x", "y", "z"))
     check_finite(str(path), positions)
     colors = None
     if "red" in dtype.names:
-        colors = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1) / 255.0
+        colors = _columns(rec, ("red", "green", "blue"))
+        colors /= 255.0
     # Cast in one pass over the packed record; the scene checks the int64 copy.
     labels = rec["label"].astype(np.int64) if "label" in dtype.names else None
     if labels is None:
@@ -108,6 +112,16 @@ def load_scene(path: str | Path) -> PointCloudScene:
     return PointCloudScene(
         positions=positions, labels=labels, colors=colors, source_path=str(path)
     )
+
+
+def _columns(rec: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """The named fields of a vertex record, in the order given whatever the
+    file's property order, as one (N, len(names)) float64 array, filled a
+    column at a time."""
+    out = np.empty((rec.shape[0], len(names)), dtype=np.float64)
+    for k, name in enumerate(names):
+        out[:, k] = rec[name]
+    return out
 
 
 def _parse_header(path: Path, data: bytes) -> tuple[str, int, np.dtype, int]:

@@ -152,6 +152,29 @@ class TestRefine:
         assert code == EXIT_IO
         assert json.loads(err)["error"]["type"] == "FormatError"
 
+    @pytest.mark.parametrize("target", ["embeddings/train_001.gfve", "support/support_000.gfve"])
+    @pytest.mark.parametrize("fault", ["trailing_bytes", "smaller_d"])
+    def test_payload_longer_than_header_is_io_error(self, tmp_path, capsys, target, fault):
+        # A d rewritten 16 -> 15 used to load the payload reinterpreted at
+        # width 15, and refine exited 2 with a width error.
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+        victim = corpus / target
+        data = bytearray(victim.read_bytes())
+        if fault == "trailing_bytes":
+            data += bytes(4)
+        else:
+            struct.pack_into("<I", data, 16, 15)
+        victim.write_bytes(data)
+        out = tmp_path / "refined"
+        code, _, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                           "--out", str(out))
+        assert code == EXIT_IO
+        error = json.loads(err)["error"]
+        assert error["type"] == "FormatError"
+        assert str(victim) in error["message"] and "overlong payload" in error["message"]
+        assert f"have {len(data) - 20}" in error["message"]
+        assert not list(out.glob("*.npy"))
+
     def test_out_of_range_raw_label(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
         raw_path = corpus / "raw/train_000.npy"
@@ -919,8 +942,8 @@ def gfve_fault(draw, n, d):
 def test_fuzzed_embedding_file_through_main(fuzz_corpus, target, data):
     """The header of the later train scene's or the first support scene's
     .gfve gets a drawn magic, version, n or d, or the file is cut or grown;
-    refine exits 0, 2 or 3, leaves no labels behind when it fails, and
-    writes only labels in [-1, n_classes) when it does not."""
+    refine exits 3 and leaves no labels behind, unless the draw left the
+    file as it was."""
     root, manifest = fuzz_corpus
     path = (manifest.resolve(manifest.entries("train")[-1].embedding) if target == "train"
             else root / "corpus/support/support_000.gfve")
@@ -939,6 +962,9 @@ def test_fuzzed_embedding_file_through_main(fuzz_corpus, target, data):
         code, err = run_quiet("refine", "--manifest", str(root / "corpus/manifest.json"),
                               "--out", out)
         assert_clean_exit(code, err)
+        # The payload must be exactly n x d x 4 bytes, so every change to the
+        # header or the length is a format fault.
+        assert code == (EXIT_OK if corrupted == original else EXIT_IO)
         if code != EXIT_OK:
             assert not list(Path(out).glob("*.npy"))
         else:

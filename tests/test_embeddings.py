@@ -67,6 +67,20 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="truncated"):
             load_embeddings(tmp_path / "short.gfve")
 
+    @pytest.mark.parametrize("fault", ["trailing_bytes", "smaller_n", "smaller_d"])
+    def test_payload_longer_than_header_says(self, tmp_path, no_mmap, fault):
+        save_embeddings(np.zeros((4, 4)), tmp_path / "e.gfve")
+        data = bytearray((tmp_path / "e.gfve").read_bytes())
+        if fault == "trailing_bytes":
+            data += bytes(4)
+        else:  # a header rewritten smaller would reinterpret the payload
+            offset, fmt = {"smaller_n": (8, "<Q"), "smaller_d": (16, "<I")}[fault]
+            struct.pack_into(fmt, data, offset, 3)
+        (tmp_path / "long.gfve").write_bytes(data)
+        have, need = len(data) - 20, {"trailing_bytes": 64, "smaller_n": 48, "smaller_d": 48}[fault]
+        with pytest.raises(FormatError, match=f"long.gfve: overlong payload: need {need} bytes .* have {have}"):
+            load_embeddings(tmp_path / "long.gfve")
+
     def test_loads_float32_as_stored(self, tmp_path):
         mat = np.random.default_rng(0).standard_normal((37, 5)).astype(np.float32)
         mat[0, :4] = [-0.0, np.inf, np.nan, np.float32(1e-45)]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, voxelize
+from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, voxel_labels, voxelize
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
-from pcrefine.scene import _majority_labels, check_finite, checked_labels
+from pcrefine.scene import _majority_labels, _voxel_cells, check_finite, checked_labels
 
 
 class TestSchema:
@@ -269,3 +269,83 @@ def test_voxelize_cell_offsets_past_2_53_stay_exact():
     assert got.labels.tolist() == [0, 1, 2]
     for attr in ("positions", "colors", "labels"):
         assert_same_bytes(getattr(got, attr), getattr(voxelize_axis0(scene, VoxelConfig(1.0)), attr))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([-1e3, -7.3, 0.0, 0.51, 250.0]),
+    scale=st.sampled_from([0.05, 1.0, 20.0]),
+    grid=st.sampled_from([0.03, 0.2, 1.0, 1e9]),
+    labels=st.sampled_from(["ties", "background", "wide"]),
+)
+def test_voxel_labels_bitwise_equal_voxelize_labels(n, seed, offset, scale, grid, labels):
+    # The scenes of test_voxelize_bitwise_equals_axis0_reference.
+    rng = np.random.default_rng(seed)
+    pos = offset + scale * rng.uniform(-1, 1, size=(n, 3)) * [1.0, 0.25, 4.0]
+    label = {"ties": rng.integers(-1, 1, size=n),
+             "background": np.full(n, -1),
+             "wide": rng.integers(-1, 40, size=n)}[labels]
+    scene = PointCloudScene(pos, label)
+    got = voxel_labels(scene, VoxelConfig(grid))
+    assert_same_bytes(got, voxelize(scene, VoxelConfig(grid)).labels)
+    assert_same_bytes(got, voxelize_axis0(scene, VoxelConfig(grid)).labels)
+
+
+def unique_inverse(positions, grid):
+    """The reference grouping: np.unique's inverse of the key packed as
+    voxelize_axis0 packs it."""
+    cells = np.floor(positions / grid)
+    lo = cells.min(axis=0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, cells.max(axis=0))]
+    rel = cells.astype(np.int64) - lo.astype(np.int64)
+    key = (rel[:, 0] * spans[1] + rel[:, 1]) * spans[2] + rel[:, 2]
+    return np.unique(key, return_inverse=True)[1], math.prod(spans)
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """Counts np.unique calls, to tell which branch _voxel_cells took."""
+    calls = []
+    real = np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "unique", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed, n, grid", [(0, 1, 0.1), (1, 2, 0.1), (2, 1000, 0.05),
+                                           (3, 5000, 0.2), (4, 20000, 0.01), (5, 300, 1e9)])
+def test_voxel_cells_packed_sort_equals_unique_inverse(unique_calls, seed, n, grid):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-3, 3, size=(n, 3)) * [1.0, 0.25, 4.0]
+    want, _ = unique_inverse(pos, grid)
+    unique_calls.clear()  # the reference's own call
+    inverse, n_cells = _voxel_cells(pos, grid)
+    assert unique_calls == []
+    assert_same_bytes(inverse, want)
+    assert n_cells == int(want.max()) + 1
+
+
+@pytest.mark.parametrize("x0, n_extra, packed", [
+    # The 2**60 scene: prod(spans) << 2 bits still fits, so it packs.
+    (-(2.0**60), 0, True),
+    # The same spans with 8 more points: 4 row bits push the packed key past int64.
+    (-(2.0**60), 8, False),
+    # prod(spans) is about 2**62 and fits int64; shifted by 2 row bits it does not.
+    (-(2.0**62), 0, False),
+    # The nearest miss: (2**61 + 2) << 2 passes int64 max by 9.
+    (-(2.0**61), 0, False),
+])
+def test_voxel_cells_falls_back_to_unique_when_rows_do_not_fit(unique_calls, x0, n_extra, packed):
+    pos = np.array([[x0, 0, 0], [0, 0, 0], [1, 0, 0]] + [[0.5, 0, 0]] * n_extra)
+    want, prod = unique_inverse(pos, 1.0)
+    assert prod <= np.iinfo(np.int64).max
+    unique_calls.clear()
+    inverse, n_cells = _voxel_cells(pos, 1.0)
+    assert unique_calls == ([] if packed else [{"return_inverse": True}])
+    assert_same_bytes(inverse, want)
+    assert n_cells == 3

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcrefine import PointCloudScene, load_scene, save_scene
 from pcrefine.errors import FormatError
@@ -7,6 +10,8 @@ from pcrefine.scene_io import (
     Manifest,
     MissingLabelWarning,
     SceneEntry,
+    _parse_header,
+    _read_ascii,
     load_labels,
     load_manifest,
     load_mask,
@@ -194,6 +199,125 @@ def test_ascii_and_binary_decode_alike(tmp_path):
         a, b = getattr(from_ascii, field), getattr(from_binary, field)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+def encode_tobytes(scene):
+    """The reference: save_scene's bytes as it was written, casting whole
+    (N, 3) arrays and writing the record through tobytes()."""
+    has_color = scene.colors is not None
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {scene.point_count}"]
+    header += ["property float x", "property float y", "property float z"]
+    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
+    if has_color:
+        header += ["property uchar red", "property uchar green", "property uchar blue"]
+        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
+    header += ["property int label", "end_header"]
+    fields += [("label", "<i4")]
+    rec = np.empty(scene.point_count, dtype=np.dtype(fields))
+    pos = scene.positions.astype("<f4")
+    rec["x"], rec["y"], rec["z"] = pos[:, 0], pos[:, 1], pos[:, 2]
+    if has_color:
+        rgb = np.clip(np.rint(scene.colors * 255.0), 0, 255).astype(np.uint8)
+        rec["red"], rec["green"], rec["blue"] = rgb[:, 0], rgb[:, 1], rgb[:, 2]
+    rec["label"] = scene.labels.astype("<i4")
+    return ("\n".join(header) + "\n").encode("ascii") + rec.tobytes()
+
+
+def decode_stack(path):
+    """The reference: load_scene's arrays as it built them, stacking the
+    record's fields and casting the (N, 3) stack."""
+    data = path.read_bytes()
+    fmt, count, dtype, body_offset = _parse_header(path, data)
+    if fmt == "ascii":
+        rec = _read_ascii(path, data[body_offset:], count, dtype)
+    else:
+        rec = np.frombuffer(data, dtype=dtype, count=count, offset=body_offset)
+    positions = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
+    colors = None
+    if "red" in dtype.names:
+        colors = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1) / 255.0
+    labels = (rec["label"].astype(np.int64) if "label" in dtype.names
+              else np.full(count, -1, dtype=np.int64))
+    return positions, colors, labels
+
+
+def assert_same_bytes(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def drawn_colors(rng, n, kind):
+    """Colours in [0, 1], outside it, or on the half steps where rint ties."""
+    if kind == "unit":
+        return rng.uniform(0, 1, size=(n, 3))
+    if kind == "outside":
+        return rng.uniform(-0.6, 1.6, size=(n, 3))
+    return rng.integers(-4, 515, size=(n, 3)) / 510.0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e4, 3e38]),
+    colors=st.sampled_from([None, "unit", "outside", "halves"]),
+)
+def test_save_scene_bytes_equal_tobytes_reference(tmp_path_factory, n, seed, scale, colors):
+    rng = np.random.default_rng(seed)
+    scene = PointCloudScene(
+        positions=scale * rng.uniform(-1, 1, size=(n, 3)),
+        labels=rng.integers(-1, 2**31 - 1, size=n),
+        colors=None if colors is None else drawn_colors(rng, n, colors),
+    )
+    path = tmp_path_factory.mktemp("save") / "s.ply"
+    save_scene(scene, path)
+    assert path.read_bytes() == encode_tobytes(scene)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    fmt=st.sampled_from(["ascii", "binary_little_endian"]),
+    colored=st.booleans(),
+    labelled=st.booleans(),
+    order=st.randoms(use_true_random=False),
+)
+def test_load_scene_arrays_equal_stack_reference(tmp_path_factory, n, seed, fmt, colored,
+                                                  labelled, order):
+    """Any declared property order, ASCII or binary, with or without colour
+    and label, loads to the reference's arrays byte for byte."""
+    names = ["x", "y", "z"] + ["red", "green", "blue"] * colored + ["label"] * labelled
+    order.shuffle(names)
+    types = {"x": ("float", "<f4"), "y": ("float", "<f4"), "z": ("float", "<f4"),
+             "red": ("uchar", "u1"), "green": ("uchar", "u1"), "blue": ("uchar", "u1"),
+             "label": ("int", "<i4")}
+    rng = np.random.default_rng(seed)
+    rec = np.empty(n, dtype=[(name, types[name][1]) for name in names])
+    for name in names:
+        if name in "xyz":
+            rec[name] = rng.uniform(-1e3, 1e3, size=n)
+        elif name == "label":
+            rec[name] = rng.integers(-1, 100, size=n)
+        else:
+            rec[name] = rng.integers(0, 256, size=n)
+    header = ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
+    header += [f"property {types[name][0]} {name}" for name in names] + ["end_header", ""]
+    if fmt == "ascii":
+        body = "".join(" ".join(map(repr, row)) + "\n" for row in rec.tolist()).encode()
+    else:
+        body = rec.tobytes()
+    path = tmp_path_factory.mktemp("load") / "s.ply"
+    path.write_bytes("\n".join(header).encode() + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MissingLabelWarning)
+        got = load_scene(path)
+    positions, colors, labels = decode_stack(path)
+    assert_same_bytes(got.positions, positions)
+    assert_same_bytes(got.colors, colors)
+    assert_same_bytes(got.labels, labels)
 
 
 @pytest.mark.parametrize("mask", [
