@@ -26,6 +26,7 @@ from .scene import ClassSchema, PointCloudScene, VoxelConfig, voxel_labels
 from .scene_io import (
     Manifest,
     SceneEntry,
+    _read_geometry,
     load_labels,
     load_manifest,
     load_scene,
@@ -316,22 +317,23 @@ def cmd_split(args) -> None:
     print(json.dumps(out_doc))
 
 
-def _truth_labels(path: Path, grid: float) -> np.ndarray:
+def _truth_labels(path: Path, grid: VoxelConfig | None) -> np.ndarray:
     """The ground-truth labels eval scores for the scene at path: per point,
-    or per voxel cell when grid is not 0. Only the labels outlive the call,
-    so a scene is freed before the next one loads."""
-    scene = load_scene(path)
-    if grid == 0:
-        return scene.labels
-    return voxel_labels(scene, VoxelConfig(grid_size=grid))  # rejects a negative or NaN grid
+    or per voxel cell of grid. Colours are never read, and only the labels
+    outlive the call, so a scene is freed before the next one loads."""
+    positions, labels, _ = _read_geometry(path)
+    scene = PointCloudScene(positions, labels, source_path=str(path))  # checks the labels
+    return scene.labels if grid is None else voxel_labels(scene, grid)
 
 
 def cmd_eval(args) -> None:
+    # Checked before any file is read: a negative, NaN or infinite grid is a ConfigError.
+    grid = None if args.grid == 0 else VoxelConfig(grid_size=args.grid)
     manifest = load_manifest(Path(args.manifest))
     pred_dir = Path(args.pred_dir)
     conf = metrics.ConfusionMatrix(manifest.schema.n_classes)
     for entry in _role_entries(manifest, args.role):
-        truth = _truth_labels(manifest.resolve(entry.path), args.grid)
+        truth = _truth_labels(manifest.resolve(entry.path), grid)
         pred_path = pred_dir / f"{entry.scene_id}.npy"
         if not pred_path.exists():
             raise ConfigError(f"missing predictions for scene {entry.scene_id}: {pred_path}")

@@ -45,6 +45,7 @@ class PointCloudScene:
                 raise AlignmentError(
                     f"colors shape {self.colors.shape} does not match {n} points"
                 )
+            check_finite("scene", self.colors, "colour")
 
     @property
     def point_count(self) -> int:
@@ -159,14 +160,19 @@ def checked_mask(name: str, mask: np.ndarray, n: int | None = None) -> np.ndarra
     return mask.astype(bool)
 
 
-def check_finite(name: str, positions: np.ndarray) -> None:
-    """Raise a ContractError naming the first point with a NaN or infinite
-    coordinate."""
-    if not np.isfinite(positions).all():
-        i = int(np.argmin(np.isfinite(positions).all(axis=1)))
-        raise ContractError(
-            f"{name}: position {positions[i].tolist()} of point {i} is not finite"
-        )
+def check_finite(name: str, values: np.ndarray, what: str = "position") -> None:
+    """Raise a ContractError naming the first point whose row of values (an
+    (N, k) array of positions, or of what the rows hold) has a NaN or an
+    infinity."""
+    # One summing pass: a NaN or an infinity makes the sum non-finite. Finite
+    # values past float64 max do too, and the exact pass below clears them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(values.sum()):
+            return
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ContractError(f"{name}: {what} {values[i].tolist()} of point {i} is not finite")
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,8 @@ class VoxelConfig:
     grid_size: float = 0.02
 
     def __post_init__(self):
-        if not self.grid_size > 0:
-            raise ConfigError(f"grid_size must be positive, got {self.grid_size}")
+        if not 0 < self.grid_size < math.inf:
+            raise ConfigError(f"grid_size must be positive and finite, got {self.grid_size}")
 
 
 def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
@@ -213,14 +219,25 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
 def voxel_labels(scene: PointCloudScene, cfg: VoxelConfig) -> np.ndarray:
     """voxelize(scene, cfg).labels, bitwise, without the cell means: for a
     caller that reads only the labels and their count. Raises as voxelize."""
-    inverse, n_cells = _voxel_cells(scene.positions, cfg.grid_size)
-    return _majority_labels(inverse, n_cells, scene.labels)
+    key, n_keys = _cell_keys(scene.positions, cfg.grid_size)
+    labels = scene.labels
+    # The packed key orders cells as their ranks do, so the majority vote
+    # needs no ranks unless (key, label) pairs would not fit in int64.
+    if n_keys * (int(labels.max()) - int(labels.min()) + 1) > np.iinfo(np.int64).max:
+        key, n_keys = _cell_ranks(key, n_keys)
+    return _majority_labels(key, n_keys, labels)
 
 
 def _voxel_cells(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
     """Each point's cell rank in lexicographic (x, y, z) cell order, which is
     np.unique(key, return_inverse=True)[1] of the packed cell key, and the
     number of occupied cells."""
+    return _cell_ranks(*_cell_keys(positions, grid_size))
+
+
+def _cell_keys(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
+    """Each point's packed cell key, whose integer order is lexicographic
+    (x, y, z) cell order, and prod(spans), which bounds the keys from above."""
     check_finite("voxelize", positions)
     # One contiguous column at a time: numpy reduces axis 0 of a C-ordered
     # (N, 3) array through a 3-wide inner loop, so min/max over the whole
@@ -234,18 +251,23 @@ def _voxel_cells(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, i
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
     if math.prod(spans) > np.iinfo(np.int64).max:
         raise ConfigError(too_fine)
-    # Packing preserves lexicographic (x, y, z) cell order under integer sort.
     # Offsets are taken in int64: a float difference past 2**53 would round.
     key = cells.pop(0).astype(np.int64) - np.int64(lo[0])
     for k in (1, 2):
         key *= spans[k]
         key += cells.pop(0).astype(np.int64) - np.int64(lo[k])
+    return key, math.prod(spans)
+
+
+def _cell_ranks(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
+    """np.unique(key, return_inverse=True)[1] of keys below n_keys, and the
+    number of distinct keys. Overwrites key."""
     n = key.shape[0]
     bits = max(1, (n - 1).bit_length())
-    if math.prod(spans) << bits > np.iinfo(np.int64).max:
+    if n_keys << bits > np.iinfo(np.int64).max:
         _, inverse = np.unique(key, return_inverse=True)
         return inverse, int(inverse.max()) + 1
-    # key < prod(spans), so key << bits | row fits in int64, and the packed
+    # key < n_keys, so key << bits | row fits in int64, and the packed
     # values are distinct: a value sort (SIMD, unlike argsort) orders the
     # rows by cell and carries each row's index in the low bits.
     key <<= bits
@@ -253,19 +275,18 @@ def _voxel_cells(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, i
     key.sort()
     row = key & ((1 << bits) - 1)
     key >>= bits
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
     # The rank of each sorted key among the distinct keys, reusing key's buffer.
-    rank = np.cumsum(starts, out=key)
+    rank = np.cumsum(_run_starts(key), out=key)
     rank -= 1
     inverse = np.empty(n, dtype=np.int64)
     inverse[row] = rank
     return inverse, int(rank[-1]) + 1
 
 
-def _majority_labels(inverse: np.ndarray, n_cells: int, labels: np.ndarray) -> np.ndarray:
-    """Most frequent label per cell, the smallest one on ties, from one sort."""
+def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray) -> np.ndarray:
+    """Most frequent label per cell, the smallest one on ties, in cell order,
+    from one value sort. cell is any per-point cell id in [0, n_cells) whose
+    order is the cell order: a rank, or a packed key with its bound."""
     lo, hi = int(labels.min()), int(labels.max())
     span = hi - lo + 1
     # Python ints, so a packed (cell, label) key past int64 is caught rather than wrapped.
@@ -274,9 +295,24 @@ def _majority_labels(inverse: np.ndarray, n_cells: int, labels: np.ndarray) -> n
             f"voxelize: label range [{lo}, {hi}] is too wide to pack "
             f"with {n_cells} cells into int64"
         )
-    # Sorted by cell, then by label: each cell is one run of distinct labels.
-    pairs, counts = np.unique(inverse * span + (labels - lo), return_counts=True)
-    cell_of, label_of = np.divmod(pairs, span)
-    starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
-    top = np.maximum.reduceat(counts, starts)
-    return np.minimum.reduceat(np.where(counts == top[cell_of], label_of, span), starts) + lo
+    # Sorted by cell, then by label: each run of equal values is one
+    # (cell, label) group, and each cell one run of groups.
+    pairs = cell * span
+    pairs -= lo  # before the labels, so no partial sum passes int64 max
+    pairs += labels
+    pairs.sort()
+    group = np.flatnonzero(_run_starts(pairs))
+    counts = np.diff(group, append=pairs.shape[0])
+    cell_of, label_of = np.divmod(pairs[group], span)
+    starts = np.flatnonzero(_run_starts(cell_of))
+    top = np.repeat(np.maximum.reduceat(counts, starts), np.diff(starts, append=len(group)))
+    return np.minimum.reduceat(np.where(counts == top, label_of, span), starts) + lo
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """A mask of the elements of a sorted 1-D array that start a run of
+    equal values."""
+    starts = np.empty(values.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts

@@ -13,10 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import from_dtype
+from numpy.lib.recfunctions import repack_fields
 
+from pcrefine import VoxelConfig, metrics, voxelize
 from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
 from pcrefine.embeddings import load_embeddings, save_embeddings
-from pcrefine.scene_io import load_labels, load_manifest, load_scene, save_scene
+from pcrefine.scene_io import (
+    MissingLabelWarning,
+    load_labels,
+    load_manifest,
+    load_scene,
+    save_scene,
+)
 
 
 def run(capsys, *argv):
@@ -668,7 +676,7 @@ class TestEval:
                               "--grid", "0.1")
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("grid", ["-1", "nan"])
+    @pytest.mark.parametrize("grid", ["-1", "nan", "inf"])
     def test_bad_grid(self, tmp_path, capsys, grid):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
         code, out, err = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
@@ -677,6 +685,105 @@ class TestEval:
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigError"
         assert "grid_size must be positive" in error["message"]
+        assert out == ""
+
+
+def coloured_eval_corpus(tmp_path, capsys):
+    """A simulated corpus whose train PLYs carry colours, and a directory of
+    noisy per-point and per-voxel predictions for it."""
+    corpus = simulate(tmp_path, capsys)
+    manifest = load_manifest(corpus / "manifest.json")
+    rng = np.random.default_rng(5)
+    for entry in manifest.entries("train"):
+        path = manifest.resolve(entry.path)
+        scene = load_scene(path)
+        scene.colors = rng.uniform(0, 1, size=(scene.point_count, 3))
+        save_scene(scene, path)
+        for grid in (0.0, 0.05, 0.1):
+            truth = voxelize(scene, VoxelConfig(grid)).labels if grid else scene.labels
+            flip = rng.random(truth.shape[0]) < 0.2
+            pred = np.where(flip, rng.integers(-1, manifest.schema.n_classes, truth.shape[0]), truth)
+            (tmp_path / f"pred_{grid}").mkdir(exist_ok=True)
+            np.save(tmp_path / f"pred_{grid}/{entry.scene_id}.npy", pred)
+    return corpus, manifest
+
+
+def reference_eval_doc(manifest, pred_dir, grid, unlabelled=()):
+    """The eval document from load_scene and voxelize(...).labels, with the
+    scenes named in unlabelled scored as all -1."""
+    conf = metrics.ConfusionMatrix(manifest.schema.n_classes)
+    for entry in manifest.entries("train"):
+        scene = load_scene(manifest.resolve(entry.path))
+        truth = voxelize(scene, VoxelConfig(grid)).labels if grid else scene.labels
+        if entry.scene_id in unlabelled:
+            truth = np.full_like(truth, -1)
+        metrics.accumulate(conf, load_labels(pred_dir / f"{entry.scene_id}.npy"), truth)
+    return {"version": 1, "metrics": metrics.summary(conf, manifest.schema).to_dict(),
+            "per_class_iou": {str(c): v for c, v in metrics.iou_per_class(conf).items()}}
+
+
+def edit_ply_record(path, edit):
+    """Apply edit to the vertex record of a binary PLY written by save_scene,
+    keeping its header; edit may drop fields by returning a new record."""
+    data = path.read_bytes()
+    end = data.index(b"end_header\n") + len(b"end_header\n")
+    header = data[:end].decode("ascii")
+    names = [line.split()[2] for line in header.splitlines() if line.startswith("property")]
+    types = {"x": "<f4", "y": "<f4", "z": "<f4", "red": "u1", "green": "u1", "blue": "u1",
+             "label": "<i4"}
+    rec = np.frombuffer(data, dtype=[(n, types[n]) for n in names], offset=end).copy()
+    edited = edit(rec)
+    if edited is not None:  # a view of some fields, at the old offsets
+        rec = repack_fields(edited)
+    kept = "".join(line + "\n" for line in header.splitlines()
+                   if not line.startswith("property") or line.split()[2] in rec.dtype.names)
+    path.write_bytes(kept.encode("ascii") + rec.tobytes())
+
+
+class TestEvalReader:
+    """eval reads positions and labels only; its scores and its faults are
+    those of load_scene followed by voxelize."""
+
+    @pytest.mark.parametrize("grid", ["0", "0.05", "0.1"])
+    def test_scores_equal_the_load_scene_reference(self, tmp_path, capsys, grid):
+        corpus, manifest = coloured_eval_corpus(tmp_path, capsys)
+        pred_dir = tmp_path / f"pred_{float(grid)}"
+        code, out, _ = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
+                           "--pred-dir", str(pred_dir), "--grid", grid)
+        assert code == EXIT_OK
+        want = reference_eval_doc(manifest, pred_dir, float(grid))
+        assert out.splitlines()[-1] == json.dumps(want)
+
+    @pytest.mark.parametrize("grid", ["0", "0.1"])
+    def test_ply_without_labels_scores_as_background(self, tmp_path, capsys, grid):
+        corpus, manifest = coloured_eval_corpus(tmp_path, capsys)
+        pred_dir = tmp_path / f"pred_{float(grid)}"
+        path = corpus / "scenes/train_001.ply"
+        want = reference_eval_doc(manifest, pred_dir, float(grid), unlabelled={"train_001"})
+        edit_ply_record(path, lambda rec: rec[["x", "y", "z", "red", "green", "blue"]])
+        assert b"property int label" not in path.read_bytes()
+        with pytest.warns(MissingLabelWarning, match="no 'label' property"):
+            code, out, _ = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
+                               "--pred-dir", str(pred_dir), "--grid", grid)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == json.dumps(want)
+
+    @pytest.mark.parametrize("grid", ["0", "0.1"])
+    @pytest.mark.parametrize("fault, message", [
+        ("nan_position", "train_001.ply: position [nan,"),
+        ("label_minus_5", "scene label -5 at point 7 "),
+    ])
+    def test_fault_in_train_ply_exits_2(self, tmp_path, capsys, grid, fault, message):
+        corpus, _ = coloured_eval_corpus(tmp_path, capsys)
+        column, value = {"nan_position": ("x", np.nan), "label_minus_5": ("label", -5)}[fault]
+        edit_ply_record(corpus / "scenes/train_001.ply",
+                        lambda rec: rec[column].__setitem__(7, value))
+        code, out, err = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
+                             "--pred-dir", str(tmp_path / f"pred_{float(grid)}"), "--grid", grid)
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert message in error["message"]
         assert out == ""
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, voxel_labels, voxelize
+from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, save_scene, voxel_labels, voxelize
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
-from pcrefine.scene import _majority_labels, _voxel_cells, check_finite, checked_labels
+import pcrefine.scene as scene_module
+from pcrefine.scene import _voxel_cells, check_finite, checked_labels
 
 
 class TestSchema:
@@ -41,6 +43,31 @@ class TestValidate:
         # value below -1 is rejected, naming the scene's labels.
         with pytest.raises(ContractError, match="scene label"):
             PointCloudScene(positions=np.zeros((3, 3)), labels=np.array(labels))
+
+    @pytest.mark.parametrize("via", ["constructor", "save_scene", "voxelize"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_colour_rejected(self, tmp_path, via, bad):
+        # Before the check, save_scene wrote a NaN channel as 0, with only a
+        # RuntimeWarning from the cast.
+        colors = np.array([[0.0, 0.0, 0.0], [bad, 0.5, 2.0], [1.0, 1.0, 1.0]])
+        build = functools.partial(PointCloudScene, np.zeros((3, 3)), np.zeros(3), colors)
+        call = {"constructor": build,
+                "save_scene": lambda: save_scene(build(), tmp_path / "s.ply"),
+                "voxelize": lambda: voxelize(build(), VoxelConfig(0.1))}[via]
+        with pytest.raises(ContractError, match=r"scene: colour \[.*\] of point 1 is not finite"):
+            call()
+        assert not (tmp_path / "s.ply").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_values_whose_sum_overflows_pass(self):
+        # The one summing pass reads inf here; the exact pass clears it.
+        huge = np.full((4, 3), 1.5e308)
+        check_finite("x", huge)
+        scene = PointCloudScene(np.zeros((4, 3)), np.zeros(4), colors=huge)
+        assert scene.colors.tobytes() == huge.tobytes()
+        huge[2, 1] = -np.inf
+        with pytest.raises(ContractError, match="point 2 is not finite"):
+            check_finite("x", huge)
 
     def test_whole_float_labels_become_int64(self):
         scene = PointCloudScene(positions=np.zeros((3, 3)), labels=np.array([-1.0, 0.0, 7.0]))
@@ -128,6 +155,12 @@ class TestVoxelize:
         with pytest.raises(ConfigError):
             VoxelConfig(0.0)
 
+    @pytest.mark.parametrize("grid", [np.inf, -np.inf, np.nan])
+    def test_non_finite_grid_rejected(self, grid):
+        # An infinite grid would put every scene into one voxel.
+        with pytest.raises(ConfigError, match="grid_size must be positive and finite"):
+            VoxelConfig(grid)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10**6))
     def test_never_increases_count(self, n, seed):
@@ -185,6 +218,9 @@ class TestVoxelize:
         scene = PointCloudScene(pos, np.array([0, 2**62, 0]))
         with pytest.raises(ContractError, match="label range"):
             voxelize(scene, VoxelConfig(0.5))
+        # Neither the packed keys nor, after the fallback, the ranks fit.
+        with pytest.raises(ContractError, match="label range"):
+            voxel_labels(scene, VoxelConfig(0.5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, bad):
@@ -192,6 +228,23 @@ class TestVoxelize:
         pos[1, 2] = bad
         with pytest.raises(ContractError, match="finite"):
             voxelize(PointCloudScene(pos, np.zeros(3)), VoxelConfig(0.1))
+
+
+def majority_labels_unique(inverse, n_cells, labels):
+    """The reference majority vote: np.unique over inverse * span + label,
+    then the top count per cell, the smallest label on ties."""
+    lo, hi = int(labels.min()), int(labels.max())
+    span = hi - lo + 1
+    if n_cells * span > np.iinfo(np.int64).max:
+        raise ContractError(
+            f"voxelize: label range [{lo}, {hi}] is too wide to pack "
+            f"with {n_cells} cells into int64"
+        )
+    pairs, counts = np.unique(inverse * span + (labels - lo), return_counts=True)
+    cell_of, label_of = np.divmod(pairs, span)
+    starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
+    top = np.maximum.reduceat(counts, starts)
+    return np.minimum.reduceat(np.where(counts == top[cell_of], label_of, span), starts) + lo
 
 
 def voxelize_axis0(scene, cfg):
@@ -223,7 +276,7 @@ def voxelize_axis0(scene, cfg):
              / counts for k in range(3)],
             axis=1,
         )
-    labels = _majority_labels(inverse, n_cells, scene.labels)
+    labels = majority_labels_unique(inverse, n_cells, scene.labels)
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
 
 
@@ -349,3 +402,41 @@ def test_voxel_cells_falls_back_to_unique_when_rows_do_not_fit(unique_calls, x0,
     assert unique_calls == ([] if packed else [{"return_inverse": True}])
     assert_same_bytes(inverse, want)
     assert n_cells == 3
+
+
+@pytest.mark.parametrize("seed, n, grid", [(0, 1, 0.1), (1, 2, 0.1), (2, 1000, 0.05),
+                                           (3, 5000, 0.2), (4, 20000, 0.01), (5, 300, 1e9)])
+def test_voxel_labels_packed_keys_sort_once(unique_calls, seed, n, grid):
+    # Labels -1..40 leave many ties; prod(spans) * 42 fits, so the packed
+    # cell keys go straight to the vote: no ranks and no np.unique.
+    rng = np.random.default_rng(seed)
+    scene = PointCloudScene(rng.uniform(-3, 3, size=(n, 3)) * [1.0, 0.25, 4.0],
+                            rng.integers(-1, 41, size=n))
+    want = voxelize_axis0(scene, VoxelConfig(grid)).labels
+    unique_calls.clear()  # the reference's own calls
+    assert_same_bytes(voxel_labels(scene, VoxelConfig(grid)), want)
+    assert unique_calls == []
+
+
+@pytest.mark.parametrize("x0, labels, ranked_by_unique", [
+    # The 2**60 scene with labels 0-7: (2**60 + 2) * 8 passes int64, and so
+    # does (2**60 + 2) << 3 row bits, so the ranks come from np.unique.
+    (-(2.0**60), [0, 1, 2, 3, 4, 5, 6, 7], True),
+    # (2**59 + 2) * 101 passes int64, (2**59 + 2) << 2 row bits does not.
+    (-(2.0**59), [0, 100, 7], False),
+], ids=["unique-ranks", "packed-ranks"])
+def test_voxel_labels_ranks_cells_when_pairs_do_not_fit(monkeypatch, unique_calls, x0, labels,
+                                                        ranked_by_unique):
+    pos = np.array([[x0, 0, 0], [0, 0, 0], [1, 0, 0]] + [[0.5, 0, 0]] * (len(labels) - 3))
+    scene = PointCloudScene(pos, np.array(labels))
+    want = voxelize_axis0(scene, VoxelConfig(1.0)).labels
+    ranked = []
+    real = scene_module._cell_ranks
+    monkeypatch.setattr(scene_module, "_cell_ranks",
+                        lambda *args: ranked.append(args[1]) or real(*args))
+    unique_calls.clear()
+    got = voxel_labels(scene, VoxelConfig(1.0))
+    assert ranked == [int(-x0) + 2]
+    assert unique_calls == ([{"return_inverse": True}] if ranked_by_unique else [])
+    assert_same_bytes(got, want)
+    assert_same_bytes(got, voxelize(scene, VoxelConfig(1.0)).labels)
