@@ -37,11 +37,7 @@ from .prototypes import (
     masked_pool,
     support_prototypes,
 )
-from .selection import (
-    SelectionConfig,
-    merge_into_background,
-    ps_refine,
-)
+from .selection import SelectionConfig, ps_refine
 from .infill import InfillConfig, adaptive_set, context_prototypes, infill
 from .pipeline import RefineReport, refine_labels
 from .mix import MixConfig, corners_xy, crop_novel, mix, pick_pair

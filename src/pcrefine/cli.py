@@ -147,17 +147,17 @@ def _generic_schema(n_base: int, n_novel: int) -> ClassSchema:
 def cmd_simulate(args) -> None:
     if args.base < 1 or args.novel < 1:
         raise ConfigError("need at least one base and one novel class")
-    out = Path(args.out)
-    for sub in ("scenes", "embeddings", "raw", "base_labels"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-
+    # The configs check --seed and the noise flags before any directory is made.
+    noise = sim.NoiseSpec(p_miss=args.p_miss, erosion_frac=args.erosion,
+                          flip_prob=args.flip, seed=args.seed)
     schema = _generic_schema(args.base, args.novel)
     provider = SyntheticFeatureProvider(schema, SyntheticProviderConfig(
         dim=args.dim, anchor_seed=args.seed,
         noise_sigma=args.noise_sigma, confusion_prob=args.confusion,
     ))
-    noise = sim.NoiseSpec(p_miss=args.p_miss, erosion_frac=args.erosion,
-                          flip_prob=args.flip, seed=args.seed)
+    out = Path(args.out)
+    for sub in ("scenes", "embeddings", "raw", "base_labels"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
 
     entries = []
     for i in range(args.scenes):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, FormatError
 from .prototypes import PrototypeSet
-from .scene import ClassSchema, PointCloudScene
+from .scene import ClassSchema, PointCloudScene, _check_number
 
 EMBEDDING_MAGIC = b"GFVE"
 EMBEDDING_VERSION = 1
@@ -110,6 +110,7 @@ class SyntheticProviderConfig:
     confusion_prob: float = 0.0
 
     def __post_init__(self):
+        _check_number("anchor_seed", self.anchor_seed, integer=True, lo=0)
         if not 0.0 <= self.confusion_prob <= 1.0:
             raise ConfigError(f"confusion_prob must be in [0, 1], got {self.confusion_prob}")
         if self.noise_sigma < 0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .prototypes import PrototypeSet, novel_prototypes
-from .scene import ClassSchema, checked_labels
+from .scene import ClassSchema, _check_number, checked_labels
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class InfillConfig:
     delta: float = 0.9
 
     def __post_init__(self):
+        _check_number("delta", self.delta)
         if not -1.0 <= self.delta <= 1.0:
             raise ConfigError(f"delta must be in [-1, 1], got {self.delta}")
 
@@ -62,16 +63,23 @@ def infill(
     """
     features = np.asarray(features)
     y_prime = checked_labels("y_prime", y_prime, features.shape[0])
+    return _infill(y_prime, features, adaptive, cfg.delta)[0]
+
+
+def _infill(
+    y_prime: np.ndarray, features: np.ndarray, adaptive: PrototypeSet, delta: float
+) -> tuple[np.ndarray, int]:
+    """infill on checked int64 labels, and the number of points it labeled."""
     out = y_prime.copy()
-    unlabeled = y_prime == -1
-    if not unlabeled.any() or len(adaptive) == 0:
-        return out
+    rows = np.flatnonzero(y_prime == -1)
+    if rows.size == 0 or len(adaptive) == 0:
+        return out, 0
 
     ids, protos = adaptive.matrix()
-    rows = np.flatnonzero(unlabeled)
     best, best_sim = _nearest_prototype(features, rows, protos)
-    out[rows] = np.where(best_sim >= cfg.delta, ids[best], -1)
-    return out
+    assigned = best_sim >= delta
+    out[rows] = np.where(assigned, ids[best], -1)
+    return out, int(assigned.sum())
 
 
 # Rows per infill block. Every block has at least this many rows (or is the

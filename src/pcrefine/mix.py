@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyMaskError
 from .prototypes import SupportSet
-from .scene import PointCloudScene, checked_mask
+from .scene import PointCloudScene, _check_number, checked_mask
 
 PAIRINGS = ("bottom", "top", "left", "right")
 
@@ -27,10 +27,9 @@ class MixConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ConfigError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if self.crop_margin_xy < 0:
-            raise ConfigError(f"crop_margin_xy must be >= 0, got {self.crop_margin_xy}")
+        _check_number("n_blocks", self.n_blocks, integer=True, lo=1)
+        _check_number("crop_margin_xy", self.crop_margin_xy, lo=0)
+        _check_number("seed", self.seed, integer=True, lo=0)
 
 
 def corners_xy(points: np.ndarray) -> dict[str, np.ndarray]:

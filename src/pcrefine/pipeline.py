@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infill import InfillConfig, adaptive_set, context_prototypes, infill
+from .infill import InfillConfig, _infill, adaptive_set, context_prototypes
 from .prototypes import PrototypeSet
 from .scene import ClassSchema
 from .selection import SelectionConfig, select_and_merge
@@ -45,19 +45,20 @@ def refine_labels(
     selection_cfg = selection_cfg or SelectionConfig()
     infill_cfg = infill_cfg or InfillConfig()
 
-    y_prime, agreement = select_and_merge(
+    y_prime, agreement, kept = select_and_merge(
         features, raw, base_labels, support, selection_cfg, schema
     )
 
     context = context_prototypes(features, y_prime, schema)
     adaptive = adaptive_set(context, support, schema)
-    y_final = infill(y_prime, features, adaptive, infill_cfg)
+    y_final, n_assigned = _infill(y_prime, np.asarray(features), adaptive, infill_cfg.delta)
 
     report = RefineReport(
         class_agreement=agreement,
-        kept_classes=[c for c, s in sorted(agreement.items()) if s >= selection_cfg.tau],
-        filtered_classes=[c for c, s in sorted(agreement.items()) if s < selection_cfg.tau],
-        selected_points=int(((y_prime != -1) & (np.asarray(base_labels) == -1)).sum()),
-        infilled_points=int((y_final != y_prime).sum()),
+        kept_classes=kept,
+        filtered_classes=[c for c in sorted(agreement) if c not in kept],
+        # A novel label in y_prime is exactly a kept raw label on base background.
+        selected_points=int((y_prime >= schema.n_base).sum()),
+        infilled_points=n_assigned,
     )
     return y_final, report

@@ -7,6 +7,7 @@ indices [0, n_base), novel classes [n_base, n_classes).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,18 @@ def checked_labels(
     return labels.astype(np.int64, copy=False)
 
 
+def _check_number(name: str, value, integer: bool = False, lo: float | None = None) -> None:
+    """Raise a ConfigError naming the field unless value is a real number (an
+    integral one, if integer is set) of at least lo, if lo is given. A bool
+    or a string is not a number, and NaN is below every bound."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if lo is not None and not value >= lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
+
+
 def checked_mask(name: str, mask: np.ndarray, n: int | None = None) -> np.ndarray:
     """A binary mask as bool, checked before the cast: a 1-D vector (of n
     entries, if n is given) of bools, or of numbers that are all exactly 0
@@ -180,6 +193,7 @@ class VoxelConfig:
     grid_size: float = 0.02
 
     def __post_init__(self):
+        _check_number("grid_size", self.grid_size)
         if not 0 < self.grid_size < math.inf:
             raise ConfigError(f"grid_size must be positive and finite, got {self.grid_size}")
 

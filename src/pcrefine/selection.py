@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .prototypes import PrototypeSet, cosine, novel_prototypes
-from .scene import ClassSchema, checked_labels
+from .scene import ClassSchema, _check_number, checked_labels
 
 
 @dataclass(frozen=True)
@@ -19,6 +19,7 @@ class SelectionConfig:
     tau: float = 0.6
 
     def __post_init__(self):
+        _check_number("tau", self.tau)
         if not -1.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [-1, 1], got {self.tau}")
 
@@ -38,31 +39,6 @@ def prototype_agreement(
     return agreement
 
 
-def merge_into_background(
-    base_labels: np.ndarray, filtered: np.ndarray, schema: ClassSchema
-) -> np.ndarray:
-    """Fill the background (-1) of base labels with filtered novel labels.
-
-    Ground-truth base labels are never overwritten. The filtered vector may
-    only carry novel indices and -1; a base index there means selection was
-    skipped or mis-ordered.
-    """
-    filtered = checked_labels("filtered", filtered, hi=schema.n_classes)
-    base_labels = checked_labels("base", base_labels, filtered.shape[0], schema.n_base)
-    bad = (filtered >= 0) & (filtered < schema.n_base)
-    if bad.any():
-        raise ContractError(
-            f"filtered labels contain base index {int(filtered[bad][0])}; "
-            f"expected only novel indices and -1"
-        )
-    return _fill_background(base_labels, filtered)
-
-
-def _fill_background(base_labels: np.ndarray, filtered: np.ndarray) -> np.ndarray:
-    """merge_into_background on labels that already meet its contract."""
-    return np.where(base_labels != -1, base_labels, filtered)
-
-
 def select_and_merge(
     features: np.ndarray,
     raw: np.ndarray,
@@ -70,8 +46,9 @@ def select_and_merge(
     support: PrototypeSet,
     cfg: SelectionConfig,
     schema: ClassSchema,
-) -> tuple[np.ndarray, dict[int, float]]:
-    """ps_refine plus the per-class agreement behind each keep/drop decision.
+) -> tuple[np.ndarray, dict[int, float], list[int]]:
+    """ps_refine plus the per-class agreement behind each keep/drop decision,
+    and the kept classes in ascending order.
 
     Base-class predictions are always cleared to -1. A novel class keeps all
     of its points iff cosine(predicted, support) >= tau, one decision per
@@ -88,13 +65,11 @@ def select_and_merge(
     raw = checked_labels("raw", raw, features.shape[0], schema.n_classes)
     base_labels = checked_labels("base", base_labels, features.shape[0], schema.n_base)
     agreement = prototype_agreement(novel_prototypes(features, raw, schema), support)
-    filtered = np.where(raw < schema.n_base, -1, raw)
-    for c, sim in agreement.items():
-        if sim < cfg.tau:
-            filtered[raw == c] = -1
-    # filtered holds only -1 and novel indices of the checked raw labels, and
-    # base was checked above, so the merge needs no second check.
-    return _fill_background(base_labels, filtered), agreement
+    kept = [c for c, sim in sorted(agreement.items()) if sim >= cfg.tau]
+    # A kept raw label goes where the base labels are background; base wins elsewhere.
+    y_prime = np.where(base_labels != -1, base_labels,
+                       np.where(np.isin(raw, kept), raw, -1))
+    return y_prime, agreement, kept
 
 
 def ps_refine(

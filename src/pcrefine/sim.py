@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .prototypes import SupportSet, SupportShot
-from .scene import ClassSchema, PointCloudScene
+from .scene import ClassSchema, PointCloudScene, _check_number
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ class NoiseSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        _check_number("seed", self.seed, integer=True, lo=0)
 
 
 def gen_scene(spec: SceneSpec) -> PointCloudScene:

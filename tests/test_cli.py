@@ -613,6 +613,22 @@ def test_flag_fault_is_json_error(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mix", "--manifest", "m.json", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["mix", "--manifest", "m.json", "--margin", "nan"], "crop_margin_xy must be >= 0, got nan"),
+    (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_config_fault_is_json_error_before_any_write(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == EXIT_CONTRACT
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert message in error["message"]
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["refine", "--help"])

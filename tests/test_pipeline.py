@@ -13,15 +13,21 @@ from pcrefine import (
     corrupt_predictions,
     gen_scene,
     make_support,
+    ps_refine,
     refine_labels,
     support_prototypes,
 )
 from pcrefine.errors import AlignmentError, ContractError
-from pcrefine.infill import _openblas_thread_functions, infill
+from pcrefine.infill import (
+    _openblas_thread_functions,
+    adaptive_set,
+    context_prototypes,
+    infill,
+)
 from pcrefine.metrics import ConfusionMatrix, accumulate, pseudo_label_quality
 from pcrefine.prototypes import PrototypeSet
 from pcrefine.scene import checked_labels
-from pcrefine.selection import merge_into_background, select_and_merge
+from pcrefine.selection import select_and_merge
 from pcrefine.sim import base_only_labels, random_scene_spec
 
 SCHEMA = ClassSchema(
@@ -73,6 +79,35 @@ class TestStoredDtype:
         assert kept and filtered and infilled
 
 
+class TestCoreMatchesPublicStages:
+    def test_labels_and_report_against_the_public_stages(self):
+        reached = {"kept": 0, "filtered": 0, "infilled": 0}
+        for seed in range(3):
+            feats, raw, base, support = noisy_case(seed)
+            for tau, delta in [(0.3, 0.5), (0.6, 0.8), (0.9, 0.95), (0.99, -1.0)]:
+                sel_cfg, inf_cfg = SelectionConfig(tau), InfillConfig(delta)
+                y, report = refine_labels(feats, raw, base, support, SCHEMA, sel_cfg, inf_cfg)
+                y_prime = ps_refine(feats, raw, base, support, sel_cfg, SCHEMA)
+                adaptive = adaptive_set(
+                    context_prototypes(feats, y_prime, SCHEMA), support, SCHEMA)
+                y_final = infill(y_prime, feats, adaptive, inf_cfg)
+                np.testing.assert_array_equal(y, y_final)
+                assert y.dtype == y_final.dtype
+                agreement = report.class_agreement
+                expected = {
+                    "kept_classes": [c for c, s in sorted(agreement.items()) if s >= tau],
+                    "filtered_classes": [c for c, s in sorted(agreement.items()) if s < tau],
+                    "selected_points": int(((y_prime != -1) & (base == -1)).sum()),
+                    "infilled_points": int((y_final != y_prime).sum()),
+                }
+                assert {k: getattr(report, k) for k in expected} == expected
+                reached["kept"] += len(report.kept_classes)
+                reached["filtered"] += len(report.filtered_classes)
+                reached["infilled"] += report.infilled_points
+        # The grid exercises both selection outcomes and infilling.
+        assert all(reached.values()), reached
+
+
 class TestChecksOnce:
     def test_each_label_vector_checked_once_per_refine(self, monkeypatch):
         checked = []
@@ -85,7 +120,7 @@ class TestChecksOnce:
             monkeypatch.setattr(sys.modules[module], "checked_labels", recording)
         feats, raw, base, support = noisy_case(0)
         refine_labels(feats, raw, base, support, SCHEMA)
-        assert checked == ["raw", "base", "y_prime"]
+        assert checked == ["raw", "base"]
 
 
 class TestNonFiniteFeatures:
@@ -131,12 +166,7 @@ N_BASE, N = SCHEMA.n_base, SCHEMA.n_classes
 GT = np.array([0, 1, N_BASE, N - 1, -1, N_BASE + 1])
 FILTERED = np.array([-1, N_BASE, -1, N - 1, N_BASE + 1, -1])
 INT64_MAX = np.iinfo(np.int64).max
-BASE = np.array([0, -1, 2, -1, -1, 1])
 CONTRACT_CALLS = {
-    "merge_into_background:filtered": (
-        FILTERED, "filtered", N, lambda y: merge_into_background(BASE, y, SCHEMA)),
-    "merge_into_background:base": (
-        BASE, "base", N_BASE, lambda y: merge_into_background(y, FILTERED, SCHEMA)),
     "infill": (
         FILTERED, "y_prime", INT64_MAX,
         lambda y: infill(y, np.eye(6), PrototypeSet({N_BASE: np.ones(6)}), InfillConfig())),

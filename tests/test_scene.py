@@ -6,10 +6,70 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcrefine import ClassSchema, PointCloudScene, VoxelConfig, save_scene, voxel_labels, voxelize
+from pcrefine import (
+    ClassSchema,
+    InfillConfig,
+    MixConfig,
+    NoiseSpec,
+    PointCloudScene,
+    SelectionConfig,
+    SyntheticProviderConfig,
+    VoxelConfig,
+    save_scene,
+    voxel_labels,
+    voxelize,
+)
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
 import pcrefine.scene as scene_module
 from pcrefine.scene import _voxel_cells, check_finite, checked_labels
+
+
+# Each config field that _check_number guards: a value it rejects and the
+# start of the message, which names the field.
+CONFIG_FAULTS = [
+    (SelectionConfig, "tau", True, "tau must be a number"),
+    (SelectionConfig, "tau", "0.5", "tau must be a number"),
+    (SelectionConfig, "tau", None, "tau must be a number"),
+    (InfillConfig, "delta", True, "delta must be a number"),
+    (InfillConfig, "delta", "0.9", "delta must be a number"),
+    (VoxelConfig, "grid_size", True, "grid_size must be a number"),
+    (VoxelConfig, "grid_size", "0.1", "grid_size must be a number"),
+    (MixConfig, "n_blocks", 2.5, "n_blocks must be an integer"),
+    (MixConfig, "n_blocks", True, "n_blocks must be an integer"),
+    (MixConfig, "n_blocks", 0, "n_blocks must be >= 1"),
+    (MixConfig, "crop_margin_xy", math.nan, "crop_margin_xy must be >= 0"),
+    (MixConfig, "crop_margin_xy", -1.0, "crop_margin_xy must be >= 0"),
+    (MixConfig, "crop_margin_xy", "1", "crop_margin_xy must be a number"),
+    (MixConfig, "seed", -1, "seed must be >= 0"),
+    (MixConfig, "seed", 1.0, "seed must be an integer"),
+    (NoiseSpec, "seed", -1, "seed must be >= 0"),
+    (NoiseSpec, "seed", False, "seed must be an integer"),
+    (SyntheticProviderConfig, "anchor_seed", -1, "anchor_seed must be >= 0"),
+    (SyntheticProviderConfig, "anchor_seed", 0.5, "anchor_seed must be an integer"),
+]
+
+CONFIG_VALUES = [
+    (SelectionConfig, "tau", np.float32(0.5)),
+    (SelectionConfig, "tau", 1),
+    (InfillConfig, "delta", -1),
+    (VoxelConfig, "grid_size", np.float64(0.1)),
+    (MixConfig, "n_blocks", np.int64(2)),
+    (MixConfig, "crop_margin_xy", 0),
+    (MixConfig, "seed", 0),
+    (NoiseSpec, "seed", np.int32(7)),
+    (SyntheticProviderConfig, "anchor_seed", 0),
+]
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("config, field, value, message", CONFIG_FAULTS)
+    def test_fault_names_the_field(self, config, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("config, field, value", CONFIG_VALUES)
+    def test_number_accepted(self, config, field, value):
+        assert getattr(config(**{field: value}), field) == value
 
 
 class TestSchema:

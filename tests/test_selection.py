@@ -6,10 +6,9 @@ from pcrefine import (
     SelectionConfig,
     cosine,
     masked_pool,
-    merge_into_background,
     ps_refine,
 )
-from pcrefine.errors import ConfigError, ContractError
+from pcrefine.errors import ConfigError
 from pcrefine.prototypes import novel_prototypes
 from pcrefine.selection import select_and_merge
 
@@ -28,11 +27,12 @@ def select(raw, predicted, support, tau, schema, d):
     feats = np.zeros((raw.shape[0], d))
     for c, v in predicted.items():
         feats[raw == c] = v
-    out, agreement = select_and_merge(
+    out, agreement, kept = select_and_merge(
         feats, raw, np.full(raw.shape[0], -1), PrototypeSet(support),
         SelectionConfig(tau), schema,
     )
     assert agreement == {c: cosine(v, support[c]) for c, v in predicted.items()}
+    assert kept == sorted(c for c, s in agreement.items() if s >= tau)
     return out
 
 
@@ -125,39 +125,6 @@ class TestSelect:
             if previous is not None:
                 assert labeled <= previous
             previous = labeled
-
-
-class TestMerge:
-    def test_base_untouched(self, schema):
-        base = np.array([0, 1, 2, 0])
-        filtered = np.array([5, 5, 5, 5])
-        np.testing.assert_array_equal(
-            merge_into_background(base, filtered, schema), base
-        )
-
-    def test_pure_pass_through(self, schema):
-        base = np.full(4, -1)
-        filtered = np.array([5, -1, 6, -1])
-        np.testing.assert_array_equal(
-            merge_into_background(base, filtered, schema), filtered
-        )
-
-    def test_matches_elementwise_oracle(self, schema):
-        rng = np.random.default_rng(3)
-        base = rng.choice([-1, 0, 1, 2], size=1000)
-        filtered = rng.choice([-1, 3, 4, 7], size=1000)
-        out = merge_into_background(base, filtered, schema)
-        for i in range(1000):
-            expected = base[i] if base[i] != -1 else filtered[i]
-            assert out[i] == expected
-
-    def test_base_index_in_filtered_rejected(self, schema):
-        with pytest.raises(ContractError):
-            merge_into_background(np.array([-1]), np.array([1]), schema)
-
-    def test_novel_in_base_labels_rejected(self, schema):
-        with pytest.raises(ContractError):
-            merge_into_background(np.array([5]), np.array([-1]), schema)
 
 
 class TestPsRefine:
