@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError
-from .scene import ClassSchema, PointCloudScene
+from .scene import ClassSchema, PointCloudScene, _check_number
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,8 @@ class SplitSpec:
     n_base: int
 
     def __post_init__(self):
-        if self.n_base < 1:
-            raise ConfigError(f"n_base must be >= 1, got {self.n_base}")
-        if self.freq_threshold < 1:
-            raise ConfigError(f"freq_threshold must be >= 1, got {self.freq_threshold}")
+        _check_number("freq_threshold", self.freq_threshold, integer=True, lo=1)
+        _check_number("n_base", self.n_base, integer=True, lo=1)
 
 
 def class_stats(scenes: Iterable[PointCloudScene], schema: ClassSchema) -> ClassStats:

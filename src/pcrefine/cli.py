@@ -22,7 +22,7 @@ from .infill import InfillConfig
 from .mix import MixConfig, mix
 from .pipeline import refine_labels
 from .prototypes import support_prototypes
-from .scene import ClassSchema, PointCloudScene, VoxelConfig, voxel_labels
+from .scene import ClassSchema, PointCloudScene, VoxelConfig, _check_number, checked_labels, voxel_labels
 from .scene_io import (
     Manifest,
     SceneEntry,
@@ -145,9 +145,9 @@ def _generic_schema(n_base: int, n_novel: int) -> ClassSchema:
 
 
 def cmd_simulate(args) -> None:
-    if args.base < 1 or args.novel < 1:
-        raise ConfigError("need at least one base and one novel class")
-    # The configs check --seed and the noise flags before any directory is made.
+    # The counts here, and --seed and the noise flags in the configs, are checked before any mkdir.
+    for flag in ("scenes", "support_scenes", "base", "novel", "shots"):
+        _check_number(f"--{flag.replace('_', '-')}", getattr(args, flag), integer=True, lo=1)
     noise = sim.NoiseSpec(p_miss=args.p_miss, erosion_frac=args.erosion,
                           flip_prob=args.flip, seed=args.seed)
     schema = _generic_schema(args.base, args.novel)
@@ -277,15 +277,8 @@ def cmd_mix(args) -> None:
 
 
 def _check_below(scene: PointCloudScene, n_classes: int) -> PointCloudScene:
-    """The scene, once its labels are known to lie below n_classes; the
-    scene checked them from below. mix copies labels into its output, so a
-    label past the schema is a ContractError naming the scene's file."""
-    if scene.labels.max() >= n_classes:
-        i = int(np.argmax(scene.labels >= n_classes))
-        raise ContractError(
-            f"{scene.source_path}: label {scene.labels[i]} at point {i} is outside "
-            f"the manifest schema's {n_classes} classes"
-        )
+    """The scene; mix copies its labels, so one past n_classes is a ContractError."""
+    checked_labels(f"{scene.source_path}:", scene.labels, hi=n_classes)
     return scene
 
 

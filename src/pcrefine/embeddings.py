@@ -77,8 +77,7 @@ def class_anchors(schema: ClassSchema, dim: int, anchor_seed: int) -> PrototypeS
     The first min(n_classes, dim) anchors are pairwise orthogonal; any
     remainder (dim < n_classes) is only normalized, with a warning.
     """
-    if dim <= 0:
-        raise ConfigError(f"feature dimension must be positive, got {dim}")
+    _check_number("dim", dim, integer=True, lo=1)
     n = schema.n_classes
     if dim < n:
         warnings.warn(
@@ -110,11 +109,10 @@ class SyntheticProviderConfig:
     confusion_prob: float = 0.0
 
     def __post_init__(self):
+        _check_number("dim", self.dim, integer=True, lo=1)
         _check_number("anchor_seed", self.anchor_seed, integer=True, lo=0)
-        if not 0.0 <= self.confusion_prob <= 1.0:
-            raise ConfigError(f"confusion_prob must be in [0, 1], got {self.confusion_prob}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _check_number("noise_sigma", self.noise_sigma, lo=0)
+        _check_number("confusion_prob", self.confusion_prob, lo=0, hi=1)
 
 
 class SyntheticFeatureProvider:

@@ -22,9 +22,7 @@ class InfillConfig:
     delta: float = 0.9
 
     def __post_init__(self):
-        _check_number("delta", self.delta)
-        if not -1.0 <= self.delta <= 1.0:
-            raise ConfigError(f"delta must be in [-1, 1], got {self.delta}")
+        _check_number("delta", self.delta, lo=-1, hi=1)
 
 
 def context_prototypes(

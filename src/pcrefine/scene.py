@@ -140,16 +140,25 @@ def checked_labels(
     return labels.astype(np.int64, copy=False)
 
 
-def _check_number(name: str, value, integer: bool = False, lo: float | None = None) -> None:
-    """Raise a ConfigError naming the field unless value is a real number (an
-    integral one, if integer is set) of at least lo, if lo is given. A bool
-    or a string is not a number, and NaN is below every bound."""
+def _check_number(name: str, value, integer: bool = False, lo=None, hi=None, gt=None) -> None:
+    """Raise a ConfigError naming the field unless value is a real number (an integer
+    if integer is set, else finite as a float) of at least lo and at most hi, or above
+    gt, for the bounds given. A bool or a string is not a number; NaN is in no interval."""
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if integer else numbers.Real):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    if lo is not None and not value >= lo:
-        raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    if gt is not None and not value > gt:
+        raise ConfigError(f"{name} must be > {gt}, got {value}")
+    if lo is not None and not (lo <= value if hi is None else lo <= value <= hi):
+        interval = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be {interval}, got {value}")
+    try:  # any integer is finite; math.isfinite overflows on a real int like 10**400
+        finite = integer or math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def checked_mask(name: str, mask: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -193,9 +202,7 @@ class VoxelConfig:
     grid_size: float = 0.02
 
     def __post_init__(self):
-        _check_number("grid_size", self.grid_size)
-        if not 0 < self.grid_size < math.inf:
-            raise ConfigError(f"grid_size must be positive and finite, got {self.grid_size}")
+        _check_number("grid_size", self.grid_size, gt=0)
 
 
 def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:

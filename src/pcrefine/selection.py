@@ -19,9 +19,7 @@ class SelectionConfig:
     tau: float = 0.6
 
     def __post_init__(self):
-        _check_number("tau", self.tau)
-        if not -1.0 <= self.tau <= 1.0:
-            raise ConfigError(f"tau must be in [-1, 1], got {self.tau}")
+        _check_number("tau", self.tau, lo=-1, hi=1)
 
 
 def prototype_agreement(

@@ -16,6 +16,14 @@ from .prototypes import SupportSet, SupportShot
 from .scene import ClassSchema, PointCloudScene, _check_number
 
 
+def _check_numbers(name: str, values, n: int, **interval) -> None:
+    """_check_number on each of n numbers held in a tuple or a list."""
+    if not isinstance(values, (tuple, list)) or len(values) != n:
+        raise ConfigError(f"{name} must be {n} numbers, got {values!r}")
+    for value in values:
+        _check_number(name, value, **interval)
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """An axis-aligned box of labeled points: center/size in meters,
@@ -27,10 +35,10 @@ class BoxSpec:
     density: float
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise ConfigError(f"box density must be positive, got {self.density}")
-        if any(s <= 0 for s in self.size):
-            raise ConfigError(f"box size must be positive, got {self.size}")
+        _check_number("class_id", self.class_id, integer=True, lo=-1)
+        _check_numbers("center", self.center, 3)
+        _check_numbers("size", self.size, 3, gt=0)
+        _check_number("density", self.density, gt=0)
 
     @property
     def volume(self) -> float:
@@ -47,10 +55,10 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
-        if self.extent[0] <= 0 or self.extent[1] <= 0:
-            raise ConfigError(f"extent must be positive, got {self.extent}")
-        if self.floor_density <= 0:
-            raise ConfigError(f"floor_density must be positive, got {self.floor_density}")
+        _check_numbers("extent", self.extent, 2, gt=0)
+        _check_number("floor_class", self.floor_class, integer=True, lo=-1)
+        _check_number("floor_density", self.floor_density, gt=0)
+        _check_number("seed", self.seed, integer=True, lo=0)
 
 
 @dataclass(frozen=True)
@@ -65,9 +73,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("p_miss", "erosion_frac", "flip_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
+            _check_number(name, getattr(self, name), lo=0, hi=1)
         _check_number("seed", self.seed, integer=True, lo=0)
 
 

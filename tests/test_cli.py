@@ -617,6 +617,18 @@ def test_flag_fault_is_json_error(capsys, argv, message):
     (["mix", "--manifest", "m.json", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["mix", "--manifest", "m.json", "--margin", "nan"], "crop_margin_xy must be >= 0, got nan"),
     (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["simulate", "--noise-sigma", "nan"], "noise_sigma must be >= 0, got nan"),
+    (["simulate", "--noise-sigma", "inf"], "noise_sigma must be finite, got inf"),
+    (["simulate", "--confusion", "nan"], "confusion_prob must be in [0, 1], got nan"),
+    (["simulate", "--flip", "inf"], "flip_prob must be in [0, 1], got inf"),
+    (["simulate", "--dim", "0"], "dim must be >= 1, got 0"),
+    (["simulate", "--scenes", "0"], "--scenes must be >= 1, got 0"),
+    (["simulate", "--scenes", "-3"], "--scenes must be >= 1, got -3"),
+    (["simulate", "--support-scenes", "0"], "--support-scenes must be >= 1, got 0"),
+    (["simulate", "--base", "0"], "--base must be >= 1, got 0"),
+    (["simulate", "--novel", "0"], "--novel must be >= 1, got 0"),
+    (["simulate", "--shots", "0"], "--shots must be >= 1, got 0"),
+    (["mix", "--manifest", "m.json", "--margin", "inf"], "crop_margin_xy must be finite, got inf"),
 ])
 def test_config_fault_is_json_error_before_any_write(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -692,15 +704,19 @@ class TestEval:
                               "--grid", "0.1")
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("grid", ["-1", "nan", "inf"])
-    def test_bad_grid(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param("-1", "grid_size must be > 0, got -1.0", id="-1"),
+        pytest.param("nan", "grid_size must be > 0, got nan", id="nan"),
+        pytest.param("inf", "grid_size must be finite, got inf", id="inf"),
+    ])
+    def test_bad_grid(self, tmp_path, capsys, grid, message):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
         code, out, err = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
                              "--pred-dir", str(tmp_path), "--grid", grid)
         assert code == EXIT_CONTRACT
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigError"
-        assert "grid_size must be positive" in error["message"]
+        assert message in error["message"]
         assert out == ""
 
 

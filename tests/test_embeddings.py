@@ -182,6 +182,16 @@ class TestAnchors:
         with pytest.raises(ConfigError):
             class_anchors(schema, dim=0, anchor_seed=0)
 
+    @pytest.mark.parametrize("dim, message", [
+        (-3, "dim must be >= 1, got -3"),
+        (2.5, "dim must be an integer, got 2.5"),
+        (True, "dim must be an integer, got True"),
+        ("16", "dim must be an integer, got '16'"),
+    ])
+    def test_dim_checked_like_a_config_field(self, schema, dim, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            class_anchors(schema, dim=dim, anchor_seed=0)
+
     def test_small_dim_warns(self, schema):
         with pytest.warns(UserWarning, match="not orthogonal"):
             class_anchors(schema, dim=2, anchor_seed=0)

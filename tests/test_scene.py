@@ -1,18 +1,25 @@
+import dataclasses
 import functools
 import math
+import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import from_dtype
 
 from pcrefine import (
+    BoxSpec,
     ClassSchema,
     InfillConfig,
     MixConfig,
     NoiseSpec,
     PointCloudScene,
+    SceneSpec,
     SelectionConfig,
+    SplitSpec,
     SyntheticProviderConfig,
     VoxelConfig,
     save_scene,
@@ -23,6 +30,15 @@ from pcrefine.errors import AlignmentError, ConfigError, ContractError
 import pcrefine.scene as scene_module
 from pcrefine.scene import _voxel_cells, check_finite, checked_labels
 
+
+HUGE = 10**400  # an int past float64 max
+
+# The fields a config needs besides the one a test sets.
+REQUIRED = {
+    SplitSpec: {"freq_threshold": 1, "n_base": 1},
+    BoxSpec: {"class_id": 0, "center": (1.0, 1.0, 1.0), "size": (1.0, 1.0, 1.0), "density": 1.0},
+    SceneSpec: {"extent": (4.0, 4.0)},
+}
 
 # Each config field that _check_number guards: a value it rejects and the
 # start of the message, which names the field.
@@ -46,6 +62,64 @@ CONFIG_FAULTS = [
     (NoiseSpec, "seed", False, "seed must be an integer"),
     (SyntheticProviderConfig, "anchor_seed", -1, "anchor_seed must be >= 0"),
     (SyntheticProviderConfig, "anchor_seed", 0.5, "anchor_seed must be an integer"),
+    (SelectionConfig, "tau", math.nan, "tau must be in [-1, 1], got nan"),
+    (SelectionConfig, "tau", math.inf, "tau must be in [-1, 1], got inf"),
+    (SelectionConfig, "tau", -1.5, "tau must be in [-1, 1], got -1.5"),
+    pytest.param(SelectionConfig, "tau", HUGE, "tau must be in [-1, 1]", id="tau-huge"),
+    (InfillConfig, "delta", math.nan, "delta must be in [-1, 1], got nan"),
+    (InfillConfig, "delta", -math.inf, "delta must be in [-1, 1], got -inf"),
+    (InfillConfig, "delta", 1.01, "delta must be in [-1, 1], got 1.01"),
+    (VoxelConfig, "grid_size", 0.0, "grid_size must be > 0, got 0.0"),
+    (VoxelConfig, "grid_size", math.inf, "grid_size must be finite, got inf"),
+    pytest.param(VoxelConfig, "grid_size", HUGE, "grid_size must be finite", id="grid-huge"),
+    (MixConfig, "n_blocks", math.inf, "n_blocks must be an integer"),
+    (MixConfig, "crop_margin_xy", math.inf, "crop_margin_xy must be finite, got inf"),
+    (MixConfig, "seed", math.nan, "seed must be an integer"),
+    (SplitSpec, "freq_threshold", 1.5, "freq_threshold must be an integer, got 1.5"),
+    (SplitSpec, "freq_threshold", True, "freq_threshold must be an integer, got True"),
+    (SplitSpec, "freq_threshold", "1", "freq_threshold must be an integer, got '1'"),
+    (SplitSpec, "freq_threshold", 0, "freq_threshold must be >= 1, got 0"),
+    (SplitSpec, "n_base", True, "n_base must be an integer, got True"),
+    (SplitSpec, "n_base", 2.0, "n_base must be an integer, got 2.0"),
+    (SplitSpec, "n_base", 0, "n_base must be >= 1, got 0"),
+    (NoiseSpec, "p_miss", True, "p_miss must be a number, got True"),
+    (NoiseSpec, "p_miss", math.nan, "p_miss must be in [0, 1], got nan"),
+    (NoiseSpec, "erosion_frac", -0.1, "erosion_frac must be in [0, 1], got -0.1"),
+    (NoiseSpec, "erosion_frac", math.inf, "erosion_frac must be in [0, 1], got inf"),
+    (NoiseSpec, "flip_prob", "0.1", "flip_prob must be a number, got '0.1'"),
+    (NoiseSpec, "flip_prob", 1.5, "flip_prob must be in [0, 1], got 1.5"),
+    (SyntheticProviderConfig, "dim", 2.5, "dim must be an integer, got 2.5"),
+    (SyntheticProviderConfig, "dim", 0, "dim must be >= 1, got 0"),
+    (SyntheticProviderConfig, "dim", True, "dim must be an integer, got True"),
+    (SyntheticProviderConfig, "noise_sigma", math.nan, "noise_sigma must be >= 0, got nan"),
+    (SyntheticProviderConfig, "noise_sigma", math.inf, "noise_sigma must be finite, got inf"),
+    (SyntheticProviderConfig, "noise_sigma", -0.1, "noise_sigma must be >= 0, got -0.1"),
+    pytest.param(SyntheticProviderConfig, "noise_sigma", HUGE, "noise_sigma must be finite",
+                 id="noise_sigma-huge"),
+    (SyntheticProviderConfig, "confusion_prob", True, "confusion_prob must be a number, got True"),
+    (SyntheticProviderConfig, "confusion_prob", 1.5, "confusion_prob must be in [0, 1], got 1.5"),
+    (SyntheticProviderConfig, "confusion_prob", math.nan, "confusion_prob must be in [0, 1]"),
+    (BoxSpec, "class_id", 1.0, "class_id must be an integer, got 1.0"),
+    (BoxSpec, "class_id", -2, "class_id must be >= -1, got -2"),
+    (BoxSpec, "center", (1.0, math.nan, 1.0), "center must be finite, got nan"),
+    (BoxSpec, "center", (1.0, 1.0), "center must be 3 numbers"),
+    (BoxSpec, "center", "abc", "center must be 3 numbers"),
+    (BoxSpec, "size", (1.0, -1.0, 1.0), "size must be > 0, got -1.0"),
+    (BoxSpec, "size", (1.0, 1.0, math.inf), "size must be finite, got inf"),
+    (BoxSpec, "size", (1.0, "1", 1.0), "size must be a number, got '1'"),
+    (BoxSpec, "size", 1.0, "size must be 3 numbers"),
+    (BoxSpec, "density", math.nan, "density must be > 0, got nan"),
+    (BoxSpec, "density", "300", "density must be a number, got '300'"),
+    (BoxSpec, "density", math.inf, "density must be finite, got inf"),
+    (SceneSpec, "extent", (4.0, math.nan), "extent must be > 0, got nan"),
+    (SceneSpec, "extent", (0.0, 4.0), "extent must be > 0, got 0.0"),
+    (SceneSpec, "extent", (4.0, "4"), "extent must be a number, got '4'"),
+    (SceneSpec, "extent", (4.0, 4.0, 4.0), "extent must be 2 numbers"),
+    (SceneSpec, "floor_class", 0.5, "floor_class must be an integer, got 0.5"),
+    (SceneSpec, "floor_density", math.nan, "floor_density must be > 0, got nan"),
+    (SceneSpec, "floor_density", "60", "floor_density must be a number, got '60'"),
+    (SceneSpec, "seed", -1, "seed must be >= 0, got -1"),
+    (SceneSpec, "seed", True, "seed must be an integer, got True"),
 ]
 
 CONFIG_VALUES = [
@@ -58,18 +132,68 @@ CONFIG_VALUES = [
     (MixConfig, "seed", 0),
     (NoiseSpec, "seed", np.int32(7)),
     (SyntheticProviderConfig, "anchor_seed", 0),
+    (SelectionConfig, "tau", -1),
+    (InfillConfig, "delta", np.float32(1.0)),
+    (VoxelConfig, "grid_size", 1e-300),
+    (MixConfig, "crop_margin_xy", 1e300),
+    pytest.param(MixConfig, "seed", HUGE, id="MixConfig-seed-huge"),
+    (SplitSpec, "freq_threshold", np.int64(1)),
+    (SplitSpec, "n_base", 12),
+    (NoiseSpec, "p_miss", 1),
+    (NoiseSpec, "erosion_frac", np.float32(0.5)),
+    (NoiseSpec, "flip_prob", Fraction(1, 3)),
+    (SyntheticProviderConfig, "dim", np.int64(16)),
+    (SyntheticProviderConfig, "noise_sigma", 0),
+    (SyntheticProviderConfig, "confusion_prob", 1),
+    (BoxSpec, "class_id", -1),
+    (BoxSpec, "center", [np.float64(-5.0), 0, 1e9]),
+    (BoxSpec, "size", (np.float32(0.5), 1, 2.0)),
+    (BoxSpec, "density", 1e-6),
+    (SceneSpec, "extent", (np.float64(8.0), 1)),
+    (SceneSpec, "floor_class", np.int64(2)),
+    (SceneSpec, "floor_density", 60),
+    (SceneSpec, "seed", np.uint32(2**31)),
 ]
+
+# Every number field of every config, for the fuzz test below.
+NUMBER_FIELDS = {
+    config: [f.name for f in dataclasses.fields(config) if f.name != "objects"]
+    for config in (SelectionConfig, InfillConfig, VoxelConfig, MixConfig, SplitSpec,
+                   NoiseSpec, SyntheticProviderConfig, BoxSpec, SceneSpec)
+}
+
+# A value of any kind: numbers of every type and size, numpy scalars, NaN and
+# infinities, bools, strings, None, and tuples of these for the vector fields.
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(), st.just(HUGE),
+    st.floats(), st.fractions(), st.decimals(), st.complex_numbers(),
+    *(from_dtype(np.dtype(t)) for t in ("bool", "int8", "uint64", "float16", "float32")),
+)
+ANY_VALUE = st.one_of(_SCALAR, st.lists(_SCALAR, max_size=4), st.tuples(_SCALAR, _SCALAR),
+                      st.tuples(_SCALAR, _SCALAR, _SCALAR))
 
 
 class TestConfigNumbers:
     @pytest.mark.parametrize("config, field, value, message", CONFIG_FAULTS)
     def test_fault_names_the_field(self, config, field, value, message):
-        with pytest.raises(ConfigError, match=f"^{message}"):
-            config(**{field: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            config(**{**REQUIRED.get(config, {}), field: value})
 
     @pytest.mark.parametrize("config, field, value", CONFIG_VALUES)
     def test_number_accepted(self, config, field, value):
-        assert getattr(config(**{field: value}), field) == value
+        assert getattr(config(**{**REQUIRED.get(config, {}), field: value}), field) == value
+
+    @pytest.mark.parametrize("config", NUMBER_FIELDS, ids=lambda config: config.__name__)
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_any_value_is_kept_or_a_config_error(self, config, data):
+        field = data.draw(st.sampled_from(NUMBER_FIELDS[config]))
+        value = data.draw(ANY_VALUE)
+        try:
+            built = config(**{**REQUIRED.get(config, {}), field: value})
+        except ConfigError:
+            return
+        assert getattr(built, field) is value
 
 
 class TestSchema:
@@ -215,10 +339,14 @@ class TestVoxelize:
         with pytest.raises(ConfigError):
             VoxelConfig(0.0)
 
-    @pytest.mark.parametrize("grid", [np.inf, -np.inf, np.nan])
-    def test_non_finite_grid_rejected(self, grid):
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param(np.inf, "grid_size must be finite", id="inf"),
+        pytest.param(-np.inf, "grid_size must be > 0", id="-inf"),
+        pytest.param(np.nan, "grid_size must be > 0", id="nan"),
+    ])
+    def test_non_finite_grid_rejected(self, grid, message):
         # An infinite grid would put every scene into one voxel.
-        with pytest.raises(ConfigError, match="grid_size must be positive and finite"):
+        with pytest.raises(ConfigError, match=message):
             VoxelConfig(grid)
 
     @settings(max_examples=30, deadline=None)
