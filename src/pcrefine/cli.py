@@ -261,11 +261,12 @@ def cmd_mix(args) -> None:
     n_classes = manifest.schema.n_classes
     for shots in support.shots.values():
         for shot in shots:
-            _check_below(shot.scene, n_classes)
+            checked_labels(f"{shot.scene.source_path}:", shot.scene.labels, hi=n_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
-        scene = _check_below(load_scene(manifest.resolve(entry.path)), n_classes)
+        scene = load_scene(manifest.resolve(entry.path))
+        checked_labels(f"{scene.source_path}:", scene.labels, hi=n_classes)
         rng = np.random.default_rng([args.seed, i])
         mixed = mix(scene, support, cfg, rng)
         save_scene(mixed, out / f"{entry.scene_id}.ply")
@@ -274,12 +275,6 @@ def cmd_mix(args) -> None:
         "mixed_scenes": len(entries),
         "blocks": args.blocks,
     }))
-
-
-def _check_below(scene: PointCloudScene, n_classes: int) -> PointCloudScene:
-    """The scene; mix copies its labels, so one past n_classes is a ContractError."""
-    checked_labels(f"{scene.source_path}:", scene.labels, hi=n_classes)
-    return scene
 
 
 def cmd_stats(args) -> None:

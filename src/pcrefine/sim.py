@@ -15,10 +15,14 @@ from .errors import ConfigError, ContractError
 from .prototypes import SupportSet, SupportShot
 from .scene import ClassSchema, PointCloudScene, _check_number
 
+# The largest label a scene holds: checked_labels wants int64 labels below int64 max.
+_MAX_LABEL = int(np.iinfo(np.int64).max) - 1
+
 
 def _check_numbers(name: str, values, n: int, **interval) -> None:
-    """_check_number on each of n numbers held in a tuple or a list."""
-    if not isinstance(values, (tuple, list)) or len(values) != n:
+    """_check_number on each of n numbers held in a tuple, a list or a 1-D array."""
+    if not (isinstance(values, (tuple, list)) or isinstance(values, np.ndarray)
+            and values.ndim == 1) or len(values) != n:
         raise ConfigError(f"{name} must be {n} numbers, got {values!r}")
     for value in values:
         _check_number(name, value, **interval)
@@ -35,7 +39,7 @@ class BoxSpec:
     density: float
 
     def __post_init__(self):
-        _check_number("class_id", self.class_id, integer=True, lo=-1)
+        _check_number("class_id", self.class_id, integer=True, lo=-1, hi=_MAX_LABEL)
         _check_numbers("center", self.center, 3)
         _check_numbers("size", self.size, 3, gt=0)
         _check_number("density", self.density, gt=0)
@@ -56,7 +60,7 @@ class SceneSpec:
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
         _check_numbers("extent", self.extent, 2, gt=0)
-        _check_number("floor_class", self.floor_class, integer=True, lo=-1)
+        _check_number("floor_class", self.floor_class, integer=True, lo=-1, hi=_MAX_LABEL)
         _check_number("floor_density", self.floor_density, gt=0)
         _check_number("seed", self.seed, integer=True, lo=0)
 

@@ -100,7 +100,7 @@ CONFIG_FAULTS = [
     (SyntheticProviderConfig, "confusion_prob", 1.5, "confusion_prob must be in [0, 1], got 1.5"),
     (SyntheticProviderConfig, "confusion_prob", math.nan, "confusion_prob must be in [0, 1]"),
     (BoxSpec, "class_id", 1.0, "class_id must be an integer, got 1.0"),
-    (BoxSpec, "class_id", -2, "class_id must be >= -1, got -2"),
+    (BoxSpec, "class_id", -2, "class_id must be in [-1, 9223372036854775806], got -2"),
     (BoxSpec, "center", (1.0, math.nan, 1.0), "center must be finite, got nan"),
     (BoxSpec, "center", (1.0, 1.0), "center must be 3 numbers"),
     (BoxSpec, "center", "abc", "center must be 3 numbers"),
@@ -120,6 +120,10 @@ CONFIG_FAULTS = [
     (SceneSpec, "floor_density", "60", "floor_density must be a number, got '60'"),
     (SceneSpec, "seed", -1, "seed must be >= 0, got -1"),
     (SceneSpec, "seed", True, "seed must be an integer, got True"),
+    (BoxSpec, "class_id", 2**63, "class_id must be in [-1, 9223372036854775806], got 9223372036854775808"),
+    (BoxSpec, "center", np.zeros((3, 1)), "center must be 3 numbers"),
+    (SceneSpec, "floor_class", 2**63, "floor_class must be in [-1, 9223372036854775806], got 9223372036854775808"),
+    (SceneSpec, "extent", np.array(["4", "4"]), "extent must be a number, got np.str_('4')"),
 ]
 
 CONFIG_VALUES = [

@@ -52,6 +52,16 @@ class TestGenScene:
         with pytest.raises(ConfigError, match="outside"):
             gen_scene(spec)
 
+    def test_extreme_accepted_spec_builds(self):
+        # Vector fields may be 1-D arrays, and a class id may be the largest label a scene holds.
+        top = 2**63 - 2
+        spec = SceneSpec(np.array([4.0, 4.0]), (box(top, np.array([2.0, 2.0, 0.5]), np.ones(3)),),
+                         floor_class=top, seed=4)
+        scene = gen_scene(spec)
+        assert (scene.labels == top).all()
+        as_tuples = gen_scene(SceneSpec((4.0, 4.0), (box(top),), floor_class=top, seed=4))
+        np.testing.assert_array_equal(scene.positions, as_tuples.positions)
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             SceneSpec(extent=(0.0, 4.0))
