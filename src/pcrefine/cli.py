@@ -19,13 +19,14 @@ from .embeddings import FileFeatureProvider, SyntheticFeatureProvider, Synthetic
 from .embeddings import load_embeddings, save_embeddings
 from .errors import ConfigError, ContractError, FormatError, PcrefineError
 from .infill import InfillConfig
-from .mix import MixConfig, mix
+from .mix import MixConfig, _blocks
 from .pipeline import refine_labels
 from .prototypes import support_prototypes
 from .scene import ClassSchema, PointCloudScene, VoxelConfig, _check_number, checked_labels, voxel_labels
 from .scene_io import (
     Manifest,
     SceneEntry,
+    _append_blocks,
     _read_geometry,
     load_labels,
     load_manifest,
@@ -265,11 +266,13 @@ def cmd_mix(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
-        scene = load_scene(manifest.resolve(entry.path))
-        checked_labels(f"{scene.source_path}:", scene.labels, hi=n_classes)
-        rng = np.random.default_rng([args.seed, i])
-        mixed = mix(scene, support, cfg, rng)
-        save_scene(mixed, out / f"{entry.scene_id}.ply")
+        path = manifest.resolve(entry.path)
+        positions, labels, rec = _read_geometry(path)
+        checked_labels(f"{path}:", labels, hi=n_classes)
+        # save_scene(mix(scene, support, cfg, rng)), with the base points,
+        # which mix never alters, written from the record as read.
+        blocks = _blocks(positions, support, cfg, np.random.default_rng([args.seed, i]))
+        _append_blocks(out / f"{entry.scene_id}.ply", rec, blocks)
     print(json.dumps({
         "version": REPORT_SCHEMA_VERSION,
         "mixed_scenes": len(entries),

@@ -93,13 +93,28 @@ def mix(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    blocks = _blocks(base.positions, support, cfg, rng)
+    positions, labels, colors = zip((base.positions, base.labels, base.colors), *blocks)
+    mixed = PointCloudScene(positions=np.concatenate(positions), labels=np.concatenate(labels))
+    if all(col is not None for col in colors):
+        # Copies of checked scenes' colours: set after construction, they
+        # skip the scene's finite check, a pass over 24 MB per 1M points.
+        mixed.colors = np.concatenate(colors)
+    return mixed
+
+
+def _blocks(
+    base_positions: np.ndarray, support: SupportSet, cfg: MixConfig, rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """The (positions, labels, colors) of each block mix inserts around a base
+    cloud at base_positions, in order; only the base's corners and floor are read."""
     classes = support.classes()
     # The grown cloud's corners and floor, carried block to block. Taking
     # each corner over the pair (carried, block) keeps corners_xy's rule:
     # ties and NaN resolve as argmax/argmin over the whole cloud would.
-    corners = corners_xy(base.positions)
-    floor = base.positions[:, 2].min()
-    positions, labels, colors = [base.positions], [base.labels], [base.colors]
+    corners = corners_xy(base_positions)
+    floor = base_positions[:, 2].min()
+    blocks = []
     for _ in range(cfg.n_blocks):
         c = classes[int(rng.integers(0, len(classes)))]
         shot = support.shots[c][int(rng.integers(0, support.k))]
@@ -116,12 +131,5 @@ def mix(
         block = corners_xy(moved)
         corners = {k: corners_xy(np.stack([corners[k], block[k]]))[k] for k in PAIRINGS}
         floor = np.min([floor, moved[:, 2].min()])
-        positions.append(moved)
-        labels.append(cropped.labels)
-        colors.append(cropped.colors)
-    mixed = PointCloudScene(positions=np.concatenate(positions), labels=np.concatenate(labels))
-    if all(col is not None for col in colors):
-        # Copies of checked scenes' colours: set after construction, they
-        # skip the scene's finite check, a pass over 24 MB per 1M points.
-        mixed.colors = np.concatenate(colors)
-    return mixed
+        blocks.append((moved, cropped.labels, cropped.colors))
+    return blocks

@@ -147,18 +147,29 @@ def _check_number(name: str, value, integer: bool = False, lo=None, hi=None, gt=
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if integer else numbers.Real):
         kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        raise ConfigError(f"{name} must be {kind}, got {_shown(value, repr)}")
     if gt is not None and not value > gt:
-        raise ConfigError(f"{name} must be > {gt}, got {value}")
+        raise ConfigError(f"{name} must be > {gt}, got {_shown(value)}")
     if lo is not None and not (lo <= value if hi is None else lo <= value <= hi):
         interval = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{name} must be {interval}, got {value}")
+        raise ConfigError(f"{name} must be {interval}, got {_shown(value)}")
     try:  # any integer is finite; math.isfinite overflows on a real int like 10**400
         finite = integer or math.isfinite(value)
     except OverflowError:
         finite = False
     if not finite:
-        raise ConfigError(f"{name} must be finite, got {value}")
+        raise ConfigError(f"{name} must be finite, got {_shown(value)}")
+
+
+def _shown(value, form=str) -> str:
+    """form(value) for an error message. An int too long for Python's int-to-string
+    limit, alone or inside a container, shows as its size instead."""
+    try:
+        return form(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 def checked_mask(name: str, mask: np.ndarray, n: int | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import save_embeddings
-from .errors import ConfigError, ContractError, FormatError
+from .errors import AlignmentError, ConfigError, ContractError, FormatError
 from .prototypes import SupportSet, SupportShot
 from .scene import ClassSchema, PointCloudScene, check_finite, checked_mask
 
@@ -32,42 +32,78 @@ class MissingLabelWarning(UserWarning):
 
 
 # Vertex property name -> (the PLY type names it may be declared as, the
-# little-endian numpy type it is stored as).
+# first being the one written, and the little-endian numpy type it is stored as).
 _PROPERTIES = {
-    **dict.fromkeys(("x", "y", "z"), ({"float", "float32"}, "<f4")),
-    **dict.fromkeys(("red", "green", "blue"), ({"uchar", "uint8"}, "u1")),
-    "label": ({"int", "int32"}, "<i4"),
+    **dict.fromkeys(("x", "y", "z"), (("float", "float32"), "<f4")),
+    **dict.fromkeys(("red", "green", "blue"), (("uchar", "uint8"), "u1")),
+    "label": (("int", "int32"), "<i4"),
 }
 
 
 def save_scene(scene: PointCloudScene, path: str | Path) -> None:
     """Write a scene as binary little-endian PLY; positions stored as float32,
     labels as int32."""
-    path = Path(path)
-    has_color = scene.colors is not None
-    header = ["ply", "format binary_little_endian 1.0", f"element vertex {scene.point_count}"]
-    header += ["property float x", "property float y", "property float z"]
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-    if has_color:
-        header += ["property uchar red", "property uchar green", "property uchar blue"]
-        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-    header += ["property int label", "end_header"]
-    fields += [("label", "<i4")]
+    _write_vertices(path, [_vertex_record(scene.positions, scene.labels, scene.colors)])
 
+
+def _vertex_dtype(has_color: bool) -> np.dtype:
+    """The vertex record save_scene writes: x, y, z, then red, green, blue
+    if has_color, then label."""
+    names = ("x", "y", "z", *(("red", "green", "blue") if has_color else ()), "label")
+    return np.dtype([(name, _PROPERTIES[name][1]) for name in names])
+
+
+def _vertex_record(
+    positions: np.ndarray, labels: np.ndarray, colors: np.ndarray | None
+) -> np.ndarray:
+    """Points encoded as save_scene writes them, colours in [0, 1] rounded to bytes."""
     # Each column is cast straight into the record: no float32 or uint8 (N, 3) copy.
-    rec = np.empty(scene.point_count, dtype=np.dtype(fields))
+    rec = np.empty(positions.shape[0], dtype=_vertex_dtype(colors is not None))
     for k, name in enumerate(("x", "y", "z")):
-        rec[name] = scene.positions[:, k]
-    if has_color:
-        rgb = scene.colors * 255.0
+        rec[name] = positions[:, k]
+    if colors is not None:
+        rgb = colors * 255.0
         np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb)
         for k, name in enumerate(("red", "green", "blue")):
             rec[name] = rgb[:, k]
-    rec["label"] = scene.labels
+    rec["label"] = labels
+    return rec
 
+
+def _write_vertices(path: str | Path, records: list[np.ndarray]) -> None:
+    """Write vertex records of one dtype, one after another, as one binary
+    little-endian PLY."""
+    names = records[0].dtype.names
+    header = ["ply", "format binary_little_endian 1.0",
+              f"element vertex {sum(rec.shape[0] for rec in records)}"]
+    header += [f"property {_PROPERTIES[name][0][0]} {name}" for name in names]
     with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
-        f.write(rec)
+        f.write(("\n".join(header + ["end_header"]) + "\n").encode("ascii"))
+        for rec in records:
+            f.write(rec)
+
+
+def _append_blocks(
+    path: str | Path,
+    rec: np.ndarray,
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+) -> None:
+    """Write a base vertex record as read, then (positions, labels, colors)
+    blocks encoded, as the PLY save_scene would write for the whole: colours
+    are kept only if the base and every block have them. A base record laid
+    out otherwise (another property order, no label, colours to drop) is
+    copied field by field into save_scene's layout first, a missing label
+    as -1; each field converts exactly, so the bytes are the same."""
+    has_color = "red" in rec.dtype.names and all(colors is not None for *_, colors in blocks)
+    dtype = _vertex_dtype(has_color)
+    if rec.dtype != dtype:
+        # By name: astype would assign structured fields by position.
+        base = np.empty(rec.shape[0], dtype=dtype)
+        for name in dtype.names:
+            base[name] = rec[name] if name in rec.dtype.names else -1
+        rec = base
+    encoded = [_vertex_record(p, labels, c if has_color else None) for p, labels, c in blocks]
+    _write_vertices(path, [rec, *encoded])
 
 
 def load_scene(path: str | Path) -> PointCloudScene:
@@ -89,8 +125,9 @@ def load_scene(path: str | Path) -> PointCloudScene:
 
 
 def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A PLY file's positions, checked finite, its labels as int64 (for the
-    scene to check), and its vertex record, whose colours are left unread.
+    """A PLY file's positions, checked finite (and at least one), its labels
+    as int64 (for the scene to check), and its vertex record, whose colours
+    are left unread.
     Raises and warns as load_scene."""
     path = Path(path)
     with open(path, "rb") as f:
@@ -109,6 +146,8 @@ def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
             )
         rec = np.frombuffer(data, dtype=dtype, count=count, offset=body_offset)
 
+    if count < 1:
+        raise AlignmentError(f"{path}: a scene must contain at least one point")
     positions = _columns(rec, ("x", "y", "z"))
     check_finite(str(path), positions)
     # Cast in one pass over the packed record.

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .prototypes import SupportSet, SupportShot
-from .scene import ClassSchema, PointCloudScene, _check_number
+from .scene import ClassSchema, PointCloudScene, _check_number, _shown
 
 # The largest label a scene holds: checked_labels wants int64 labels below int64 max.
 _MAX_LABEL = int(np.iinfo(np.int64).max) - 1
@@ -23,7 +23,7 @@ def _check_numbers(name: str, values, n: int, **interval) -> None:
     """_check_number on each of n numbers held in a tuple, a list or a 1-D array."""
     if not (isinstance(values, (tuple, list)) or isinstance(values, np.ndarray)
             and values.ndim == 1) or len(values) != n:
-        raise ConfigError(f"{name} must be {n} numbers, got {values!r}")
+        raise ConfigError(f"{name} must be {n} numbers, got {_shown(values, repr)}")
     for value in values:
         _check_number(name, value, **interval)
 
@@ -58,7 +58,15 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+        try:
+            objects = tuple(self.objects)
+        except TypeError:
+            objects = None
+        if objects is None or not all(isinstance(obj, BoxSpec) for obj in objects):
+            raise ConfigError(
+                f"objects must be an iterable of BoxSpec, got {_shown(self.objects, repr)}"
+            )
+        object.__setattr__(self, "objects", objects)
         _check_numbers("extent", self.extent, 2, gt=0)
         _check_number("floor_class", self.floor_class, integer=True, lo=-1, hi=_MAX_LABEL)
         _check_number("floor_density", self.floor_density, gt=0)

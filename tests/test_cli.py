@@ -7,6 +7,7 @@ import operator
 import struct
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import from_dtype
 from numpy.lib.recfunctions import repack_fields
 
-from pcrefine import VoxelConfig, metrics, voxelize
+import pcrefine.cli as cli_module
+import pcrefine.scene_io as scene_io
+from pcrefine import MixConfig, VoxelConfig, metrics, mix, voxelize
 from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
 from pcrefine.embeddings import load_embeddings, save_embeddings
 from pcrefine.scene_io import (
@@ -23,6 +26,7 @@ from pcrefine.scene_io import (
     load_labels,
     load_manifest,
     load_scene,
+    load_support,
     save_scene,
 )
 
@@ -354,6 +358,116 @@ class TestMix:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def colour_ply(path, rng):
+    """Rewrite the PLY at path with random colours."""
+    scene = load_scene(path)
+    scene.colors = rng.uniform(0, 1, size=(scene.point_count, 3))
+    save_scene(scene, path)
+
+
+# A mix case: which PLYs carry colours, and how the train PLYs are then rewritten.
+MIX_LAYOUTS = {
+    "coloured": ({"train", "support"}, {}),
+    "colourless": (set(), {}),
+    "coloured_support": ({"support"}, {}),
+    "coloured_base": ({"train"}, {}),
+    "ascii": ({"train", "support"}, {"fmt": "ascii"}),
+    "ascii_colourless": (set(), {"fmt": "ascii"}),
+    "shuffled": ({"train", "support"},
+                 {"edit": lambda rec: rec[["label", "blue", "z", "red", "x", "green", "y"]]}),
+    "no_label": ({"train", "support"},
+                 {"edit": lambda rec: rec[["x", "y", "z", "red", "green", "blue"]]}),
+    "trailing_bytes": ({"train", "support"}, {"trailing": bytes(7)}),
+}
+
+
+@contextlib.contextmanager
+def warnings_recorded():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+
+
+def mix_corpus(tmp_path, capsys, layout):
+    """A 2-scene simulated corpus with 2 shots per class, laid out as MIX_LAYOUTS[layout]."""
+    coloured, rewrite = MIX_LAYOUTS[layout]
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "2", "--support-scenes": "4"})
+    rng = np.random.default_rng(3)
+    for role in coloured:
+        for path in sorted(corpus.glob("scenes/*.ply" if role == "train" else "support/*.ply")):
+            colour_ply(path, rng)
+    if rewrite:
+        for path in sorted(corpus.glob("scenes/*.ply")):
+            edit_ply_record(path, **rewrite)
+    return corpus
+
+
+class TestMixBytes:
+    """mix writes each scene's PLY byte for byte as the library would:
+    save_scene(mix(load_scene(f), support, cfg, default_rng([seed, i]))),
+    without decoding a train scene."""
+
+    @pytest.mark.parametrize("layout", list(MIX_LAYOUTS))
+    def test_equals_library_reference(self, tmp_path, capsys, monkeypatch, layout):
+        corpus = mix_corpus(tmp_path, capsys, layout)
+        manifest = load_manifest(corpus / "manifest.json")
+        train = manifest.entries("train")
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        support, _ = load_support(manifest)
+        cfg = MixConfig(n_blocks=3, crop_margin_xy=0.5, seed=4)
+        with warnings_recorded() as caught:
+            for i, entry in enumerate(train):
+                mixed = mix(load_scene(manifest.resolve(entry.path)), support, cfg,
+                            np.random.default_rng([4, i]))
+                save_scene(mixed, ref / f"{entry.scene_id}.ply")
+        decoded = []
+        decode = scene_io.load_scene
+        for module in (cli_module, scene_io):
+            monkeypatch.setattr(module, "load_scene",
+                                lambda path: decoded.append(Path(path)) or decode(path))
+        with warnings_recorded() as warned:
+            code, _, _ = run(capsys, "mix", "--manifest", str(corpus / "manifest.json"),
+                             "--out", str(tmp_path / "mixed"), "--blocks", "3",
+                             "--margin", "0.5", "--seed", "4")
+        assert code == EXIT_OK
+        assert [str(w.message) for w in warned] == [str(w.message) for w in caught]
+        for entry in train:
+            got = (tmp_path / f"mixed/{entry.scene_id}.ply").read_bytes()
+            assert got == (ref / f"{entry.scene_id}.ply").read_bytes(), entry.scene_id
+        # The support scenes load through the recorder; no train scene does.
+        assert decoded and not {manifest.resolve(e.path) for e in train} & set(decoded)
+        if layout == "no_label":
+            assert len(warned) == len(train)
+            for entry in train:
+                header = manifest.resolve(entry.path).read_bytes().split(b"\n")
+                n_base = int(header[2].removeprefix(b"element vertex "))
+                assert (load_scene(ref / f"{entry.scene_id}.ply").labels[:n_base] == -1).all()
+        if layout == "coloured_support":
+            assert b"red" not in got
+
+    @pytest.mark.parametrize("layout", ["coloured", "colourless", "shuffled"])
+    @pytest.mark.parametrize("fault", ["nan_position", "label_n_classes"])
+    def test_fault_in_train_ply_exits_2(self, tmp_path, capsys, layout, fault):
+        corpus = mix_corpus(tmp_path, capsys, layout)
+        n_classes = load_manifest(corpus / "manifest.json").schema.n_classes
+        path = corpus / "scenes/train_001.ply"
+        column, value, message = {
+            "nan_position": ("x", np.nan, f"{path}: position [nan,"),
+            "label_n_classes": ("label", n_classes, f"{path}: label {n_classes} at point 7 "),
+        }[fault]
+        edit_ply_record(path, lambda rec: rec[column].__setitem__(7, value))
+        out = tmp_path / "mixed"
+        code, stdout, err = run(capsys, "mix", "--manifest", str(corpus / "manifest.json"),
+                                "--out", str(out))
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert message in error["message"]
+        assert stdout == ""
+        assert not (out / "train_001.ply").exists()
+
+
 def break_support(path, case):
     """Corrupt a support.json or its first shot's mask; return the file's path."""
     if case == "missing":
@@ -499,6 +613,22 @@ def test_non_finite_position_in_ply(tmp_path, capsys, command):
     error = json.loads(err)["error"]
     assert error["type"] == "ContractError"
     assert f"{path}: position [nan," in error["message"] and "point 5 " in error["message"]
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["mix", "eval"])
+def test_ply_without_vertices(tmp_path, capsys, command):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+    path = corpus / "scenes/train_000.ply"
+    head = path.read_bytes().partition(b"end_header\n")[0].decode("ascii")
+    lines = ["element vertex 0" if line.startswith("element") else line for line in head.splitlines()]
+    path.write_text("\n".join(lines + ["end_header", ""]))
+    argv = [command, "--manifest", str(corpus / "manifest.json")]
+    argv += ["--pred-dir", str(tmp_path)] if command == "eval" else ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONTRACT
+    assert json.loads(err)["error"] == {
+        "type": "AlignmentError", "message": f"{path}: a scene must contain at least one point"}
     assert out == ""
 
 
@@ -754,22 +884,27 @@ def reference_eval_doc(manifest, pred_dir, grid, unlabelled=()):
             "per_class_iou": {str(c): v for c, v in metrics.iou_per_class(conf).items()}}
 
 
-def edit_ply_record(path, edit):
+def edit_ply_record(path, edit=lambda rec: None, fmt="binary_little_endian", trailing=b""):
     """Apply edit to the vertex record of a binary PLY written by save_scene,
-    keeping its header; edit may drop fields by returning a new record."""
+    then write it back as fmt, followed by trailing bytes. edit may drop or
+    reorder fields by returning a new record; the header follows its order."""
     data = path.read_bytes()
     end = data.index(b"end_header\n") + len(b"end_header\n")
-    header = data[:end].decode("ascii")
-    names = [line.split()[2] for line in header.splitlines() if line.startswith("property")]
+    lines = data[:end].decode("ascii").splitlines()
+    props = {line.split()[2]: line for line in lines if line.startswith("property")}
     types = {"x": "<f4", "y": "<f4", "z": "<f4", "red": "u1", "green": "u1", "blue": "u1",
              "label": "<i4"}
-    rec = np.frombuffer(data, dtype=[(n, types[n]) for n in names], offset=end).copy()
+    rec = np.frombuffer(data, dtype=[(n, types[n]) for n in props], offset=end).copy()
     edited = edit(rec)
     if edited is not None:  # a view of some fields, at the old offsets
         rec = repack_fields(edited)
-    kept = "".join(line + "\n" for line in header.splitlines()
-                   if not line.startswith("property") or line.split()[2] in rec.dtype.names)
-    path.write_bytes(kept.encode("ascii") + rec.tobytes())
+    header = [lines[0], f"format {fmt} 1.0", lines[2], *(props[n] for n in rec.dtype.names),
+              "end_header", ""]
+    if fmt == "ascii":
+        body = "".join(" ".join(map(repr, row)) + "\n" for row in rec.tolist()).encode("ascii")
+    else:
+        body = rec.tobytes()
+    path.write_bytes("\n".join(header).encode("ascii") + body + trailing)
 
 
 class TestEvalReader:

@@ -32,6 +32,7 @@ from pcrefine.scene import _voxel_cells, check_finite, checked_labels
 
 
 HUGE = 10**400  # an int past float64 max
+GIANT = 10**5000  # an int past Python's 4300-digit int-to-string limit
 
 # The fields a config needs besides the one a test sets.
 REQUIRED = {
@@ -124,6 +125,18 @@ CONFIG_FAULTS = [
     (BoxSpec, "center", np.zeros((3, 1)), "center must be 3 numbers"),
     (SceneSpec, "floor_class", 2**63, "floor_class must be in [-1, 9223372036854775806], got 9223372036854775808"),
     (SceneSpec, "extent", np.array(["4", "4"]), "extent must be a number, got np.str_('4')"),
+    pytest.param(SelectionConfig, "tau", GIANT, "tau must be in [-1, 1], got an integer of 16610 bits",
+                 id="tau-giant"),
+    pytest.param(MixConfig, "n_blocks", -GIANT,
+                 "n_blocks must be >= 1, got a negative integer of 16610 bits", id="n_blocks-giant"),
+    pytest.param(InfillConfig, "delta", [GIANT],
+                 "delta must be a number, got a list holding an integer too long to print",
+                 id="delta-giant-list"),
+    pytest.param(BoxSpec, "center", (GIANT,),
+                 "center must be 3 numbers, got a tuple holding an integer too long to print",
+                 id="center-giant"),
+    (SceneSpec, "objects", 5, "objects must be an iterable of BoxSpec, got 5"),
+    (SceneSpec, "objects", (1,), "objects must be an iterable of BoxSpec, got (1,)"),
 ]
 
 CONFIG_VALUES = [
@@ -170,6 +183,7 @@ NUMBER_FIELDS = {
 # infinities, bools, strings, None, and tuples of these for the vector fields.
 _SCALAR = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.integers(), st.just(HUGE),
+    st.builds(lambda digits, sign: sign * 10**digits, st.integers(4300, 6000), st.sampled_from([1, -1])),
     st.floats(), st.fractions(), st.decimals(), st.complex_numbers(),
     *(from_dtype(np.dtype(t)) for t in ("bool", "int8", "uint64", "float16", "float32")),
 )

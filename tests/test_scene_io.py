@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcrefine import PointCloudScene, load_scene, save_scene
-from pcrefine.errors import FormatError
+from pcrefine.errors import AlignmentError, FormatError
 from pcrefine.scene_io import (
     Manifest,
     MissingLabelWarning,
@@ -100,6 +101,18 @@ def test_missing_label_property_warns(tmp_path):
     with pytest.warns(MissingLabelWarning):
         scene = load_scene(path)
     assert (scene.labels == -1).all()
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_no_vertices_rejected(tmp_path, fmt):
+    path = tmp_path / "empty.ply"
+    path.write_text(
+        f"ply\nformat {fmt} 1.0\nelement vertex 0\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property int label\nend_header\n"
+    )
+    with pytest.raises(AlignmentError, match=f"^{re.escape(str(path))}: a scene must contain"):
+        load_scene(path)
 
 
 def test_truncated_ascii_payload(tmp_path):
