@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError
-from .scene import ClassSchema, PointCloudScene, _check_number
+from .scene import ClassSchema, PointCloudScene, _check_number, checked_labels
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def class_stats(scenes: Iterable[PointCloudScene], schema: ClassSchema) -> Class
     occ = np.zeros(n, dtype=np.int64)  # scenes with >= 1 point
     points = np.zeros(n, dtype=np.int64)
     for scene in scenes:
-        labels = scene.labels
+        labels = checked_labels(f"{scene.source_path or 'scene'}:", scene.labels, hi=n)
         counts = np.bincount(labels[labels >= 0], minlength=n)
         occ += counts > 0
         points += counts

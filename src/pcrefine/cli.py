@@ -258,17 +258,13 @@ def cmd_mix(args) -> None:
     cfg = MixConfig(n_blocks=args.blocks, crop_margin_xy=args.margin, seed=args.seed)
     manifest = load_manifest(Path(args.manifest))
     entries = _role_entries(manifest, "train")
-    support = load_support(manifest)[0]
-    n_classes = manifest.schema.n_classes
-    for shots in support.shots.values():
-        for shot in shots:
-            checked_labels(f"{shot.scene.source_path}:", shot.scene.labels, hi=n_classes)
+    support = load_support(manifest)[0]  # SupportSet checks the support labels
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
         path = manifest.resolve(entry.path)
         positions, labels, rec = _read_geometry(path)
-        checked_labels(f"{path}:", labels, hi=n_classes)
+        checked_labels(f"{path}:", labels, hi=manifest.schema.n_classes)
         # save_scene(mix(scene, support, cfg, rng)), with the base points,
         # which mix never alters, written from the record as read.
         blocks = _blocks(positions, support, cfg, np.random.default_rng([args.seed, i]))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, FormatError
 from .prototypes import PrototypeSet
-from .scene import ClassSchema, PointCloudScene, _check_number
+from .scene import ClassSchema, PointCloudScene, _check_number, checked_labels
 
 EMBEDDING_MAGIC = b"GFVE"
 EMBEDDING_VERSION = 1
@@ -152,7 +152,9 @@ class SyntheticFeatureProvider:
             [self.background_anchor]
             + [self.anchors[c] for c in range(self.schema.n_classes)]
         )
-        idx = scene.labels + 1  # -1 -> row 0 (background anchor)
+        labels = checked_labels(f"{scene.source_path or 'scene'}:", scene.labels,
+                                hi=self.schema.n_classes)
+        idx = labels + 1  # -1 -> row 0 (background anchor)
 
         # Noise is deterministic per (config, scene): distinct scenes draw
         # distinct streams, repeated calls on the same scene are identical.
@@ -162,8 +164,8 @@ class SyntheticFeatureProvider:
             confused = rng.random(n) < cfg.confusion_prob
             wrong = rng.integers(0, self.schema.n_classes - 1, size=n)
             # Skip the point's own class so a confused draw is always wrong.
-            wrong = wrong + (wrong >= scene.labels)
-            idx = np.where(confused & (scene.labels >= 0), wrong + 1, idx)
+            wrong = wrong + (wrong >= labels)
+            idx = np.where(confused & (labels >= 0), wrong + 1, idx)
         feats = anchor_matrix[idx]
         if cfg.noise_sigma > 0:
             feats = feats + cfg.noise_sigma * rng.standard_normal((n, cfg.dim))

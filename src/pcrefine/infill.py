@@ -28,7 +28,9 @@ class InfillConfig:
 def context_prototypes(
     features: np.ndarray, y_prime: np.ndarray, schema: ClassSchema
 ) -> PrototypeSet:
-    """Masked mean feature per novel class present in the current labels."""
+    """Masked mean feature per novel class present in y_prime, checked below n_classes."""
+    features = np.asarray(features)
+    y_prime = checked_labels("y_prime", y_prime, features.shape[0], schema.n_classes)
     return novel_prototypes(features, y_prime, schema)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyMaskError
 from .prototypes import SupportSet
-from .scene import PointCloudScene, _check_number, checked_mask
+from .scene import PointCloudScene, _check_number, checked_labels, checked_mask
 
 PAIRINGS = ("bottom", "top", "left", "right")
 
@@ -89,8 +89,9 @@ def mix(
 
     Shots are sampled uniformly with replacement (class, then shot). Each
     block aligns against the accumulated cloud from previous blocks, so
-    insertions fan out as the scene grows. Base points are never altered.
+    insertions fan out as the scene grows. Base points, labelled below n_classes, are never altered.
     """
+    checked_labels(f"{base.source_path or 'base'}:", base.labels, hi=support.schema.n_classes)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     blocks = _blocks(base.positions, support, cfg, rng)

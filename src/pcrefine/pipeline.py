@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infill import InfillConfig, _infill, adaptive_set, context_prototypes
-from .prototypes import PrototypeSet
+from .infill import InfillConfig, _infill, adaptive_set
+from .prototypes import PrototypeSet, novel_prototypes
 from .scene import ClassSchema
 from .selection import SelectionConfig, select_and_merge
 
@@ -49,7 +49,8 @@ def refine_labels(
         features, raw, base_labels, support, selection_cfg, schema
     )
 
-    context = context_prototypes(features, y_prime, schema)
+    # y_prime holds checked labels: the unchecked cores of context_prototypes and infill.
+    context = novel_prototypes(features, y_prime, schema)
     adaptive = adaptive_set(context, support, schema)
     y_final, n_assigned = _infill(y_prime, np.asarray(features), adaptive, infill_cfg.delta)
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, EmptyMaskError
-from .scene import ClassSchema, PointCloudScene, checked_mask
+from .errors import ContractError, EmptyMaskError
+from .scene import ClassSchema, PointCloudScene, checked_labels, checked_mask
 
 
 def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -34,7 +34,7 @@ def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def pool_by_class(
     features: np.ndarray, labels: np.ndarray
 ) -> dict[int, np.ndarray]:
-    """Masked mean per label value, for every c >= 0 present in labels.
+    """Masked mean per label value, for every c >= 0 present in checked int64 labels.
 
     Bitwise equal to masked_pool(features, labels == c): the labeled rows
     are stably sorted by label, and each class's rows are gathered in
@@ -42,11 +42,6 @@ def pool_by_class(
     and neither the feature matrix nor a class's rows are cast as a whole.
     """
     features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != features.shape[0]:
-        raise AlignmentError(
-            f"labels length {labels.shape[0]} != feature rows {features.shape[0]}"
-        )
     valid = np.flatnonzero(labels >= 0)
     order = valid[np.argsort(labels[valid], kind="stable")]
     values, starts, counts = np.unique(
@@ -61,11 +56,10 @@ def pool_by_class(
 def novel_prototypes(
     features: np.ndarray, labels: np.ndarray, schema: ClassSchema
 ) -> PrototypeSet:
-    """Masked mean feature per novel class present in a label map.
+    """Masked mean feature per novel class present in checked int64 labels.
 
     Only rows labeled with a novel class are pooled.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     novel = (labels >= schema.n_base) & (labels < schema.n_classes)
     return PrototypeSet(pool_by_class(features, np.where(novel, labels, -1)))
 
@@ -141,7 +135,7 @@ class SupportShot:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """K shots per novel class; masks are exclusive to their class."""
+    """K shots per novel class on scenes labelled below n_classes; masks exclusive per class."""
 
     schema: ClassSchema
     shots: dict[int, tuple[SupportShot, ...]]
@@ -160,6 +154,9 @@ class SupportSet:
         sizes = {len(v) for v in shots.values()}
         if len(sizes) != 1 or 0 in sizes:
             raise ContractError(f"every novel class needs the same K >= 1 shots, got {sizes}")
+        for scene in {id(s.scene): s.scene for v in shots.values() for s in v}.values():
+            checked_labels(f"{scene.source_path or 'support scene'}:", scene.labels,
+                           hi=self.schema.n_classes)
         object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "k", sizes.pop())
 

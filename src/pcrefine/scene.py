@@ -55,14 +55,17 @@ class PointCloudScene:
 
 @dataclass(frozen=True)
 class ClassSchema:
-    """Ordered base and novel class names defining the label index space."""
+    """Ordered base and novel class names, lists or tuples of str, defining the label index space."""
 
     base_names: tuple[str, ...]
     novel_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "base_names", tuple(self.base_names))
-        object.__setattr__(self, "novel_names", tuple(self.novel_names))
+        for attr in ("base_names", "novel_names"):
+            names = getattr(self, attr)
+            if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+                raise ConfigError(f"{attr} must be a list of strings, got {_shown(names, repr)}")
+            object.__setattr__(self, attr, tuple(names))
         overlap = set(self.base_names) & set(self.novel_names)
         if overlap:
             raise ConfigError(f"base/novel class names overlap: {sorted(overlap)}")
@@ -108,7 +111,7 @@ class ClassSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassSchema":
-        return cls(tuple(d["base_names"]), tuple(d["novel_names"]))
+        return cls(d["base_names"], d["novel_names"])
 
 
 def checked_labels(

@@ -20,7 +20,7 @@ import numpy as np
 from .embeddings import save_embeddings
 from .errors import AlignmentError, ConfigError, ContractError, FormatError
 from .prototypes import SupportSet, SupportShot
-from .scene import ClassSchema, PointCloudScene, check_finite, checked_mask
+from .scene import ClassSchema, PointCloudScene, check_finite, checked_labels, checked_mask
 
 # The version of manifest.json and support.json; command output documents
 # are versioned apart, by the CLI's REPORT_SCHEMA_VERSION.
@@ -264,7 +264,8 @@ def _read_ascii(path: Path, body: bytes, count: int, dtype: np.dtype) -> np.ndar
 
 
 def save_labels(labels: np.ndarray, path: str | Path) -> None:
-    np.save(path, np.asarray(labels, dtype=np.int64))
+    """Write labels, checked by checked_labels (no upper bound), as int64 .npy."""
+    np.save(path, checked_labels(f"{path}:", labels))
 
 
 def load_labels(path: str | Path) -> np.ndarray:

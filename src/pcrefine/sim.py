@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .prototypes import SupportSet, SupportShot
-from .scene import ClassSchema, PointCloudScene, _check_number, _shown
+from .scene import ClassSchema, PointCloudScene, _check_number, _shown, checked_labels
 
 # The largest label a scene holds: checked_labels wants int64 labels below int64 max.
 _MAX_LABEL = int(np.iinfo(np.int64).max) - 1
@@ -137,13 +137,10 @@ def corrupt_predictions(
     noise: NoiseSpec,
     schema: ClassSchema,
 ) -> np.ndarray:
-    """Simulated raw predictions: ground truth with seeded corruption."""
-    gt = np.asarray(gt, dtype=np.int64)
+    """Simulated raw predictions: ground truth, checked, with seeded corruption."""
     positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape[0] != gt.shape[0]:
-        raise ConfigError("positions and labels must be aligned")
+    out = checked_labels("gt", gt, positions.shape[0], schema.n_classes).copy()
     rng = np.random.default_rng(noise.seed)
-    out = gt.copy()
 
     # 1. Whole-class dropout of novel classes.
     for c in sorted(schema.novel_indices):
@@ -227,8 +224,8 @@ def random_scene_spec(
 
 
 def base_only_labels(gt: np.ndarray, schema: ClassSchema) -> np.ndarray:
-    """Ground truth with every novel label cleared to background."""
-    gt = np.asarray(gt, dtype=np.int64)
+    """Ground truth, checked, with every novel label cleared to background."""
+    gt = checked_labels("gt", gt, hi=schema.n_classes)
     return np.where(gt >= schema.n_base, -1, gt)
 
 

@@ -326,8 +326,14 @@ class TestMix:
                 atol=1e-6,
             )
 
-    @pytest.mark.parametrize("role", ["train", "support"])
-    def test_label_past_schema(self, tmp_path, capsys, role):
+    # stats reads no support scene; refine reads no train PLY.
+    @pytest.mark.parametrize("command, role", [
+        pytest.param("mix", "train", id="train"),
+        pytest.param("mix", "support", id="support"),
+        pytest.param("stats", "train", id="stats-train"),
+        pytest.param("refine", "support", id="refine-support"),
+    ])
+    def test_label_past_schema(self, tmp_path, capsys, command, role):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
         path = corpus / ("scenes/train_000.ply" if role == "train"
                          else "support/support_000.ply")
@@ -335,15 +341,15 @@ class TestMix:
         i = int(np.flatnonzero(scene.labels >= 0)[0])
         scene.labels[i:] = np.where(scene.labels[i:] >= 0, 99, -1)
         save_scene(scene, path)
-        out = tmp_path / "mixed"
-        code, stdout, err = run(capsys, "mix", "--manifest", str(corpus / "manifest.json"),
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
                                 "--out", str(out))
         assert code == EXIT_CONTRACT
         error = json.loads(err)["error"]
         assert error["type"] == "ContractError"
         assert f"{path}: label 99 at point {i} " in error["message"]
         assert stdout == ""
-        assert not list(out.glob("*.ply"))
+        assert not out.exists() or not list(out.iterdir())
 
     def test_deterministic(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
@@ -713,6 +719,21 @@ def test_split_malformed_stats(tmp_path, capsys, text):
     error = json.loads(err)["error"]
     assert error["type"] == "FormatError"
     assert str(stats_path) in error["message"]
+    assert out == ""
+
+
+@pytest.mark.parametrize("names", [[1, 2, 3], "xyz"], ids=["integers", "bare-string"])
+def test_non_string_class_names(tmp_path, capsys, names):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+    manifest_path = corpus / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["schema"]["base_names"] = names
+    manifest_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "stats", "--manifest", str(manifest_path))
+    assert code == EXIT_CONTRACT
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "base_names must be a list of strings" in error["message"]
     assert out == ""
 
 
@@ -1247,3 +1268,55 @@ def test_fuzzed_embedding_file_through_main(fuzz_corpus, target, data):
                 assert labels.min() >= -1 and labels.max() < manifest.schema.n_classes
     finally:
         path.write_bytes(original)
+
+
+# Values a fuzzed flag is given: numbers, NaN, infinities, -0, negatives,
+# a JSON boolean and an empty string. A count flag draws no valid count
+# above 8, so no run builds a large corpus.
+FLAG_VALUE = st.one_of(
+    st.integers(-3, 8).map(str),  # small values, so that many runs get past the checks
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "-0.0", "true", "", "1e400", "9" * 30]),
+)
+COUNT_VALUE = st.one_of(
+    st.integers(-8, 8).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "-0.0", "true", "", "2.5", "1e3"]),
+)
+COUNT_FLAGS = {"--scenes", "--support-scenes", "--base", "--novel", "--shots", "--dim", "--blocks"}
+# Each subcommand's flags but --out, which would write wherever a value points.
+FUZZED_FLAGS = {
+    "simulate": ["--seed", "--scenes", "--support-scenes", "--base", "--novel", "--shots",
+                 "--dim", "--noise-sigma", "--confusion", "--p-miss", "--erosion", "--flip"],
+    "refine": ["--manifest", "--tau", "--delta"],
+    "mix": ["--manifest", "--blocks", "--margin", "--seed"],
+    "stats": ["--manifest"],
+    "split": ["--stats", "--threshold", "--base"],
+    "eval": ["--manifest", "--pred-dir", "--role", "--grid"],
+}
+
+
+@pytest.mark.parametrize("command", FUZZED_FLAGS)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_flag_through_main(fuzz_corpus, command, data):
+    """One flag of a valid run gets a drawn value (as --flag=value, so a
+    leading '-' reaches the flag's parser); the run exits 0, 2 or 3, with a
+    JSON error on stderr unless it exits 0."""
+    root, _ = fuzz_corpus
+    manifest, out = str(root / "corpus/manifest.json"), str(root / f"flag_{command}")
+    stats = root / "stats.json"
+    if not stats.exists():
+        assert run_quiet("stats", "--manifest", manifest, "--out", str(stats))[0] == EXIT_OK
+    argv = {
+        "simulate": ["--out", out, "--scenes", "1", "--support-scenes", "1",
+                     "--base", "1", "--novel", "1", "--dim", "8"],
+        "refine": ["--manifest", manifest, "--out", out],
+        "mix": ["--manifest", manifest, "--out", out, "--blocks", "1"],
+        "stats": ["--manifest", manifest],
+        "split": ["--stats", str(stats), "--threshold", "1", "--base", "1"],
+        "eval": ["--manifest", manifest, "--pred-dir", str(root / "refined")],
+    }[command]
+    flag = data.draw(st.sampled_from(FUZZED_FLAGS[command]))
+    value = data.draw(COUNT_VALUE if flag in COUNT_FLAGS else FLAG_VALUE)
+    assert_clean_exit(*run_quiet(command, *argv, f"{flag}={value}"))

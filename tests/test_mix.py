@@ -138,16 +138,16 @@ class TestTranslateAlign:
 
     def test_translation_arithmetic(self):
         base = scene_from([[5.0, 0.0], [5.0, 5.0]])
-        novel = scene_from([[1.0, 4.0], [1.0, 0.0]], labels=[4, 0])
+        novel = scene_from([[1.0, 4.0], [1.0, 0.0]], labels=[1, 0])
         out = mix_one_block(base, novel, "bottom", mask=np.array([True, False]))
         # T = base bottom - novel top = (4, -4, 0); z floors already equal.
         np.testing.assert_allclose(out.positions[2], [5.0, 0.0, 0.0], atol=1e-12)
         assert out.point_count == 4
-        np.testing.assert_array_equal(out.labels, [0, 0, 4, -1])
+        np.testing.assert_array_equal(out.labels, [0, 0, 1, -1])
 
     def test_floor_alignment(self):
         base = scene_from(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 2.0]]))
-        novel = scene_from(np.array([[4.0, 4.0, 0.3], [4.0, 5.0, 1.3]]), [5, 5])
+        novel = scene_from(np.array([[4.0, 4.0, 0.3], [4.0, 5.0, 1.3]]), [1, 1])
         out = mix_one_block(base, novel, "top")
         inserted = out.positions[2:]
         assert inserted[:, 2].min() == pytest.approx(0.0, abs=1e-12)
@@ -156,7 +156,7 @@ class TestTranslateAlign:
         rng = np.random.default_rng(5)
         for pairing in PAIRINGS:
             base = scene_from(rng.uniform(0, 3, size=(30, 3)))
-            novel = scene_from(rng.uniform(10, 12, size=(20, 3)), np.full(20, 3))
+            novel = scene_from(rng.uniform(10, 12, size=(20, 3)), np.full(20, 1))
             out = mix_one_block(base, novel, pairing)
             bc = corners_xy(base.positions)[pairing]
             nc = corners_xy(out.positions[30:])[OPPOSITE[pairing]]
@@ -166,7 +166,7 @@ class TestTranslateAlign:
         rng = np.random.default_rng(6)
         base = scene_from(rng.uniform(0, 3, size=(10, 3)))
         novel_pts = rng.uniform(5, 8, size=(15, 3))
-        novel = scene_from(novel_pts, np.full(15, 4))
+        novel = scene_from(novel_pts, np.full(15, 1))
         out = mix_one_block(base, novel, "left")
         moved = out.positions[10:]
         orig_d = np.linalg.norm(novel_pts[:, None] - novel_pts[None, :], axis=2)
@@ -176,7 +176,7 @@ class TestTranslateAlign:
     def test_later_block_aligns_against_grown_cloud(self):
         # Block 2 snaps onto a corner of base + block 1, not of the base alone.
         base = scene_from([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        novel = scene_from([[0.0, 0.0, 0.0], [0.0, 3.0, 1.0]], [2, 2])
+        novel = scene_from([[0.0, 0.0, 0.0], [0.0, 3.0, 1.0]], [1, 1])
         support = SupportSet(ONE_NOVEL, {1: (SupportShot(novel, [True, True]),)})
         for seed in range(50):
             out = mix(base, support, MixConfig(n_blocks=2, crop_margin_xy=1e6, seed=seed))

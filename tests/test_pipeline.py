@@ -1,3 +1,4 @@
+import io
 import sys
 
 import numpy as np
@@ -6,17 +7,21 @@ import pytest
 from pcrefine import (
     ClassSchema,
     InfillConfig,
+    MixConfig,
     NoiseSpec,
+    PointCloudScene,
     SelectionConfig,
     SyntheticFeatureProvider,
     SyntheticProviderConfig,
     corrupt_predictions,
     gen_scene,
     make_support,
+    mix,
     ps_refine,
     refine_labels,
     support_prototypes,
 )
+from pcrefine.benchmark import class_stats
 from pcrefine.errors import AlignmentError, ContractError
 from pcrefine.infill import (
     _openblas_thread_functions,
@@ -25,8 +30,9 @@ from pcrefine.infill import (
     infill,
 )
 from pcrefine.metrics import ConfusionMatrix, accumulate, pseudo_label_quality
-from pcrefine.prototypes import PrototypeSet
+from pcrefine.prototypes import PrototypeSet, SupportSet, SupportShot
 from pcrefine.scene import checked_labels
+from pcrefine.scene_io import save_labels
 from pcrefine.selection import select_and_merge
 from pcrefine.sim import base_only_labels, random_scene_spec
 
@@ -116,9 +122,9 @@ class TestChecksOnce:
             checked.append(name)
             return checked_labels(name, *args, **kwargs)
 
-        for module in ("pcrefine.selection", "pcrefine.infill"):
+        feats, raw, base, support = noisy_case(0)  # its SupportSet checks support labels
+        for module in ("pcrefine.selection", "pcrefine.infill", "pcrefine.prototypes"):
             monkeypatch.setattr(sys.modules[module], "checked_labels", recording)
-        feats, raw, base, support = noisy_case(0)
         refine_labels(feats, raw, base, support, SCHEMA)
         assert checked == ["raw", "base"]
 
@@ -160,8 +166,8 @@ class TestFeatureWidth:
 
 
 # Each library function that takes label vectors: the labels of one valid
-# call, the name the checker gives the corrupted argument, its upper bound,
-# and the call with that argument replaced.
+# call, the name the checker gives the corrupted argument (a regex), its
+# upper bound, and the call with that argument replaced.
 N_BASE, N = SCHEMA.n_base, SCHEMA.n_classes
 GT = np.array([0, 1, N_BASE, N - 1, -1, N_BASE + 1])
 FILTERED = np.array([-1, N_BASE, -1, N - 1, N_BASE + 1, -1])
@@ -175,7 +181,17 @@ CONTRACT_CALLS = {
     "pseudo_label_quality:pseudo": (
         GT, "pseudo", N, lambda y: pseudo_label_quality(y, GT, SCHEMA)),
     "pseudo_label_quality:gt": (GT, "gt", N, lambda y: pseudo_label_quality(GT, y, SCHEMA)),
+    "context_prototypes:y_prime": (
+        FILTERED, "y_prime", N, lambda y: context_prototypes(np.eye(6), y, SCHEMA)),
+    "corrupt_predictions:gt": (
+        GT, "gt", N, lambda y: corrupt_predictions(y, np.zeros((6, 3)), NoiseSpec(), SCHEMA)),
+    "base_only_labels:gt": (GT, "gt", N, lambda y: base_only_labels(y, SCHEMA)),
+    "save_labels": (
+        GT, r"<_io\.BytesIO object at 0x[0-9a-f]+>:", INT64_MAX,
+        lambda y: save_labels(y, io.BytesIO())),
 }
+# Calls with no feature rows or second vector to hold the labels' length to.
+UNSIZED = {"base_only_labels:gt", "save_labels"}
 
 
 class TestLabelContract:
@@ -229,6 +245,28 @@ class TestLabelContract:
         labels, name, _, fn = CONTRACT_CALLS[call]
         with pytest.raises(AlignmentError, match=rf"{name} labels of shape \(6, 1\)"):
             fn(labels[:, None])
+        if call in UNSIZED:
+            return
         # One short vector of a pair: whichever is checked second is blamed.
         with pytest.raises(AlignmentError, match="labels of shape"):
             fn(labels[:-1])
+
+    @pytest.mark.parametrize("site", ["class_stats", "SupportSet", "embed_scene", "mix"])
+    def test_scene_label_at_n_classes_rejected(self, site):
+        positions = np.arange(9.0).reshape(3, 3)
+        good = PointCloudScene(positions, [0, N - 1, -1], source_path="good.ply")
+        bad = PointCloudScene(positions, [0, -1, N], source_path="bad.ply")
+
+        def support(scene):
+            return SupportSet(SCHEMA, {c: (SupportShot(scene, [1, 1, 0]),)
+                                       for c in SCHEMA.novel_indices})
+
+        calls = {
+            "class_stats": lambda: class_stats([good, bad], SCHEMA),
+            "SupportSet": lambda: support(bad),
+            "embed_scene": lambda: SyntheticFeatureProvider(
+                SCHEMA, SyntheticProviderConfig(dim=16)).embed_scene(bad),
+            "mix": lambda: mix(bad, support(good), MixConfig(n_blocks=1)),
+        }
+        with pytest.raises(ContractError, match=rf"^bad\.ply: label {N} at point 2\b"):
+            calls[site]()

@@ -103,11 +103,7 @@ class TestPoolByClass:
             assert masked_pool(feats, labels == c).tobytes() == expected.tobytes()
 
     def test_no_labeled_rows(self):
-        assert pool_by_class(np.ones((3, 2)), [-1, -1, -1]) == {}
-
-    def test_length_mismatch(self):
-        with pytest.raises(AlignmentError):
-            pool_by_class(np.ones((3, 2)), [0, 1])
+        assert pool_by_class(np.ones((3, 2)), np.array([-1, -1, -1])) == {}
 
 
 class TestCosine:

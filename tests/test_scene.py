@@ -227,6 +227,20 @@ class TestSchema:
         with pytest.raises(ConfigError):
             ClassSchema(("a", "b"), ("b", "c"))
 
+    @pytest.mark.parametrize("base, novel, field", [
+        ((1, 2, 3), ("n",), "base_names"),
+        ("xyz", ("n",), "base_names"),
+        (("a",), ["b", None], "novel_names"),
+        (("a",), "n", "novel_names"),
+        ({"a": 1}, ("n",), "base_names"),  # not its keys
+        (("a",), 5, "novel_names"),
+    ])
+    def test_names_must_be_strings(self, base, novel, field):
+        with pytest.raises(ConfigError, match=f"{field} must be a list of strings"):
+            ClassSchema(base, novel)
+        with pytest.raises(ConfigError, match=f"{field} must be a list of strings"):
+            ClassSchema.from_dict({"base_names": base, "novel_names": novel})
+
     def test_name_lookup(self, schema):
         assert schema.name_of(0) == "floor"
         assert schema.name_of(3) == "lamp"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcrefine import BoxSpec, NoiseSpec, SceneSpec, corrupt_predictions, gen_scene, make_support
-from pcrefine.errors import ConfigError, ContractError
+from pcrefine.errors import AlignmentError, ConfigError, ContractError
 from pcrefine.sim import base_only_labels, random_scene_spec
 
 
@@ -141,7 +141,7 @@ class TestCorrupt:
         assert (out[flipped] != gt[flipped]).all()
 
     def test_alignment_check(self, schema):
-        with pytest.raises(ConfigError):
+        with pytest.raises(AlignmentError):
             corrupt_predictions(np.array([0, 1]), np.zeros((3, 3)), NoiseSpec(), schema)
 
 
