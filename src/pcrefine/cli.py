@@ -8,6 +8,8 @@ deterministic given its inputs and --seed; exit codes are 0 (ok),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -171,9 +173,7 @@ def cmd_simulate(args) -> None:
         save_embeddings(feats, out / f"embeddings/{sid}.gfve")
         raw = sim.corrupt_predictions(
             scene.labels, scene.positions,
-            sim.NoiseSpec(noise.p_miss, noise.erosion_frac, noise.flip_prob,
-                          seed=noise.seed * 100003 + i),
-            schema,
+            dataclasses.replace(noise, seed=noise.seed * 100003 + i), schema,
         )
         save_labels(raw, out / f"raw/{sid}.npy")
         save_labels(sim.base_only_labels(scene.labels, schema), out / f"base_labels/{sid}.npy")
@@ -213,6 +213,16 @@ def _role_entries(manifest: Manifest, role: str) -> list[SceneEntry]:
     return entries
 
 
+@contextlib.contextmanager
+def _scene_faults(entry: SceneEntry):
+    """Prefix any PcrefineError raised while a command handles a manifest
+    scene with 'scene <id>: '; the error keeps its type, so its exit code."""
+    try:
+        yield
+    except PcrefineError as exc:
+        raise type(exc)(f"scene {entry.scene_id}: {exc}") from exc
+
+
 def cmd_refine(args) -> None:
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
@@ -228,18 +238,15 @@ def cmd_refine(args) -> None:
     # on a later scene leaves no labels behind.
     refined_labels, scene_reports = {}, {}
     for entry in entries:
-        if not (entry.embedding and entry.raw_predictions and entry.base_labels):
-            raise ConfigError(f"scene {entry.scene_id} lacks embedding/raw/base_labels")
-        feats = load_embeddings(manifest.resolve(entry.embedding))
-        raw = load_labels(manifest.resolve(entry.raw_predictions))
-        base = load_labels(manifest.resolve(entry.base_labels))
-        try:
+        with _scene_faults(entry):
+            if not (entry.embedding and entry.raw_predictions and entry.base_labels):
+                raise ConfigError("lacks embedding/raw/base_labels")
+            feats = load_embeddings(manifest.resolve(entry.embedding))
+            raw = load_labels(manifest.resolve(entry.raw_predictions))
+            base = load_labels(manifest.resolve(entry.base_labels))
             refined_labels[entry.scene_id], report = refine_labels(
                 feats, raw, base, support, manifest.schema, sel_cfg, inf_cfg
             )
-        except PcrefineError as exc:
-            # Same type, so the exit code stays; the message gains the scene.
-            raise type(exc)(f"scene {entry.scene_id}: {exc}") from exc
         scene_reports[entry.scene_id] = report.to_dict()
     for scene_id, refined in refined_labels.items():
         save_labels(refined, out / f"{scene_id}.npy")
@@ -263,12 +270,13 @@ def cmd_mix(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
         path = manifest.resolve(entry.path)
-        positions, labels, rec = _read_geometry(path)
-        checked_labels(f"{path}:", labels, hi=manifest.schema.n_classes)
-        # save_scene(mix(scene, support, cfg, rng)), with the base points,
-        # which mix never alters, written from the record as read.
-        blocks = _blocks(positions, support, cfg, np.random.default_rng([args.seed, i]))
-        _append_blocks(out / f"{entry.scene_id}.ply", rec, blocks)
+        positions, labels, rec = _read_geometry(path)  # a PLY fault names the file
+        with _scene_faults(entry):
+            checked_labels(f"{path}:", labels, hi=manifest.schema.n_classes)
+            # save_scene(mix(scene, support, cfg, rng)), with the base points,
+            # which mix never alters, written from the record as read.
+            blocks = _blocks(positions, support, cfg, np.random.default_rng([args.seed, i]))
+            _append_blocks(out / f"{entry.scene_id}.ply", rec, blocks)
     print(json.dumps({
         "version": REPORT_SCHEMA_VERSION,
         "mixed_scenes": len(entries),
@@ -320,17 +328,15 @@ def cmd_eval(args) -> None:
     pred_dir = Path(args.pred_dir)
     conf = metrics.ConfusionMatrix(manifest.schema.n_classes)
     for entry in _role_entries(manifest, args.role):
-        truth = _truth_labels(manifest.resolve(entry.path), grid)
-        pred_path = pred_dir / f"{entry.scene_id}.npy"
-        if not pred_path.exists():
-            raise ConfigError(f"missing predictions for scene {entry.scene_id}: {pred_path}")
-        pred = load_labels(pred_path)
-        if pred.shape[0] != truth.shape[0]:
-            raise ContractError(
-                f"scene {entry.scene_id}: {pred.shape[0]} predictions for "
-                f"{truth.shape[0]} points"
-            )
-        metrics.accumulate(conf, pred, truth)
+        truth = _truth_labels(manifest.resolve(entry.path), grid)  # a PLY fault names the file
+        with _scene_faults(entry):
+            pred_path = pred_dir / f"{entry.scene_id}.npy"
+            if not pred_path.exists():
+                raise ConfigError(f"missing predictions: {pred_path}")
+            pred = load_labels(pred_path)
+            if pred.shape[0] != truth.shape[0]:
+                raise ContractError(f"{pred.shape[0]} predictions for {truth.shape[0]} points")
+            metrics.accumulate(conf, pred, truth)
     result = metrics.summary(conf, manifest.schema)
     doc = {"version": REPORT_SCHEMA_VERSION, "metrics": result.to_dict(),
            "per_class_iou": {str(c): v for c, v in metrics.iou_per_class(conf).items()}}

@@ -96,12 +96,8 @@ def mix(
         rng = np.random.default_rng(cfg.seed)
     blocks = _blocks(base.positions, support, cfg, rng)
     positions, labels, colors = zip((base.positions, base.labels, base.colors), *blocks)
-    mixed = PointCloudScene(positions=np.concatenate(positions), labels=np.concatenate(labels))
-    if all(col is not None for col in colors):
-        # Copies of checked scenes' colours: set after construction, they
-        # skip the scene's finite check, a pass over 24 MB per 1M points.
-        mixed.colors = np.concatenate(colors)
-    return mixed
+    colors = np.concatenate(colors) if all(col is not None for col in colors) else None
+    return PointCloudScene(np.concatenate(positions), np.concatenate(labels), colors)
 
 
 def _blocks(

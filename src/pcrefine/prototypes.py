@@ -192,6 +192,9 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
             )
         for c, k, shot in shots:
             pooled[c, k] = masked_pool(feats, shot.mask)
+            if not np.isfinite(pooled[c, k]).all():
+                raise ContractError(f"support scene {scene.source_path}: "
+                                    f"prototype for class {c} is not finite")
         del feats
 
     vectors = {}
@@ -202,13 +205,4 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
             vectors[c] = stacked[0]
         else:
             vectors[c] = stacked.mean(axis=0)
-    try:
-        return PrototypeSet(vectors)
-    except ContractError as exc:
-        # Searched for on the error path only: a run that succeeds pays nothing.
-        for c in support.classes():
-            for k in range(support.k):
-                if not np.isfinite(pooled[c, k]).all():
-                    path = support.shots[c][k].scene.source_path
-                    raise ContractError(f"support scene {path}: {exc}") from exc
-        raise
+    return PrototypeSet(vectors)

@@ -22,7 +22,8 @@ class PointCloudScene:
     positions: (N, 3) float64 coordinates in meters.
     labels: (N,) int64 class indices (-1 for background), checked by
         checked_labels: integers or whole-valued floats, none below -1.
-    colors: optional (N, 3) float64 in [0, 1].
+    colors: optional (N, 3) float64 in [0, 1], checked finite.
+    source_path: the file read, if any; label and colour faults name it.
     """
 
     positions: np.ndarray
@@ -39,14 +40,15 @@ class PointCloudScene:
         n = self.positions.shape[0]
         if n < 1:
             raise AlignmentError("a scene must contain at least one point")
-        self.labels = np.ascontiguousarray(checked_labels("scene", self.labels, n))
+        name = f"{self.source_path}: scene" if self.source_path else "scene"
+        self.labels = np.ascontiguousarray(checked_labels(name, self.labels, n))
         if self.colors is not None:
             self.colors = np.ascontiguousarray(self.colors, dtype=np.float64)
             if self.colors.shape != (n, 3):
                 raise AlignmentError(
                     f"colors shape {self.colors.shape} does not match {n} points"
                 )
-            check_finite("scene", self.colors, "colour")
+            check_finite(name, self.colors, "colour")
 
     @property
     def point_count(self) -> int:
@@ -136,9 +138,10 @@ def checked_labels(
         bad = (labels < -1) | (labels >= hi)
     if bad.any():
         i = int(np.argmax(bad))
+        bound = ">= -1" if hi == np.iinfo(np.int64).max else f"in [-1, {hi})"
         raise ContractError(
             f"{name} label {labels[i].item()!r} at point {i} breaks the label contract: "
-            f"{name} labels must be integers in [-1, {hi}), got dtype {labels.dtype}"
+            f"{name} labels must be integers {bound}, got dtype {labels.dtype}"
         )
     return labels.astype(np.int64, copy=False)
 

@@ -115,13 +115,11 @@ def load_scene(path: str | Path) -> PointCloudScene:
     yields all-(-1) labels and a MissingLabelWarning.
     """
     positions, labels, rec = _read_geometry(path)
-    scene = PointCloudScene(positions=positions, labels=labels, source_path=str(path))
+    colors = None
     if "red" in rec.dtype.names:
-        # Bytes over 255 are finite: set after construction, the colours
-        # skip the scene's finite check, a pass over 24 MB per 1M points.
-        scene.colors = _columns(rec, ("red", "green", "blue"))
-        scene.colors /= 255.0
-    return scene
+        colors = _columns(rec, ("red", "green", "blue"))
+        colors /= 255.0
+    return PointCloudScene(positions, labels, colors, source_path=str(path))
 
 
 def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -489,6 +487,8 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, dict[str, Path]]:
             scene = scenes[scene_rel]
             if embedding_rel is not None:
                 embeddings[scene.source_path] = manifest.resolve(embedding_rel)
-            class_shots.append(SupportShot(scene, load_mask(manifest.resolve(mask_rel))))
+            mask_path = manifest.resolve(mask_rel)
+            mask = checked_mask(str(mask_path), load_mask(mask_path), scene.point_count)
+            class_shots.append(SupportShot(scene, mask))
         shots[c] = tuple(class_shots)
     return SupportSet(schema=manifest.schema, shots=shots), embeddings

@@ -18,7 +18,7 @@ from numpy.lib.recfunctions import repack_fields
 
 import pcrefine.cli as cli_module
 import pcrefine.scene_io as scene_io
-from pcrefine import MixConfig, VoxelConfig, metrics, mix, voxelize
+from pcrefine import MixConfig, PointCloudScene, VoxelConfig, metrics, mix, voxelize
 from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
 from pcrefine.embeddings import load_embeddings, save_embeddings
 from pcrefine.scene_io import (
@@ -367,8 +367,8 @@ class TestMix:
 def colour_ply(path, rng):
     """Rewrite the PLY at path with random colours."""
     scene = load_scene(path)
-    scene.colors = rng.uniform(0, 1, size=(scene.point_count, 3))
-    save_scene(scene, path)
+    save_scene(PointCloudScene(scene.positions, scene.labels,
+                               rng.uniform(0, 1, size=(scene.point_count, 3))), path)
 
 
 # A mix case: which PLYs carry colours, and how the train PLYs are then rewritten.
@@ -638,6 +638,54 @@ def test_ply_without_vertices(tmp_path, capsys, command):
     assert out == ""
 
 
+# A fault -> the error type it raises and a text its message holds, which
+# names the manifest scene or the file ({path}) the fault is in.
+NAMED_FAULTS = {
+    "pred_label_99": ("ContractError", "scene train_001: pred label 99 at point 3 "),
+    "train_label_99": ("ContractError", "scene train_001: gt label 99 at point 3 "),
+    "train_label_minus_5": ("ContractError", "{path}: scene label -5 at point 3 "),
+    "support_label_minus_5": ("ContractError", "{path}: scene label -5 at point 3 "),
+    "short_mask": ("AlignmentError", "{path} mask of shape "),
+}
+
+
+@pytest.mark.parametrize("command, fault", [
+    ("eval", "pred_label_99"), ("eval", "train_label_99"), ("eval", "train_label_minus_5"),
+    ("stats", "train_label_minus_5"),
+    ("refine", "support_label_minus_5"), ("mix", "support_label_minus_5"),
+    ("refine", "short_mask"), ("mix", "short_mask"),
+])
+def test_fault_names_its_scene_or_file(tmp_path, capsys, command, fault):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+    pred_dir = tmp_path / "pred"  # predictions equal to the ground truth
+    pred_dir.mkdir()
+    for sid in ("train_000", "train_001"):
+        np.save(pred_dir / f"{sid}.npy", load_scene(corpus / f"scenes/{sid}.ply").labels)
+    if fault == "short_mask":
+        shot = next(iter(json.loads((corpus / "support.json").read_text())["classes"].values()))[0]
+        path = corpus / shot["mask"]
+        np.save(path, np.load(path)[:-1])
+    elif fault == "pred_label_99":
+        path = pred_dir / "train_001.npy"
+        pred = np.load(path)
+        pred[3] = 99
+        np.save(path, pred)
+    else:
+        path = corpus / ("support/support_000.ply" if fault.startswith("support")
+                         else "scenes/train_001.ply")
+        value = 99 if fault.endswith("_99") else -5
+        edit_ply_record(path, lambda rec: rec["label"].__setitem__(3, value))
+    argv = [command, "--manifest", str(corpus / "manifest.json")]
+    argv += ["--pred-dir", str(pred_dir)] if command == "eval" else ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONTRACT
+    error = json.loads(err)["error"]
+    kind, message = NAMED_FAULTS[fault]
+    assert error["type"] == kind
+    assert message.format(path=path) in error["message"]
+    assert out == ""
+
+
 @pytest.mark.parametrize("command, role", [
     ("refine", None), ("mix", None), ("eval", None), ("eval", "test"), ("eval", "trian"),
 ])
@@ -880,7 +928,8 @@ def coloured_eval_corpus(tmp_path, capsys):
     for entry in manifest.entries("train"):
         path = manifest.resolve(entry.path)
         scene = load_scene(path)
-        scene.colors = rng.uniform(0, 1, size=(scene.point_count, 3))
+        scene = PointCloudScene(scene.positions, scene.labels,
+                                rng.uniform(0, 1, size=(scene.point_count, 3)))
         save_scene(scene, path)
         for grid in (0.0, 0.05, 0.1):
             truth = voxelize(scene, VoxelConfig(grid)).labels if grid else scene.labels
@@ -972,6 +1021,7 @@ class TestEvalReader:
         error = json.loads(err)["error"]
         assert error["type"] == "ContractError"
         assert message in error["message"]
+        assert str(corpus / "scenes/train_001.ply") in error["message"]
         assert out == ""
 
 
