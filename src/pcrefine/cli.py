@@ -19,7 +19,7 @@ import numpy as np
 from . import benchmark, metrics, sim
 from .embeddings import FileFeatureProvider, SyntheticFeatureProvider, SyntheticProviderConfig
 from .embeddings import load_embeddings, save_embeddings
-from .errors import ConfigError, ContractError, FormatError, PcrefineError
+from .errors import ConfigError, FormatError, PcrefineError
 from .infill import InfillConfig
 from .mix import MixConfig, _blocks
 from .pipeline import refine_labels
@@ -312,13 +312,15 @@ def cmd_split(args) -> None:
     print(json.dumps(out_doc))
 
 
-def _truth_labels(path: Path, grid: VoxelConfig | None) -> np.ndarray:
-    """The ground-truth labels eval scores for the scene at path: per point,
-    or per voxel cell of grid. Colours are never read, and only the labels
+def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | None) -> np.ndarray:
+    """The ground-truth labels eval scores for a manifest scene: per point, or
+    per voxel cell of grid. Colours are never read, and only the labels
     outlive the call, so a scene is freed before the next one loads."""
-    positions, labels, _ = _read_geometry(path)
+    path = manifest.resolve(entry.path)
+    positions, labels, _ = _read_geometry(path)  # a PLY fault names the file
     scene = PointCloudScene(positions, labels, source_path=str(path))  # checks the labels
-    return scene.labels if grid is None else voxel_labels(scene, grid)
+    with _scene_faults(entry):  # a voxel fault names the scene
+        return scene.labels if grid is None else voxel_labels(scene, grid)
 
 
 def cmd_eval(args) -> None:
@@ -328,15 +330,12 @@ def cmd_eval(args) -> None:
     pred_dir = Path(args.pred_dir)
     conf = metrics.ConfusionMatrix(manifest.schema.n_classes)
     for entry in _role_entries(manifest, args.role):
-        truth = _truth_labels(manifest.resolve(entry.path), grid)  # a PLY fault names the file
+        truth = _truth_labels(manifest, entry, grid)
         with _scene_faults(entry):
             pred_path = pred_dir / f"{entry.scene_id}.npy"
             if not pred_path.exists():
                 raise ConfigError(f"missing predictions: {pred_path}")
-            pred = load_labels(pred_path)
-            if pred.shape[0] != truth.shape[0]:
-                raise ContractError(f"{pred.shape[0]} predictions for {truth.shape[0]} points")
-            metrics.accumulate(conf, pred, truth)
+            metrics.accumulate(conf, load_labels(pred_path), truth)  # checks the length
     result = metrics.summary(conf, manifest.schema)
     doc = {"version": REPORT_SCHEMA_VERSION, "metrics": result.to_dict(),
            "per_class_iou": {str(c): v for c, v in metrics.iou_per_class(conf).items()}}

@@ -42,19 +42,22 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
+def _label_pairs(name: str, pred: np.ndarray, gt: np.ndarray, n: int) -> np.ndarray:
+    """The (n+1, n+1) int64 count of (gt, pred) label pairs, gt by rows, after
+    checking both label vectors once; row and column 0 count label -1."""
+    gt = checked_labels("gt", gt, hi=n)
+    pred = checked_labels(name, pred, gt.shape[0], n)
+    flat = np.bincount((gt + 1) * (n + 1) + pred + 1, minlength=(n + 1) ** 2)
+    return flat.reshape(n + 1, n + 1)
+
+
 def accumulate(
     conf: ConfusionMatrix, pred: np.ndarray, gt: np.ndarray
 ) -> ConfusionMatrix:
     """Add one scene's (pred, gt) pair to the confusion matrix in place."""
-    n = conf.n_classes
-    gt = checked_labels("gt", gt, hi=n)
-    pred = checked_labels("pred", pred, gt.shape[0], n)
-    keep = gt != UNLABELED
-    g = gt[keep]
-    p = pred[keep]
-    p = np.where(p == UNLABELED, n, p)  # trailing unlabeled column
-    flat = np.bincount(g * (n + 1) + p, minlength=n * (n + 1))
-    conf.counts += flat.reshape(n, n + 1)
+    pairs = _label_pairs("pred", pred, gt, conf.n_classes)
+    # Row 0 (gt -1) is dropped; column 0 (pred -1) moves to the unlabeled column.
+    conf.counts += np.roll(pairs[1:], -1, axis=1)
     return conf
 
 
@@ -140,17 +143,12 @@ class QualityReport:
 def pseudo_label_quality(
     pseudo: np.ndarray, gt: np.ndarray, schema: ClassSchema
 ) -> QualityReport:
-    """Precision/recall of pseudo-labels against ground truth, per novel class."""
-    gt = checked_labels("gt", gt, hi=schema.n_classes)
-    pseudo = checked_labels("pseudo", pseudo, gt.shape[0], schema.n_classes)
-    precision = {}
-    recall = {}
-    for c in schema.novel_indices:
-        pred_c = pseudo == c
-        gt_c = gt == c
-        tp = int((pred_c & gt_c).sum())
-        if pred_c.any():
-            precision[c] = tp / int(pred_c.sum())
-        if gt_c.any():
-            recall[c] = tp / int(gt_c.sum())
+    """Precision/recall of pseudo-labels against ground truth, per novel class.
+    A pseudo-label on a ground-truth -1 point counts against precision."""
+    pairs = _label_pairs("pseudo", pseudo, gt, schema.n_classes)
+    # Class c is row and column c + 1; a column sum includes the gt -1 row.
+    tp, predicted, actual = np.diag(pairs)[1:], pairs.sum(axis=0)[1:], pairs.sum(axis=1)[1:]
+    novel = schema.novel_indices
+    precision = {c: int(tp[c]) / int(predicted[c]) for c in novel if predicted[c]}
+    recall = {c: int(tp[c]) / int(actual[c]) for c in novel if actual[c]}
     return QualityReport(precision, recall)

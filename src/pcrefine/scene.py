@@ -141,7 +141,7 @@ def checked_labels(
         bound = ">= -1" if hi == np.iinfo(np.int64).max else f"in [-1, {hi})"
         raise ContractError(
             f"{name} label {labels[i].item()!r} at point {i} breaks the label contract: "
-            f"{name} labels must be integers {bound}, got dtype {labels.dtype}"
+            f"labels must be integers {bound}, got dtype {labels.dtype}"
         )
     return labels.astype(np.int64, copy=False)
 

@@ -886,6 +886,11 @@ class TestEval:
                            "--manifest", str(corpus / "manifest.json"),
                            "--pred-dir", str(pred_dir))
         assert code == EXIT_CONTRACT
+        n_points = load_scene(manifest.resolve(manifest.entries("train")[0].path)).point_count
+        assert json.loads(err)["error"] == {
+            "type": "AlignmentError",
+            "message": f"scene train_000: pred labels of shape (3,) are not {n_points} labels, "
+                       "one per row"}
 
     def test_voxelized_eval(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys, **{"--flip": "0.0", "--erosion": "0.0"})
@@ -907,6 +912,9 @@ class TestEval:
         pytest.param("-1", "grid_size must be > 0, got -1.0", id="-1"),
         pytest.param("nan", "grid_size must be > 0, got nan", id="nan"),
         pytest.param("inf", "grid_size must be finite, got inf", id="inf"),
+        # Too fine for the scene's extent: found only once a scene is read, so named.
+        pytest.param("1e-300", "scene train_000: grid_size 1e-300 is too fine for this scene",
+                     id="1e-300"),
     ])
     def test_bad_grid(self, tmp_path, capsys, grid, message):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})

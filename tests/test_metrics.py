@@ -197,3 +197,68 @@ class TestPseudoLabelQuality:
     def test_length_mismatch(self, schema):
         with pytest.raises(AlignmentError):
             pseudo_label_quality(np.array([0]), np.array([0, 1]), schema)
+
+
+# The bodies of accumulate and pseudo_label_quality before both read one
+# (gt, pred) pair count, kept as references the count must reproduce exactly.
+def reference_accumulate(conf, pred, gt):
+    n = conf.n_classes
+    keep = gt != -1
+    g = gt[keep]
+    p = pred[keep]
+    p = np.where(p == -1, n, p)
+    flat = np.bincount(g * (n + 1) + p, minlength=n * (n + 1))
+    conf.counts += flat.reshape(n, n + 1)
+    return conf
+
+
+def reference_quality(pseudo, gt, schema):
+    precision = {}
+    recall = {}
+    for c in schema.novel_indices:
+        pred_c = pseudo == c
+        gt_c = gt == c
+        tp = int((pred_c & gt_c).sum())
+        if pred_c.any():
+            precision[c] = tp / int(pred_c.sum())
+        if gt_c.any():
+            recall[c] = tp / int(gt_c.sum())
+    return precision, recall
+
+
+def hexed(values: dict) -> dict:
+    return {c: v.hex() for c, v in values.items()}
+
+
+@st.composite
+def labelled_pairs(draw):
+    """A schema and (gt, pred) vectors of 0-500 labels in [-1, n), each drawn
+    from a random subset of the labels, so a class can be absent from one side
+    and a prediction can land on a gt -1 point."""
+    n_base, n_novel = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    n = n_base + n_novel
+    schema = ClassSchema(tuple(f"b{i}" for i in range(n_base)),
+                         tuple(f"n{i}" for i in range(n_novel)))
+    size = draw(st.integers(0, 500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    gt_pool, pred_pool = (draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=n + 1))
+                          for _ in range(2))
+    return schema, rng.choice(gt_pool, size), rng.choice(pred_pool, size)
+
+
+class TestOnePairCount:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(case=labelled_pairs())
+    def test_equals_the_per_class_mask_bodies(self, case):
+        schema, gt, pred = case
+        n = schema.n_classes
+        conf = accumulate(ConfusionMatrix(n), pred, gt)
+        np.testing.assert_array_equal(
+            conf.counts, reference_accumulate(ConfusionMatrix(n), pred, gt).counts)
+        report = pseudo_label_quality(pred, gt, schema)
+        precision, recall = reference_quality(pred, gt, schema)
+        assert list(report.precision) == list(precision)
+        assert list(report.recall) == list(recall)
+        assert hexed(report.precision) == hexed(precision)
+        assert hexed(report.recall) == hexed(recall)

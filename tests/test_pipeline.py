@@ -210,7 +210,8 @@ class TestLabelContract:
 
     def test_non_numeric_labels_rejected(self):
         feats, raw, base, support = noisy_case(0)
-        with pytest.raises(ContractError, match="raw labels must be integers"):
+        with pytest.raises(ContractError, match=r"^raw label '-?\d+' at point 0 breaks the "
+                                                "label contract: labels must be integers"):
             refine_labels(feats, raw.astype(str), base, support, SCHEMA)
 
     def test_misaligned_labels_rejected(self):
