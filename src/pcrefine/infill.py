@@ -5,15 +5,12 @@ in-scene context prototypes and falls back to support prototypes.
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .prototypes import PrototypeSet, novel_prototypes
+from .prototypes import PrototypeSet, checked_features, novel_prototypes
 from .scene import ClassSchema, _check_number, checked_labels
 
 
@@ -59,9 +56,10 @@ def infill(
     """Assign each unlabeled point the argmax-cosine class if it clears delta.
 
     Labeled points are never modified; argmax ties break toward the smallest
-    class index. Single pass, no iteration.
+    class index. Single pass, no iteration. Features must be a matrix as
+    wide as the adaptive prototypes.
     """
-    features = np.asarray(features)
+    features = checked_features("adaptive", features, adaptive)
     y_prime = checked_labels("y_prime", y_prime, features.shape[0])
     return _infill(y_prime, features, adaptive, cfg.delta)[0]
 
@@ -82,10 +80,9 @@ def _infill(
     return out, int(assigned.sum())
 
 
-# Rows per infill block. Every block has at least this many rows (or is the
-# whole set), so BLAS keeps the same gemm kernel as for the whole set and the
-# similarities stay bitwise equal to the unblocked product; OpenBLAS's
-# small-matrix path for a short tail block would change their last bits.
+# Rows per infill block. Each similarity is one dot product of its own row
+# and prototype, so the block size bounds the float64 copy's memory and
+# never changes a result.
 INFILL_BLOCK_ROWS = 4096
 
 
@@ -100,12 +97,12 @@ def _nearest_prototype(
     its index in features.
     """
     best, best_sim = [], []
-    with _one_blas_thread():
-        for block in np.array_split(rows, max(1, rows.size // INFILL_BLOCK_ROWS)):
-            sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos,
-                                   row_ids=block)
-            best.append(np.argmax(sims, axis=1))
-            best_sim.append(sims[np.arange(block.size), best[-1]])
+    for start in range(0, rows.size, INFILL_BLOCK_ROWS):
+        block = rows[start:start + INFILL_BLOCK_ROWS]
+        sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos,
+                               row_ids=block)
+        best.append(np.argmax(sims, axis=1))
+        best_sim.append(sims[np.arange(block.size), best[-1]])
     return np.concatenate(best), np.concatenate(best_sim)
 
 
@@ -114,9 +111,11 @@ def pairwise_cosine(
 ) -> np.ndarray:
     """Cosine of every row against every prototype; zero norms score -1.
 
-    A row whose norm is not finite (a NaN or inf feature) is a
-    ContractError naming the first such row by its entry in row_ids, or by
-    its position in rows when row_ids is None.
+    Each similarity is one dot product of its row and unit prototype, so it
+    does not depend on the other rows or prototypes passed. A row whose
+    norm is not finite (a NaN or inf feature) is a ContractError naming the
+    first such row by its entry in row_ids, or by its position in rows when
+    row_ids is None.
     """
     rn = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     finite = np.isfinite(rn)
@@ -129,79 +128,7 @@ def pairwise_cosine(
         )
     pn = np.sqrt(np.einsum("ij,ij->i", protos, protos))[:, None]
     safe_p = np.where(pn < 1e-12, 1.0, pn)
-    sims = rows @ (protos / safe_p).T
+    sims = np.vecdot(rows[:, None, :], (protos / safe_p)[None])
     sims /= np.where(rn < 1e-12, 1.0, rn)
     degenerate = (rn < 1e-12) | (pn < 1e-12).T
     return np.where(degenerate, -1.0, sims)
-
-
-# The thread count is process-global, so nested and concurrent scopes share
-# one: the first to enter saves the count and sets 1, the last to leave
-# restores it.
-_scope_lock = threading.Lock()
-_scope_depth = 0
-_scope_saved = 0
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
-
-    After a threaded gemm, OpenBLAS keeps its idle workers spinning for a
-    while, so infill's one small gemm per scene would cost about twice its
-    wall time in CPU. The count is process-global: any BLAS call another
-    thread makes meanwhile also runs on one thread. Without an OpenBLAS
-    that exports its thread-count functions (MKL, Accelerate, ...) this
-    does nothing. Tests pin refine's outputs bitwise equal with and
-    without this scope.
-    """
-    global _scope_depth, _scope_saved
-    threads = _openblas_thread_functions()
-    if threads is None:
-        yield
-        return
-    get_threads, set_threads = threads
-    with _scope_lock:
-        if _scope_depth == 0:
-            _scope_saved = get_threads()
-            set_threads(1)
-        _scope_depth += 1
-    try:
-        yield
-    finally:
-        with _scope_lock:
-            _scope_depth -= 1
-            if _scope_depth == 0:
-                set_threads(_scope_saved)
-
-
-@functools.cache
-def _openblas_thread_functions():
-    """The get and set thread-count functions of the OpenBLAS numpy loaded,
-    or None. Looked up once per process.
-
-    They are looked up through numpy's own extension module: a symbol
-    lookup on a loaded library's handle also searches the libraries it
-    was linked against, which finds the BLAS numpy uses whatever its file
-    name. The names follow OpenBLAS's builds: scipy-openblas wheels prefix
-    "scipy_", and ILP64 builds suffix "64_".
-    """
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath as ext
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as ext
-    try:
-        lib = ctypes.CDLL(ext.__file__)
-    except OSError:
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", "_64", ""):
-            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get_threads is not None and set_threads is not None:
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                return get_threads, set_threads
-    return None

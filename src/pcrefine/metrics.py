@@ -11,8 +11,6 @@ import numpy as np
 from .errors import ContractError
 from .scene import ClassSchema, checked_labels
 
-UNLABELED = -1
-
 
 @dataclass
 class ConfusionMatrix:

@@ -64,6 +64,22 @@ def novel_prototypes(
     return PrototypeSet(pool_by_class(features, np.where(novel, labels, -1)))
 
 
+def checked_features(name: str, features, prototypes: PrototypeSet) -> np.ndarray:
+    """features as an array, checked to be a matrix as wide as the named
+    prototypes; an empty prototype set fixes no width.
+
+    Anything else is a ContractError naming the feature shape and the width.
+    """
+    features = np.asarray(features)
+    width = next((v.shape[0] for v in prototypes.vectors.values()), None)
+    if width is not None and (features.ndim != 2 or features.shape[1] != width):
+        raise ContractError(
+            f"feature matrix of shape {features.shape} does not match the "
+            f"{name} prototype width {width}"
+        )
+    return features
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity; degenerate (near-zero norm) inputs return -1."""
     a = np.asarray(a, dtype=np.float64)

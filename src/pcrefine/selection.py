@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .prototypes import PrototypeSet, cosine, novel_prototypes
+from .errors import ConfigError
+from .prototypes import PrototypeSet, checked_features, cosine, novel_prototypes
 from .scene import ClassSchema, _check_number, checked_labels
 
 
@@ -50,16 +50,11 @@ def select_and_merge(
 
     Base-class predictions are always cleared to -1. A novel class keeps all
     of its points iff cosine(predicted, support) >= tau, one decision per
-    class. Raises ContractError unless raw labels are one integer in
-    [-1, n_classes) per feature row, and base labels one in [-1, n_base).
+    class. Raises ContractError unless features are as wide as the support
+    prototypes, raw labels are one integer in [-1, n_classes) per feature
+    row, and base labels one in [-1, n_base).
     """
-    features = np.asarray(features)
-    width = next((v.shape[0] for v in support.vectors.values()), None)
-    if width is not None and (features.ndim != 2 or features.shape[1] != width):
-        raise ContractError(
-            f"feature matrix of shape {features.shape} does not match the "
-            f"support prototype width {width}"
-        )
+    features = checked_features("support", features, support)
     raw = checked_labels("raw", raw, features.shape[0], schema.n_classes)
     base_labels = checked_labels("base", base_labels, features.shape[0], schema.n_base)
     agreement = prototype_agreement(novel_prototypes(features, raw, schema), support)

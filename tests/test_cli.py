@@ -5,7 +5,6 @@ import io
 import json
 import operator
 import struct
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -284,20 +283,6 @@ class TestRefine:
         assert error["type"] == "ContractError"
         assert error["message"].startswith("support scene ")
         assert str(corpus / shot["scene"]) in error["message"]
-
-    def test_one_blas_thread_does_not_change_outputs(self, tmp_path, capsys, monkeypatch):
-        corpus = simulate(tmp_path, capsys, **{"--scenes": "2", "--dim": "64"})
-        outputs = []
-        for name in ("scoped", "unscoped"):
-            if name == "unscoped":
-                monkeypatch.setattr(sys.modules["pcrefine.infill"], "_one_blas_thread",
-                                    contextlib.nullcontext)
-            code, _, _ = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
-                             "--out", str(tmp_path / name))
-            assert code == EXIT_OK
-            outputs.append({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()})
-        assert sorted(outputs[0]) == ["report.json", "train_000.npy", "train_001.npy"]
-        assert outputs[0] == outputs[1]
 
     def test_bad_tau(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)

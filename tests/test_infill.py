@@ -1,7 +1,3 @@
-import importlib
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -18,13 +14,8 @@ from pcrefine.errors import ConfigError, ContractError
 from pcrefine.infill import (
     INFILL_BLOCK_ROWS,
     _nearest_prototype,
-    _one_blas_thread,
-    _openblas_thread_functions,
     pairwise_cosine,
 )
-
-# The module, not the function of the same name that pcrefine exports.
-infill_module = importlib.import_module("pcrefine.infill")
 
 
 def unit(d, axis):
@@ -234,6 +225,26 @@ class TestBlockedInfill:
         assert outcomes == {True, False}  # some rows infilled, some left unlabeled
 
 
+class TestPerPairCosine:
+    """Each similarity depends only on its own row and prototype: neither the
+    other prototypes in the matrix nor the other rows in the block change
+    its bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_columns_and_rows_computed_alone_are_bitwise_equal(self, dtype):
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(300, 512)).astype(dtype)
+        rows[17] = 0  # a zero row scores -1 everywhere
+        protos = rng.normal(size=(9, 512))
+        protos[4] = 0  # a zero prototype scores -1 for every row
+        sims = pairwise_cosine(rows, protos)
+        assert (sims[17] == -1).all() and (sims[:, 4] == -1).all()
+        for k in range(protos.shape[0]):
+            assert sims[:, k].tobytes() == pairwise_cosine(rows, protos[k:k + 1])[:, 0].tobytes()
+        for i in range(rows.shape[0]):
+            assert sims[i].tobytes() == pairwise_cosine(rows[i:i + 1], protos)[0].tobytes()
+
+
 class TestNonFiniteFeatures:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
@@ -260,119 +271,3 @@ class TestNonFiniteFeatures:
         rows[2, 1] = np.nan
         with pytest.raises(ContractError, match=r"feature row 2 is not finite"):
             pairwise_cosine(rows, np.ones((1, 2)))
-
-
-# The thread count the tests set before a scoped call, so that a restore
-# shows even on a one-core machine, where the default is already 1.
-SET_THREADS = 2
-
-
-@pytest.fixture
-def openblas():
-    """numpy's OpenBLAS get/set functions, with the thread count set to
-    SET_THREADS for the test and restored after it."""
-    threads = _openblas_thread_functions()
-    if threads is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS with thread-count functions")
-    get_threads, set_threads = threads
-    before = get_threads()
-    set_threads(SET_THREADS)
-    yield get_threads
-    set_threads(before)
-
-
-class TestOneBlasThread:
-    def test_one_thread_inside_count_restored_after(self, schema, monkeypatch, openblas):
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(openblas())
-            return pairwise_cosine(*args, **kwargs)
-
-        monkeypatch.setattr(infill_module, "pairwise_cosine", recording)
-        feats = np.random.default_rng(0).normal(size=(3 * INFILL_BLOCK_ROWS, 8))
-        _nearest_prototype(feats, np.arange(feats.shape[0]), np.eye(8)[:5])
-        assert seen == [1, 1, 1]
-        assert openblas() == SET_THREADS
-
-    def test_count_restored_when_body_raises(self, openblas):
-        with pytest.raises(ContractError):
-            with _one_blas_thread():
-                assert openblas() == 1
-                raise ContractError("raised inside the scope")
-        assert openblas() == SET_THREADS
-
-    def test_overlapping_scopes_in_two_threads(self, openblas):
-        # A enters, B enters, A leaves while B is still inside, B leaves.
-        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-        seen = {}
-
-        def a():
-            with _one_blas_thread():
-                a_in.set()
-                b_in.wait(10)
-            a_out.set()
-
-        def b():
-            a_in.wait(10)
-            with _one_blas_thread():
-                b_in.set()
-                a_out.wait(10)
-                seen["b_after_a_left"] = openblas()
-
-        workers = [threading.Thread(target=a), threading.Thread(target=b)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(10)
-            assert not w.is_alive()
-        assert seen == {"b_after_a_left": 1}
-        assert openblas() == SET_THREADS
-
-    def test_concurrent_scopes_stress(self, openblas):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        inside = []
-
-        def worker():
-            for _ in range(200):
-                with _one_blas_thread():
-                    inside.append(openblas())
-
-        try:
-            workers = [threading.Thread(target=worker) for _ in range(6)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(30)
-                assert not w.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert inside == [1] * 1200
-        assert openblas() == SET_THREADS
-
-    def test_lookup_cached(self):
-        assert _openblas_thread_functions() is _openblas_thread_functions()
-
-    def test_no_op_without_symbols(self, monkeypatch):
-        class NoSymbols:
-            def __init__(self, name):
-                pass
-
-            def __getattr__(self, name):
-                raise AttributeError(name)  # as ctypes does for a missing symbol
-
-        monkeypatch.setattr("ctypes.CDLL", NoSymbols)
-        assert _openblas_thread_functions.__wrapped__() is None
-        monkeypatch.setattr(infill_module, "_openblas_thread_functions", lambda: None)
-        ran = []
-        with _one_blas_thread():
-            ran.append(True)
-        assert ran == [True]
-
-    def test_no_op_when_library_cannot_be_opened(self, monkeypatch):
-        def unopenable(name):
-            raise OSError(name)
-
-        monkeypatch.setattr("ctypes.CDLL", unopenable)
-        assert _openblas_thread_functions.__wrapped__() is None

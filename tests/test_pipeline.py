@@ -24,7 +24,6 @@ from pcrefine import (
 from pcrefine.benchmark import class_stats
 from pcrefine.errors import AlignmentError, ContractError
 from pcrefine.infill import (
-    _openblas_thread_functions,
     adaptive_set,
     context_prototypes,
     infill,
@@ -135,21 +134,8 @@ class TestNonFiniteFeatures:
         feats, raw, base, support = noisy_case(0)
         i = int(np.flatnonzero((raw == -1) & (base == -1))[0])  # a row only infill reads
         feats[i, 3] = value
-        threads = _openblas_thread_functions()
-        if threads is not None:
-            get_threads, set_threads = threads
-            before = get_threads()
-            set_threads(2)  # not 1, so that a missed restore shows
-        try:
-            with pytest.raises(ContractError, match=rf"feature row {i} is not finite"):
-                refine_labels(feats, raw, base, support, SCHEMA)
-            if threads is not None:
-                assert get_threads() == 2
-                refine_labels(*noisy_case(0), SCHEMA)
-                assert get_threads() == 2
-        finally:
-            if threads is not None:
-                set_threads(before)
+        with pytest.raises(ContractError, match=rf"feature row {i} is not finite"):
+            refine_labels(feats, raw, base, support, SCHEMA)
 
 
 class TestFeatureWidth:
@@ -160,9 +146,13 @@ class TestFeatureWidth:
         for call in (
             lambda: refine_labels(feats, raw, base, support, SCHEMA),
             lambda: select_and_merge(feats, raw, base, support, SelectionConfig(), SCHEMA),
+            lambda: infill(raw, feats, support, InfillConfig()),
         ):
             with pytest.raises(ContractError, match=r"shape \(\d+, 16\).*width 32"):
                 call()
+        with pytest.raises(ContractError, match=rf"^feature matrix of shape \({raw.size},\) "
+                                                r"does not match the adaptive prototype width 32$"):
+            infill(raw, feats[:, 0], support, InfillConfig())
 
 
 # Each library function that takes label vectors: the labels of one valid
