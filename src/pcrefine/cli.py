@@ -24,7 +24,7 @@ from .infill import InfillConfig
 from .mix import MixConfig, _blocks
 from .pipeline import refine_labels
 from .prototypes import support_prototypes
-from .scene import ClassSchema, PointCloudScene, VoxelConfig, _check_number, checked_labels, voxel_labels
+from .scene import ClassSchema, VoxelConfig, _check_number, _voxel_labels, checked_labels
 from .scene_io import (
     Manifest,
     SceneEntry,
@@ -314,13 +314,15 @@ def cmd_split(args) -> None:
 
 def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | None) -> np.ndarray:
     """The ground-truth labels eval scores for a manifest scene: per point, or
-    per voxel cell of grid. Colours are never read, and only the labels
-    outlive the call, so a scene is freed before the next one loads."""
+    per voxel cell of grid, as voxel_labels(load_scene(path), grid) gives
+    them. The cell keys come from the file's float32 columns, so no float64
+    positions or scene are built; colours are never read, and only the
+    labels outlive the call."""
     path = manifest.resolve(entry.path)
-    positions, labels, _ = _read_geometry(path)  # a PLY fault names the file
-    scene = PointCloudScene(positions, labels, source_path=str(path))  # checks the labels
+    columns, labels, _ = _read_geometry(path, columns=True)  # a PLY fault names the file
+    labels = checked_labels(f"{path}: scene", labels)  # the scene's label check and message
     with _scene_faults(entry):  # a voxel fault names the scene
-        return scene.labels if grid is None else voxel_labels(scene, grid)
+        return labels if grid is None else _voxel_labels(columns, labels, grid.grid_size)
 
 
 def cmd_eval(args) -> None:

@@ -65,18 +65,16 @@ def novel_prototypes(
 
 
 def checked_features(name: str, features, prototypes: PrototypeSet) -> np.ndarray:
-    """features as an array, checked to be a matrix as wide as the named
-    prototypes; an empty prototype set fixes no width.
+    """features as an array, checked to be a matrix, as wide as the named
+    prototypes unless the set is empty and so fixes no width.
 
     Anything else is a ContractError naming the feature shape and the width.
     """
     features = np.asarray(features)
     width = next((v.shape[0] for v in prototypes.vectors.values()), None)
-    if width is not None and (features.ndim != 2 or features.shape[1] != width):
-        raise ContractError(
-            f"feature matrix of shape {features.shape} does not match the "
-            f"{name} prototype width {width}"
-        )
+    if features.ndim != 2 or width not in (None, features.shape[1]):
+        fault = "is not 2-D" if width is None else f"does not match the {name} prototype width {width}"
+        raise ContractError(f"feature matrix of shape {features.shape} {fault}")
     return features
 
 

@@ -48,7 +48,7 @@ class PointCloudScene:
                 raise AlignmentError(
                     f"colors shape {self.colors.shape} does not match {n} points"
                 )
-            check_finite(name, self.colors, "colour")
+            check_finite(name, self.colors.T, "colour")
 
     @property
     def point_count(self) -> int:
@@ -134,6 +134,9 @@ def checked_labels(
         values = labels.astype(np.result_type(labels.dtype, np.float64), copy=False)
         # NaN compares unequal to its floor, so it is caught too.
         bad = (values < -1) | (values >= hi) | (values != np.floor(values))
+    elif labels.size == 0 or (labels.min() >= -1 and labels.max() < hi):
+        # Two reductions clear valid integers; the mask below only names a fault.
+        return labels.astype(np.int64, copy=False)
     else:
         bad = (labels < -1) | (labels >= hi)
     if bad.any():
@@ -199,19 +202,19 @@ def checked_mask(name: str, mask: np.ndarray, n: int | None = None) -> np.ndarra
     return mask.astype(bool)
 
 
-def check_finite(name: str, values: np.ndarray, what: str = "position") -> None:
-    """Raise a ContractError naming the first point whose row of values (an
-    (N, k) array of positions, or of what the rows hold) has a NaN or an
-    infinity."""
+def check_finite(name: str, columns: np.ndarray, what: str = "position") -> None:
+    """Raise a ContractError naming the first point whose values have a NaN
+    or an infinity. columns is a (k, N) float array, one row per coordinate
+    (or whatever the points hold): positions.T, or a file's float32 columns."""
     # One summing pass: a NaN or an infinity makes the sum non-finite. Finite
-    # values past float64 max do too, and the exact pass below clears them.
+    # values past the dtype's max do too, and the exact pass below clears them.
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(values.sum()):
+        if np.isfinite(columns.sum()):
             return
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(columns).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ContractError(f"{name}: {what} {values[i].tolist()} of point {i} is not finite")
+        raise ContractError(f"{name}: {what} {columns[:, i].tolist()} of point {i} is not finite")
 
 
 @dataclass(frozen=True)
@@ -234,6 +237,7 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     grid is so fine for the scene extent that a cell index or the packed
     cell key would not fit in int64.
     """
+    check_finite("voxelize", scene.positions.T)
     inverse, n_cells = _voxel_cells(scene.positions, cfg.grid_size)
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
 
@@ -257,44 +261,56 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
 def voxel_labels(scene: PointCloudScene, cfg: VoxelConfig) -> np.ndarray:
     """voxelize(scene, cfg).labels, bitwise, without the cell means: for a
     caller that reads only the labels and their count. Raises as voxelize."""
-    key, n_keys = _cell_keys(scene.positions, cfg.grid_size)
-    labels = scene.labels
-    # The packed key orders cells as their ranks do, so the majority vote
-    # needs no ranks unless (key, label) pairs would not fit in int64.
-    if n_keys * (int(labels.max()) - int(labels.min()) + 1) > np.iinfo(np.int64).max:
-        key, n_keys = _cell_ranks(key, n_keys)
-    return _majority_labels(key, n_keys, labels)
+    check_finite("voxelize", scene.positions.T)
+    return _voxel_labels(scene.positions.T, scene.labels, cfg.grid_size)
+
+
+def _voxel_labels(columns: np.ndarray, labels: np.ndarray, grid_size: float) -> np.ndarray:
+    """voxel_labels of the points whose finite coordinates are the rows of
+    columns, a (3, N) float32 or float64 array, and whose checked int64
+    labels are labels."""
+    # The packed key orders cells as their ranks do, so the vote takes it as is.
+    return _majority_labels(*_cell_keys(columns, grid_size), labels)
 
 
 def _voxel_cells(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
     """Each point's cell rank in lexicographic (x, y, z) cell order, which is
     np.unique(key, return_inverse=True)[1] of the packed cell key, and the
-    number of occupied cells."""
-    return _cell_ranks(*_cell_keys(positions, grid_size))
+    number of occupied cells. positions must be finite."""
+    return _cell_ranks(*_cell_keys(positions.T, grid_size))
 
 
-def _cell_keys(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
+def _cell_keys(columns: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
     """Each point's packed cell key, whose integer order is lexicographic
-    (x, y, z) cell order, and prod(spans), which bounds the keys from above."""
-    check_finite("voxelize", positions)
-    # One contiguous column at a time: numpy reduces axis 0 of a C-ordered
-    # (N, 3) array through a 3-wide inner loop, so min/max over the whole
-    # cell array cost about as much as the sort. The values are the same.
-    cells = [np.floor(positions[:, k] / grid_size) for k in range(3)]
-    lo, hi = [c.min() for c in cells], [c.max() for c in cells]
+    (x, y, z) cell order, and prod(spans), which bounds the keys from above.
+    columns holds the finite x, y and z coordinates as rows, float32 or
+    float64: positions.T, or a file's float32 columns."""
     too_fine = f"grid_size {grid_size} is too fine for this scene: cell keys overflow int64"
-    if min(lo) < -2**63 or max(hi) >= 2**63:
-        raise ConfigError(too_fine)
-    # Python ints, so a packed key past int64 is caught rather than wrapped.
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        raise ConfigError(too_fine)
-    # Offsets are taken in int64: a float difference past 2**53 would round.
-    key = cells.pop(0).astype(np.int64) - np.int64(lo[0])
-    for k in (1, 2):
-        key *= spans[k]
-        key += cells.pop(0).astype(np.int64) - np.int64(lo[k])
-    return key, math.prod(spans)
+    n = columns.shape[1]
+    # float64(x) is exact, so each quotient is the float64 x / grid_size
+    # whatever the column dtype; a float32 quotient would give other cells.
+    quotient = np.empty(n, dtype=np.float64)
+    key, cell = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    n_keys = 1  # a Python int, so a packed key past int64 is caught rather than wrapped
+    for k, column in enumerate(columns):
+        np.divide(column, grid_size, out=quotient, dtype=np.float64)
+        # floor is monotone, so the extreme quotients' floors are the extreme cells.
+        lo, hi = float(quotient.min()), float(quotient.max())
+        if lo < -2**63 or hi >= 2**63:
+            raise ConfigError(too_fine)
+        lo, hi = math.floor(lo), math.floor(hi)
+        span = hi - lo + 1
+        n_keys *= span
+        if n_keys > np.iinfo(np.int64).max:
+            raise ConfigError(too_fine)
+        # Offsets are taken in int64: a float difference past 2**53 would round.
+        offset = cell if k else key
+        np.floor(quotient, out=offset, casting="unsafe")
+        offset -= lo
+        if k:
+            key *= span
+            key += offset
+    return key, n_keys
 
 
 def _cell_ranks(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
@@ -323,11 +339,17 @@ def _cell_ranks(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
 
 def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray) -> np.ndarray:
     """Most frequent label per cell, the smallest one on ties, in cell order,
-    from one value sort. cell is any per-point cell id in [0, n_cells) whose
-    order is the cell order: a rank, or a packed key with its bound."""
+    as int64, from one value sort and one max. cell is any per-point cell id
+    in [0, n_cells) whose order is the cell order: a rank, or a packed key
+    with its bound, which is ranked first if (key, label) pairs would not
+    fit in int64. Overwrites cell."""
     lo, hi = int(labels.min()), int(labels.max())
     span = hi - lo + 1
-    # Python ints, so a packed (cell, label) key past int64 is caught rather than wrapped.
+    # Python ints, so a packed (cell, label) key past int64 is caught rather
+    # than wrapped. Ranks keep the cell order and may fit where a sparse
+    # packed cell key does not.
+    if n_cells * span > np.iinfo(np.int64).max:
+        cell, n_cells = _cell_ranks(cell, n_cells)
     if n_cells * span > np.iinfo(np.int64).max:
         raise ContractError(
             f"voxelize: label range [{lo}, {hi}] is too wide to pack "
@@ -335,14 +357,28 @@ def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray) -> np.n
         )
     # Sorted by cell, then by label: each run of equal values is one
     # (cell, label) group, and each cell one run of groups.
-    pairs = cell * span
+    pairs = cell
+    pairs *= span
     pairs -= lo  # before the labels, so no partial sum passes int64 max
     pairs += labels
+    if n_cells * span <= 2**31:  # every pair fits int32, which sorts in half the time
+        pairs = pairs.astype(np.int32)
     pairs.sort()
+    n = pairs.shape[0]
     group = np.flatnonzero(_run_starts(pairs))
-    counts = np.diff(group, append=pairs.shape[0])
-    cell_of, label_of = np.divmod(pairs[group], span)
+    counts = np.diff(group, append=n)
+    # Division by a scalar, unlike divmod and %, runs a fast divide-by-constant.
+    grouped = pairs[group]
+    cell_of = grouped // span
+    label_of = grouped - cell_of * span
     starts = np.flatnonzero(_run_starts(cell_of))
+    if (n + 1) * span - 1 <= np.iinfo(np.int64).max:
+        # Scores below (n + 1) * span: the largest count wins, and of equal
+        # counts the smallest label, whose span - 1 - label is the largest.
+        score = counts * span
+        score += span - 1 - label_of
+        best = np.maximum.reduceat(score, starts)
+        return hi - (best - best // span * span)
     top = np.repeat(np.maximum.reduceat(counts, starts), np.diff(starts, append=len(group)))
     return np.minimum.reduceat(np.where(counts == top, label_of, span), starts) + lo
 

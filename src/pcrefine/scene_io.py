@@ -122,10 +122,14 @@ def load_scene(path: str | Path) -> PointCloudScene:
     return PointCloudScene(positions, labels, colors, source_path=str(path))
 
 
-def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_geometry(
+    path: str | Path, columns: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A PLY file's positions, checked finite (and at least one), its labels
-    as int64 (for the scene to check), and its vertex record, whose colours
-    are left unread.
+    as int64 (for the caller to check), and its vertex record, whose colours
+    are left unread. The positions are an (N, 3) float64 array or, with
+    columns, the file's x, y and z as the rows of a (3, N) float32 array:
+    each contiguous, and half the size.
     Raises and warns as load_scene."""
     path = Path(path)
     with open(path, "rb") as f:
@@ -146,8 +150,12 @@ def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     if count < 1:
         raise AlignmentError(f"{path}: a scene must contain at least one point")
-    positions = _columns(rec, ("x", "y", "z"))
-    check_finite(str(path), positions)
+    if columns:
+        positions = np.stack([rec[name] for name in ("x", "y", "z")])
+        check_finite(str(path), positions)
+    else:
+        positions = _columns(rec, ("x", "y", "z"))
+        check_finite(str(path), positions.T)
     # Cast in one pass over the packed record.
     if "label" in dtype.names:
         labels = rec["label"].astype(np.int64)

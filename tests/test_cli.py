@@ -974,9 +974,19 @@ class TestEvalReader:
     """eval reads positions and labels only; its scores and its faults are
     those of load_scene followed by voxelize."""
 
-    @pytest.mark.parametrize("grid", ["0", "0.05", "0.1"])
-    def test_scores_equal_the_load_scene_reference(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize("grid, layout", [
+        *(pytest.param(grid, "binary", id=grid) for grid in ("0", "0.05", "0.1")),
+        # Eval takes each column at its offset in the record, whatever the order.
+        *(pytest.param(grid, "shuffled", id=f"{grid}-shuffled") for grid in ("0", "0.05", "0.1")),
+        pytest.param("0.05", "ascii", id="0.05-ascii"),
+    ])
+    def test_scores_equal_the_load_scene_reference(self, tmp_path, capsys, grid, layout):
         corpus, manifest = coloured_eval_corpus(tmp_path, capsys)
+        for entry in manifest.entries("train"):
+            if layout == "shuffled":
+                edit_ply_record(manifest.resolve(entry.path), lambda rec: rec[["z", "label", "x", "y"]])
+            elif layout == "ascii":
+                edit_ply_record(manifest.resolve(entry.path), fmt="ascii")
         pred_dir = tmp_path / f"pred_{float(grid)}"
         code, out, _ = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
                            "--pred-dir", str(pred_dir), "--grid", grid)
@@ -1002,12 +1012,17 @@ class TestEvalReader:
     @pytest.mark.parametrize("fault, message", [
         ("nan_position", "train_001.ply: position [nan,"),
         ("label_minus_5", "scene label -5 at point 7 "),
+        ("inf_z_last_point", ", inf] of point "),
     ])
     def test_fault_in_train_ply_exits_2(self, tmp_path, capsys, grid, fault, message):
         corpus, _ = coloured_eval_corpus(tmp_path, capsys)
-        column, value = {"nan_position": ("x", np.nan), "label_minus_5": ("label", -5)}[fault]
+        column, index, value = {"nan_position": ("x", 7, np.nan), "label_minus_5": ("label", 7, -5),
+                                "inf_z_last_point": ("z", -1, np.inf)}[fault]
+        n = load_scene(corpus / "scenes/train_001.ply").point_count
         edit_ply_record(corpus / "scenes/train_001.ply",
-                        lambda rec: rec[column].__setitem__(7, value))
+                        lambda rec: rec[column].__setitem__(index, value))
+        if fault == "inf_z_last_point":
+            message += f"{n - 1} is not finite"
         code, out, err = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
                              "--pred-dir", str(tmp_path / f"pred_{float(grid)}"), "--grid", grid)
         assert code == EXIT_CONTRACT
@@ -1016,6 +1031,24 @@ class TestEvalReader:
         assert message in error["message"]
         assert str(corpus / "scenes/train_001.ply") in error["message"]
         assert out == ""
+
+    def test_finite_positions_whose_float32_sum_overflows_score(self, tmp_path, capsys):
+        # Two x of 3e38 are finite, but the float32 columns' one summing pass
+        # reads inf; the exact pass must clear them, as it does for float64.
+        corpus, manifest = coloured_eval_corpus(tmp_path, capsys)
+        path = corpus / "scenes/train_001.ply"
+
+        def edit(rec):
+            rec["x"][[0, 8]] = 3e38
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(np.stack([rec["x"], rec["y"], rec["z"]]).sum())
+        edit_ply_record(path, edit)
+        pred_dir = tmp_path / "pred_0.0"
+        code, out, _ = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
+                           "--pred-dir", str(pred_dir), "--grid", "0")
+        assert code == EXIT_OK
+        assert load_scene(path).positions[[0, 8], 0].tolist() == [float(np.float32(3e38))] * 2
+        assert out.splitlines()[-1] == json.dumps(reference_eval_doc(manifest, pred_dir, 0.0))
 
 
 class TestEndToEnd:

@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 
 import numpy as np
@@ -153,6 +154,24 @@ class TestFeatureWidth:
         with pytest.raises(ContractError, match=rf"^feature matrix of shape \({raw.size},\) "
                                                 r"does not match the adaptive prototype width 32$"):
             infill(raw, feats[:, 0], support, InfillConfig())
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 4)], ids=["0-d", "1-D", "2-D"])
+    def test_empty_prototype_set_still_requires_a_matrix(self, shape):
+        # An empty set fixes no width, but the features must still be a matrix:
+        # 0-d features raised a bare IndexError, and 1-D ones passed unchecked.
+        features = np.ones(shape)
+        labels = np.array([-1, 0, -1])  # no novel class, so no prototype is read
+        empty = PrototypeSet({})
+        for call in (
+            lambda: infill(labels, features, empty, InfillConfig()),
+            lambda: select_and_merge(features, labels, labels, empty, SelectionConfig(), SCHEMA)[0],
+        ):
+            if len(shape) == 2:
+                assert call().tolist() == [-1, 0, -1]
+            else:
+                with pytest.raises(ContractError, match=rf"^feature matrix of shape "
+                                                        rf"{re.escape(str(shape))} is not 2-D$"):
+                    call()
 
 
 # Each library function that takes label vectors: the labels of one valid

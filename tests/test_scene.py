@@ -278,12 +278,12 @@ class TestValidate:
     def test_finite_values_whose_sum_overflows_pass(self):
         # The one summing pass reads inf here; the exact pass clears it.
         huge = np.full((4, 3), 1.5e308)
-        check_finite("x", huge)
+        check_finite("x", huge.T)
         scene = PointCloudScene(np.zeros((4, 3)), np.zeros(4), colors=huge)
         assert scene.colors.tobytes() == huge.tobytes()
         huge[2, 1] = -np.inf
         with pytest.raises(ContractError, match="point 2 is not finite"):
-            check_finite("x", huge)
+            check_finite("x", huge.T)
 
     def test_whole_float_labels_become_int64(self):
         scene = PointCloudScene(positions=np.zeros((3, 3)), labels=np.array([-1.0, 0.0, 7.0]))
@@ -470,7 +470,7 @@ def majority_labels_unique(inverse, n_cells, labels):
 def voxelize_axis0(scene, cfg):
     """The reference: voxelize as it was written over the whole (N, 3) cell
     array, with axis-0 reductions and the key packed from (N, 3) temporaries."""
-    check_finite("voxelize", scene.positions)
+    check_finite("voxelize", scene.positions.T)
     cells = np.floor(scene.positions / cfg.grid_size)
     lo, hi = cells.min(axis=0), cells.max(axis=0)
     too_fine = f"grid_size {cfg.grid_size} is too fine for this scene: cell keys overflow int64"
@@ -660,3 +660,92 @@ def test_voxel_labels_ranks_cells_when_pairs_do_not_fit(monkeypatch, unique_call
     assert unique_calls == ([{"return_inverse": True}] if ranked_by_unique else [])
     assert_same_bytes(got, want)
     assert_same_bytes(got, voxelize(scene, VoxelConfig(1.0)).labels)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([-1e3, -7.3, 0.0, 0.51, 250.0]),
+    scale=st.sampled_from([0.05, 1.0, 20.0]),
+    grid=st.sampled_from([0.03, 0.2, 1.0, 1e9]),
+    labels=st.sampled_from(["ties", "background", "wide"]),
+)
+def test_float32_columns_key_and_vote_equal_references(n, seed, offset, scale, grid, labels):
+    # The scenes of test_voxelize_bitwise_equals_axis0_reference, rounded to
+    # float32 as a PLY stores them: the keys and labels eval computes from a
+    # file's float32 columns are those of the float64 scene.
+    rng = np.random.default_rng(seed)
+    pos = offset + scale * rng.uniform(-1, 1, size=(n, 3)) * [1.0, 0.25, 4.0]
+    columns = pos.T.astype(np.float32)
+    label = {"ties": rng.integers(-1, 1, size=n),
+             "background": np.full(n, -1),
+             "wide": rng.integers(-1, 40, size=n)}[labels]
+    scene = PointCloudScene(columns.T, label)
+    key, n_keys = scene_module._cell_keys(columns, grid)
+    want_key, want_n_keys = scene_module._cell_keys(columns.astype(np.float64), grid)
+    assert_same_bytes(key, want_key)
+    assert n_keys == want_n_keys
+    want = voxelize_axis0(scene, VoxelConfig(grid))
+    for attr in ("positions", "colors", "labels"):
+        assert_same_bytes(getattr(voxelize(scene, VoxelConfig(grid)), attr), getattr(want, attr))
+    assert_same_bytes(voxel_labels(scene, VoxelConfig(grid)), want.labels)
+    assert_same_bytes(scene_module._voxel_labels(columns, scene.labels, grid), want.labels)
+
+
+# Scenes that put one packing bound exactly at its limit and one past it:
+# x (one cell per unit), labels, and which side of the bound they fall.
+PACKING_EDGES = {
+    # 8 cells x span 2**28 = 2**31: the largest (cell, label) pair, 2**31 - 1, fits int32.
+    "int32-at-2**31": ([0, 7, 7, 3, 3, 3], [0, 2**28 - 1, 0, 5, 2**28 - 1, 5]),
+    # 3 cells x span 715827883 = 2**31 + 1: the pair 2**31 would wrap in int32.
+    "int64-at-2**31+1": ([0, 2, 2, 1, 0], [715827882, 715827882, 0, 0, 0]),
+    # 3 points of span 2**61: the largest score, (3 + 1) * 2**61 - 1, is int64 max.
+    "one-max-at-int64-max": ([0, 0, 1], [2**61 - 1, 0, 0]),
+    # Span 2**61 + 1: (3 + 1) * span - 1 passes int64 max, so the vote is
+    # today's, with repeat, where and two reduceats.
+    "two-reduceat-past-int64-max": ([0, 0, 1], [2**61, 0, 0]),
+    # 5 points in one cell: label 0's score, 4 * span + span - 1, would wrap.
+    "two-reduceat-score-would-wrap": ([0, 0, 0, 0, 0], [0, 0, 0, 0, 2**61]),
+}
+
+
+@pytest.fixture
+def repeat_calls(monkeypatch):
+    """Counts np.repeat calls, which only the vote past the packed-score bound makes."""
+    calls = []
+    real = np.repeat
+    monkeypatch.setattr(np, "repeat", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("edge", PACKING_EDGES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vote_at_its_packing_bounds_equals_reference(repeat_calls, edge, dtype):
+    x, labels = PACKING_EDGES[edge]
+    pos = np.zeros((len(x), 3))
+    pos[:, 0] = x
+    scene = PointCloudScene(pos, np.array(labels))
+    want = voxelize_axis0(scene, VoxelConfig(1.0)).labels
+    assert want.dtype == np.int64
+    repeat_calls.clear()
+    got = [voxel_labels(scene, VoxelConfig(1.0)), voxelize(scene, VoxelConfig(1.0)).labels,
+           scene_module._voxel_labels(pos.T.astype(dtype), scene.labels, 1.0)]
+    for labels_out in got:
+        assert_same_bytes(labels_out, want)
+    assert len(repeat_calls) == (3 if edge.startswith("two-reduceat") else 0)
+
+
+def test_cell_keys_of_float32_columns_past_2_53_stay_exact():
+    # -2**60 is a float32: its cell lies 2**60 below the next, and a float
+    # offset would round 2**60 + 1 to 2**60 and merge two cells.
+    columns = np.array([[-(2.0**60), 0, 1], [0, 0, 0], [0, 0, 0]], dtype=np.float32)
+    key, n_keys = scene_module._cell_keys(columns, 1.0)
+    assert key.tolist() == [0, 2**60, 2**60 + 1]
+    assert n_keys == 2**60 + 2
+    want_key, want_n_keys = scene_module._cell_keys(columns.astype(np.float64), 1.0)
+    assert_same_bytes(key, want_key)
+    assert n_keys == want_n_keys
+    scene = PointCloudScene(columns.T, np.array([0, 1, 2]))
+    assert_same_bytes(scene_module._voxel_labels(columns, scene.labels, 1.0),
+                      voxelize_axis0(scene, VoxelConfig(1.0)).labels)
