@@ -367,20 +367,22 @@ def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray) -> np.n
     n = pairs.shape[0]
     group = np.flatnonzero(_run_starts(pairs))
     counts = np.diff(group, append=n)
-    # Division by a scalar, unlike divmod and %, runs a fast divide-by-constant.
-    grouped = pairs[group]
+    # int64 whatever pairs is, so span and lo need not fit int32. Division by
+    # a scalar, unlike divmod and %, runs a fast divide-by-constant.
+    grouped = pairs[group].astype(np.int64, copy=False)
     cell_of = grouped // span
-    label_of = grouped - cell_of * span
     starts = np.flatnonzero(_run_starts(cell_of))
-    if (n + 1) * span - 1 <= np.iinfo(np.int64).max:
-        # Scores below (n + 1) * span: the largest count wins, and of equal
-        # counts the smallest label, whose span - 1 - label is the largest.
-        score = counts * span
-        score += span - 1 - label_of
-        best = np.maximum.reduceat(score, starts)
-        return hi - (best - best // span * span)
-    top = np.repeat(np.maximum.reduceat(counts, starts), np.diff(starts, append=len(group)))
-    return np.minimum.reduceat(np.where(counts == top, label_of, span), starts) + lo
+    # A cell's groups run in label order, so of equal counts the first group
+    # holds the smallest label. Scoring group g of m by count * m + m - 1 - g
+    # makes the largest count win and the first group break a tie; the
+    # scores stay below (n + 1) * m <= (n + 1) * n, inside int64 for any n
+    # below 3e9, whatever the labels.
+    m = group.shape[0]
+    score = counts * m
+    score += np.arange(m - 1, -1, -1)
+    best = np.maximum.reduceat(score, starts)
+    won = m - 1 - (best - best // m * m)
+    return grouped[won] - cell_of[won] * span + lo
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

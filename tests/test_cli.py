@@ -1050,6 +1050,32 @@ class TestEvalReader:
         assert load_scene(path).positions[[0, 8], 0].tolist() == [float(np.float32(3e38))] * 2
         assert out.splitlines()[-1] == json.dumps(reference_eval_doc(manifest, pred_dir, 0.0))
 
+    def test_truth_label_past_the_classes_in_one_wide_voxel_exits_2(self, tmp_path, capsys):
+        # Labels -1 and 2**31 - 2 span 2**31 in one cell: the (cell, label)
+        # pairs fit int32, the span does not. The vote still runs, and the
+        # label 2**31 - 2 it returns is past the schema's classes.
+        corpus, manifest = coloured_eval_corpus(tmp_path, capsys)
+        path = corpus / "scenes/train_001.ply"
+
+        def edit(rec):
+            rec["label"] = 2**31 - 2
+            rec["label"][0] = -1
+        edit_ply_record(path, edit)
+        pred_dir = tmp_path / "pred_wide"
+        pred_dir.mkdir()
+        for entry in manifest.entries("train"):
+            positions = load_scene(manifest.resolve(entry.path)).positions
+            n_cells = len(np.unique(np.floor(positions / 1e6), axis=0))
+            np.save(pred_dir / f"{entry.scene_id}.npy", np.zeros(n_cells, dtype=np.int64))
+        code, out, err = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
+                             "--pred-dir", str(pred_dir), "--grid", "1e6")
+        assert code == EXIT_CONTRACT
+        error = json.loads(err)["error"]
+        assert error["type"] == "ContractError"
+        assert "train_001" in error["message"]
+        assert str(2**31 - 2) in error["message"]
+        assert out == ""
+
 
 class TestEndToEnd:
     def test_refine_improves_noisy_predictions(self, tmp_path, capsys):

@@ -693,47 +693,37 @@ def test_float32_columns_key_and_vote_equal_references(n, seed, offset, scale, g
     assert_same_bytes(scene_module._voxel_labels(columns, scene.labels, grid), want.labels)
 
 
-# Scenes that put one packing bound exactly at its limit and one past it:
-# x (one cell per unit), labels, and which side of the bound they fall.
+# Scenes at the int32 sort's bound and past it, and with labels far from
+# int32 or from each other: x (one cell per unit) and labels.
 PACKING_EDGES = {
     # 8 cells x span 2**28 = 2**31: the largest (cell, label) pair, 2**31 - 1, fits int32.
     "int32-at-2**31": ([0, 7, 7, 3, 3, 3], [0, 2**28 - 1, 0, 5, 2**28 - 1, 5]),
+    # 1 cell x span 2**31: the pairs fit int32, but the span itself does not.
+    "int32-one-cell-span-2**31": ([0, 0], [-1, 2**31 - 2]),
     # 3 cells x span 715827883 = 2**31 + 1: the pair 2**31 would wrap in int32.
     "int64-at-2**31+1": ([0, 2, 2, 1, 0], [715827882, 715827882, 0, 0, 0]),
-    # 3 points of span 2**61: the largest score, (3 + 1) * 2**61 - 1, is int64 max.
-    "one-max-at-int64-max": ([0, 0, 1], [2**61 - 1, 0, 0]),
-    # Span 2**61 + 1: (3 + 1) * span - 1 passes int64 max, so the vote is
-    # today's, with repeat, where and two reduceats.
-    "two-reduceat-past-int64-max": ([0, 0, 1], [2**61, 0, 0]),
-    # 5 points in one cell: label 0's score, 4 * span + span - 1, would wrap.
-    "two-reduceat-score-would-wrap": ([0, 0, 0, 0, 0], [0, 0, 0, 0, 2**61]),
+    # Labels past int32 in an int32 sort: only their range is packed.
+    "int32-labels-from-2**40": ([0, 0, 0, 1], [2**40 + 1, 2**40, 2**40 + 1, 2**40]),
+    # Spans of 2**61 and 2**61 + 1: a score packed from the label would pass int64 max.
+    "span-2**61": ([0, 0, 1], [2**61 - 1, 0, 0]),
+    "span-2**61+1": ([0, 0, 1], [2**61, 0, 0]),
+    "one-cell-span-2**61+1": ([0, 0, 0, 0, 0], [0, 0, 0, 0, 2**61]),
 }
-
-
-@pytest.fixture
-def repeat_calls(monkeypatch):
-    """Counts np.repeat calls, which only the vote past the packed-score bound makes."""
-    calls = []
-    real = np.repeat
-    monkeypatch.setattr(np, "repeat", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
-    return calls
 
 
 @pytest.mark.parametrize("edge", PACKING_EDGES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_vote_at_its_packing_bounds_equals_reference(repeat_calls, edge, dtype):
+def test_vote_at_its_packing_bounds_equals_reference(edge, dtype):
     x, labels = PACKING_EDGES[edge]
     pos = np.zeros((len(x), 3))
     pos[:, 0] = x
     scene = PointCloudScene(pos, np.array(labels))
     want = voxelize_axis0(scene, VoxelConfig(1.0)).labels
     assert want.dtype == np.int64
-    repeat_calls.clear()
     got = [voxel_labels(scene, VoxelConfig(1.0)), voxelize(scene, VoxelConfig(1.0)).labels,
            scene_module._voxel_labels(pos.T.astype(dtype), scene.labels, 1.0)]
     for labels_out in got:
         assert_same_bytes(labels_out, want)
-    assert len(repeat_calls) == (3 if edge.startswith("two-reduceat") else 0)
 
 
 def test_cell_keys_of_float32_columns_past_2_53_stay_exact():
