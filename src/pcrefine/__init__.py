@@ -10,7 +10,6 @@ from .scene import (
     ClassSchema,
     PointCloudScene,
     VoxelConfig,
-    voxel_labels,
     voxelize,
 )
 from .scene_io import (

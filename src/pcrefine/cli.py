@@ -270,12 +270,13 @@ def cmd_mix(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
         path = manifest.resolve(entry.path)
-        positions, labels, rec = _read_geometry(path)  # a PLY fault names the file
+        columns, labels, rec = _read_geometry(path)  # a PLY fault names the file
         with _scene_faults(entry):
             checked_labels(f"{path}:", labels, hi=manifest.schema.n_classes)
             # save_scene(mix(scene, support, cfg, rng)), with the base points,
-            # which mix never alters, written from the record as read.
-            blocks = _blocks(positions, support, cfg, np.random.default_rng([args.seed, i]))
+            # which mix never alters, written from the record as read; the
+            # blocks read only the base's corners and floor, from its float32 columns.
+            blocks = _blocks(columns.T, support, cfg, np.random.default_rng([args.seed, i]))
             _append_blocks(out / f"{entry.scene_id}.ply", rec, blocks)
     print(json.dumps({
         "version": REPORT_SCHEMA_VERSION,
@@ -314,12 +315,12 @@ def cmd_split(args) -> None:
 
 def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | None) -> np.ndarray:
     """The ground-truth labels eval scores for a manifest scene: per point, or
-    per voxel cell of grid, as voxel_labels(load_scene(path), grid) gives
+    per voxel cell of grid, as voxelize(load_scene(path), grid).labels gives
     them. The cell keys come from the file's float32 columns, so no float64
     positions or scene are built; colours are never read, and only the
     labels outlive the call."""
     path = manifest.resolve(entry.path)
-    columns, labels, _ = _read_geometry(path, columns=True)  # a PLY fault names the file
+    columns, labels, _ = _read_geometry(path)  # a PLY fault names the file
     labels = checked_labels(f"{path}: scene", labels)  # the scene's label check and message
     with _scene_faults(entry):  # a voxel fault names the scene
         return labels if grid is None else _voxel_labels(columns, labels, grid.grid_size)

@@ -34,16 +34,18 @@ class MixConfig:
 
 def corners_xy(points: np.ndarray) -> dict[str, np.ndarray]:
     """XY-extreme points of a cloud keyed by PAIRINGS: bottom (min Y), top
-    (max Y), left (min X), right (max X), full 3D coordinates. Ties break to
-    the smallest index."""
-    points = np.asarray(points, dtype=np.float64)
+    (max Y), left (min X), right (max X), full 3D coordinates as float64.
+    Ties break to the smallest index. The extremes are taken over the points
+    as given and only the four chosen are cast: float32 converts to float64
+    exactly and in order, so ties and NaN resolve as over a float64 copy."""
+    points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ConfigError("corners_xy needs at least one point")
     return {
-        "bottom": points[int(np.argmin(points[:, 1]))].copy(),
-        "top": points[int(np.argmax(points[:, 1]))].copy(),
-        "left": points[int(np.argmin(points[:, 0]))].copy(),
-        "right": points[int(np.argmax(points[:, 0]))].copy(),
+        "bottom": points[int(np.argmin(points[:, 1]))].astype(np.float64),
+        "top": points[int(np.argmax(points[:, 1]))].astype(np.float64),
+        "left": points[int(np.argmin(points[:, 0]))].astype(np.float64),
+        "right": points[int(np.argmax(points[:, 0]))].astype(np.float64),
     }
 
 
@@ -104,13 +106,14 @@ def _blocks(
     base_positions: np.ndarray, support: SupportSet, cfg: MixConfig, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """The (positions, labels, colors) of each block mix inserts around a base
-    cloud at base_positions, in order; only the base's corners and floor are read."""
+    cloud at base_positions, (N, 3) float32 or float64, in order; only the
+    base's corners and floor are read."""
     classes = support.classes()
     # The grown cloud's corners and floor, carried block to block. Taking
     # each corner over the pair (carried, block) keeps corners_xy's rule:
     # ties and NaN resolve as argmax/argmin over the whole cloud would.
     corners = corners_xy(base_positions)
-    floor = base_positions[:, 2].min()
+    floor = float(base_positions[:, 2].min())
     blocks = []
     for _ in range(cfg.n_blocks):
         c = classes[int(rng.integers(0, len(classes)))]

@@ -238,7 +238,7 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     cell key would not fit in int64.
     """
     check_finite("voxelize", scene.positions.T)
-    inverse, n_cells = _voxel_cells(scene.positions, cfg.grid_size)
+    inverse, n_cells = _cell_ranks(*_cell_keys(scene.positions.T, cfg.grid_size))
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
 
     positions = np.stack(
@@ -258,26 +258,13 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
 
 
-def voxel_labels(scene: PointCloudScene, cfg: VoxelConfig) -> np.ndarray:
-    """voxelize(scene, cfg).labels, bitwise, without the cell means: for a
-    caller that reads only the labels and their count. Raises as voxelize."""
-    check_finite("voxelize", scene.positions.T)
-    return _voxel_labels(scene.positions.T, scene.labels, cfg.grid_size)
-
-
 def _voxel_labels(columns: np.ndarray, labels: np.ndarray, grid_size: float) -> np.ndarray:
-    """voxel_labels of the points whose finite coordinates are the rows of
+    """voxelize(scene, VoxelConfig(grid_size)).labels, bitwise, without the
+    cell means, for the scene whose finite coordinates are the rows of
     columns, a (3, N) float32 or float64 array, and whose checked int64
-    labels are labels."""
+    labels are labels. Raises as voxelize."""
     # The packed key orders cells as their ranks do, so the vote takes it as is.
     return _majority_labels(*_cell_keys(columns, grid_size), labels)
-
-
-def _voxel_cells(positions: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
-    """Each point's cell rank in lexicographic (x, y, z) cell order, which is
-    np.unique(key, return_inverse=True)[1] of the packed cell key, and the
-    number of occupied cells. positions must be finite."""
-    return _cell_ranks(*_cell_keys(positions.T, grid_size))
 
 
 def _cell_keys(columns: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:

@@ -114,23 +114,22 @@ def load_scene(path: str | Path) -> PointCloudScene:
     ContractError naming the file and the point. A missing 'label' property
     yields all-(-1) labels and a MissingLabelWarning.
     """
-    positions, labels, rec = _read_geometry(path)
+    columns, labels, rec = _read_geometry(path)
     colors = None
     if "red" in rec.dtype.names:
-        colors = _columns(rec, ("red", "green", "blue"))
+        # Filled a column at a time, so no (3, N) stack is transposed.
+        colors = np.empty((rec.shape[0], 3))
+        for k, name in enumerate(("red", "green", "blue")):
+            colors[:, k] = rec[name]
         colors /= 255.0
-    return PointCloudScene(positions, labels, colors, source_path=str(path))
+    return PointCloudScene(columns.T, labels, colors, source_path=str(path))
 
 
-def _read_geometry(
-    path: str | Path, columns: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A PLY file's positions, checked finite (and at least one), its labels
-    as int64 (for the caller to check), and its vertex record, whose colours
-    are left unread. The positions are an (N, 3) float64 array or, with
-    columns, the file's x, y and z as the rows of a (3, N) float32 array:
-    each contiguous, and half the size.
-    Raises and warns as load_scene."""
+def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A PLY file's x, y and z as the contiguous rows of a (3, N) float32
+    array, checked finite (and at least one point), its labels as int64 (for
+    the caller to check), and its vertex record, whose colours are left
+    unread. Raises and warns as load_scene."""
     path = Path(path)
     with open(path, "rb") as f:
         data = f.read()
@@ -150,12 +149,8 @@ def _read_geometry(
 
     if count < 1:
         raise AlignmentError(f"{path}: a scene must contain at least one point")
-    if columns:
-        positions = np.stack([rec[name] for name in ("x", "y", "z")])
-        check_finite(str(path), positions)
-    else:
-        positions = _columns(rec, ("x", "y", "z"))
-        check_finite(str(path), positions.T)
+    columns = np.stack([rec[name] for name in ("x", "y", "z")])
+    check_finite(str(path), columns)
     # Cast in one pass over the packed record.
     if "label" in dtype.names:
         labels = rec["label"].astype(np.int64)
@@ -164,17 +159,7 @@ def _read_geometry(
             f"{path}: no 'label' property; labels default to -1", MissingLabelWarning
         )
         labels = np.full(count, -1, dtype=np.int64)
-    return positions, labels, rec
-
-
-def _columns(rec: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """The named fields of a vertex record, in the order given whatever the
-    file's property order, as one (N, len(names)) float64 array, filled a
-    column at a time."""
-    out = np.empty((rec.shape[0], len(names)), dtype=np.float64)
-    for k, name in enumerate(names):
-        out[:, k] = rec[name]
-    return out
+    return columns, labels, rec
 
 
 def _parse_header(path: Path, data: bytes) -> tuple[str, int, np.dtype, int]:
@@ -275,12 +260,15 @@ def save_labels(labels: np.ndarray, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> np.ndarray:
-    """A 1-D integer label array as int64; any other array is a FormatError."""
+    """A 1-D integer label array as int64; any other array is a FormatError,
+    and an unsigned label past int64 max a ContractError naming it."""
     labels = load_npy(path)
     if labels.ndim != 1 or labels.dtype.kind not in "iu":
         raise FormatError(
             f"{path}: expected a 1-D integer label array, got {labels.ndim}-D {labels.dtype}"
         )
+    if labels.dtype.kind == "u":  # the int64 cast would wrap 2**63 and above to negatives
+        return checked_labels(f"{path}:", labels, hi=2**63)
     return labels.astype(np.int64, copy=False)
 
 

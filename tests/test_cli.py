@@ -356,6 +356,12 @@ def colour_ply(path, rng):
                                rng.uniform(0, 1, size=(scene.point_count, 3))), path)
 
 
+def snap_to_grid(rec):
+    """Round a vertex record's x, y and z in place to whole metres."""
+    for name in ("x", "y", "z"):
+        rec[name] = np.round(rec[name])
+
+
 # A mix case: which PLYs carry colours, and how the train PLYs are then rewritten.
 MIX_LAYOUTS = {
     "coloured": ({"train", "support"}, {}),
@@ -369,6 +375,8 @@ MIX_LAYOUTS = {
     "no_label": ({"train", "support"},
                  {"edit": lambda rec: rec[["x", "y", "z", "red", "green", "blue"]]}),
     "trailing_bytes": ({"train", "support"}, {"trailing": bytes(7)}),
+    # Train points snapped to a 1 m grid: several tie at every XY extreme and at the floor.
+    "integer_grid": ({"train", "support"}, {"edit": snap_to_grid}),
 }
 
 
@@ -436,6 +444,12 @@ class TestMixBytes:
                 assert (load_scene(ref / f"{entry.scene_id}.ply").labels[:n_base] == -1).all()
         if layout == "coloured_support":
             assert b"red" not in got
+        if layout == "integer_grid":  # the tie rule, not a unique extreme, picks each corner
+            for entry in train:
+                columns = load_scene(manifest.resolve(entry.path)).positions.T
+                for column in (columns[0], columns[1]):
+                    assert (column == column.min()).sum() > 1 and (column == column.max()).sum() > 1
+                assert (columns[2] == columns[2].min()).sum() > 1
 
     @pytest.mark.parametrize("layout", ["coloured", "colourless", "shuffled"])
     @pytest.mark.parametrize("fault", ["nan_position", "label_n_classes"])
@@ -631,6 +645,11 @@ NAMED_FAULTS = {
     "train_label_minus_5": ("ContractError", "{path}: scene label -5 at point 3 "),
     "support_label_minus_5": ("ContractError", "{path}: scene label -5 at point 3 "),
     "short_mask": ("AlignmentError", "{path} mask of shape "),
+    # uint64 label files whose int64 cast would wrap to -1 and to -2**63.
+    "pred_uint64_max": ("ContractError", "scene train_001: {path}: label 18446744073709551615 at point 3 "),
+    "pred_uint64_2**63": ("ContractError", "scene train_001: {path}: label 9223372036854775808 at point 3 "),
+    "raw_uint64_max": ("ContractError", "scene train_001: {path}: label 18446744073709551615 at point 3 "),
+    "raw_uint64_2**63": ("ContractError", "scene train_001: {path}: label 9223372036854775808 at point 3 "),
 }
 
 
@@ -639,6 +658,8 @@ NAMED_FAULTS = {
     ("stats", "train_label_minus_5"),
     ("refine", "support_label_minus_5"), ("mix", "support_label_minus_5"),
     ("refine", "short_mask"), ("mix", "short_mask"),
+    ("eval", "pred_uint64_max"), ("eval", "pred_uint64_2**63"),
+    ("refine", "raw_uint64_max"), ("refine", "raw_uint64_2**63"),
 ])
 def test_fault_names_its_scene_or_file(tmp_path, capsys, command, fault):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
@@ -655,6 +676,11 @@ def test_fault_names_its_scene_or_file(tmp_path, capsys, command, fault):
         pred = np.load(path)
         pred[3] = 99
         np.save(path, pred)
+    elif "uint64" in fault:
+        path = (pred_dir if fault.startswith("pred") else corpus / "raw") / "train_001.npy"
+        labels = np.maximum(np.load(path), 0).astype(np.uint64)
+        labels[3] = 2**63 if fault.endswith("2**63") else 2**64 - 1
+        np.save(path, labels)
     else:
         path = corpus / ("support/support_000.ply" if fault.startswith("support")
                          else "scenes/train_001.ply")

@@ -50,6 +50,22 @@ class TestCorners:
         assert c["right"][0] == pts[:, 0].max()
         assert c["bottom"][1] == pts[:, 1].min()
         assert c["top"][1] == pts[:, 1].max()
+        # float32 points, as mix reads a PLY's columns: the corners are
+        # float64 and bitwise those of a float64 copy, with tied rows (every
+        # extreme shared by many points) and with a NaN row (which argmin
+        # and argmax pick).
+        tied = np.round(pts).astype(np.float32)
+        assert (tied[:, 0] == tied[:, 0].min()).sum() > 1
+        nan = pts.astype(np.float32)
+        nan[[3, 700]] = np.nan
+        for points in (pts.astype(np.float32), tied, nan, np.asarray(tied, order="F")):
+            got, want = corners_xy(points), corners_xy(points.astype(np.float64))
+            for key in PAIRINGS:
+                assert got[key].dtype == np.float64
+                assert got[key].tobytes() == want[key].tobytes()
+        np.testing.assert_array_equal(corners_xy(nan)["left"], np.full(3, np.nan))
+        first_left = np.argmax(tied[:, 0] == tied[:, 0].min())  # ties break to the smallest index
+        assert corners_xy(tied)["left"].tolist() == tied[first_left].tolist()
 
 
 class TestPickPair:

@@ -23,12 +23,11 @@ from pcrefine import (
     SyntheticProviderConfig,
     VoxelConfig,
     save_scene,
-    voxel_labels,
     voxelize,
 )
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
 import pcrefine.scene as scene_module
-from pcrefine.scene import _voxel_cells, check_finite, checked_labels
+from pcrefine.scene import _cell_keys, _cell_ranks, _voxel_labels, check_finite, checked_labels
 
 
 HUGE = 10**400  # an int past float64 max
@@ -440,7 +439,7 @@ class TestVoxelize:
             voxelize(scene, VoxelConfig(0.5))
         # Neither the packed keys nor, after the fallback, the ranks fit.
         with pytest.raises(ContractError, match="label range"):
-            voxel_labels(scene, VoxelConfig(0.5))
+            _voxel_labels(scene.positions.T, scene.labels, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, bad):
@@ -561,7 +560,7 @@ def test_voxel_labels_bitwise_equal_voxelize_labels(n, seed, offset, scale, grid
              "background": np.full(n, -1),
              "wide": rng.integers(-1, 40, size=n)}[labels]
     scene = PointCloudScene(pos, label)
-    got = voxel_labels(scene, VoxelConfig(grid))
+    got = _voxel_labels(scene.positions.T, scene.labels, grid)
     assert_same_bytes(got, voxelize(scene, VoxelConfig(grid)).labels)
     assert_same_bytes(got, voxelize_axis0(scene, VoxelConfig(grid)).labels)
 
@@ -579,7 +578,7 @@ def unique_inverse(positions, grid):
 
 @pytest.fixture
 def unique_calls(monkeypatch):
-    """Counts np.unique calls, to tell which branch _voxel_cells took."""
+    """Counts np.unique calls, to tell which branch _cell_ranks took."""
     calls = []
     real = np.unique
 
@@ -597,7 +596,7 @@ def test_voxel_cells_packed_sort_equals_unique_inverse(unique_calls, seed, n, gr
     pos = rng.uniform(-3, 3, size=(n, 3)) * [1.0, 0.25, 4.0]
     want, _ = unique_inverse(pos, grid)
     unique_calls.clear()  # the reference's own call
-    inverse, n_cells = _voxel_cells(pos, grid)
+    inverse, n_cells = _cell_ranks(*_cell_keys(pos.T, grid))
     assert unique_calls == []
     assert_same_bytes(inverse, want)
     assert n_cells == int(want.max()) + 1
@@ -618,7 +617,7 @@ def test_voxel_cells_falls_back_to_unique_when_rows_do_not_fit(unique_calls, x0,
     want, prod = unique_inverse(pos, 1.0)
     assert prod <= np.iinfo(np.int64).max
     unique_calls.clear()
-    inverse, n_cells = _voxel_cells(pos, 1.0)
+    inverse, n_cells = _cell_ranks(*_cell_keys(pos.T, 1.0))
     assert unique_calls == ([] if packed else [{"return_inverse": True}])
     assert_same_bytes(inverse, want)
     assert n_cells == 3
@@ -634,7 +633,7 @@ def test_voxel_labels_packed_keys_sort_once(unique_calls, seed, n, grid):
                             rng.integers(-1, 41, size=n))
     want = voxelize_axis0(scene, VoxelConfig(grid)).labels
     unique_calls.clear()  # the reference's own calls
-    assert_same_bytes(voxel_labels(scene, VoxelConfig(grid)), want)
+    assert_same_bytes(_voxel_labels(scene.positions.T, scene.labels, grid), want)
     assert unique_calls == []
 
 
@@ -655,7 +654,7 @@ def test_voxel_labels_ranks_cells_when_pairs_do_not_fit(monkeypatch, unique_call
     monkeypatch.setattr(scene_module, "_cell_ranks",
                         lambda *args: ranked.append(args[1]) or real(*args))
     unique_calls.clear()
-    got = voxel_labels(scene, VoxelConfig(1.0))
+    got = _voxel_labels(scene.positions.T, scene.labels, 1.0)
     assert ranked == [int(-x0) + 2]
     assert unique_calls == ([{"return_inverse": True}] if ranked_by_unique else [])
     assert_same_bytes(got, want)
@@ -682,15 +681,15 @@ def test_float32_columns_key_and_vote_equal_references(n, seed, offset, scale, g
              "background": np.full(n, -1),
              "wide": rng.integers(-1, 40, size=n)}[labels]
     scene = PointCloudScene(columns.T, label)
-    key, n_keys = scene_module._cell_keys(columns, grid)
-    want_key, want_n_keys = scene_module._cell_keys(columns.astype(np.float64), grid)
+    key, n_keys = _cell_keys(columns, grid)
+    want_key, want_n_keys = _cell_keys(columns.astype(np.float64), grid)
     assert_same_bytes(key, want_key)
     assert n_keys == want_n_keys
     want = voxelize_axis0(scene, VoxelConfig(grid))
     for attr in ("positions", "colors", "labels"):
         assert_same_bytes(getattr(voxelize(scene, VoxelConfig(grid)), attr), getattr(want, attr))
-    assert_same_bytes(voxel_labels(scene, VoxelConfig(grid)), want.labels)
-    assert_same_bytes(scene_module._voxel_labels(columns, scene.labels, grid), want.labels)
+    assert_same_bytes(_voxel_labels(scene.positions.T, scene.labels, grid), want.labels)
+    assert_same_bytes(_voxel_labels(columns, scene.labels, grid), want.labels)
 
 
 # Scenes at the int32 sort's bound and past it, and with labels far from
@@ -720,8 +719,9 @@ def test_vote_at_its_packing_bounds_equals_reference(edge, dtype):
     scene = PointCloudScene(pos, np.array(labels))
     want = voxelize_axis0(scene, VoxelConfig(1.0)).labels
     assert want.dtype == np.int64
-    got = [voxel_labels(scene, VoxelConfig(1.0)), voxelize(scene, VoxelConfig(1.0)).labels,
-           scene_module._voxel_labels(pos.T.astype(dtype), scene.labels, 1.0)]
+    got = [_voxel_labels(scene.positions.T, scene.labels, 1.0),
+           voxelize(scene, VoxelConfig(1.0)).labels,
+           _voxel_labels(pos.T.astype(dtype), scene.labels, 1.0)]
     for labels_out in got:
         assert_same_bytes(labels_out, want)
 
@@ -730,12 +730,12 @@ def test_cell_keys_of_float32_columns_past_2_53_stay_exact():
     # -2**60 is a float32: its cell lies 2**60 below the next, and a float
     # offset would round 2**60 + 1 to 2**60 and merge two cells.
     columns = np.array([[-(2.0**60), 0, 1], [0, 0, 0], [0, 0, 0]], dtype=np.float32)
-    key, n_keys = scene_module._cell_keys(columns, 1.0)
+    key, n_keys = _cell_keys(columns, 1.0)
     assert key.tolist() == [0, 2**60, 2**60 + 1]
     assert n_keys == 2**60 + 2
-    want_key, want_n_keys = scene_module._cell_keys(columns.astype(np.float64), 1.0)
+    want_key, want_n_keys = _cell_keys(columns.astype(np.float64), 1.0)
     assert_same_bytes(key, want_key)
     assert n_keys == want_n_keys
     scene = PointCloudScene(columns.T, np.array([0, 1, 2]))
-    assert_same_bytes(scene_module._voxel_labels(columns, scene.labels, 1.0),
+    assert_same_bytes(_voxel_labels(columns, scene.labels, 1.0),
                       voxelize_axis0(scene, VoxelConfig(1.0)).labels)

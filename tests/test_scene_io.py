@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcrefine import PointCloudScene, load_scene, save_scene
-from pcrefine.errors import AlignmentError, FormatError
+from pcrefine.errors import AlignmentError, ContractError, FormatError
 from pcrefine.scene_io import (
     Manifest,
     MissingLabelWarning,
@@ -357,6 +357,23 @@ def test_labels_npy_round_trip(tmp_path):
     labels = np.array([-1, 0, 7, 3], dtype=np.int64)
     save_labels(labels, tmp_path / "l.npy")
     np.testing.assert_array_equal(load_labels(tmp_path / "l.npy"), labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint16, np.uint32, np.uint64])
+def test_integer_labels_load_as_int64(tmp_path, dtype):
+    # The largest label each dtype holds, up to int64 max, loads unchanged.
+    top = min(int(np.iinfo(dtype).max), 2**63 - 1)
+    np.save(tmp_path / "l.npy", np.array([0, 7, top], dtype=dtype))
+    got = load_labels(tmp_path / "l.npy")
+    assert got.dtype == np.int64 and got.tolist() == [0, 7, top]
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+def test_uint64_label_past_int64_max_is_contract_error(tmp_path, value):
+    # An int64 cast would wrap it to a negative label: 2**64 - 1 to -1, the background.
+    np.save(tmp_path / "l.npy", np.array([0, 7, value, 3], dtype=np.uint64))
+    with pytest.raises(ContractError, match=f"l.npy: label {value} at point 2 "):
+        load_labels(tmp_path / "l.npy")
 
 
 def test_manifest_round_trip(tmp_path, schema):
