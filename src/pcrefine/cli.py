@@ -223,6 +223,14 @@ def _scene_faults(entry: SceneEntry):
         raise type(exc)(f"scene {entry.scene_id}: {exc}") from exc
 
 
+def _scene_ply(manifest: Manifest, entry: SceneEntry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_read_geometry of a manifest scene's PLY, its labels checked in
+    [-1, n_classes): every fault, a label one included, names the file."""
+    path = manifest.resolve(entry.path)
+    columns, labels, rec = _read_geometry(path)
+    return columns, checked_labels(f"{path}:", labels, hi=manifest.schema.n_classes), rec
+
+
 def cmd_refine(args) -> None:
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
@@ -269,15 +277,12 @@ def cmd_mix(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
-        path = manifest.resolve(entry.path)
-        columns, labels, rec = _read_geometry(path)  # a PLY fault names the file
-        with _scene_faults(entry):
-            checked_labels(f"{path}:", labels, hi=manifest.schema.n_classes)
-            # save_scene(mix(scene, support, cfg, rng)), with the base points,
-            # which mix never alters, written from the record as read; the
-            # blocks read only the base's corners and floor, from its float32 columns.
-            blocks = _blocks(columns.T, support, cfg, np.random.default_rng([args.seed, i]))
-            _append_blocks(out / f"{entry.scene_id}.ply", rec, blocks)
+        columns, _, rec = _scene_ply(manifest, entry)
+        # save_scene(mix(scene, support, cfg, rng)), with the base points,
+        # which mix never alters, written from the record as read; the
+        # blocks read only the base's corners and floor, from its float32 columns.
+        blocks = _blocks(columns.T, support, cfg, np.random.default_rng([args.seed, i]))
+        _append_blocks(out / f"{entry.scene_id}.ply", rec, blocks)
     print(json.dumps({
         "version": REPORT_SCHEMA_VERSION,
         "mixed_scenes": len(entries),
@@ -319,9 +324,7 @@ def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | Non
     them. The cell keys come from the file's float32 columns, so no float64
     positions or scene are built; colours are never read, and only the
     labels outlive the call."""
-    path = manifest.resolve(entry.path)
-    columns, labels, _ = _read_geometry(path)  # a PLY fault names the file
-    labels = checked_labels(f"{path}: scene", labels)  # the scene's label check and message
+    columns, labels, _ = _scene_ply(manifest, entry)
     with _scene_faults(entry):  # a voxel fault names the scene
         return labels if grid is None else _voxel_labels(columns, labels, grid.grid_size)
 

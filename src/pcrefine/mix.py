@@ -77,7 +77,7 @@ def crop_novel(
     kept_mask = mask[keep]
     labels = np.where(kept_mask, support_scene.labels[keep], -1)
     colors = support_scene.colors[keep] if support_scene.colors is not None else None
-    cropped = PointCloudScene(positions=pos[keep].copy(), labels=labels, colors=colors)
+    cropped = PointCloudScene(positions=pos[keep], labels=labels, colors=colors)
     return cropped, kept_mask
 
 
@@ -93,7 +93,7 @@ def mix(
     block aligns against the accumulated cloud from previous blocks, so
     insertions fan out as the scene grows. Base points, labelled below n_classes, are never altered.
     """
-    checked_labels(f"{base.source_path or 'base'}:", base.labels, hi=support.schema.n_classes)
+    checked_labels(f"{base.source_path or 'scene'}:", base.labels, hi=support.schema.n_classes)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     blocks = _blocks(base.positions, support, cfg, rng)

@@ -169,7 +169,7 @@ class SupportSet:
         if len(sizes) != 1 or 0 in sizes:
             raise ContractError(f"every novel class needs the same K >= 1 shots, got {sizes}")
         for scene in {id(s.scene): s.scene for v in shots.values() for s in v}.values():
-            checked_labels(f"{scene.source_path or 'support scene'}:", scene.labels,
+            checked_labels(f"{scene.source_path or 'scene'}:", scene.labels,
                            hi=self.schema.n_classes)
         object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "k", sizes.pop())

@@ -40,8 +40,8 @@ class PointCloudScene:
         n = self.positions.shape[0]
         if n < 1:
             raise AlignmentError("a scene must contain at least one point")
-        name = f"{self.source_path}: scene" if self.source_path else "scene"
-        self.labels = np.ascontiguousarray(checked_labels(name, self.labels, n))
+        name = self.source_path or "scene"
+        self.labels = np.ascontiguousarray(checked_labels(f"{name}:", self.labels, n))
         if self.colors is not None:
             self.colors = np.ascontiguousarray(self.colors, dtype=np.float64)
             if self.colors.shape != (n, 3):
@@ -241,20 +241,13 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     inverse, n_cells = _cell_ranks(*_cell_keys(scene.positions.T, cfg.grid_size))
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
 
-    positions = np.stack(
-        [np.bincount(inverse, weights=scene.positions[:, k], minlength=n_cells)
-         / counts for k in range(3)],
-        axis=1,
-    )
-    colors = None
-    if scene.colors is not None:
-        colors = np.stack(
-            [np.bincount(inverse, weights=scene.colors[:, k], minlength=n_cells)
-             / counts for k in range(3)],
-            axis=1,
-        )
+    def cell_means(values: np.ndarray) -> np.ndarray:
+        return np.stack([np.bincount(inverse, weights=values[:, k], minlength=n_cells)
+                         / counts for k in range(3)], axis=1)
 
-    labels = _majority_labels(inverse, n_cells, scene.labels)
+    positions = cell_means(scene.positions)
+    colors = None if scene.colors is None else cell_means(scene.colors)
+    labels = _majority_labels(inverse, n_cells, scene.labels)  # overwrites inverse
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
 
 

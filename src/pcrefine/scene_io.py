@@ -42,7 +42,8 @@ _PROPERTIES = {
 
 def save_scene(scene: PointCloudScene, path: str | Path) -> None:
     """Write a scene as binary little-endian PLY; positions stored as float32,
-    labels as int32."""
+    labels as int32, so a label of 2**31 or more is a ContractError and no file is written."""
+    checked_labels(f"{path}:", scene.labels, hi=2**31)
     _write_vertices(path, [_vertex_record(scene.positions, scene.labels, scene.colors)])
 
 

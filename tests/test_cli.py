@@ -641,9 +641,10 @@ def test_ply_without_vertices(tmp_path, capsys, command):
 # names the manifest scene or the file ({path}) the fault is in.
 NAMED_FAULTS = {
     "pred_label_99": ("ContractError", "scene train_001: pred label 99 at point 3 "),
-    "train_label_99": ("ContractError", "scene train_001: gt label 99 at point 3 "),
-    "train_label_minus_5": ("ContractError", "{path}: scene label -5 at point 3 "),
-    "support_label_minus_5": ("ContractError", "{path}: scene label -5 at point 3 "),
+    "train_label_99": ("ContractError", "{path}: label 99 at point 3 "),
+    "train_label_minus_5": ("ContractError", "{path}: label -5 at point 3 "),
+    "support_label_99": ("ContractError", "{path}: label 99 at point 3 "),
+    "support_label_minus_5": ("ContractError", "{path}: label -5 at point 3 "),
     "short_mask": ("AlignmentError", "{path} mask of shape "),
     # uint64 label files whose int64 cast would wrap to -1 and to -2**63.
     "pred_uint64_max": ("ContractError", "scene train_001: {path}: label 18446744073709551615 at point 3 "),
@@ -654,9 +655,11 @@ NAMED_FAULTS = {
 
 
 @pytest.mark.parametrize("command, fault", [
-    ("eval", "pred_label_99"), ("eval", "train_label_99"), ("eval", "train_label_minus_5"),
-    ("stats", "train_label_minus_5"),
-    ("refine", "support_label_minus_5"), ("mix", "support_label_minus_5"),
+    ("eval", "pred_label_99"),
+    *((command, fault) for command in ("eval", "mix", "stats")
+      for fault in ("train_label_99", "train_label_minus_5")),
+    *((command, fault) for command in ("refine", "mix")
+      for fault in ("support_label_99", "support_label_minus_5")),
     ("refine", "short_mask"), ("mix", "short_mask"),
     ("eval", "pred_uint64_max"), ("eval", "pred_uint64_2**63"),
     ("refine", "raw_uint64_max"), ("refine", "raw_uint64_2**63"),
@@ -694,6 +697,8 @@ def test_fault_names_its_scene_or_file(tmp_path, capsys, command, fault):
     kind, message = NAMED_FAULTS[fault]
     assert error["type"] == kind
     assert message.format(path=path) in error["message"]
+    if message.startswith("{path}"):  # a file fault reads alike from every command
+        assert error["message"].startswith(str(path))
     assert out == ""
 
 
@@ -1037,13 +1042,15 @@ class TestEvalReader:
     @pytest.mark.parametrize("grid", ["0", "0.1"])
     @pytest.mark.parametrize("fault, message", [
         ("nan_position", "train_001.ply: position [nan,"),
-        ("label_minus_5", "scene label -5 at point 7 "),
+        ("label_minus_5", "train_001.ply: label -5 at point 7 "),
+        # Past the schema's classes, and outvoted in its voxel at --grid 0.1.
+        ("label_99", "train_001.ply: label 99 at point 7 "),
         ("inf_z_last_point", ", inf] of point "),
     ])
     def test_fault_in_train_ply_exits_2(self, tmp_path, capsys, grid, fault, message):
         corpus, _ = coloured_eval_corpus(tmp_path, capsys)
         column, index, value = {"nan_position": ("x", 7, np.nan), "label_minus_5": ("label", 7, -5),
-                                "inf_z_last_point": ("z", -1, np.inf)}[fault]
+                                "label_99": ("label", 7, 99), "inf_z_last_point": ("z", -1, np.inf)}[fault]
         n = load_scene(corpus / "scenes/train_001.ply").point_count
         edit_ply_record(corpus / "scenes/train_001.ply",
                         lambda rec: rec[column].__setitem__(index, value))

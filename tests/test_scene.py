@@ -256,7 +256,7 @@ class TestValidate:
     def test_labels_follow_the_label_contract(self, labels):
         # Never truncated or passed through: a fraction, NaN, a string or a
         # value below -1 is rejected, naming the scene's labels.
-        with pytest.raises(ContractError, match="scene label"):
+        with pytest.raises(ContractError, match="^scene: label "):
             PointCloudScene(positions=np.zeros((3, 3)), labels=np.array(labels))
 
     @pytest.mark.parametrize("via", ["constructor", "save_scene", "voxelize"])

@@ -90,6 +90,21 @@ def test_no_colors(tmp_path):
     assert back.colors is None
 
 
+@pytest.mark.parametrize("value", [2**31, 2**32 + 3])
+def test_label_past_int32_is_contract_error_and_writes_nothing(tmp_path, value):
+    # An int32 cast would wrap 2**32 + 3 to the valid class 3, and 2**31 to -2**31.
+    path = tmp_path / "s.ply"
+    scene = PointCloudScene(np.zeros((3, 3)), np.array([0, value, 5]))
+    with pytest.raises(ContractError, match=f"s.ply: label {value} at point 1 breaks"):
+        save_scene(scene, path)
+    assert not path.exists()
+
+
+def test_int32_extreme_labels_round_trip(tmp_path):
+    save_scene(PointCloudScene(np.zeros((3, 3)), np.array([-1, 2**31 - 1, 5])), tmp_path / "s.ply")
+    assert load_scene(tmp_path / "s.ply").labels.tolist() == [-1, 2**31 - 1, 5]
+
+
 def test_missing_label_property_warns(tmp_path):
     path = tmp_path / "nolabel.ply"
     body = (
