@@ -6,6 +6,12 @@ infilling, plus a context-preserving novel-base mix augmentation,
 benchmark split construction, and segmentation metrics.
 """
 
+import os
+
+# Every cosine is a per-pair np.vecdot; the only BLAS calls left are 1-D dot/norm and
+# simulate's small QR, so OpenBLAS's idle workers would only spin (a caller's value wins).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .scene import (
     ClassSchema,
     PointCloudScene,

@@ -286,11 +286,16 @@ def load_mask(path: str | Path) -> np.ndarray:
 
 
 def load_npy(path: str | Path) -> np.ndarray:
-    """The array in an .npy file; a file numpy cannot parse is a FormatError."""
+    """The array in an .npy file; a file numpy cannot parse, or an .npz
+    archive (closed before the raise), is a FormatError."""
     try:
-        return np.load(path)
+        array = np.load(path)
     except (ValueError, EOFError) as exc:
         raise FormatError(f"{path}: malformed .npy file: {exc}") from exc
+    if not isinstance(array, np.ndarray):
+        array.close()
+        raise FormatError(f"{path}: expected an .npy array, got an .npz archive")
+    return array
 
 
 ROLES = ("train", "test", "support")

@@ -562,6 +562,11 @@ def break_input(corpus, pred_dir, case):
             np.save(target, np.load(target).astype(np.float64))
         elif case.endswith("_2d_labels_npy"):
             np.save(target, np.load(target)[:, None])
+        elif "npz" in case:
+            # An .npz archive of the array under the .npy name.
+            array = np.load(target)
+            with open(target, "wb") as f:
+                np.savez(f, data=array)
         else:
             # Cut inside the .npy header, or emptied.
             target.write_bytes(target.read_bytes()[:20] if "truncated" in case else b"")
@@ -582,9 +587,10 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
     *[(command, case) for case in MANIFEST_CASES for command in ("refine", "eval", "mix")],
     ("refine", "raw_truncated_labels_npy"), ("refine", "raw_empty_labels_npy"),
     ("refine", "raw_float_labels_npy"), ("refine", "raw_2d_labels_npy"),
+    ("refine", "raw_npz_labels_npy"),
     ("eval", "pred_truncated_labels_npy"), ("eval", "pred_empty_labels_npy"),
-    ("eval", "pred_float_labels_npy"),
-    ("refine", "truncated_mask_npy"), ("mix", "empty_mask_npy"),
+    ("eval", "pred_float_labels_npy"), ("eval", "pred_npz_labels_npy"),
+    ("refine", "truncated_mask_npy"), ("mix", "empty_mask_npy"), ("refine", "npz_mask_npy"),
 ])
 def test_malformed_input_file(tmp_path, capsys, command, case):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})

@@ -1,4 +1,5 @@
-"""Which modules each CLI command loads, checked in a fresh interpreter.
+"""Which modules each CLI command loads, and the OpenBLAS thread count it
+starts with, checked in a fresh interpreter.
 
 scipy is imported at one call site only, the k-d tree of simulated
 erosion, so every other command, refine included, starts without it.
@@ -88,3 +89,86 @@ def test_simulate_with_erosion_loads_scipy_spatial(corpus):
                                   "--support-scenes", "1", "--dim", "16",
                                   "--erosion", "0.2"])
     assert "scipy.spatial" in loaded
+
+
+# pcrefine sets OpenBLAS to one thread when it loads, unless the caller chose a
+# count. The variable is removed from the child's env on purpose: this process
+# holds "1" once it imports pcrefine, so an inherited env would prove nothing.
+BLAS_CHILD = """
+import json, os
+import pcrefine.cli
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as f:
+        threads = next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+print(json.dumps({"value": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
+"""
+
+
+def env_with_blas_threads(value):
+    """This process's env with src on PYTHONPATH and OPENBLAS_NUM_THREADS set to
+    `value`, or removed when it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    return env
+
+
+@pytest.mark.parametrize("caller, want", [(None, "1"), ("2", "2")], ids=["unset", "caller-set"])
+def test_cli_import_sets_one_blas_thread_unless_caller_did(caller, want):
+    out = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env_with_blas_threads(caller),
+                         check=True, capture_output=True, text=True).stdout
+    doc = json.loads(out)
+    assert doc["value"] == want
+    if caller is None:
+        if doc["threads"] is None:
+            pytest.skip("no /proc/self/status to count the process's threads")
+        assert doc["threads"] == 1
+
+
+CONSOLE = "import sys; from pcrefine.cli import main; sys.exit(main())"
+# eval --grid scores one label per voxel: the refined labels' majority in each cell.
+VOXEL_PREDICTIONS = """
+import os
+import numpy as np
+from pcrefine import PointCloudScene, VoxelConfig, load_manifest, load_scene, voxelize
+from pcrefine.scene_io import load_labels
+manifest = load_manifest("corpus/manifest.json")
+os.mkdir("pred_grid")
+for entry in manifest.entries("train"):
+    scene = load_scene(manifest.resolve(entry.path))
+    refined = PointCloudScene(scene.positions, load_labels(f"refined/{entry.scene_id}.npy"))
+    np.save(f"pred_grid/{entry.scene_id}.npy", voxelize(refined, VoxelConfig(0.05)).labels)
+"""
+
+
+def chain_outputs(root, blas_threads):
+    """Every file a simulate -> refine -> eval, eval --grid chain of fresh
+    processes writes under `root`, by relative path, with the given OpenBLAS
+    setting."""
+    env = env_with_blas_threads(blas_threads)
+    for args in (
+        [CONSOLE, "simulate", "--out", "corpus", "--scenes", "2", "--dim", "64",
+         "--erosion", "0.2", "--flip", "0.05", "--seed", "7"],
+        [CONSOLE, "refine", "--manifest", "corpus/manifest.json", "--out", "refined"],
+        [CONSOLE, "eval", "--manifest", "corpus/manifest.json", "--pred-dir", "refined",
+         "--out", "eval.json"],
+        [VOXEL_PREDICTIONS],
+        [CONSOLE, "eval", "--manifest", "corpus/manifest.json", "--pred-dir", "pred_grid",
+         "--grid", "0.05", "--out", "eval_grid.json"],
+    ):
+        subprocess.run([sys.executable, "-c", *args], env=env, cwd=root, check=True,
+                       stdout=subprocess.DEVNULL)
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # simulate's QR in class_anchors and the 1-D dot products are the BLAS calls left.
+    (tmp_path / "two").mkdir()
+    (tmp_path / "default").mkdir()
+    threaded = chain_outputs(tmp_path / "two", "2")
+    default = chain_outputs(tmp_path / "default", None)
+    assert {"eval.json", "eval_grid.json", "refined/report.json"} <= default.keys()
+    assert threaded.keys() == default.keys()
+    assert [name for name in default if threaded[name] != default[name]] == []

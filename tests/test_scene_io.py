@@ -391,6 +391,28 @@ def test_uint64_label_past_int64_max_is_contract_error(tmp_path, value):
         load_labels(tmp_path / "l.npy")
 
 
+@pytest.mark.parametrize("load, array", [
+    (load_labels, np.array([0, 7, 3], dtype=np.int64)),
+    (load_mask, np.array([True, False, True])),
+], ids=["labels", "mask"])
+def test_npz_archive_at_npy_path_is_format_error_and_closed(tmp_path, monkeypatch, load, array):
+    # np.load reads the archive as an NpzFile, which is no array; the archive is closed.
+    path = tmp_path / "a.npy"
+    with open(path, "wb") as f:
+        np.savez(f, data=array)
+    opened, real_load = [], np.load
+
+    def recording_load(*args, **kwargs):
+        opened.append(real_load(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(np, "load", recording_load)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: expected an .npy array, "
+                                          "got an .npz archive$"):
+        load(path)
+    assert len(opened) == 1 and opened[0].fid is None and opened[0].zip is None
+
+
 def test_manifest_round_trip(tmp_path, schema):
     manifest = Manifest(
         schema=schema,
