@@ -305,7 +305,7 @@ def cmd_stats(args) -> None:
 def cmd_split(args) -> None:
     path = Path(args.stats)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
         stats = benchmark.ClassStats.from_dict(doc["classes"] if "classes" in doc else doc)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed stats file: {type(exc).__name__}: {exc}") from exc

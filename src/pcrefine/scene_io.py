@@ -349,10 +349,7 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: invalid JSON at line {e.lineno}") from e
-    try:
+        doc = json.loads(path.read_bytes())
         _check_version(path, doc, "manifest")
         schema = ClassSchema.from_dict(doc["schema"])
         scenes = []
@@ -366,7 +363,7 @@ def load_manifest(path: str | Path) -> Manifest:
                 base_labels=_path_field(path, e, "base_labels"),
             ))
         support = _path_field(path, doc, "support")
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
     # A scene's id names its output files, so two scenes of one role with
     # one id would write to one <id>.npy.

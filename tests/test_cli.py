@@ -17,7 +17,17 @@ from numpy.lib.recfunctions import repack_fields
 
 import pcrefine.cli as cli_module
 import pcrefine.scene_io as scene_io
-from pcrefine import MixConfig, PointCloudScene, VoxelConfig, metrics, mix, voxelize
+from pcrefine import (
+    FileFeatureProvider,
+    MixConfig,
+    PointCloudScene,
+    VoxelConfig,
+    metrics,
+    mix,
+    refine_labels,
+    support_prototypes,
+    voxelize,
+)
 from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
 from pcrefine.embeddings import load_embeddings, save_embeddings
 from pcrefine.scene_io import (
@@ -26,6 +36,7 @@ from pcrefine.scene_io import (
     load_manifest,
     load_scene,
     load_support,
+    save_labels,
     save_scene,
 )
 
@@ -101,12 +112,20 @@ class TestRefine:
         assert report["tau"] == 0.6
         assert len(report["scenes"]) == 4
         manifest = load_manifest(corpus / "manifest.json")
+        support_set, embeddings = load_support(manifest)
+        prototypes = support_prototypes(support_set, FileFeatureProvider(embeddings))
         for entry in manifest.entries("train"):
             refined = load_labels(out / f"{entry.scene_id}.npy")
             base = load_labels(manifest.resolve(entry.base_labels))
             labeled = base != -1
             # Base annotations survive refinement untouched.
             np.testing.assert_array_equal(refined[labeled], base[labeled])
+            # Each file is the library's save_labels(refine_labels(...)[0]), byte for byte.
+            want = refine_labels(load_embeddings(manifest.resolve(entry.embedding)),
+                                 load_labels(manifest.resolve(entry.raw_predictions)), base,
+                                 prototypes, manifest.schema)[0]
+            save_labels(want, tmp_path / "want.npy")
+            assert (out / f"{entry.scene_id}.npy").read_bytes() == (tmp_path / "want.npy").read_bytes()
 
     def test_missing_support_file(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys)
@@ -533,6 +552,10 @@ def break_input(corpus, pred_dir, case):
     """Corrupt one input file of a one-scene corpus; return the file's path."""
     manifest_path = corpus / "manifest.json"
     doc = json.loads(manifest_path.read_text())
+    if case == "non_utf8":
+        # A UTF-16 byte order mark before UTF-8 text.
+        manifest_path.write_bytes(b"\xff\xfe" + manifest_path.read_bytes())
+        return manifest_path
     if case == "manifest_without_schema":
         del doc["schema"]
     elif case == "misspelled_role":
@@ -555,6 +578,10 @@ def break_input(corpus, pred_dir, case):
         elif case.startswith("pred_"):
             target = pred_dir / f"{doc['scenes'][0]['id']}.npy"
             np.save(target, np.zeros(3, dtype=np.int64))
+        elif case.startswith("embedding_"):
+            target = corpus / doc["scenes"][0]["embedding"]
+        elif case.startswith("ply_"):
+            target = corpus / doc["scenes"][0]["path"]
         else:
             support = json.loads((corpus / "support.json").read_text())
             target = corpus / next(iter(support["classes"].values()))[0]["mask"]
@@ -567,6 +594,13 @@ def break_input(corpus, pred_dir, case):
             array = np.load(target)
             with open(target, "wb") as f:
                 np.savez(f, data=array)
+        elif case == "embedding_cut_4_bytes":
+            target.write_bytes(target.read_bytes()[:-4])
+        elif case == "ply_negative_count":
+            head, sep, body = target.read_bytes().partition(b"end_header\n")
+            lines = [b"element vertex -5" if line.startswith(b"element vertex ") else line
+                     for line in head.split(b"\n")]
+            target.write_bytes(b"\n".join(lines) + sep + body)
         else:
             # Cut inside the .npy header, or emptied.
             target.write_bytes(target.read_bytes()[:20] if "truncated" in case else b"")
@@ -580,7 +614,8 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
                   "non_string_path", "non_string_embedding",
                   "non_string_raw_predictions", "non_string_base_labels",
                   "non_string_support", "misspelled_role", "non_string_role",
-                  "non_string_id", "version_true", "version_float", "duplicate_id"]
+                  "non_string_id", "version_true", "version_float", "duplicate_id",
+                  "non_utf8"]
 
 
 @pytest.mark.parametrize("command, case", [
@@ -591,6 +626,7 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
     ("eval", "pred_truncated_labels_npy"), ("eval", "pred_empty_labels_npy"),
     ("eval", "pred_float_labels_npy"), ("eval", "pred_npz_labels_npy"),
     ("refine", "truncated_mask_npy"), ("mix", "empty_mask_npy"), ("refine", "npz_mask_npy"),
+    ("refine", "embedding_cut_4_bytes"), ("eval", "ply_negative_count"),
 ])
 def test_malformed_input_file(tmp_path, capsys, command, case):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
@@ -924,11 +960,13 @@ class TestEval:
             scene = load_scene(manifest.resolve(entry.path))
             coarse = voxelize(scene, VoxelConfig(grid_size=0.1))
             np.save(pred_dir / f"{entry.scene_id}.npy", coarse.labels)
+        out_path = tmp_path / "metrics.json"
         code, stdout, _ = run(capsys, "eval",
                               "--manifest", str(corpus / "manifest.json"),
                               "--pred-dir", str(pred_dir),
-                              "--grid", "0.1")
+                              "--grid", "0.1", "--out", str(out_path))
         assert code == EXIT_OK
+        assert json.loads(out_path.read_text())["metrics"]["harmonic_mean"] == 1.0
 
     @pytest.mark.parametrize("grid, message", [
         pytest.param("-1", "grid_size must be > 0, got -1.0", id="-1"),
@@ -1026,10 +1064,12 @@ class TestEvalReader:
                 edit_ply_record(manifest.resolve(entry.path), fmt="ascii")
         pred_dir = tmp_path / f"pred_{float(grid)}"
         code, out, _ = run(capsys, "eval", "--manifest", str(corpus / "manifest.json"),
-                           "--pred-dir", str(pred_dir), "--grid", grid)
+                           "--pred-dir", str(pred_dir), "--grid", grid,
+                           "--out", str(tmp_path / "eval.json"))
         assert code == EXIT_OK
         want = reference_eval_doc(manifest, pred_dir, float(grid))
         assert out.splitlines()[-1] == json.dumps(want)
+        assert (tmp_path / "eval.json").read_text() == json.dumps(want, indent=2)
 
     @pytest.mark.parametrize("grid", ["0", "0.1"])
     def test_ply_without_labels_scores_as_background(self, tmp_path, capsys, grid):

@@ -1,5 +1,6 @@
-"""Which modules each CLI command loads, and the OpenBLAS thread count it
-starts with, checked in a fresh interpreter.
+"""What only a fresh interpreter shows: which modules each CLI command
+loads, the OpenBLAS thread count it starts with, the exit status and stderr
+of `python -m pcrefine.cli`, and the bytes a chain of CLI processes writes.
 
 scipy is imported at one call site only, the k-d tree of simulated
 erosion, so every other command, refine included, starts without it.
@@ -8,6 +9,7 @@ The test process has scipy loaded already, so every check runs in a new
 `sys.executable` with `PYTHONPATH` pointing at this checkout's `src`.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from pcrefine.cli import EXIT_OK, main
+from pcrefine.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,10 +145,15 @@ for entry in manifest.entries("train"):
 """
 
 
+# The sha256 of every file the default-thread chain writes. An output changed
+# on purpose: paste the dict the failing test prints over this file.
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
 def chain_outputs(root, blas_threads):
-    """Every file a simulate -> refine -> eval, eval --grid chain of fresh
-    processes writes under `root`, by relative path, with the given OpenBLAS
-    setting."""
+    """Every file a simulate -> refine -> eval, eval --grid, mix, stats ->
+    split chain of fresh processes writes under `root`, by relative path,
+    with the given OpenBLAS setting."""
     env = env_with_blas_threads(blas_threads)
     for args in (
         [CONSOLE, "simulate", "--out", "corpus", "--scenes", "2", "--dim", "64",
@@ -157,18 +164,53 @@ def chain_outputs(root, blas_threads):
         [VOXEL_PREDICTIONS],
         [CONSOLE, "eval", "--manifest", "corpus/manifest.json", "--pred-dir", "pred_grid",
          "--grid", "0.05", "--out", "eval_grid.json"],
+        [CONSOLE, "mix", "--manifest", "corpus/manifest.json", "--out", "mixed", "--blocks", "3"],
+        [CONSOLE, "stats", "--manifest", "corpus/manifest.json", "--out", "stats.json"],
+        [CONSOLE, "split", "--stats", "stats.json", "--threshold", "1", "--base", "2",
+         "--out", "split.json"],
     ):
         subprocess.run([sys.executable, "-c", *args], env=env, cwd=root, check=True,
                        stdout=subprocess.DEVNULL)
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+@pytest.fixture(scope="module")
+def default_chain(tmp_path_factory):
+    return chain_outputs(tmp_path_factory.mktemp("default"), None)
+
+
+def test_outputs_match_golden_digests(default_chain):
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in default_chain.items()}
+    assert digests == json.loads(GOLDEN.read_text()), json.dumps(digests, indent=2)
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(default_chain, tmp_path):
     # simulate's QR in class_anchors and the 1-D dot products are the BLAS calls left.
-    (tmp_path / "two").mkdir()
-    (tmp_path / "default").mkdir()
-    threaded = chain_outputs(tmp_path / "two", "2")
-    default = chain_outputs(tmp_path / "default", None)
-    assert {"eval.json", "eval_grid.json", "refined/report.json"} <= default.keys()
-    assert threaded.keys() == default.keys()
-    assert [name for name in default if threaded[name] != default[name]] == []
+    threaded = chain_outputs(tmp_path, "2")
+    assert threaded.keys() == default_chain.keys()
+    assert [name for name in default_chain if threaded[name] != default_chain[name]] == []
+
+
+# What only a fresh process shows: the status `python -m pcrefine.cli` exits
+# with, and a stderr whose last line is the JSON error object (warnings may
+# come before it) and that holds no traceback.
+@pytest.mark.parametrize("argv, code, error", [
+    (["eval", "--manifest", "corpus/manifest.json", "--pred-dir", "refined"], EXIT_OK, None),
+    (["refine", "--manifest", "corpus/manifest.json", "--out", "bad_tau", "--tau", "abc"],
+     EXIT_CONTRACT, "ConfigError"),
+    # A stats document read as a manifest: it has no schema.
+    (["eval", "--manifest", "stats.json", "--pred-dir", "refined"], EXIT_IO, "FormatError"),
+], ids=["ok", "flag-fault", "format-fault"])
+def test_module_entry_point_exit_status(corpus, argv, code, error):
+    run = subprocess.run([sys.executable, "-m", "pcrefine.cli", *argv],
+                         env=env_with_blas_threads(None), cwd=corpus,
+                         capture_output=True, text=True)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if error is None:
+        assert run.stderr == ""
+    else:
+        doc = json.loads(run.stderr.splitlines()[-1])
+        assert doc.keys() == {"error", "version"} and doc["version"] == 1
+        assert doc["error"].keys() == {"type", "message"} and doc["error"]["type"] == error
