@@ -25,14 +25,29 @@ EMBEDDING_VERSION = 1
 
 
 def save_embeddings(features: np.ndarray, path: str | Path) -> None:
-    features = np.asarray(features, dtype=np.float32)
+    """Write an (N, D) matrix as an embedding file of little-endian float32.
+
+    A C-contiguous little-endian float32 array is written from its own
+    buffer, with no copy; any other input is converted once. The file is
+    written under a temporary name beside path and then moved over it, so
+    features mapped from path itself (load_embeddings) can be saved back
+    to it.
+    """
+    features = np.asarray(features, dtype="<f4", order="C")
     if features.ndim != 2:
         raise ConfigError(f"expected (N, D) matrix, got shape {features.shape}")
     n, d = features.shape
-    with open(path, "wb") as f:
-        f.write(EMBEDDING_MAGIC)
-        f.write(struct.pack("<IQI", EMBEDDING_VERSION, n, d))
-        f.write(features.astype("<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(EMBEDDING_MAGIC)
+            f.write(struct.pack("<IQI", EMBEDDING_VERSION, n, d))
+            f.write(features.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_embeddings(path: str | Path) -> np.ndarray:

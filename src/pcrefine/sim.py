@@ -11,9 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import AlignmentError, ConfigError, ContractError
 from .prototypes import SupportSet, SupportShot
-from .scene import ClassSchema, PointCloudScene, _check_number, _shown, checked_labels
+from .scene import (
+    ClassSchema,
+    PointCloudScene,
+    _check_number,
+    _run_starts,
+    _shown,
+    check_finite,
+    checked_labels,
+)
 
 # The largest label a scene holds: checked_labels wants int64 labels below int64 max.
 _MAX_LABEL = int(np.iinfo(np.int64).max) - 1
@@ -131,15 +139,125 @@ def gen_scene(spec: SceneSpec) -> PointCloudScene:
     )
 
 
+# Candidate pairs _nearest_to_complement measures at once, about 100 bytes
+# each: the bound on its working memory, however the points cluster.
+_PAIR_CHUNK = 1 << 16
+# Mask points whose neighbouring cells are looked up at once.
+_QUERY_BLOCK = 4096
+# The 27 cell offsets of a 3 x 3 x 3 neighbourhood.
+_NEIGHBOURS = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)])
+
+
+def _nearest_to_complement(columns: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k points of mask nearest to a point outside it.
+
+    columns is the (3, N) float64 array of the points' coordinates. A
+    distance is computed as scipy's cKDTree computes it, sqrt((dx*dx +
+    dy*dy) + dz*dz) in float64, and ties go to the lower index: the result
+    is the first k of a stable sort of every mask point's nearest distance.
+    mask must leave at least one point out.
+
+    The complement is bucketed into cubic cells of side h. A mask point's
+    27 neighbouring cells hold every complement point closer than h, so a
+    nearest distance found below h is exact, and a point not resolved is at
+    least h from the complement. The cells double in size until k points
+    are resolved; points deep inside the mask never get an exact distance.
+    """
+    inside = np.flatnonzero(mask)
+    queries = np.ascontiguousarray(columns[:, inside].T)
+    lo, hi = queries.min(axis=0), queries.max(axis=0)
+    extent = float((hi - lo).max())
+    # The Chebyshev distance of every point from the mask's bounding box.
+    gap = np.maximum(lo[0] - columns[0], columns[0] - hi[0])
+    for a in (1, 2):
+        np.maximum(gap, np.maximum(lo[a] - columns[a], columns[a] - hi[a]), out=gap)
+    # Cells this large put every complement point next to every mask point.
+    whole = (extent + max(float(gap.max()), 0.0)) * (1 + 1e-6)
+    gap[inside] = np.inf
+    # Start at the mask's mean spacing, or the least gap if that is larger.
+    h = max(extent / float(np.cbrt(inside.size)), float(gap.min())) or 1.0
+    best = np.full(inside.size, np.inf)
+    pending = np.arange(inside.size)  # mask rows not yet resolved
+    while True:
+        reach = h * (1 + 1e-6)
+        near = np.flatnonzero(gap <= reach)
+        if near.size:
+            origin = lo - reach
+            points = np.ascontiguousarray(columns[:, near].T)
+            cells = np.floor((points - origin) / h).astype(np.int64) + 1
+            qcells = np.floor((queries[pending] - origin) / h).astype(np.int64) + 1
+            dims = np.maximum(cells.max(axis=0), qcells.max(axis=0)) + 2
+            strides = np.array([dims[1] * dims[2], dims[2], 1])
+            keys = cells @ strides
+            order = np.argsort(keys, kind="stable")
+            keys, points = keys[order], points[order]
+            first = np.flatnonzero(_run_starts(keys))
+            cell_keys, counts = keys[first], np.diff(first, append=keys.size)
+            steps, qkeys = _NEIGHBOURS @ strides, qcells @ strides
+            for b in range(0, pending.size, _QUERY_BLOCK):
+                rows = pending[b:b + _QUERY_BLOCK]
+                wanted = qkeys[b:b + _QUERY_BLOCK, None] + steps
+                slot = np.minimum(np.searchsorted(cell_keys, wanted), cell_keys.size - 1)
+                hit = cell_keys[slot] == wanted
+                owner = rows[np.nonzero(hit)[0]]  # grouped by mask row
+                starts, sizes = first[slot[hit]], counts[slot[hit]]
+                _measure(best, queries, owner, points, starts, sizes)
+        if h >= whole:  # every complement point has been measured
+            pending = pending[:0]
+            break
+        # Cell indices and distances round at about 1e-16 of the extent.
+        pending = pending[best[pending] >= h - 1e-9 * (h + extent)]
+        if inside.size - pending.size >= k:
+            break
+        h *= 2
+    # Every resolved distance is below every unresolved one.
+    resolved = np.ones(inside.size, dtype=bool)
+    resolved[pending] = False
+    ranked = np.flatnonzero(resolved)
+    return inside[ranked[np.argsort(best[ranked], kind="stable")[:k]]]
+
+
+def _measure(best, queries, owner, points, starts, sizes) -> None:
+    """Lower best[q] to the distance from queries[q] to each of points[s:s + n],
+    for every (q, s, n) of owner, starts and sizes (owner ascending), at most
+    _PAIR_CHUNK pairs at a time."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    for s in range(0, total, _PAIR_CHUNK):
+        e = min(s + _PAIR_CHUNK, total)
+        a = int(np.searchsorted(ends, s, side="right"))
+        z = int(np.searchsorted(ends, e, side="left")) + 1
+        skip = s - int(ends[a] - sizes[a])  # pairs of run a done by the last chunk
+        n = sizes[a:z].copy()
+        n[0] -= skip
+        n[-1] -= ends[z - 1] - e
+        base = starts[a:z].copy()
+        base[0] += skip
+        point = np.repeat(base - (np.cumsum(n) - n), n) + np.arange(e - s)
+        query = np.repeat(owner[a:z], n)
+        sq = queries[query] - points[point]
+        sq *= sq
+        dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+        seg = np.flatnonzero(_run_starts(query))
+        q = query[seg]
+        best[q] = np.minimum(best[q], np.minimum.reduceat(dist, seg))
+
+
 def corrupt_predictions(
     gt: np.ndarray,
     positions: np.ndarray,
     noise: NoiseSpec,
     schema: ClassSchema,
 ) -> np.ndarray:
-    """Simulated raw predictions: ground truth, checked, with seeded corruption."""
+    """Simulated raw predictions: ground truth, checked, with seeded corruption.
+
+    positions must be an (N, 3) array of finite coordinates, one row per label.
+    """
     positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise AlignmentError(f"positions must be (N, 3), got {positions.shape}")
     out = checked_labels("gt", gt, positions.shape[0], schema.n_classes).copy()
+    check_finite("positions", positions.T)
     rng = np.random.default_rng(noise.seed)
 
     # 1. Whole-class dropout of novel classes.
@@ -149,8 +267,7 @@ def corrupt_predictions(
 
     # 2. Boundary erosion: relabel the mask points closest to the complement.
     if noise.erosion_frac > 0:
-        from scipy.spatial import cKDTree  # here, not at module level: slow import
-
+        columns = positions.T.copy()
         for c in sorted(schema.novel_indices):
             mask = out == c
             n_mask = int(mask.sum())
@@ -159,11 +276,7 @@ def corrupt_predictions(
             k = int(np.floor(noise.erosion_frac * n_mask))
             if k == 0:
                 continue
-            tree = cKDTree(positions[~mask])
-            dist, _ = tree.query(positions[mask], k=1)
-            order = np.argsort(dist, kind="stable")
-            idx = np.flatnonzero(mask)[order[:k]]
-            out[idx] = -1
+            out[_nearest_to_complement(columns, mask, k)] = -1
 
     # 3. Per-point flips to a uniformly random other class.
     if noise.flip_prob > 0:

@@ -2,8 +2,8 @@
 loads, the OpenBLAS thread count it starts with, the exit status and stderr
 of `python -m pcrefine.cli`, and the bytes a chain of CLI processes writes.
 
-scipy is imported at one call site only, the k-d tree of simulated
-erosion, so every other command, refine included, starts without it.
+No command loads scipy, simulate --erosion included, and the chain runs
+and writes the same bytes when scipy cannot be imported at all.
 Importing the CLI loads no third-party package but numpy.
 The test process has scipy loaded already, so every check runs in a new
 `sys.executable` with `PYTHONPATH` pointing at this checkout's `src`.
@@ -80,17 +80,13 @@ def scipy_after(root, argv):
     ["stats", "--manifest", "corpus/manifest.json"],
     ["split", "--stats", "stats.json", "--threshold", "1", "--base", "2"],
     ["simulate", "--out", "sim0", "--scenes", "1", "--support-scenes", "1", "--dim", "16"],
+    ["simulate", "--out", "sim1", "--scenes", "1", "--support-scenes", "1", "--dim", "16",
+     "--erosion", "0.2"],
     ["refine", "--manifest", "corpus/manifest.json", "--out", "refined2"],
-], ids=["import", "eval", "mix", "stats", "split", "simulate-no-erosion", "refine"])
+], ids=["import", "eval", "mix", "stats", "split", "simulate-no-erosion", "simulate-erosion",
+        "refine"])
 def test_command_loads_no_scipy(corpus, argv):
     assert scipy_after(corpus, argv) == set()
-
-
-def test_simulate_with_erosion_loads_scipy_spatial(corpus):
-    loaded = scipy_after(corpus, ["simulate", "--out", "sim1", "--scenes", "1",
-                                  "--support-scenes", "1", "--dim", "16",
-                                  "--erosion", "0.2"])
-    assert "scipy.spatial" in loaded
 
 
 # pcrefine sets OpenBLAS to one thread when it loads, unless the caller chose a
@@ -150,17 +146,29 @@ for entry in manifest.entries("train"):
 GOLDEN = Path(__file__).with_name("golden.json")
 
 
+# The simulate -> refine -> eval head of the chain, and the files it writes.
+HEAD = (
+    ["simulate", "--out", "corpus", "--scenes", "2", "--dim", "64",
+     "--erosion", "0.2", "--flip", "0.05", "--seed", "7"],
+    ["refine", "--manifest", "corpus/manifest.json", "--out", "refined"],
+    ["eval", "--manifest", "corpus/manifest.json", "--pred-dir", "refined", "--out", "eval.json"],
+)
+HEAD_OUTPUTS = ("corpus/", "refined/", "eval.json")
+
+
+def written_under(root):
+    """Every file under `root`, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def chain_outputs(root, blas_threads):
     """Every file a simulate -> refine -> eval, eval --grid, mix, stats ->
     split chain of fresh processes writes under `root`, by relative path,
     with the given OpenBLAS setting."""
     env = env_with_blas_threads(blas_threads)
     for args in (
-        [CONSOLE, "simulate", "--out", "corpus", "--scenes", "2", "--dim", "64",
-         "--erosion", "0.2", "--flip", "0.05", "--seed", "7"],
-        [CONSOLE, "refine", "--manifest", "corpus/manifest.json", "--out", "refined"],
-        [CONSOLE, "eval", "--manifest", "corpus/manifest.json", "--pred-dir", "refined",
-         "--out", "eval.json"],
+        *([CONSOLE, *argv] for argv in HEAD),
         [VOXEL_PREDICTIONS],
         [CONSOLE, "eval", "--manifest", "corpus/manifest.json", "--pred-dir", "pred_grid",
          "--grid", "0.05", "--out", "eval_grid.json"],
@@ -171,8 +179,7 @@ def chain_outputs(root, blas_threads):
     ):
         subprocess.run([sys.executable, "-c", *args], env=env, cwd=root, check=True,
                        stdout=subprocess.DEVNULL)
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+    return written_under(root)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +190,19 @@ def default_chain(tmp_path_factory):
 def test_outputs_match_golden_digests(default_chain):
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in default_chain.items()}
     assert digests == json.loads(GOLDEN.read_text()), json.dumps(digests, indent=2)
+
+
+def test_chain_head_without_scipy_writes_golden_bytes(tmp_path):
+    # A None entry in sys.modules makes every import of scipy or a submodule fail.
+    no_scipy = f'import sys; sys.modules["scipy"] = None; {CONSOLE}'
+    for argv in HEAD:
+        subprocess.run([sys.executable, "-c", no_scipy, *argv], env=env_with_blas_threads(None),
+                       cwd=tmp_path, check=True, stdout=subprocess.DEVNULL)
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in written_under(tmp_path).items()}
+    golden = json.loads(GOLDEN.read_text())
+    assert digests == {name: digest for name, digest in golden.items()
+                       if name.startswith(HEAD_OUTPUTS)}
 
 
 def test_outputs_do_not_depend_on_blas_thread_count(default_chain, tmp_path):

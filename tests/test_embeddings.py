@@ -1,6 +1,11 @@
 import mmap
+import os
+import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,8 @@ from pcrefine import (
 )
 from pcrefine.errors import AlignmentError, ConfigError, FormatError
 from pcrefine.sim import base_only_labels, random_scene_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_scene(labels):
@@ -102,6 +109,58 @@ class TestFileFormat:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x,                                   # float64
+        lambda x: x.astype(np.float32),
+        lambda x: x.astype(">f4"),
+        lambda x: np.asfortranarray(x),
+        lambda x: x[::2],                              # row-strided
+        lambda x: x[:0],                               # (0, d)
+    ], ids=["f64", "f32", "big-endian-f32", "fortran", "row-strided", "no-rows"])
+    def test_bytes_are_the_little_endian_float32_matrix(self, tmp_path, make):
+        features = make(np.random.default_rng(3).standard_normal((9, 5)))
+        save_embeddings(features, tmp_path / "e.gfve")
+        header = b"GFVE" + struct.pack("<IQI", 1, *features.shape)
+        payload = np.asarray(features, np.float32).astype("<f4").tobytes()
+        assert (tmp_path / "e.gfve").read_bytes() == header + payload
+
+    @pytest.mark.parametrize("features", [np.float32(1.0), np.zeros(4)], ids=["0-d", "1-d"])
+    def test_not_a_matrix_rejected_with_its_shape(self, tmp_path, features):
+        with pytest.raises(ConfigError, match=rf"got shape {re.escape(str(features.shape))}$"):
+            save_embeddings(features, tmp_path / "e.gfve")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_matrix_written_without_a_copy(self, tmp_path):
+        features = np.ones((1024, 512), dtype=np.float32)  # 2 MiB
+        tracemalloc.start()
+        try:
+            save_embeddings(features, tmp_path / "e.gfve")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < features.nbytes // 4
+
+    def test_failed_write_keeps_the_old_path_and_leaves_no_temporary(self, tmp_path):
+        (tmp_path / "e.gfve").mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(OSError):
+            save_embeddings(np.zeros((2, 3)), tmp_path / "e.gfve")
+        assert [p.name for p in tmp_path.iterdir()] == ["e.gfve"]
+        assert (tmp_path / "e.gfve").is_dir()
+
+    def test_mapped_features_saved_back_to_their_own_path(self, tmp_path):
+        # In a fresh interpreter: truncating a mapped file kills the process with SIGBUS.
+        path = tmp_path / "e.gfve"
+        features = np.random.default_rng(4).standard_normal((300, 64)).astype(np.float32)
+        save_embeddings(features, path)
+        child = ("import sys; from pcrefine import load_embeddings, save_embeddings; "
+                 "save_embeddings(load_embeddings(sys.argv[1]), sys.argv[1])")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        np.testing.assert_array_equal(load_embeddings(path), features)
+        assert [p.name for p in tmp_path.iterdir()] == ["e.gfve"]
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.gfve").write_bytes(b"NOPE" + b"\x00" * 16)

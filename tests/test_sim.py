@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcrefine import BoxSpec, NoiseSpec, SceneSpec, corrupt_predictions, gen_scene, make_support
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
-from pcrefine.sim import base_only_labels, random_scene_spec
+from pcrefine.sim import _nearest_to_complement, base_only_labels, random_scene_spec
 
 
 def box(class_id, center=(2.0, 2.0, 0.5), size=(1.0, 1.0, 1.0), density=300.0):
@@ -143,6 +146,126 @@ class TestCorrupt:
     def test_alignment_check(self, schema):
         with pytest.raises(AlignmentError):
             corrupt_predictions(np.array([0, 1]), np.zeros((3, 3)), NoiseSpec(), schema)
+
+    @pytest.mark.parametrize("erosion", [0.0, 0.5])
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (12,)], ids=["2-d", "4-d", "flat"])
+    def test_positions_not_n_by_3_rejected(self, schema, erosion, shape):
+        gt = np.array([0, 3, 3, 4])
+        with pytest.raises(AlignmentError, match=re.escape(f"positions must be (N, 3), got {shape}")):
+            corrupt_predictions(gt, np.zeros(shape), NoiseSpec(erosion_frac=erosion), schema)
+
+    @pytest.mark.parametrize("erosion", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_positions_not_finite_rejected(self, schema, erosion, bad):
+        positions = np.arange(12, dtype=float).reshape(4, 3)
+        positions[2, 1] = bad
+        with pytest.raises(ContractError, match=rf"^positions: position \[6.0, {bad}, 8.0\] "
+                                                r"of point 2 is not finite$"):
+            corrupt_predictions(np.array([0, 3, 3, 4]), positions,
+                                NoiseSpec(erosion_frac=erosion), schema)
+
+
+def kdtree_eroded(positions, mask, k):
+    """The erosion corrupt_predictions made with scipy's k-d tree: the k mask
+    points nearest to the complement, ties to the lower index."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(positions[~mask])
+    dist, _ = tree.query(positions[mask], k=1)
+    order = np.argsort(dist, kind="stable")
+    return np.flatnonzero(mask)[order[:k]]
+
+
+def assert_erodes_like_kdtree(positions, mask, ks=None):
+    n_mask = int(mask.sum())
+    for k in ks or sorted({1, max(1, n_mask // 5), max(1, n_mask - 1), n_mask}):
+        got = _nearest_to_complement(positions.T.copy(), mask, k)
+        assert got.size == k
+        np.testing.assert_array_equal(np.sort(got), np.sort(kdtree_eroded(positions, mask, k)))
+
+
+def lattice(n):
+    return np.stack(np.meshgrid(*[np.arange(n, dtype=float)] * 3, indexing="ij"), -1).reshape(-1, 3)
+
+
+def erosion_case(name):
+    """(positions, mask) of one named erosion case."""
+    rng = np.random.default_rng(12)
+    if name == "lattice-ties":  # every distance is 1, sqrt(2) or more, many times over
+        positions = lattice(6)
+        return positions, positions[:, 0] + positions[:, 1] < 5
+    if name == "duplicates":  # each point twice; some pairs straddle the mask
+        positions = np.repeat(rng.uniform(0, 1, (60, 3)), 2, axis=0)
+        return positions, rng.random(120) < 0.5
+    if name == "coplanar":
+        positions = rng.uniform(0, 1, (200, 3))
+        positions[:, 2] = 0.0
+        return positions, positions[:, 0] < 0.6
+    if name == "collinear":
+        positions = np.zeros((150, 3))
+        positions[:, 1] = rng.integers(0, 40, 150) * 0.25
+        return positions, rng.random(150) < 0.7
+    if name == "single-complement-point":  # the one point outside lies far off
+        positions = rng.uniform(0, 1, (100, 3))
+        positions[37] = (5.0, -3.0, 2.0)
+        return positions, np.arange(100) != 37
+    if name == "all-but-one-in-mask":  # the one point outside lies amid the mask
+        positions = rng.uniform(0, 1, (100, 3))
+        positions[0] = 0.5
+        return positions, np.arange(100) != 0
+    if name == "one-point-mask":
+        positions = rng.uniform(0, 1, (80, 3))
+        return positions, np.arange(80) == 41
+    if name == "one-point-mask-on-a-complement-point":
+        positions = rng.uniform(0, 1, (80, 3))
+        positions[41] = positions[7]
+        return positions, np.arange(80) == 41
+    if name == "summation-order":  # equal in exact arithmetic; (x + y) + z breaks the tie
+        positions = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.1], [0.1, 0.1, 0.3], [9.0, 9.0, 9.0]])
+        return positions, np.array([False, True, True, False])
+    if name == "offset-1e6":
+        positions = rng.uniform(0, 1, (300, 3)) + 1e6
+        return positions, positions[:, 2] < 1e6 + 0.4
+    if name == "far-clusters":  # mask and complement 1e4 apart, each tightly packed
+        positions = rng.normal(0, 1e-3, (200, 3))
+        positions[100:] += 1e4
+        return positions, np.arange(200) < 100
+    raise KeyError(name)
+
+
+EROSION_CASES = ["lattice-ties", "duplicates", "coplanar", "collinear", "single-complement-point",
+                 "all-but-one-in-mask", "one-point-mask", "one-point-mask-on-a-complement-point",
+                 "summation-order", "offset-1e6", "far-clusters"]
+
+
+class TestErosionSelection:
+    """The numpy selection against scipy's k-d tree, which it replaced."""
+
+    @pytest.mark.parametrize("case", EROSION_CASES)
+    def test_same_points_as_kdtree(self, case):
+        positions, mask = erosion_case(case)
+        assert_erodes_like_kdtree(positions, mask)
+
+    def test_same_points_as_kdtree_on_a_scene(self, schema):
+        scene = demo_scene(schema, seed=3)
+        for c in schema.novel_indices:
+            mask = scene.labels == c
+            if mask.any():
+                assert_erodes_like_kdtree(scene.positions, mask)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_same_points_as_kdtree_on_lattice_clouds(self, data):
+        # Coordinates on a coarse lattice give ties, duplicates and flat clouds.
+        n = data.draw(st.integers(2, 40))
+        step = data.draw(st.sampled_from([1.0, 0.1, 2.0**-20]))
+        offset = data.draw(st.sampled_from([0.0, -7.5, 1e6]))
+        cells = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=n, max_size=n))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if mask.all() or not mask.any():
+            mask[0] = not mask[0]
+        k = data.draw(st.integers(1, int(mask.sum())))
+        positions = np.array(cells, dtype=float) * step + offset
+        assert_erodes_like_kdtree(positions, mask, [k])
 
 
 class TestRandomSceneSpec:
