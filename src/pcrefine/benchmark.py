@@ -78,6 +78,7 @@ def class_stats(scenes: Iterable[PointCloudScene], schema: ClassSchema) -> Class
     for scene in scenes:
         labels = checked_labels(f"{scene.source_path or 'scene'}:", scene.labels, hi=n)
         counts = np.bincount(labels[labels >= 0], minlength=n)
+        del scene, labels  # freed before the next scene is loaded
         occ += counts > 0
         points += counts
 

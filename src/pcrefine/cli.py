@@ -23,8 +23,8 @@ from .errors import ConfigError, FormatError, PcrefineError
 from .infill import InfillConfig
 from .mix import MixConfig, _blocks
 from .pipeline import refine_labels
-from .prototypes import support_prototypes
-from .scene import ClassSchema, VoxelConfig, _check_number, _voxel_labels, checked_labels
+from .prototypes import SupportSet, support_prototypes
+from .scene import ClassSchema, VoxelConfig, _cell_keys, _check_number, _majority_labels, checked_labels
 from .scene_io import (
     Manifest,
     SceneEntry,
@@ -277,17 +277,27 @@ def cmd_mix(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, entry in enumerate(entries):
-        columns, _, rec = _scene_ply(manifest, entry)
-        # save_scene(mix(scene, support, cfg, rng)), with the base points,
-        # which mix never alters, written from the record as read; the
-        # blocks read only the base's corners and floor, from its float32 columns.
-        blocks = _blocks(columns.T, support, cfg, np.random.default_rng([args.seed, i]))
-        _append_blocks(out / f"{entry.scene_id}.ply", rec, blocks)
+        _mix_scene(manifest, entry, support, cfg, np.random.default_rng([args.seed, i]),
+                   out / f"{entry.scene_id}.ply")
     print(json.dumps({
         "version": REPORT_SCHEMA_VERSION,
         "mixed_scenes": len(entries),
         "blocks": args.blocks,
     }))
+
+
+def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: MixConfig,
+               rng: np.random.Generator, path: Path) -> None:
+    """save_scene(mix(scene, support, cfg, rng), path) for a manifest scene,
+    with the base points, which mix never alters, written from the record as
+    read; the blocks read only the base's corners and floor, from its float32
+    columns. The scene's buffers are freed on return, before cmd_mix reads
+    the next one."""
+    columns, labels, rec = _scene_ply(manifest, entry)
+    del labels  # read only for its check
+    blocks = _blocks(columns.T, support, cfg, rng)
+    del columns
+    _append_blocks(path, rec, blocks)
 
 
 def cmd_stats(args) -> None:
@@ -323,10 +333,17 @@ def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | Non
     per voxel cell of grid, as voxelize(load_scene(path), grid).labels gives
     them. The cell keys come from the file's float32 columns, so no float64
     positions or scene are built; colours are never read, and only the
-    labels outlive the call."""
-    columns, labels, _ = _scene_ply(manifest, entry)
+    labels outlive the call. The vertex record, and with it the file's
+    mapping, is dropped on read, and the columns once the keys are taken:
+    the two steps of _voxel_labels, with only the keys and labels left for
+    the vote."""
+    columns, labels = _scene_ply(manifest, entry)[:2]
+    if grid is None:
+        return labels
     with _scene_faults(entry):  # a voxel fault names the scene
-        return labels if grid is None else _voxel_labels(columns, labels, grid.grid_size)
+        key, n_keys = _cell_keys(columns, grid.grid_size)
+        del columns
+        return _majority_labels(key, n_keys, labels)
 
 
 def cmd_eval(args) -> None:
@@ -342,6 +359,7 @@ def cmd_eval(args) -> None:
             if not pred_path.exists():
                 raise ConfigError(f"missing predictions: {pred_path}")
             metrics.accumulate(conf, load_labels(pred_path), truth)  # checks the length
+        del truth  # freed before the next scene is read
     result = metrics.summary(conf, manifest.schema)
     doc = {"version": REPORT_SCHEMA_VERSION, "metrics": result.to_dict(),
            "per_class_iou": {str(c): v for c, v in metrics.iou_per_class(conf).items()}}

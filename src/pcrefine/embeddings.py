@@ -7,6 +7,7 @@ precomputed feature files or a deterministic synthetic generator.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import warnings
@@ -24,6 +25,22 @@ EMBEDDING_MAGIC = b"GFVE"
 EMBEDDING_VERSION = 1
 
 
+@contextlib.contextmanager
+def _replacing(path: str | Path):
+    """A binary file open for writing under a temporary name beside path,
+    moved over path when the block ends, or removed if it raises: data
+    mapped from path itself can be written back to it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_embeddings(features: np.ndarray, path: str | Path) -> None:
     """Write an (N, D) matrix as an embedding file of little-endian float32.
 
@@ -37,17 +54,10 @@ def save_embeddings(features: np.ndarray, path: str | Path) -> None:
     if features.ndim != 2:
         raise ConfigError(f"expected (N, D) matrix, got shape {features.shape}")
     n, d = features.shape
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(EMBEDDING_MAGIC)
-            f.write(struct.pack("<IQI", EMBEDDING_VERSION, n, d))
-            f.write(features.data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as f:
+        f.write(EMBEDDING_MAGIC)
+        f.write(struct.pack("<IQI", EMBEDDING_VERSION, n, d))
+        f.write(features.data)
 
 
 def load_embeddings(path: str | Path) -> np.ndarray:

@@ -225,6 +225,11 @@ class VoxelConfig:
         _check_number("grid_size", self.grid_size, gt=0)
 
 
+# Rows per chunk of _cell_keys: its float64 quotients and int64 cells,
+# 128 KiB each, stay in cache between the divide, floor and pack.
+_KEY_CHUNK = 2**14
+
+
 def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     """Collapse each occupied voxel cell to one representative point.
 
@@ -255,7 +260,8 @@ def _voxel_labels(columns: np.ndarray, labels: np.ndarray, grid_size: float) -> 
     """voxelize(scene, VoxelConfig(grid_size)).labels, bitwise, without the
     cell means, for the scene whose finite coordinates are the rows of
     columns, a (3, N) float32 or float64 array, and whose checked int64
-    labels are labels. Raises as voxelize."""
+    labels are labels. Raises as voxelize. Eval's truth labels take the same
+    two steps, with the columns freed between them."""
     # The packed key orders cells as their ranks do, so the vote takes it as is.
     return _majority_labels(*_cell_keys(columns, grid_size), labels)
 
@@ -266,30 +272,41 @@ def _cell_keys(columns: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
     columns holds the finite x, y and z coordinates as rows, float32 or
     float64: positions.T, or a file's float32 columns."""
     too_fine = f"grid_size {grid_size} is too fine for this scene: cell keys overflow int64"
-    n = columns.shape[1]
     # float64(x) is exact, so each quotient is the float64 x / grid_size
     # whatever the column dtype; a float32 quotient would give other cells.
-    quotient = np.empty(n, dtype=np.float64)
-    key, cell = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    # x -> floor(float64(x) / grid_size) is monotone, so a column's extremes
+    # give its extreme cells.
+    los, spans = [], []
     n_keys = 1  # a Python int, so a packed key past int64 is caught rather than wrapped
-    for k, column in enumerate(columns):
-        np.divide(column, grid_size, out=quotient, dtype=np.float64)
-        # floor is monotone, so the extreme quotients' floors are the extreme cells.
-        lo, hi = float(quotient.min()), float(quotient.max())
+    for column in columns:
+        lo, hi = np.divide([column.min(), column.max()], grid_size, dtype=np.float64).tolist()
         if lo < -2**63 or hi >= 2**63:
             raise ConfigError(too_fine)
         lo, hi = math.floor(lo), math.floor(hi)
-        span = hi - lo + 1
-        n_keys *= span
+        los.append(lo)
+        spans.append(hi - lo + 1)
+        n_keys *= spans[-1]
         if n_keys > np.iinfo(np.int64).max:
             raise ConfigError(too_fine)
-        # Offsets are taken in int64: a float difference past 2**53 would round.
-        offset = cell if k else key
-        np.floor(quotient, out=offset, casting="unsafe")
-        offset -= lo
-        if k:
-            key *= span
-            key += offset
+    # The key is filled a chunk of rows at a time, so it is the only
+    # full-size array and the chunk's quotients and cells stay in cache.
+    n = columns.shape[1]
+    key = np.empty(n, dtype=np.int64)
+    quotient = np.empty(min(n, _KEY_CHUNK), dtype=np.float64)
+    cell = np.empty(min(n, _KEY_CHUNK), dtype=np.int64)
+    for start in range(0, n, _KEY_CHUNK):
+        rows = slice(start, min(start + _KEY_CHUNK, n))
+        part = key[rows]
+        q, c = quotient[:part.shape[0]], cell[:part.shape[0]]
+        for k, column in enumerate(columns):
+            np.divide(column[rows], grid_size, out=q, dtype=np.float64)
+            # Offsets are taken in int64: a float difference past 2**53 would round.
+            offset = c if k else part
+            np.floor(q, out=offset, casting="unsafe")
+            offset -= los[k]
+            if k:
+                part *= spans[k]
+                part += offset
     return key, n_keys
 
 

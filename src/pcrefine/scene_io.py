@@ -11,13 +11,15 @@ Both JSON files carry "version": FORMAT_VERSION, a JSON integer.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import save_embeddings
+from .embeddings import _replacing, save_embeddings
 from .errors import AlignmentError, ConfigError, ContractError, FormatError
 from .prototypes import SupportSet, SupportShot
 from .scene import ClassSchema, PointCloudScene, check_finite, checked_labels, checked_mask
@@ -42,8 +44,11 @@ _PROPERTIES = {
 
 def save_scene(scene: PointCloudScene, path: str | Path) -> None:
     """Write a scene as binary little-endian PLY; positions stored as float32,
-    labels as int32, so a label of 2**31 or more is a ContractError and no file is written."""
+    labels as int32. A label of 2**31 or more, or a NaN or infinite position,
+    which load_scene would refuse, is a ContractError naming the file, and no
+    file is written."""
     checked_labels(f"{path}:", scene.labels, hi=2**31)
+    check_finite(str(path), scene.positions.T)
     _write_vertices(path, [_vertex_record(scene.positions, scene.labels, scene.colors)])
 
 
@@ -73,12 +78,13 @@ def _vertex_record(
 
 def _write_vertices(path: str | Path, records: list[np.ndarray]) -> None:
     """Write vertex records of one dtype, one after another, as one binary
-    little-endian PLY."""
+    little-endian PLY, under a temporary name then moved over path: a
+    record mapped from path itself (_read_geometry) can be written back."""
     names = records[0].dtype.names
     header = ["ply", "format binary_little_endian 1.0",
               f"element vertex {sum(rec.shape[0] for rec in records)}"]
     header += [f"property {_PROPERTIES[name][0][0]} {name}" for name in names]
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(("\n".join(header + ["end_header"]) + "\n").encode("ascii"))
         for rec in records:
             f.write(rec)
@@ -130,10 +136,20 @@ def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """A PLY file's x, y and z as the contiguous rows of a (3, N) float32
     array, checked finite (and at least one point), its labels as int64 (for
     the caller to check), and its vertex record, whose colours are left
-    unread. Raises and warns as load_scene."""
+    unread. Raises and warns as load_scene.
+
+    A binary record is a read-only view of the mapped file, which stays
+    mapped while the record lives: its pages are the page cache's, so no
+    copy of the file is read into fresh memory for each scene. Truncating
+    the file while the record is alive raises SIGBUS on access."""
+    import mmap  # here, as in load_embeddings: keeps CLI start-up lean
+
     path = Path(path)
     with open(path, "rb") as f:
-        data = f.read()
+        st = os.fstat(f.fileno())
+        # An empty file or a pipe cannot be mapped, so it is read.
+        mappable = stat.S_ISREG(st.st_mode) and st.st_size
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if mappable else f.read()
 
     fmt, count, dtype, body_offset = _parse_header(path, data)
     if fmt == "ascii":

@@ -470,6 +470,17 @@ class TestMixBytes:
                     assert (column == column.min()).sum() > 1 and (column == column.max()).sum() > 1
                 assert (columns[2] == columns[2].min()).sum() > 1
 
+    @pytest.mark.parametrize("layout", ["coloured", "shuffled"])
+    def test_out_over_its_own_input(self, tmp_path, capsys, layout):
+        # The base record is mapped from the very file each output replaces.
+        corpus = mix_corpus(tmp_path, capsys, layout)
+        flags = ["--manifest", str(corpus / "manifest.json"), "--blocks", "3", "--seed", "2"]
+        assert run(capsys, "mix", *flags, "--out", str(tmp_path / "mixed"))[0] == EXIT_OK
+        assert run(capsys, "mix", *flags, "--out", str(corpus / "scenes"))[0] == EXIT_OK
+        for path in sorted((tmp_path / "mixed").iterdir()):
+            assert (corpus / "scenes" / path.name).read_bytes() == path.read_bytes()
+        assert sorted(p.name for p in (corpus / "scenes").iterdir()) == ["train_000.ply", "train_001.ply"]
+
     @pytest.mark.parametrize("layout", ["coloured", "colourless", "shuffled"])
     @pytest.mark.parametrize("fault", ["nan_position", "label_n_classes"])
     def test_fault_in_train_ply_exits_2(self, tmp_path, capsys, layout, fault):
@@ -650,9 +661,8 @@ def test_malformed_input_file(tmp_path, capsys, command, case):
 def test_non_finite_position_in_ply(tmp_path, capsys, command):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
     path = corpus / "scenes/train_000.ply"
-    scene = load_scene(path)
-    scene.positions[5, 0] = np.nan
-    save_scene(scene, path)
+    # Edited in the file: save_scene refuses a NaN position.
+    edit_ply_record(path, lambda rec: rec["x"].__setitem__(5, np.nan))
     argv = [command, "--manifest", str(corpus / "manifest.json")]
     argv += ["--pred-dir", str(tmp_path)] if command == "eval" else ["--out", str(tmp_path / "out")]
     code, out, err = run(capsys, *argv)

@@ -739,3 +739,65 @@ def test_cell_keys_of_float32_columns_past_2_53_stay_exact():
     scene = PointCloudScene(columns.T, np.array([0, 1, 2]))
     assert_same_bytes(_voxel_labels(columns, scene.labels, 1.0),
                       voxelize_axis0(scene, VoxelConfig(1.0)).labels)
+
+
+def reference_cell_keys(columns, grid_size):
+    """_cell_keys as it was before the key was filled in chunks: whole-column
+    quotients and cells, the spans from the quotients' extremes."""
+    too_fine = f"grid_size {grid_size} is too fine for this scene: cell keys overflow int64"
+    n = columns.shape[1]
+    quotient = np.empty(n, dtype=np.float64)
+    key, cell = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    n_keys = 1
+    for k, column in enumerate(columns):
+        np.divide(column, grid_size, out=quotient, dtype=np.float64)
+        lo, hi = float(quotient.min()), float(quotient.max())
+        if lo < -2**63 or hi >= 2**63:
+            raise ConfigError(too_fine)
+        lo, hi = math.floor(lo), math.floor(hi)
+        span = hi - lo + 1
+        n_keys *= span
+        if n_keys > np.iinfo(np.int64).max:
+            raise ConfigError(too_fine)
+        offset = cell if k else key
+        np.floor(quotient, out=offset, casting="unsafe")
+        offset -= lo
+        if k:
+            key *= span
+            key += offset
+    return key, n_keys
+
+
+CHUNK = scene_module._KEY_CHUNK
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * CHUNK + 2])
+@pytest.mark.parametrize("extremes_last", [False, True])
+def test_chunked_cell_keys_equal_reference(dtype, n, extremes_last):
+    rng = np.random.default_rng(n)
+    columns = (rng.normal(size=(3, n)) * [[3.0], [40.0], [0.5]] + [[-7.0], [1e4], [0.0]]).astype(dtype)
+    if extremes_last:
+        # The last two rows hold every column's minimum and maximum; at
+        # n = 2 * CHUNK + 2 both lie in the last chunk, which holds only them.
+        columns[:, -2] = columns.min(axis=1) - 5
+        columns[:, -1] = columns.max(axis=1) + 5
+    for grid in (0.05, 0.3, 1.0):
+        key, n_keys = _cell_keys(columns, grid)
+        want_key, want_n_keys = reference_cell_keys(columns, grid)
+        assert_same_bytes(key, want_key)
+        assert type(n_keys) is int and n_keys == want_n_keys
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fault", ["cell_past_int64", "keys_past_int64"])
+def test_chunked_cell_keys_too_fine_in_last_chunk(dtype, fault):
+    # Only the last row of the last (one-row) chunk breaks the bound: its
+    # cell index itself, or the product of the spans it widens.
+    columns = np.zeros((3, 2 * CHUNK + 1), dtype=dtype)
+    columns[:, -1] = {"cell_past_int64": [1e20, 0, 0], "keys_past_int64": [2.0**40, 2.0**40, 0]}[fault]
+    grid = {"cell_past_int64": 1e-3, "keys_past_int64": 1.0}[fault]
+    for keys in (_cell_keys, reference_cell_keys):
+        with pytest.raises(ConfigError, match=f"grid_size {grid} is too fine for this scene"):
+            keys(columns, grid)
+    assert_same_bytes(_cell_keys(columns[:, :-1], grid)[0], reference_cell_keys(columns[:, :-1], grid)[0])

@@ -1,3 +1,4 @@
+import os
 import re
 import warnings
 
@@ -13,6 +14,7 @@ from pcrefine.scene_io import (
     SceneEntry,
     _parse_header,
     _read_ascii,
+    _read_geometry,
     load_labels,
     load_manifest,
     load_mask,
@@ -98,6 +100,35 @@ def test_label_past_int32_is_contract_error_and_writes_nothing(tmp_path, value):
     with pytest.raises(ContractError, match=f"s.ply: label {value} at point 1 breaks"):
         save_scene(scene, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_position_is_contract_error_and_writes_nothing(tmp_path, value):
+    # load_scene would refuse the file, so save_scene writes none.
+    path = tmp_path / "s.ply"
+    positions = np.zeros((3, 3))
+    positions[1, 2] = value
+    with pytest.raises(ContractError, match=rf"s.ply: position \[0.0, 0.0, {value}\] of point 1 is not finite"):
+        save_scene(PointCloudScene(positions, np.array([0, 1, 2])), path)
+    assert not path.exists()
+
+
+def test_pipe_is_read_and_file_is_mapped(tmp_path):
+    # A regular file's record is a read-only view of its mapping; a pipe
+    # cannot be mapped, so it is read, to the same scene.
+    path = tmp_path / "s.ply"
+    save_scene(make_scene(5), path)
+    assert not _read_geometry(path)[2].flags.writeable
+    read, write = os.pipe()
+    os.write(write, path.read_bytes())
+    os.close(write)
+    try:
+        piped = load_scene(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    mapped = load_scene(path)
+    for name in ("positions", "labels", "colors"):
+        np.testing.assert_array_equal(getattr(piped, name), getattr(mapped, name))
 
 
 def test_int32_extreme_labels_round_trip(tmp_path):
