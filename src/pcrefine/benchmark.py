@@ -73,12 +73,23 @@ def class_stats(scenes: Iterable[PointCloudScene], schema: ClassSchema) -> Class
     its mean points are averaged over those scenes.
     """
     n = schema.n_classes
+    # map keeps no scene, so each is freed before the next is taken.
+    return _label_stats(
+        map(lambda scene: checked_labels(f"{scene.source_path or 'scene'}:", scene.labels, hi=n),
+            scenes),
+        schema,
+    )
+
+
+def _label_stats(labels_per_scene: Iterable[np.ndarray], schema: ClassSchema) -> ClassStats:
+    """class_stats of the scenes whose labels, checked in [-1, n_classes)
+    and of any integer dtype, are labels_per_scene."""
+    n = schema.n_classes
     occ = np.zeros(n, dtype=np.int64)  # scenes with >= 1 point
     points = np.zeros(n, dtype=np.int64)
-    for scene in scenes:
-        labels = checked_labels(f"{scene.source_path or 'scene'}:", scene.labels, hi=n)
+    for labels in labels_per_scene:
         counts = np.bincount(labels[labels >= 0], minlength=n)
-        del scene, labels  # freed before the next scene is loaded
+        del labels  # freed before the next scene is read
         occ += counts > 0
         points += counts
 

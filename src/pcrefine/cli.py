@@ -223,12 +223,19 @@ def _scene_faults(entry: SceneEntry):
         raise type(exc)(f"scene {entry.scene_id}: {exc}") from exc
 
 
-def _scene_ply(manifest: Manifest, entry: SceneEntry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_read_geometry of a manifest scene's PLY, its labels checked in
-    [-1, n_classes): every fault, a label one included, names the file."""
+def _scene_ply(
+    manifest: Manifest, entry: SceneEntry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """_read_geometry of a manifest scene's PLY, its int32 labels checked in
+    [-1, n_classes), and their (min, max): every fault, a label one
+    included, names the file."""
     path = manifest.resolve(entry.path)
-    columns, labels, rec = _read_geometry(path)
-    return columns, checked_labels(f"{path}:", labels, hi=manifest.schema.n_classes), rec
+    columns, labels, rec, extremes = _read_geometry(path)
+    lo, hi = int(labels.min()), int(labels.max())
+    if lo < -1 or hi >= manifest.schema.n_classes:
+        # Raised on the int64 cast, so the message reads as for any label file.
+        checked_labels(f"{path}:", labels.astype(np.int64), hi=manifest.schema.n_classes)
+    return columns, labels, rec, extremes, (lo, hi)
 
 
 def cmd_refine(args) -> None:
@@ -293,7 +300,7 @@ def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: 
     read; the blocks read only the base's corners and floor, from its float32
     columns. The scene's buffers are freed on return, before cmd_mix reads
     the next one."""
-    columns, labels, rec = _scene_ply(manifest, entry)
+    columns, labels, rec, _, _ = _scene_ply(manifest, entry)
     del labels  # read only for its check
     blocks = _blocks(columns.T, support, cfg, rng)
     del columns
@@ -302,9 +309,9 @@ def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: 
 
 def cmd_stats(args) -> None:
     manifest = load_manifest(Path(args.manifest))
-    scenes = (load_scene(manifest.resolve(e.path)) for e in manifest.scenes
-              if e.role != "support")
-    stats = benchmark.class_stats(scenes, manifest.schema)
+    # Only the checked labels outlive each read: no scene is built.
+    labels = (_scene_ply(manifest, e)[1] for e in manifest.scenes if e.role != "support")
+    stats = benchmark._label_stats(labels, manifest.schema)
     doc = {"version": REPORT_SCHEMA_VERSION, "count_mode": "scenes",
            "classes": stats.to_dict()}
     if args.out:
@@ -336,14 +343,17 @@ def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | Non
     labels outlive the call. The vertex record, and with it the file's
     mapping, is dropped on read, and the columns once the keys are taken:
     the two steps of _voxel_labels, with only the keys and labels left for
-    the vote."""
-    columns, labels = _scene_ply(manifest, entry)[:2]
+    the vote. The labels stay the file's int32 (accumulate widens them at
+    grid 0), and the column and label ranges taken by the read are not
+    taken again."""
+    columns, labels, rec, extremes, (lo, hi) = _scene_ply(manifest, entry)
+    del rec
     if grid is None:
         return labels
     with _scene_faults(entry):  # a voxel fault names the scene
-        key, n_keys = _cell_keys(columns, grid.grid_size)
+        key, n_keys = _cell_keys(columns, grid.grid_size, extremes)
         del columns
-        return _majority_labels(key, n_keys, labels)
+        return _majority_labels(key, n_keys, labels, lo, hi)
 
 
 def cmd_eval(args) -> None:

@@ -252,7 +252,8 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
 
     positions = cell_means(scene.positions)
     colors = None if scene.colors is None else cell_means(scene.colors)
-    labels = _majority_labels(inverse, n_cells, scene.labels)  # overwrites inverse
+    labels = _majority_labels(inverse, n_cells, scene.labels,  # overwrites inverse
+                              int(scene.labels.min()), int(scene.labels.max()))
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
 
 
@@ -263,23 +264,30 @@ def _voxel_labels(columns: np.ndarray, labels: np.ndarray, grid_size: float) -> 
     labels are labels. Raises as voxelize. Eval's truth labels take the same
     two steps, with the columns freed between them."""
     # The packed key orders cells as their ranks do, so the vote takes it as is.
-    return _majority_labels(*_cell_keys(columns, grid_size), labels)
+    return _majority_labels(*_cell_keys(columns, grid_size), labels,
+                            int(labels.min()), int(labels.max()))
 
 
-def _cell_keys(columns: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
+def _cell_keys(
+    columns: np.ndarray, grid_size: float, extremes: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Each point's packed cell key, whose integer order is lexicographic
     (x, y, z) cell order, and prod(spans), which bounds the keys from above.
     columns holds the finite x, y and z coordinates as rows, float32 or
-    float64: positions.T, or a file's float32 columns."""
+    float64: positions.T, or a file's float32 columns. extremes, if given,
+    is each row's [min, max] in the columns' dtype (_read_geometry's), and
+    saves reading the columns for them. The key is int32 when prod(spans)
+    is at most 2**31, so every key fits it, and int64 otherwise."""
     too_fine = f"grid_size {grid_size} is too fine for this scene: cell keys overflow int64"
+    if extremes is None:
+        extremes = [(column.min(), column.max()) for column in columns]
     # float64(x) is exact, so each quotient is the float64 x / grid_size
     # whatever the column dtype; a float32 quotient would give other cells.
     # x -> floor(float64(x) / grid_size) is monotone, so a column's extremes
     # give its extreme cells.
     los, spans = [], []
     n_keys = 1  # a Python int, so a packed key past int64 is caught rather than wrapped
-    for column in columns:
-        lo, hi = np.divide([column.min(), column.max()], grid_size, dtype=np.float64).tolist()
+    for lo, hi in np.divide(extremes, grid_size, dtype=np.float64).tolist():
         if lo < -2**63 or hi >= 2**63:
             raise ConfigError(too_fine)
         lo, hi = math.floor(lo), math.floor(hi)
@@ -290,14 +298,20 @@ def _cell_keys(columns: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
             raise ConfigError(too_fine)
     # The key is filled a chunk of rows at a time, so it is the only
     # full-size array and the chunk's quotients and cells stay in cache.
+    # An int32 key is packed in an int64 chunk, then stored: a far-off
+    # cell's absolute index need not fit int32, only its offset from the
+    # lowest cell does.
     n = columns.shape[1]
-    key = np.empty(n, dtype=np.int64)
+    narrow = n_keys <= 2**31
+    key = np.empty(n, dtype=np.int32 if narrow else np.int64)
     quotient = np.empty(min(n, _KEY_CHUNK), dtype=np.float64)
     cell = np.empty(min(n, _KEY_CHUNK), dtype=np.int64)
+    packed = np.empty(min(n, _KEY_CHUNK), dtype=np.int64) if narrow else None
     for start in range(0, n, _KEY_CHUNK):
         rows = slice(start, min(start + _KEY_CHUNK, n))
-        part = key[rows]
-        q, c = quotient[:part.shape[0]], cell[:part.shape[0]]
+        m = rows.stop - start
+        q, c = quotient[:m], cell[:m]
+        part = packed[:m] if narrow else key[rows]
         for k, column in enumerate(columns):
             np.divide(column[rows], grid_size, out=q, dtype=np.float64)
             # Offsets are taken in int64: a float difference past 2**53 would round.
@@ -307,12 +321,16 @@ def _cell_keys(columns: np.ndarray, grid_size: float) -> tuple[np.ndarray, int]:
             if k:
                 part *= spans[k]
                 part += offset
+        if narrow:
+            key[rows] = part
     return key, n_keys
 
 
 def _cell_ranks(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
     """np.unique(key, return_inverse=True)[1] of keys below n_keys, and the
-    number of distinct keys. Overwrites key."""
+    number of distinct keys. Overwrites an int64 key; an int32 key is
+    widened first, so the row index fits beside it."""
+    key = key.astype(np.int64, copy=False)
     n = key.shape[0]
     bits = max(1, (n - 1).bit_length())
     if n_keys << bits > np.iinfo(np.int64).max:
@@ -334,13 +352,13 @@ def _cell_ranks(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
     return inverse, int(rank[-1]) + 1
 
 
-def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray) -> np.ndarray:
+def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Most frequent label per cell, the smallest one on ties, in cell order,
-    as int64, from one value sort and one max. cell is any per-point cell id
-    in [0, n_cells) whose order is the cell order: a rank, or a packed key
-    with its bound, which is ranked first if (key, label) pairs would not
-    fit in int64. Overwrites cell."""
-    lo, hi = int(labels.min()), int(labels.max())
+    as int64, from one value sort and one max. cell is any per-point int32
+    or int64 cell id in [0, n_cells) whose order is the cell order: a rank,
+    or a packed key with its bound, which is ranked first if (key, label)
+    pairs would not fit in int64. labels are checked integers of any dtype,
+    and lo and hi their min and max. Overwrites cell."""
     span = hi - lo + 1
     # Python ints, so a packed (cell, label) key past int64 is caught rather
     # than wrapped. Ranks keep the cell order and may fit where a sparse
@@ -354,12 +372,21 @@ def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray) -> np.n
         )
     # Sorted by cell, then by label: each run of equal values is one
     # (cell, label) group, and each cell one run of groups.
-    pairs = cell
-    pairs *= span
-    pairs -= lo  # before the labels, so no partial sum passes int64 max
-    pairs += labels
-    if n_cells * span <= 2**31:  # every pair fits int32, which sorts in half the time
-        pairs = pairs.astype(np.int32)
+    if n_cells * span <= 2**31:
+        # Every pair fits int32, which sorts in half the time: packed in
+        # place in an int32 cell, or straight from an int64 one. int32
+        # arithmetic wraps modulo 2**32 and each pair lies in [0, 2**31), so
+        # span and lo, taken modulo 2**32, and a wrapped partial sum give it
+        # exactly.
+        pairs = cell if cell.dtype == np.int32 else np.empty(cell.shape[0], dtype=np.int32)
+        np.multiply(cell, _wrapped32(span), out=pairs, casting="unsafe")
+        pairs -= _wrapped32(lo)
+        np.add(pairs, labels, out=pairs, casting="unsafe")
+    else:
+        pairs = cell.astype(np.int64, copy=False)
+        pairs *= span
+        pairs -= lo  # before the labels, so no partial sum passes int64 max
+        pairs += labels
     pairs.sort()
     n = pairs.shape[0]
     group = np.flatnonzero(_run_starts(pairs))
@@ -380,6 +407,11 @@ def _majority_labels(cell: np.ndarray, n_cells: int, labels: np.ndarray) -> np.n
     best = np.maximum.reduceat(score, starts)
     won = m - 1 - (best - best // m * m)
     return grouped[won] - cell_of[won] * span + lo
+
+
+def _wrapped32(value: int) -> int:
+    """value modulo 2**32, as an int32."""
+    return (value + 2**31) % 2**32 - 2**31
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

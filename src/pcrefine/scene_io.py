@@ -121,7 +121,7 @@ def load_scene(path: str | Path) -> PointCloudScene:
     ContractError naming the file and the point. A missing 'label' property
     yields all-(-1) labels and a MissingLabelWarning.
     """
-    columns, labels, rec = _read_geometry(path)
+    columns, labels, rec, _ = _read_geometry(path)
     colors = None
     if "red" in rec.dtype.names:
         # Filled a column at a time, so no (3, N) stack is transposed.
@@ -129,14 +129,16 @@ def load_scene(path: str | Path) -> PointCloudScene:
         for k, name in enumerate(("red", "green", "blue")):
             colors[:, k] = rec[name]
         colors /= 255.0
-    return PointCloudScene(columns.T, labels, colors, source_path=str(path))
+    return PointCloudScene(columns.T, labels.astype(np.int64), colors, source_path=str(path))
 
 
-def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A PLY file's x, y and z as the contiguous rows of a (3, N) float32
-    array, checked finite (and at least one point), its labels as int64 (for
-    the caller to check), and its vertex record, whose colours are left
-    unread. Raises and warns as load_scene.
+    array, checked finite (and at least one point), its labels as a
+    contiguous int32 vector (for the caller to check), its vertex record,
+    whose colours are left unread, and the (3, 2) float32 [min, max] of each
+    column, which _cell_keys takes rather than reading the columns again.
+    Raises and warns as load_scene.
 
     A binary record is a read-only view of the mapped file, which stays
     mapped while the record lives: its pages are the page cache's, so no
@@ -167,16 +169,20 @@ def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if count < 1:
         raise AlignmentError(f"{path}: a scene must contain at least one point")
     columns = np.stack([rec[name] for name in ("x", "y", "z")])
-    check_finite(str(path), columns)
-    # Cast in one pass over the packed record.
+    # A NaN or an infinity shows in its column's min or max; check_finite's
+    # exact scan then names the first such point.
+    extremes = np.stack([columns.min(axis=1), columns.max(axis=1)], axis=1)
+    if not np.isfinite(extremes).all():
+        check_finite(str(path), columns)
+    # Kept in the file's int32: one copy out of the packed record.
     if "label" in dtype.names:
-        labels = rec["label"].astype(np.int64)
+        labels = np.array(rec["label"], dtype=np.int32)
     else:
         warnings.warn(
             f"{path}: no 'label' property; labels default to -1", MissingLabelWarning
         )
-        labels = np.full(count, -1, dtype=np.int64)
-    return columns, labels, rec
+        labels = np.full(count, -1, dtype=np.int32)
+    return columns, labels, rec, extremes
 
 
 def _parse_header(path: Path, data: bytes) -> tuple[str, int, np.dtype, int]:
@@ -367,7 +373,10 @@ def load_manifest(path: str | Path) -> Manifest:
     try:
         doc = json.loads(path.read_bytes())
         _check_version(path, doc, "manifest")
-        schema = ClassSchema.from_dict(doc["schema"])
+        try:
+            schema = ClassSchema.from_dict(doc["schema"])
+        except ConfigError as exc:  # keeps its type, so its exit code
+            raise ConfigError(f"{path}: {exc}") from exc
         scenes = []
         for e in doc.get("scenes", []):
             scenes.append(SceneEntry(

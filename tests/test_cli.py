@@ -853,6 +853,30 @@ def test_non_string_class_names(tmp_path, capsys, names):
     assert out == ""
 
 
+# A schema ClassSchema refuses -> the text of its ConfigError.
+SCHEMA_FAULTS = {
+    "overlap": ({"base_names": ["base_00", "base_01"], "novel_names": ["base_00"]},
+                "base/novel class names overlap: ['base_00']"),
+    "duplicate-base": ({"base_names": ["base_00", "base_00"], "novel_names": ["novel_00"]},
+                       "duplicate base class names"),
+    "duplicate-novel": ({"base_names": ["base_00"], "novel_names": ["novel_00", "novel_00"]},
+                        "duplicate novel class names"),
+    "non-string": ({"base_names": ["base_00", 1], "novel_names": ["novel_00"]},
+                   "base_names must be a list of strings, got ['base_00', 1]"),
+}
+
+
+@pytest.mark.parametrize("fault", SCHEMA_FAULTS)
+def test_schema_fault_names_the_manifest(tmp_path, capsys, fault):
+    schema, text = SCHEMA_FAULTS[fault]
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"version": 1, "schema": schema, "scenes": []}))
+    code, out, err = run(capsys, "eval", "--manifest", str(manifest_path), "--pred-dir", str(tmp_path))
+    assert code == EXIT_CONTRACT
+    assert json.loads(err)["error"] == {"type": "ConfigError", "message": f"{manifest_path}: {text}"}
+    assert out == ""
+
+
 def test_split_whole_float_occurrences(tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     stats_path.write_text(json.dumps({"a": {"occurrences": 3.0, "mean_points": 2}}))

@@ -84,9 +84,9 @@ def test_eval_grid_votes_with_the_record_and_columns_freed(corpus, monkeypatch):
     read_geometry, majority_labels = cli_module._read_geometry, scene_module._majority_labels
 
     def reading(path):
-        columns, labels, rec = read_geometry(path)
+        columns, labels, rec, extremes = read_geometry(path)
         read.append((weakref.ref(columns), weakref.ref(rec)))
-        return columns, labels, rec
+        return columns, labels, rec, extremes
 
     def voting(*args):
         alive.extend(ref() is not None for refs in read for ref in refs)
@@ -108,3 +108,37 @@ def test_eval_grid_votes_with_the_record_and_columns_freed(corpus, monkeypatch):
 
     monkeypatch.setattr(cli_module, "_read_geometry", pinning)
     assert traced_peak(args) - peak >= 0.8 * N_POINTS * 12
+
+
+def test_stats_reads_no_more_than_mix(corpus):
+    # stats keeps only each scene's int32 labels; it builds no scene, whose
+    # float64 positions and colours alone take 48 B a point.
+    for command in ("mix", "stats"):
+        main(argv(corpus, command, 1))
+    mix_peak = traced_peak(argv(corpus, "mix", 1))
+    stats_peak = traced_peak(argv(corpus, "stats", 1))
+    assert stats_peak <= mix_peak, f"stats {stats_peak / 1e6:.2f} MB, mix {mix_peak / 1e6:.2f} MB"
+
+
+def test_eval_grid_votes_in_32_bits(corpus, monkeypatch):
+    # The labels stay the file's int32 and the cell keys fit int32, so the
+    # (cell, label) pairs are packed in the key's own buffer. Widened to
+    # int64, as they were once held, the labels and keys raise the traced
+    # peak by at least 6 B a point.
+    args = argv(corpus, "eval", 1)
+    main(args)
+    peak = traced_peak(args)
+    read_geometry, cell_keys = cli_module._read_geometry, cli_module._cell_keys
+
+    def reading(path):
+        columns, labels, rec, extremes = read_geometry(path)
+        return columns, labels.astype(np.int64), rec, extremes
+
+    def keying(*args):
+        key, n_keys = cell_keys(*args)
+        return key.astype(np.int64), n_keys
+
+    monkeypatch.setattr(cli_module, "_read_geometry", reading)
+    monkeypatch.setattr(cli_module, "_cell_keys", keying)
+    widened = traced_peak(args)
+    assert widened - peak >= 6 * N_POINTS, f"{peak / 1e6:.2f} MB, widened {widened / 1e6:.2f} MB"

@@ -768,6 +768,13 @@ def reference_cell_keys(columns, grid_size):
     return key, n_keys
 
 
+def assert_same_keys(key, n_keys, want_key):
+    """key holds the int64 reference's values, stored as int32 when every
+    key below n_keys fits it and as int64 otherwise."""
+    assert key.dtype == (np.int32 if n_keys <= 2**31 else np.int64)
+    assert_same_bytes(key.astype(np.int64), want_key)
+
+
 CHUNK = scene_module._KEY_CHUNK
 
 
@@ -785,7 +792,7 @@ def test_chunked_cell_keys_equal_reference(dtype, n, extremes_last):
     for grid in (0.05, 0.3, 1.0):
         key, n_keys = _cell_keys(columns, grid)
         want_key, want_n_keys = reference_cell_keys(columns, grid)
-        assert_same_bytes(key, want_key)
+        assert_same_keys(key, n_keys, want_key)
         assert type(n_keys) is int and n_keys == want_n_keys
 
 
@@ -800,4 +807,83 @@ def test_chunked_cell_keys_too_fine_in_last_chunk(dtype, fault):
     for keys in (_cell_keys, reference_cell_keys):
         with pytest.raises(ConfigError, match=f"grid_size {grid} is too fine for this scene"):
             keys(columns, grid)
-    assert_same_bytes(_cell_keys(columns[:, :-1], grid)[0], reference_cell_keys(columns[:, :-1], grid)[0])
+    assert_same_keys(*_cell_keys(columns[:, :-1], grid), reference_cell_keys(columns[:, :-1], grid)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x0, n_keys, key_dtype", [
+    # Cells 1 .. 2**31: the largest key, 2**31 - 1, fits int32.
+    (1.0, 2**31, np.int32),
+    # Cells 0 .. 2**31: the key 2**31 would wrap in int32.
+    (0.0, 2**31 + 1, np.int64),
+])
+def test_cell_key_dtype_at_2_31_keys(dtype, x0, n_keys, key_dtype):
+    columns = np.zeros((3, 3), dtype=dtype)
+    columns[0] = [x0, 2.0**31, 5.0]  # each a float32
+    key, got_n_keys = _cell_keys(columns, 1.0)
+    assert got_n_keys == n_keys
+    assert key.dtype == key_dtype
+    assert key.tolist() == [0, 2**31 - int(x0), 5 - int(x0)]
+    assert_same_keys(key, n_keys, reference_cell_keys(columns, 1.0)[0])
+
+
+def packed_pairs(key, labels):
+    """The (cell, label) pairs the vote sorts, from the int64 values."""
+    lo, hi = int(labels.min()), int(labels.max())
+    return np.sort(key.astype(np.int64) * (hi - lo + 1) + (labels - lo))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("edge, in_place", [("int32-at-2**31", True), ("int64-at-2**31+1", False)])
+def test_vote_packs_int32_keys_in_place_up_to_2_31_pairs(dtype, edge, in_place):
+    x, labels = PACKING_EDGES[edge]
+    columns = np.zeros((3, len(x)), dtype=dtype)
+    columns[0] = x
+    labels = np.array(labels)
+    key, n_keys = _cell_keys(columns, 1.0)
+    assert key.dtype == np.int32
+    before = key.copy()
+    got = scene_module._majority_labels(key, n_keys, labels, int(labels.min()), int(labels.max()))
+    # In place, the int32 key's buffer ends up holding the sorted pairs;
+    # past 2**31 they are packed in an int64 copy and the key is left as is.
+    assert_same_bytes(key, packed_pairs(before, labels).astype(np.int32) if in_place else before)
+    scene = PointCloudScene(columns.T, labels)
+    assert_same_bytes(got, voxelize_axis0(scene, VoxelConfig(1.0)).labels)
+    assert_same_bytes(got, voxelize(scene, VoxelConfig(1.0)).labels)
+    assert_same_bytes(got, _voxel_labels(columns, labels, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_far_off_narrow_scene_gets_int32_keys(dtype):
+    # x near 2**40, in cells 2**17 apart (float32's spacing there): each
+    # absolute cell index passes int32, but the span and the keys do not.
+    columns = np.zeros((3, 5), dtype=dtype)
+    columns[0] = 2.0**40 + np.array([0, 1, 2, 5, 2]) * 2.0**17
+    columns[2] = [0, 0, 1, 0, 0]
+    labels = np.array([3, 1, 1, 0, 4])
+    key, n_keys = _cell_keys(columns, 1.0)
+    assert n_keys == (5 * 2**17 + 1) * 2
+    assert key.dtype == np.int32
+    assert_same_keys(key, n_keys, reference_cell_keys(columns, 1.0)[0])
+    scene = PointCloudScene(columns.T, labels)
+    assert_same_bytes(_voxel_labels(columns, labels, 1.0), voxelize_axis0(scene, VoxelConfig(1.0)).labels)
+
+
+def test_wide_labels_rank_an_int32_key(monkeypatch):
+    # 2**31 keys fit int32, but 2**31 x a label span of 2**40 + 1 passes
+    # int64: the int32 key is ranked, and the 2 ranks pack with the labels.
+    columns = np.zeros((3, 4), dtype=np.float32)
+    columns[0] = [1.0, 2.0**31, 1.0, 2.0**31]
+    labels = np.array([0, 2**40, 2**40, 2**40])
+    key, n_keys = _cell_keys(columns, 1.0)
+    assert (key.dtype, n_keys) == (np.int32, 2**31)
+    fed = []
+    real = scene_module._cell_ranks
+    monkeypatch.setattr(scene_module, "_cell_ranks",
+                        lambda key, n_keys: fed.append(key.dtype) or real(key, n_keys))
+    got = scene_module._majority_labels(key, n_keys, labels, 0, 2**40)
+    assert fed == [np.int32]
+    assert got.tolist() == [0, 2**40]
+    scene = PointCloudScene(columns.T, labels)
+    assert_same_bytes(got, voxelize_axis0(scene, VoxelConfig(1.0)).labels)
+    assert_same_bytes(_voxel_labels(columns, labels, 1.0), got)
