@@ -24,7 +24,7 @@ from .infill import InfillConfig
 from .mix import MixConfig, _blocks
 from .pipeline import refine_labels
 from .prototypes import SupportSet, support_prototypes
-from .scene import ClassSchema, VoxelConfig, _cell_keys, _check_number, _majority_labels, checked_labels
+from .scene import ClassSchema, VoxelConfig, _cell_keys, _check_number, _majority_labels
 from .scene_io import (
     Manifest,
     SceneEntry,
@@ -32,7 +32,6 @@ from .scene_io import (
     _read_geometry,
     load_labels,
     load_manifest,
-    load_scene,
     load_support,
     save_labels,
     save_manifest,
@@ -223,21 +222,6 @@ def _scene_faults(entry: SceneEntry):
         raise type(exc)(f"scene {entry.scene_id}: {exc}") from exc
 
 
-def _scene_ply(
-    manifest: Manifest, entry: SceneEntry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """_read_geometry of a manifest scene's PLY, its int32 labels checked in
-    [-1, n_classes), and their (min, max): every fault, a label one
-    included, names the file."""
-    path = manifest.resolve(entry.path)
-    columns, labels, rec, extremes = _read_geometry(path)
-    lo, hi = int(labels.min()), int(labels.max())
-    if lo < -1 or hi >= manifest.schema.n_classes:
-        # Raised on the int64 cast, so the message reads as for any label file.
-        checked_labels(f"{path}:", labels.astype(np.int64), hi=manifest.schema.n_classes)
-    return columns, labels, rec, extremes, (lo, hi)
-
-
 def cmd_refine(args) -> None:
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
@@ -300,7 +284,8 @@ def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: 
     read; the blocks read only the base's corners and floor, from its float32
     columns. The scene's buffers are freed on return, before cmd_mix reads
     the next one."""
-    columns, labels, rec, _, _ = _scene_ply(manifest, entry)
+    columns, labels, rec, _, _ = _read_geometry(manifest.resolve(entry.path),
+                                                manifest.schema.n_classes)
     del labels  # read only for its check
     blocks = _blocks(columns.T, support, cfg, rng)
     del columns
@@ -310,7 +295,8 @@ def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: 
 def cmd_stats(args) -> None:
     manifest = load_manifest(Path(args.manifest))
     # Only the checked labels outlive each read: no scene is built.
-    labels = (_scene_ply(manifest, e)[1] for e in manifest.scenes if e.role != "support")
+    labels = (_read_geometry(manifest.resolve(e.path), manifest.schema.n_classes)[1]
+              for e in manifest.scenes if e.role != "support")
     stats = benchmark._label_stats(labels, manifest.schema)
     doc = {"version": REPORT_SCHEMA_VERSION, "count_mode": "scenes",
            "classes": stats.to_dict()}
@@ -336,17 +322,14 @@ def cmd_split(args) -> None:
 
 
 def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | None) -> np.ndarray:
-    """The ground-truth labels eval scores for a manifest scene: per point, or
-    per voxel cell of grid, as voxelize(load_scene(path), grid).labels gives
-    them. The cell keys come from the file's float32 columns, so no float64
-    positions or scene are built; colours are never read, and only the
-    labels outlive the call. The vertex record, and with it the file's
-    mapping, is dropped on read, and the columns once the keys are taken:
-    the two steps of _voxel_labels, with only the keys and labels left for
-    the vote. The labels stay the file's int32 (accumulate widens them at
-    grid 0), and the column and label ranges taken by the read are not
-    taken again."""
-    columns, labels, rec, extremes, (lo, hi) = _scene_ply(manifest, entry)
+    """The ground-truth labels eval scores for a manifest scene, per point or
+    per voxel cell of grid, equal to voxelize(load_scene(path), grid).labels.
+    No float64 positions or scene are built. Only the cell keys and the
+    file's int32 labels are alive at the vote: the vertex record (and with
+    it the file's mapping) and the columns are freed first, and the ranges
+    the read took are not taken again."""
+    columns, labels, rec, extremes, (lo, hi) = _read_geometry(manifest.resolve(entry.path),
+                                                              manifest.schema.n_classes)
     del rec
     if grid is None:
         return labels

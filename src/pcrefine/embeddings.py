@@ -167,9 +167,6 @@ class SyntheticFeatureProvider:
             )
         return v / norm
 
-    def anchor_for(self, label: int) -> np.ndarray:
-        return self.background_anchor if label == -1 else self.anchors[label]
-
     def embed_scene(self, scene: PointCloudScene) -> np.ndarray:
         cfg = self.config
         n = scene.point_count

@@ -298,20 +298,18 @@ def _cell_keys(
             raise ConfigError(too_fine)
     # The key is filled a chunk of rows at a time, so it is the only
     # full-size array and the chunk's quotients and cells stay in cache.
-    # An int32 key is packed in an int64 chunk, then stored: a far-off
-    # cell's absolute index need not fit int32, only its offset from the
-    # lowest cell does.
+    # Each chunk is packed in int64, then stored: a far-off cell's absolute
+    # index need not fit an int32 key, only its offset from the lowest cell
+    # does.
     n = columns.shape[1]
-    narrow = n_keys <= 2**31
-    key = np.empty(n, dtype=np.int32 if narrow else np.int64)
-    quotient = np.empty(min(n, _KEY_CHUNK), dtype=np.float64)
-    cell = np.empty(min(n, _KEY_CHUNK), dtype=np.int64)
-    packed = np.empty(min(n, _KEY_CHUNK), dtype=np.int64) if narrow else None
+    key = np.empty(n, dtype=np.int32 if n_keys <= 2**31 else np.int64)
+    chunk = min(n, _KEY_CHUNK)
+    quotient = np.empty(chunk, dtype=np.float64)
+    cell, packed = np.empty(chunk, dtype=np.int64), np.empty(chunk, dtype=np.int64)
     for start in range(0, n, _KEY_CHUNK):
         rows = slice(start, min(start + _KEY_CHUNK, n))
         m = rows.stop - start
-        q, c = quotient[:m], cell[:m]
-        part = packed[:m] if narrow else key[rows]
+        q, c, part = quotient[:m], cell[:m], packed[:m]
         for k, column in enumerate(columns):
             np.divide(column[rows], grid_size, out=q, dtype=np.float64)
             # Offsets are taken in int64: a float difference past 2**53 would round.
@@ -321,8 +319,7 @@ def _cell_keys(
             if k:
                 part *= spans[k]
                 part += offset
-        if narrow:
-            key[rows] = part
+        key[rows] = part
     return key, n_keys
 
 

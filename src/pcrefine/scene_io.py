@@ -117,11 +117,12 @@ def load_scene(path: str | Path) -> PointCloudScene:
     """Read a PLY scene.
 
     Every malformed header or body is a FormatError naming the file, and
-    the line number or byte offset; a NaN or infinite position is a
-    ContractError naming the file and the point. A missing 'label' property
-    yields all-(-1) labels and a MissingLabelWarning.
+    the line number or byte offset; a NaN or infinite position, or a label
+    below -1, is a ContractError naming the file and the point, raised by
+    _read_geometry's checks. A missing 'label' property yields all-(-1)
+    labels and a MissingLabelWarning.
     """
-    columns, labels, rec, _ = _read_geometry(path)
+    columns, labels, rec, _, _ = _read_geometry(path)
     colors = None
     if "red" in rec.dtype.names:
         # Filled a column at a time, so no (3, N) stack is transposed.
@@ -132,13 +133,17 @@ def load_scene(path: str | Path) -> PointCloudScene:
     return PointCloudScene(columns.T, labels.astype(np.int64), colors, source_path=str(path))
 
 
-def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _read_geometry(
+    path: str | Path, n_classes: int = np.iinfo(np.int64).max
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
     """A PLY file's x, y and z as the contiguous rows of a (3, N) float32
     array, checked finite (and at least one point), its labels as a
-    contiguous int32 vector (for the caller to check), its vertex record,
-    whose colours are left unread, and the (3, 2) float32 [min, max] of each
-    column, which _cell_keys takes rather than reading the columns again.
-    Raises and warns as load_scene.
+    contiguous int32 vector checked in [-1, n_classes), its vertex record,
+    whose colours are left unread, the (3, 2) float32 [min, max] of each
+    column, which _cell_keys takes rather than reading the columns again,
+    and the labels' (min, max). Every scene PLY read, load_scene's and the
+    CLI's, bounds its labels here: a label fault is checked_labels'
+    ContractError naming the file. Raises and warns as load_scene.
 
     A binary record is a read-only view of the mapped file, which stays
     mapped while the record lives: its pages are the page cache's, so no
@@ -182,7 +187,11 @@ def _read_geometry(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
             f"{path}: no 'label' property; labels default to -1", MissingLabelWarning
         )
         labels = np.full(count, -1, dtype=np.int32)
-    return columns, labels, rec, extremes
+    lo, hi = int(labels.min()), int(labels.max())
+    if lo < -1 or hi >= n_classes:
+        # Raised on the int64 cast, so the message reads as for any label file.
+        checked_labels(f"{path}:", labels.astype(np.int64), hi=n_classes)
+    return columns, labels, rec, extremes, (lo, hi)
 
 
 def _parse_header(path: Path, data: bytes) -> tuple[str, int, np.dtype, int]:
@@ -447,10 +456,10 @@ def _path_field(path: Path, obj: dict, name: str, required: bool = False) -> str
     return value
 
 
-def save_support(support: SupportSet, out: str | Path, embed=None) -> None:
+def save_support(support: SupportSet, out: str | Path, embed) -> None:
     """Write out/support.json and the files it lists under out/support: each
-    distinct support scene once (and, if embed is given, its features
-    embed(scene) once) and one mask .npy per shot."""
+    distinct support scene and its features embed(scene) once, and one mask
+    .npy per shot."""
     out = Path(out)
     (out / "support").mkdir(parents=True, exist_ok=True)
     doc = {"version": FORMAT_VERSION, "k": support.k, "classes": {}}
@@ -461,14 +470,11 @@ def save_support(support: SupportSet, out: str | Path, embed=None) -> None:
             if id(shot.scene) not in saved:
                 sid = f"support_{len(saved):03d}"
                 save_scene(shot.scene, out / f"support/{sid}.ply")
-                if embed is not None:
-                    save_embeddings(embed(shot.scene), out / f"support/{sid}.gfve")
+                save_embeddings(embed(shot.scene), out / f"support/{sid}.gfve")
                 saved[id(shot.scene)] = sid
             sid = saved[id(shot.scene)]
-            entry = {"scene": f"support/{sid}.ply"}
-            if embed is not None:
-                entry["embedding"] = f"support/{sid}.gfve"
-            entry["mask"] = f"support/mask_c{c}_s{j}.npy"
+            entry = {"scene": f"support/{sid}.ply", "embedding": f"support/{sid}.gfve",
+                     "mask": f"support/mask_c{c}_s{j}.npy"}
             np.save(out / entry["mask"], shot.mask)
             entries.append(entry)
         doc["classes"][str(c)] = entries

@@ -7,7 +7,7 @@ the whole refinement pipeline can be verified end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

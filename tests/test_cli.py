@@ -443,7 +443,8 @@ class TestMixBytes:
         decode = scene_io.load_scene
         for module in (cli_module, scene_io):
             monkeypatch.setattr(module, "load_scene",
-                                lambda path: decoded.append(Path(path)) or decode(path))
+                                lambda path: decoded.append(Path(path)) or decode(path),
+                                raising=False)
         with warnings_recorded() as warned:
             code, _, _ = run(capsys, "mix", "--manifest", str(corpus / "manifest.json"),
                              "--out", str(tmp_path / "mixed"), "--blocks", "3",
@@ -559,6 +560,20 @@ def test_bad_support_file(tmp_path, capsys, command, case, code, error):
     assert str(broken) in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["refine", "mix"])
+def test_manifest_without_support_entry(tmp_path, capsys, command):
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+    doc = json.loads((corpus / "manifest.json").read_text())
+    del doc["support"]
+    (corpus / "manifest.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
+                         "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONTRACT
+    assert json.loads(err)["error"] == {"type": "ConfigError",
+                                        "message": "manifest has no support entry"}
+    assert out == ""
+
+
 def break_input(corpus, pred_dir, case):
     """Corrupt one input file of a one-scene corpus; return the file's path."""
     manifest_path = corpus / "manifest.json"
@@ -577,6 +592,8 @@ def break_input(corpus, pred_dir, case):
         del doc["scenes"][0][case.removeprefix("entry_without_")]
     elif case == "non_string_support":
         doc["support"] = 5
+    elif case == "nul_in_support":
+        doc["support"] = "support\0.json"
     elif case == "duplicate_id":
         doc["scenes"].append(dict(doc["scenes"][0]))
     elif case.startswith("version_"):
@@ -607,6 +624,8 @@ def break_input(corpus, pred_dir, case):
                 np.savez(f, data=array)
         elif case == "embedding_cut_4_bytes":
             target.write_bytes(target.read_bytes()[:-4])
+        elif case == "embedding_cut_to_12_bytes":  # the magic, then half a header
+            target.write_bytes(target.read_bytes()[:12])
         elif case == "ply_negative_count":
             head, sep, body = target.read_bytes().partition(b"end_header\n")
             lines = [b"element vertex -5" if line.startswith(b"element vertex ") else line
@@ -626,7 +645,7 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
                   "non_string_raw_predictions", "non_string_base_labels",
                   "non_string_support", "misspelled_role", "non_string_role",
                   "non_string_id", "version_true", "version_float", "duplicate_id",
-                  "non_utf8"]
+                  "non_utf8", "nul_in_support"]
 
 
 @pytest.mark.parametrize("command, case", [
@@ -638,6 +657,7 @@ MANIFEST_CASES = ["manifest_without_schema", "entry_without_id",
     ("eval", "pred_float_labels_npy"), ("eval", "pred_npz_labels_npy"),
     ("refine", "truncated_mask_npy"), ("mix", "empty_mask_npy"), ("refine", "npz_mask_npy"),
     ("refine", "embedding_cut_4_bytes"), ("eval", "ply_negative_count"),
+    ("refine", "embedding_cut_to_12_bytes"),
 ])
 def test_malformed_input_file(tmp_path, capsys, command, case):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})

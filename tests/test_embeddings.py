@@ -264,9 +264,8 @@ class TestSyntheticProvider:
         scene = make_scene([0, 3, 7, -1])
         feats = provider.embed_scene(scene)
         for i, label in enumerate(scene.labels):
-            np.testing.assert_allclose(
-                feats[i], provider.anchor_for(int(label)), atol=1e-12
-            )
+            anchor = provider.background_anchor if label == -1 else provider.anchors[int(label)]
+            np.testing.assert_allclose(feats[i], anchor, atol=1e-12)
 
     def test_background_anchor_orthogonal_to_classes(self, schema):
         provider = SyntheticFeatureProvider(

@@ -83,10 +83,10 @@ def test_eval_grid_votes_with_the_record_and_columns_freed(corpus, monkeypatch):
     read, alive = [], []
     read_geometry, majority_labels = cli_module._read_geometry, scene_module._majority_labels
 
-    def reading(path):
-        columns, labels, rec, extremes = read_geometry(path)
+    def reading(*args):
+        columns, labels, rec, extremes, ranges = read_geometry(*args)
         read.append((weakref.ref(columns), weakref.ref(rec)))
-        return columns, labels, rec, extremes
+        return columns, labels, rec, extremes, ranges
 
     def voting(*args):
         alive.extend(ref() is not None for refs in read for ref in refs)
@@ -102,8 +102,8 @@ def test_eval_grid_votes_with_the_record_and_columns_freed(corpus, monkeypatch):
     # about their size.
     pinned = []
 
-    def pinning(path):
-        pinned.append(read_geometry(path))
+    def pinning(*args):
+        pinned.append(read_geometry(*args))
         return pinned[-1]
 
     monkeypatch.setattr(cli_module, "_read_geometry", pinning)
@@ -130,9 +130,9 @@ def test_eval_grid_votes_in_32_bits(corpus, monkeypatch):
     peak = traced_peak(args)
     read_geometry, cell_keys = cli_module._read_geometry, cli_module._cell_keys
 
-    def reading(path):
-        columns, labels, rec, extremes = read_geometry(path)
-        return columns, labels.astype(np.int64), rec, extremes
+    def reading(*args):
+        columns, labels, rec, extremes, ranges = read_geometry(*args)
+        return columns, labels.astype(np.int64), rec, extremes, ranges
 
     def keying(*args):
         key, n_keys = cell_keys(*args)

@@ -252,6 +252,17 @@ class TestValidate:
         with pytest.raises(AlignmentError):
             PointCloudScene(positions=np.zeros((5, 3)), labels=np.zeros(4))
 
+    @pytest.mark.parametrize("positions, colors, message", [
+        (np.zeros((3, 2)), None, r"positions must be \(N, 3\), got \(3, 2\)"),
+        (np.zeros(3), None, r"positions must be \(N, 3\), got \(3,\)"),
+        (np.zeros((0, 3)), None, "a scene must contain at least one point"),
+        (np.zeros((3, 3)), np.zeros((2, 3)), r"colors shape \(2, 3\) does not match 3 points"),
+        (np.zeros((3, 3)), np.zeros(3), r"colors shape \(3,\) does not match 3 points"),
+    ], ids=["two_columns", "1-d_positions", "no_points", "short_colors", "1-d_colors"])
+    def test_shape_faults_rejected_at_construction(self, positions, colors, message):
+        with pytest.raises(AlignmentError, match=f"^{message}$"):
+            PointCloudScene(positions, np.zeros(positions.shape[0]), colors)
+
     @pytest.mark.parametrize("labels", [[0.5, -5.0, 2.7], [0, -5, 2], [0, np.nan, 1], ["a", "b", "c"]])
     def test_labels_follow_the_label_contract(self, labels):
         # Never truncated or passed through: a fraction, NaN, a string or a

@@ -113,6 +113,21 @@ def test_non_finite_position_is_contract_error_and_writes_nothing(tmp_path, valu
     assert not path.exists()
 
 
+def test_faults_name_the_path_as_normalised(tmp_path, monkeypatch):
+    # Read as "./d//x.ply", the file is named d/x.ply by a position fault
+    # and by a label fault alike.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    head = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+            "property float z\nproperty int label\nend_header\n")
+    for body, fault in [("0 0 0 0\n0 0 nan 1\n0 0 0 2\n", "position [0.0, 0.0, nan] of point 1 "),
+                        ("0 0 0 0\n0 0 0 1\n0 0 0 -5\n", "label -5 at point 2 ")]:
+        (tmp_path / "d/x.ply").write_text(head + body)
+        with pytest.raises(ContractError) as info:
+            load_scene("./d//x.ply")
+        assert str(info.value).startswith(f"d/x.ply: {fault}")
+
+
 def test_pipe_is_read_and_file_is_mapped(tmp_path):
     # A regular file's record is a read-only view of its mapping; a pipe
     # cannot be mapped, so it is read, to the same scene.
@@ -225,10 +240,21 @@ ASCII_PLY = (
     ("binary", [("property uchar green\n", "")]),
     ("ascii", [("property float z\n", "property float z\nproperty float x\n"),
                ("2 10 20", "2 0 10 20"), ("-7.5 40", "-7.5 0 40")]),
+    ("ascii", [("format ascii 1.0", "format binary_big_endian 1.0")]),
+    ("ascii", [("property int label", "property list uchar int label")]),
+    ("ascii", [("element vertex 2\n", "element vertex 2\nobj_info scanner\n")]),
+    ("ascii", [("format ascii 1.0\n", "")]),
+    # No property may come before the element line, so they go with it.
+    ("ascii", [("element vertex 2\n" + "".join(
+        f"property {t} {n}\n" for t, n in [("float", "x"), ("float", "y"), ("float", "z"),
+                                            ("uchar", "red"), ("uchar", "green"),
+                                            ("uchar", "blue"), ("int", "label")]), "")]),
+    ("ascii", [("50 60 2\n", "")]),
 ], ids=["element_alone", "negative_count_ascii", "negative_count_binary",
         "non_numeric_count", "non_number_value", "fractional_label", "nan_label",
         "colour_300", "red_without_green_ascii", "red_without_green_binary",
-        "repeated_x"])
+        "repeated_x", "unsupported_format", "malformed_property", "unexpected_keyword",
+        "no_format_line", "no_element_line", "ascii_cut_mid_line"])
 def test_malformed_ply_is_format_error_naming_file(tmp_path, fmt, edits):
     """Each fault in a two-vertex coloured PLY, ASCII or binary as save_scene
     writes it, is a FormatError whose message names the file."""
