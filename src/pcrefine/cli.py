@@ -3,6 +3,10 @@
 Subcommands: simulate, refine, mix, stats, split, eval. Every subcommand is
 deterministic given its inputs and --seed; exit codes are 0 (ok),
 2 (usage / contract violation), 3 (I/O or file-format failure).
+
+Each cmd_* returns its output document, without a version, and the file
+it goes to, or None; main alone stamps the version, writes the document
+indented to that file and prints it on one line.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from . import benchmark, metrics, sim
 from .embeddings import FileFeatureProvider, SyntheticFeatureProvider, SyntheticProviderConfig
 from .embeddings import load_embeddings, save_embeddings
-from .errors import ConfigError, FormatError, PcrefineError
+from .errors import AlignmentError, ConfigError, FormatError, PcrefineError
 from .infill import InfillConfig
 from .mix import MixConfig, _blocks
 from .pipeline import refine_labels
@@ -30,6 +34,7 @@ from .scene_io import (
     SceneEntry,
     _append_blocks,
     _read_geometry,
+    _vertex_count,
     load_labels,
     load_manifest,
     load_support,
@@ -129,7 +134,11 @@ def _error_object(exc: Exception) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.func(args)
+        doc, path = args.func(args)
+        doc = {"version": REPORT_SCHEMA_VERSION, **doc}
+        if path:
+            Path(path).write_text(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     except (FormatError, OSError) as exc:
         print(_error_object(exc), file=sys.stderr)
         return EXIT_IO
@@ -139,20 +148,15 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-def _generic_schema(n_base: int, n_novel: int) -> ClassSchema:
-    return ClassSchema(
-        tuple(f"base_{i:02d}" for i in range(n_base)),
-        tuple(f"novel_{i:02d}" for i in range(n_novel)),
-    )
-
-
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> tuple[dict, None]:
+    """Write a synthetic corpus under --out; its document is printed only."""
     # The counts here, and --seed and the noise flags in the configs, are checked before any mkdir.
     for flag in ("scenes", "support_scenes", "base", "novel", "shots"):
         _check_number(f"--{flag.replace('_', '-')}", getattr(args, flag), integer=True, lo=1)
     noise = sim.NoiseSpec(p_miss=args.p_miss, erosion_frac=args.erosion,
                           flip_prob=args.flip, seed=args.seed)
-    schema = _generic_schema(args.base, args.novel)
+    schema = ClassSchema(tuple(f"base_{i:02d}" for i in range(args.base)),
+                         tuple(f"novel_{i:02d}" for i in range(args.novel)))
     provider = SyntheticFeatureProvider(schema, SyntheticProviderConfig(
         dim=args.dim, anchor_seed=args.seed,
         noise_sigma=args.noise_sigma, confusion_prob=args.confusion,
@@ -196,12 +200,7 @@ def cmd_simulate(args) -> None:
 
     manifest = Manifest(schema=schema, scenes=entries, support="support.json", root=out)
     save_manifest(manifest, out / "manifest.json")
-    print(json.dumps({
-        "version": REPORT_SCHEMA_VERSION,
-        "out": str(out),
-        "scenes": args.scenes,
-        "support_shots": args.shots,
-    }))
+    return {"out": str(out), "scenes": args.scenes, "support_shots": args.shots}, None
 
 
 def _role_entries(manifest: Manifest, role: str) -> list[SceneEntry]:
@@ -222,7 +221,8 @@ def _scene_faults(entry: SceneEntry):
         raise type(exc)(f"scene {entry.scene_id}: {exc}") from exc
 
 
-def cmd_refine(args) -> None:
+def cmd_refine(args) -> tuple[dict, Path]:
+    """Write refined train labels as <out>/<id>.npy; the document goes to <out>/report.json."""
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
     manifest = load_manifest(Path(args.manifest))
@@ -240,7 +240,12 @@ def cmd_refine(args) -> None:
         with _scene_faults(entry):
             if not (entry.embedding and entry.raw_predictions and entry.base_labels):
                 raise ConfigError("lacks embedding/raw/base_labels")
-            feats = load_embeddings(manifest.resolve(entry.embedding))
+            ply, embedding = manifest.resolve(entry.path), manifest.resolve(entry.embedding)
+            n_points = _vertex_count(ply)
+            feats = load_embeddings(embedding)
+            if feats.shape[0] != n_points:
+                raise AlignmentError(f"{ply} declares {n_points} points, but {embedding} "
+                                     f"holds {feats.shape[0]} feature rows")
             raw = load_labels(manifest.resolve(entry.raw_predictions))
             base = load_labels(manifest.resolve(entry.base_labels))
             refined_labels[entry.scene_id], report = refine_labels(
@@ -250,17 +255,11 @@ def cmd_refine(args) -> None:
     for scene_id, refined in refined_labels.items():
         save_labels(refined, out / f"{scene_id}.npy")
 
-    report_doc = {
-        "version": REPORT_SCHEMA_VERSION,
-        "tau": args.tau,
-        "delta": args.delta,
-        "scenes": scene_reports,
-    }
-    (out / "report.json").write_text(json.dumps(report_doc, indent=2))
-    print(json.dumps(report_doc))
+    return {"tau": args.tau, "delta": args.delta, "scenes": scene_reports}, out / "report.json"
 
 
-def cmd_mix(args) -> None:
+def cmd_mix(args) -> tuple[dict, None]:
+    """Write each mixed train scene as <out>/<id>.ply; its document is printed only."""
     cfg = MixConfig(n_blocks=args.blocks, crop_margin_xy=args.margin, seed=args.seed)
     manifest = load_manifest(Path(args.manifest))
     entries = _role_entries(manifest, "train")
@@ -270,11 +269,7 @@ def cmd_mix(args) -> None:
     for i, entry in enumerate(entries):
         _mix_scene(manifest, entry, support, cfg, np.random.default_rng([args.seed, i]),
                    out / f"{entry.scene_id}.ply")
-    print(json.dumps({
-        "version": REPORT_SCHEMA_VERSION,
-        "mixed_scenes": len(entries),
-        "blocks": args.blocks,
-    }))
+    return {"mixed_scenes": len(entries), "blocks": args.blocks}, None
 
 
 def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: MixConfig,
@@ -292,20 +287,18 @@ def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: 
     _append_blocks(path, rec, blocks)
 
 
-def cmd_stats(args) -> None:
+def cmd_stats(args) -> tuple[dict, str | None]:
+    """Per-class statistics of the corpus' train and test scenes, for --out."""
     manifest = load_manifest(Path(args.manifest))
     # Only the checked labels outlive each read: no scene is built.
     labels = (_read_geometry(manifest.resolve(e.path), manifest.schema.n_classes)[1]
               for e in manifest.scenes if e.role != "support")
     stats = benchmark._label_stats(labels, manifest.schema)
-    doc = {"version": REPORT_SCHEMA_VERSION, "count_mode": "scenes",
-           "classes": stats.to_dict()}
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2))
-    print(json.dumps(doc))
+    return {"count_mode": "scenes", "classes": stats.to_dict()}, args.out
 
 
-def cmd_split(args) -> None:
+def cmd_split(args) -> tuple[dict, str | None]:
+    """The base/novel class schema built from a stats file, for --out."""
     path = Path(args.stats)
     try:
         doc = json.loads(path.read_bytes())
@@ -315,10 +308,7 @@ def cmd_split(args) -> None:
     schema = benchmark.build_split(
         stats, benchmark.SplitSpec(freq_threshold=args.threshold, n_base=args.base)
     )
-    out_doc = {"version": REPORT_SCHEMA_VERSION, "schema": schema.to_dict()}
-    if args.out:
-        Path(args.out).write_text(json.dumps(out_doc, indent=2))
-    print(json.dumps(out_doc))
+    return {"schema": schema.to_dict()}, args.out
 
 
 def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | None) -> np.ndarray:
@@ -339,7 +329,9 @@ def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | Non
         return _majority_labels(key, n_keys, labels, lo, hi)
 
 
-def cmd_eval(args) -> None:
+def cmd_eval(args) -> tuple[dict, str | None]:
+    """Scores of --pred-dir against the role's ground truth, for --out. The
+    table is printed here, before main prints the document."""
     # Checked before any file is read: a negative, NaN or infinite grid is a ConfigError.
     grid = None if args.grid == 0 else VoxelConfig(grid_size=args.grid)
     manifest = load_manifest(Path(args.manifest))
@@ -354,12 +346,9 @@ def cmd_eval(args) -> None:
             metrics.accumulate(conf, load_labels(pred_path), truth)  # checks the length
         del truth  # freed before the next scene is read
     result = metrics.summary(conf, manifest.schema)
-    doc = {"version": REPORT_SCHEMA_VERSION, "metrics": result.to_dict(),
-           "per_class_iou": {str(c): v for c, v in metrics.iou_per_class(conf).items()}}
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2))
     print(result.table())
-    print(json.dumps(doc))
+    iou = {str(c): v for c, v in metrics.iou_per_class(conf).items()}
+    return {"metrics": result.to_dict(), "per_class_iou": iou}, args.out
 
 
 if __name__ == "__main__":

@@ -257,17 +257,6 @@ def voxelize(scene: PointCloudScene, cfg: VoxelConfig) -> PointCloudScene:
     return PointCloudScene(positions=positions, labels=labels, colors=colors)
 
 
-def _voxel_labels(columns: np.ndarray, labels: np.ndarray, grid_size: float) -> np.ndarray:
-    """voxelize(scene, VoxelConfig(grid_size)).labels, bitwise, without the
-    cell means, for the scene whose finite coordinates are the rows of
-    columns, a (3, N) float32 or float64 array, and whose checked int64
-    labels are labels. Raises as voxelize. Eval's truth labels take the same
-    two steps, with the columns freed between them."""
-    # The packed key orders cells as their ranks do, so the vote takes it as is.
-    return _majority_labels(*_cell_keys(columns, grid_size), labels,
-                            int(labels.min()), int(labels.max()))
-
-
 def _cell_keys(
     columns: np.ndarray, grid_size: float, extremes: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:

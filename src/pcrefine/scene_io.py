@@ -149,15 +149,8 @@ def _read_geometry(
     mapped while the record lives: its pages are the page cache's, so no
     copy of the file is read into fresh memory for each scene. Truncating
     the file while the record is alive raises SIGBUS on access."""
-    import mmap  # here, as in load_embeddings: keeps CLI start-up lean
-
     path = Path(path)
-    with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        # An empty file or a pipe cannot be mapped, so it is read.
-        mappable = stat.S_ISREG(st.st_mode) and st.st_size
-        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if mappable else f.read()
-
+    data = _mapped(path)
     fmt, count, dtype, body_offset = _parse_header(path, data)
     if fmt == "ascii":
         rec = _read_ascii(path, data[body_offset:], count, dtype)
@@ -192,6 +185,24 @@ def _read_geometry(
         # Raised on the int64 cast, so the message reads as for any label file.
         checked_labels(f"{path}:", labels.astype(np.int64), hi=n_classes)
     return columns, labels, rec, extremes, (lo, hi)
+
+
+def _mapped(path: Path) -> "mmap.mmap | bytes":
+    """A file's bytes, as a read-only mapping, or read when the file cannot
+    be mapped: an empty file or a pipe."""
+    import mmap  # here, as in load_embeddings: keeps CLI start-up lean
+
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size:
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        return f.read()
+
+
+def _vertex_count(path: Path) -> int:
+    """The vertex count a PLY file's header declares, its body unread.
+    Raises as _parse_header."""
+    return _parse_header(path, _mapped(path))[1]
 
 
 def _parse_header(path: Path, data: bytes) -> tuple[str, int, np.dtype, int]:
@@ -358,6 +369,7 @@ class Manifest:
     scenes: list[SceneEntry] = field(default_factory=list)
     support: str | None = None
     root: Path = Path(".")
+    source_path: Path | None = None  # the manifest file, when loaded from one
 
     def entries(self, role: str) -> list[SceneEntry]:
         return [e for e in self.scenes if e.role == role]
@@ -408,7 +420,7 @@ def load_manifest(path: str | Path) -> Manifest:
                 f"{path}: scene id {e.scene_id!r} appears twice in role {e.role!r}"
             )
         seen.add((e.role, e.scene_id))
-    return Manifest(schema=schema, scenes=scenes, support=support, root=path.parent)
+    return Manifest(schema, scenes, support, root=path.parent, source_path=path)
 
 
 def _id_field(manifest: Path, entry: dict) -> str:
@@ -485,13 +497,15 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, dict[str, Path]]:
     """The corpus's support set, each support scene file loaded once, and the
     embedding file listed for each support scene, keyed by its source path.
 
-    A manifest without a support entry, or a missing support file, is a
-    ConfigError; a support.json that is not JSON, has another version, no
-    `classes` object, a non-integer class key, or a shot without a string
-    `scene` or `mask` path is a FormatError naming the file.
+    A manifest without a support entry (named by its source_path, if any),
+    or a missing support file, is a ConfigError; a support.json that is not
+    JSON, has another version, no `classes` object, a non-integer class key,
+    or a shot without a string `scene` or `mask` path is a FormatError
+    naming the file.
     """
     if not manifest.support:
-        raise ConfigError("manifest has no support entry")
+        where = f"{manifest.source_path}: " if manifest.source_path else ""
+        raise ConfigError(f"{where}manifest has no support entry")
     path = manifest.resolve(manifest.support)
     if not path.exists():
         raise ConfigError(f"support file not found: {path}")

@@ -233,6 +233,37 @@ class TestRefine:
         assert not list(out.glob("*.npy"))
         assert not (out / "report.json").exists()
 
+    def test_ply_short_of_its_embedding_writes_nothing(self, tmp_path, capsys):
+        # The raw and base labels still match the embedding's rows, so only
+        # the PLY's vertex count tells that the scene's files disagree.
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+        ply, embedding = corpus / "scenes/train_001.ply", corpus / "embeddings/train_001.gfve"
+        scene = load_scene(ply)
+        save_scene(PointCloudScene(scene.positions[:-10], scene.labels[:-10]), ply)
+        out = tmp_path / "refined"
+        code, stdout, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                                "--out", str(out))
+        assert code == EXIT_CONTRACT
+        n = scene.point_count
+        assert json.loads(err)["error"] == {
+            "type": "AlignmentError",
+            "message": f"scene train_001: {ply} declares {n - 10} points, "
+                       f"but {embedding} holds {n} feature rows"}
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+
+    def test_missing_train_ply_is_io_error(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
+        (corpus / "scenes/train_001.ply").unlink()
+        out = tmp_path / "refined"
+        code, _, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                           "--out", str(out))
+        assert code == EXIT_IO
+        error = json.loads(err)["error"]
+        assert error["type"] == "FileNotFoundError"
+        assert str(corpus / "scenes/train_001.ply") in error["message"]
+        assert list(out.iterdir()) == []
+
     def test_non_finite_feature(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})
         raw, base = (np.load(corpus / f"{kind}/train_001.npy") for kind in ("raw", "base_labels"))
@@ -505,7 +536,14 @@ class TestMixBytes:
 
 
 def break_support(path, case):
-    """Corrupt a support.json or its first shot's mask; return the file's path."""
+    """Corrupt a support.json, its first shot's mask or the manifest's entry
+    for it; return the faulty file's path."""
+    if case == "no_support_entry":
+        manifest = path.parent / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["support"]
+        manifest.write_text(json.dumps(doc))
+        return manifest
     if case == "missing":
         path.unlink()
         return path
@@ -538,6 +576,7 @@ VERSIONS = {"version_7": 7, "version_true": True, "version_float": 1.0}
 
 @pytest.mark.parametrize("command", ["refine", "mix"])
 @pytest.mark.parametrize("case, code, error", [
+    ("no_support_entry", EXIT_CONTRACT, "ConfigError"),
     ("missing", EXIT_CONTRACT, "ConfigError"),
     ("invalid_json", EXIT_IO, "FormatError"),
     ("no_classes", EXIT_IO, "FormatError"),
@@ -553,24 +592,11 @@ VERSIONS = {"version_7": 7, "version_true": True, "version_float": 1.0}
 def test_bad_support_file(tmp_path, capsys, command, case, code, error):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
     broken = break_support(corpus / "support.json", case)
-    got, _, err = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
-                      "--out", str(tmp_path / "out"))
+    got, out, err = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
+                        "--out", str(tmp_path / "out"))
     assert got == code
     assert json.loads(err)["error"]["type"] == error
     assert str(broken) in json.loads(err)["error"]["message"]
-
-
-@pytest.mark.parametrize("command", ["refine", "mix"])
-def test_manifest_without_support_entry(tmp_path, capsys, command):
-    corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
-    doc = json.loads((corpus / "manifest.json").read_text())
-    del doc["support"]
-    (corpus / "manifest.json").write_text(json.dumps(doc))
-    code, out, err = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
-                         "--out", str(tmp_path / "out"))
-    assert code == EXIT_CONTRACT
-    assert json.loads(err)["error"] == {"type": "ConfigError",
-                                        "message": "manifest has no support entry"}
     assert out == ""
 
 
@@ -797,6 +823,30 @@ def test_no_scenes_for_role(tmp_path, capsys, command, role):
     assert error["type"] == "ConfigError"
     assert repr(role or "train") in error["message"]
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["refine", "stats", "split", "eval"])
+def test_document_write_fault_is_io_error(tmp_path, capsys, command):
+    # The document's file is a directory, so main's write fails: exit 3, and
+    # no document is printed (eval has printed its table by then).
+    corpus = simulate(tmp_path, capsys)
+    manifest = str(corpus / "manifest.json")
+    for argv in (["refine", "--manifest", manifest, "--out", str(tmp_path / "refined")],
+                 ["stats", "--manifest", manifest, "--out", str(tmp_path / "stats.json")]):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    blocked = tmp_path / "out" / "report.json"
+    blocked.mkdir(parents=True)
+    code, out, err = run(capsys, command, *{
+        "refine": ["--manifest", manifest, "--out", str(blocked.parent)],
+        "stats": ["--manifest", manifest, "--out", str(blocked)],
+        "split": ["--stats", str(tmp_path / "stats.json"), "--threshold", "1", "--base", "2",
+                  "--out", str(blocked)],
+        "eval": ["--manifest", manifest, "--pred-dir", str(tmp_path / "refined"),
+                 "--out", str(blocked)],
+    }[command])
+    assert code == EXIT_IO
+    assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+    assert '"version"' not in out and (out != "") == (command == "eval")
 
 
 class TestStatsAndSplit:

@@ -141,8 +141,9 @@ for entry in manifest.entries("train"):
 """
 
 
-# The sha256 of every file the default-thread chain writes. An output changed
-# on purpose: paste the dict the failing test prints over this file.
+# The sha256 of every file the default-thread chain writes, and of each
+# command's stdout. An output changed on purpose: paste the dict the failing
+# test prints over this file.
 GOLDEN = Path(__file__).with_name("golden.json")
 
 
@@ -165,21 +166,26 @@ def written_under(root):
 def chain_outputs(root, blas_threads):
     """Every file a simulate -> refine -> eval, eval --grid, mix, stats ->
     split chain of fresh processes writes under `root`, by relative path,
-    with the given OpenBLAS setting."""
+    and each command's stdout, as stdout/<step>, with the given OpenBLAS
+    setting."""
     env = env_with_blas_threads(blas_threads)
-    for args in (
-        *([CONSOLE, *argv] for argv in HEAD),
-        [VOXEL_PREDICTIONS],
-        [CONSOLE, "eval", "--manifest", "corpus/manifest.json", "--pred-dir", "pred_grid",
-         "--grid", "0.05", "--out", "eval_grid.json"],
-        [CONSOLE, "mix", "--manifest", "corpus/manifest.json", "--out", "mixed", "--blocks", "3"],
-        [CONSOLE, "stats", "--manifest", "corpus/manifest.json", "--out", "stats.json"],
-        [CONSOLE, "split", "--stats", "stats.json", "--threshold", "1", "--base", "2",
-         "--out", "split.json"],
+    stdout = {}
+    for step, args in (
+        *((argv[0], [CONSOLE, *argv]) for argv in HEAD),
+        (None, [VOXEL_PREDICTIONS]),
+        ("eval_grid", [CONSOLE, "eval", "--manifest", "corpus/manifest.json",
+                       "--pred-dir", "pred_grid", "--grid", "0.05", "--out", "eval_grid.json"]),
+        ("mix", [CONSOLE, "mix", "--manifest", "corpus/manifest.json", "--out", "mixed",
+                 "--blocks", "3"]),
+        ("stats", [CONSOLE, "stats", "--manifest", "corpus/manifest.json", "--out", "stats.json"]),
+        ("split", [CONSOLE, "split", "--stats", "stats.json", "--threshold", "1", "--base", "2",
+                   "--out", "split.json"]),
     ):
-        subprocess.run([sys.executable, "-c", *args], env=env, cwd=root, check=True,
-                       stdout=subprocess.DEVNULL)
-    return written_under(root)
+        run = subprocess.run([sys.executable, "-c", *args], env=env, cwd=root, check=True,
+                             stdout=subprocess.PIPE)
+        if step is not None:
+            stdout[f"stdout/{step}"] = run.stdout
+    return {**written_under(root), **stdout}
 
 
 @pytest.fixture(scope="module")

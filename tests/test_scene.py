@@ -27,7 +27,14 @@ from pcrefine import (
 )
 from pcrefine.errors import AlignmentError, ConfigError, ContractError
 import pcrefine.scene as scene_module
-from pcrefine.scene import _cell_keys, _cell_ranks, _voxel_labels, check_finite, checked_labels
+from pcrefine.scene import _cell_keys, _cell_ranks, _majority_labels, check_finite, checked_labels
+
+
+def voxel_labels(columns, labels, grid_size):
+    """voxelize's labels from the cell keys and the vote alone, as eval
+    takes them: the packed keys go to the vote unranked."""
+    return _majority_labels(*_cell_keys(columns, grid_size), labels,
+                            int(labels.min()), int(labels.max()))
 
 
 HUGE = 10**400  # an int past float64 max
@@ -450,7 +457,7 @@ class TestVoxelize:
             voxelize(scene, VoxelConfig(0.5))
         # Neither the packed keys nor, after the fallback, the ranks fit.
         with pytest.raises(ContractError, match="label range"):
-            _voxel_labels(scene.positions.T, scene.labels, 0.5)
+            voxel_labels(scene.positions.T, scene.labels, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, bad):
@@ -571,7 +578,7 @@ def test_voxel_labels_bitwise_equal_voxelize_labels(n, seed, offset, scale, grid
              "background": np.full(n, -1),
              "wide": rng.integers(-1, 40, size=n)}[labels]
     scene = PointCloudScene(pos, label)
-    got = _voxel_labels(scene.positions.T, scene.labels, grid)
+    got = voxel_labels(scene.positions.T, scene.labels, grid)
     assert_same_bytes(got, voxelize(scene, VoxelConfig(grid)).labels)
     assert_same_bytes(got, voxelize_axis0(scene, VoxelConfig(grid)).labels)
 
@@ -644,7 +651,7 @@ def test_voxel_labels_packed_keys_sort_once(unique_calls, seed, n, grid):
                             rng.integers(-1, 41, size=n))
     want = voxelize_axis0(scene, VoxelConfig(grid)).labels
     unique_calls.clear()  # the reference's own calls
-    assert_same_bytes(_voxel_labels(scene.positions.T, scene.labels, grid), want)
+    assert_same_bytes(voxel_labels(scene.positions.T, scene.labels, grid), want)
     assert unique_calls == []
 
 
@@ -665,7 +672,7 @@ def test_voxel_labels_ranks_cells_when_pairs_do_not_fit(monkeypatch, unique_call
     monkeypatch.setattr(scene_module, "_cell_ranks",
                         lambda *args: ranked.append(args[1]) or real(*args))
     unique_calls.clear()
-    got = _voxel_labels(scene.positions.T, scene.labels, 1.0)
+    got = voxel_labels(scene.positions.T, scene.labels, 1.0)
     assert ranked == [int(-x0) + 2]
     assert unique_calls == ([{"return_inverse": True}] if ranked_by_unique else [])
     assert_same_bytes(got, want)
@@ -699,8 +706,8 @@ def test_float32_columns_key_and_vote_equal_references(n, seed, offset, scale, g
     want = voxelize_axis0(scene, VoxelConfig(grid))
     for attr in ("positions", "colors", "labels"):
         assert_same_bytes(getattr(voxelize(scene, VoxelConfig(grid)), attr), getattr(want, attr))
-    assert_same_bytes(_voxel_labels(scene.positions.T, scene.labels, grid), want.labels)
-    assert_same_bytes(_voxel_labels(columns, scene.labels, grid), want.labels)
+    assert_same_bytes(voxel_labels(scene.positions.T, scene.labels, grid), want.labels)
+    assert_same_bytes(voxel_labels(columns, scene.labels, grid), want.labels)
 
 
 # Scenes at the int32 sort's bound and past it, and with labels far from
@@ -730,9 +737,9 @@ def test_vote_at_its_packing_bounds_equals_reference(edge, dtype):
     scene = PointCloudScene(pos, np.array(labels))
     want = voxelize_axis0(scene, VoxelConfig(1.0)).labels
     assert want.dtype == np.int64
-    got = [_voxel_labels(scene.positions.T, scene.labels, 1.0),
+    got = [voxel_labels(scene.positions.T, scene.labels, 1.0),
            voxelize(scene, VoxelConfig(1.0)).labels,
-           _voxel_labels(pos.T.astype(dtype), scene.labels, 1.0)]
+           voxel_labels(pos.T.astype(dtype), scene.labels, 1.0)]
     for labels_out in got:
         assert_same_bytes(labels_out, want)
 
@@ -748,7 +755,7 @@ def test_cell_keys_of_float32_columns_past_2_53_stay_exact():
     assert_same_bytes(key, want_key)
     assert n_keys == want_n_keys
     scene = PointCloudScene(columns.T, np.array([0, 1, 2]))
-    assert_same_bytes(_voxel_labels(columns, scene.labels, 1.0),
+    assert_same_bytes(voxel_labels(columns, scene.labels, 1.0),
                       voxelize_axis0(scene, VoxelConfig(1.0)).labels)
 
 
@@ -861,7 +868,7 @@ def test_vote_packs_int32_keys_in_place_up_to_2_31_pairs(dtype, edge, in_place):
     scene = PointCloudScene(columns.T, labels)
     assert_same_bytes(got, voxelize_axis0(scene, VoxelConfig(1.0)).labels)
     assert_same_bytes(got, voxelize(scene, VoxelConfig(1.0)).labels)
-    assert_same_bytes(got, _voxel_labels(columns, labels, 1.0))
+    assert_same_bytes(got, voxel_labels(columns, labels, 1.0))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -877,7 +884,7 @@ def test_far_off_narrow_scene_gets_int32_keys(dtype):
     assert key.dtype == np.int32
     assert_same_keys(key, n_keys, reference_cell_keys(columns, 1.0)[0])
     scene = PointCloudScene(columns.T, labels)
-    assert_same_bytes(_voxel_labels(columns, labels, 1.0), voxelize_axis0(scene, VoxelConfig(1.0)).labels)
+    assert_same_bytes(voxel_labels(columns, labels, 1.0), voxelize_axis0(scene, VoxelConfig(1.0)).labels)
 
 
 def test_wide_labels_rank_an_int32_key(monkeypatch):
@@ -897,4 +904,4 @@ def test_wide_labels_rank_an_int32_key(monkeypatch):
     assert got.tolist() == [0, 2**40]
     scene = PointCloudScene(columns.T, labels)
     assert_same_bytes(got, voxelize_axis0(scene, VoxelConfig(1.0)).labels)
-    assert_same_bytes(_voxel_labels(columns, labels, 1.0), got)
+    assert_same_bytes(voxel_labels(columns, labels, 1.0), got)

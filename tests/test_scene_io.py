@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcrefine import PointCloudScene, load_scene, save_scene
-from pcrefine.errors import AlignmentError, ContractError, FormatError
+from pcrefine.errors import AlignmentError, ConfigError, ContractError, FormatError
 from pcrefine.scene_io import (
     Manifest,
     MissingLabelWarning,
@@ -15,9 +15,11 @@ from pcrefine.scene_io import (
     _parse_header,
     _read_ascii,
     _read_geometry,
+    _vertex_count,
     load_labels,
     load_manifest,
     load_mask,
+    load_support,
     save_labels,
     save_manifest,
 )
@@ -144,6 +146,17 @@ def test_pipe_is_read_and_file_is_mapped(tmp_path):
     mapped = load_scene(path)
     for name in ("positions", "labels", "colors"):
         np.testing.assert_array_equal(getattr(piped, name), getattr(mapped, name))
+
+
+def test_vertex_count_reads_only_the_header(tmp_path):
+    path = tmp_path / "s.ply"
+    save_scene(make_scene(5), path)
+    assert _vertex_count(path) == 5
+    path.write_bytes(path.read_bytes()[:-7])  # a body _read_geometry refuses
+    assert _vertex_count(path) == 5
+    path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nend_header\n")
+    with pytest.raises(FormatError, match="missing vertex property 'y'"):
+        _vertex_count(path)
 
 
 def test_int32_extreme_labels_round_trip(tmp_path):
@@ -486,6 +499,17 @@ def test_manifest_round_trip(tmp_path, schema):
     assert [e.scene_id for e in back.entries("train")] == ["s0"]
     assert back.entries("train")[0].embedding == "emb/s0.gfve"
     assert back.resolve("scenes/s0.ply") == tmp_path / "scenes/s0.ply"
+    assert back.source_path == tmp_path / "manifest.json"
+
+
+def test_no_support_entry_names_the_manifest_file(tmp_path, schema):
+    manifest = Manifest(schema=schema)
+    with pytest.raises(ConfigError, match="^manifest has no support entry$"):
+        load_support(manifest)
+    save_manifest(manifest, tmp_path / "manifest.json")
+    with pytest.raises(ConfigError) as info:
+        load_support(load_manifest(tmp_path / "manifest.json"))
+    assert str(info.value) == f"{tmp_path / 'manifest.json'}: manifest has no support entry"
 
 
 def test_manifest_bad_json(tmp_path):

@@ -1,5 +1,6 @@
 """Checks on the package source, read with the standard library's ast:
-every module-level import in src/pcrefine is used in its module."""
+every module-level import in src/pcrefine is used in its module, and the
+CLI has one output path."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,40 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_module_level_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+# The CLI's one output path: main stamps the version on a command's document,
+# writes it and prints it, and _error_object does the same for a fault.
+OUTPUT_FUNCTIONS = ("main", "_error_object")
+
+
+def output_code(source: str) -> list[tuple[int, str]]:
+    """The (line, name) of each json.dump or json.dumps, and each read of
+    REPORT_SCHEMA_VERSION, outside the module-level OUTPUT_FUNCTIONS."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name in OUTPUT_FUNCTIONS
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+            found.append((node.lineno, f"json.{node.attr}"))
+        elif (isinstance(node, ast.Name) and node.id == "REPORT_SCHEMA_VERSION"
+              and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_output_checker_finds_output_code():
+    source = ("REPORT_SCHEMA_VERSION = 1\n"
+              "def main():\n    print(json.dumps({'version': REPORT_SCHEMA_VERSION}))\n"
+              "def cmd_x(args):\n    json.dump({'v': REPORT_SCHEMA_VERSION}, args.out)\n"
+              "    def main():\n        json.dumps({})\n")
+    assert output_code(source) == [(5, "REPORT_SCHEMA_VERSION"), (5, "json.dump"),
+                                   (7, "json.dumps")]
+
+
+def test_cli_writes_output_only_in_main():
+    assert output_code((SRC / "cli.py").read_text()) == []
