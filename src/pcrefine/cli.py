@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark, metrics, sim
-from .embeddings import FileFeatureProvider, SyntheticFeatureProvider, SyntheticProviderConfig
-from .embeddings import load_embeddings, save_embeddings
-from .errors import AlignmentError, ConfigError, FormatError, PcrefineError
+from .embeddings import SyntheticFeatureProvider, SyntheticProviderConfig, _scene_embedding, save_embeddings
+from .errors import ConfigError, FormatError, PcrefineError
 from .infill import InfillConfig
 from .mix import MixConfig, _blocks
 from .pipeline import refine_labels
@@ -227,9 +226,7 @@ def cmd_refine(args) -> tuple[dict, Path]:
     inf_cfg = InfillConfig(delta=args.delta)
     manifest = load_manifest(Path(args.manifest))
     entries = _role_entries(manifest, "train")
-    support_set, embeddings = load_support(manifest)
-    support = support_prototypes(support_set, FileFeatureProvider(embeddings))
-    del support_set  # the support scenes are not needed once pooled
+    support = support_prototypes(*load_support(manifest))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -240,12 +237,8 @@ def cmd_refine(args) -> tuple[dict, Path]:
         with _scene_faults(entry):
             if not (entry.embedding and entry.raw_predictions and entry.base_labels):
                 raise ConfigError("lacks embedding/raw/base_labels")
-            ply, embedding = manifest.resolve(entry.path), manifest.resolve(entry.embedding)
-            n_points = _vertex_count(ply)
-            feats = load_embeddings(embedding)
-            if feats.shape[0] != n_points:
-                raise AlignmentError(f"{ply} declares {n_points} points, but {embedding} "
-                                     f"holds {feats.shape[0]} feature rows")
+            ply = manifest.resolve(entry.path)
+            feats = _scene_embedding(ply, _vertex_count(ply), manifest.resolve(entry.embedding))
             raw = load_labels(manifest.resolve(entry.raw_predictions))
             base = load_labels(manifest.resolve(entry.base_labels))
             refined_labels[entry.scene_id], report = refine_labels(

@@ -96,6 +96,16 @@ def load_embeddings(path: str | Path) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f4", count=n * d, offset=20).reshape(n, d)
 
 
+def _scene_embedding(ply: str | Path, n_points: int, embedding: str | Path) -> np.ndarray:
+    """load_embeddings(embedding), checked to hold one row per point of the scene
+    PLY ply (n_points): every train and support scene's features are read here."""
+    feats = load_embeddings(embedding)
+    if feats.shape[0] != n_points:
+        raise AlignmentError(f"{ply} declares {n_points} points, but {embedding} "
+                             f"holds {feats.shape[0]} feature rows")
+    return feats
+
+
 def class_anchors(schema: ClassSchema, dim: int, anchor_seed: int) -> PrototypeSet:
     """Seeded orthonormal unit anchors, one per class index in [0, n_classes).
 
@@ -170,10 +180,7 @@ class SyntheticFeatureProvider:
     def embed_scene(self, scene: PointCloudScene) -> np.ndarray:
         cfg = self.config
         n = scene.point_count
-        anchor_matrix = np.vstack(
-            [self.background_anchor]
-            + [self.anchors[c] for c in range(self.schema.n_classes)]
-        )
+        anchor_matrix = np.vstack([self.background_anchor, self.anchors.matrix()[1]])
         labels = checked_labels(f"{scene.source_path or 'scene'}:", scene.labels,
                                 hi=self.schema.n_classes)
         idx = labels + 1  # -1 -> row 0 (background anchor)
@@ -203,14 +210,7 @@ class FileFeatureProvider:
         self.paths = {str(k): Path(v) for k, v in paths.items()}
 
     def embed_scene(self, scene: PointCloudScene) -> np.ndarray:
-        if scene.source_path is None or scene.source_path not in self.paths:
-            raise ConfigError(
-                f"no embedding file registered for scene {scene.source_path!r}"
-            )
-        feats = load_embeddings(self.paths[scene.source_path])
-        if feats.shape[0] != scene.point_count:
-            raise AlignmentError(
-                f"embedding rows {feats.shape[0]} != scene points "
-                f"{scene.point_count} for {scene.source_path}"
-            )
-        return feats
+        if scene.source_path not in self.paths:
+            raise ConfigError(f"no embedding file registered for scene {scene.source_path!r}")
+        return _scene_embedding(scene.source_path, scene.point_count,
+                                self.paths[scene.source_path])

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import _replacing, save_embeddings
+from .embeddings import FileFeatureProvider, _replacing, save_embeddings
 from .errors import AlignmentError, ConfigError, ContractError, FormatError
 from .prototypes import SupportSet, SupportShot
 from .scene import ClassSchema, PointCloudScene, check_finite, checked_labels, checked_mask
@@ -353,14 +353,10 @@ class SceneEntry:
     base_labels: str | None = None
 
     def to_dict(self) -> dict:
-        d = {"id": self.scene_id, "path": self.path, "role": self.role}
-        if self.embedding:
-            d["embedding"] = self.embedding
-        if self.raw_predictions:
-            d["raw_predictions"] = self.raw_predictions
-        if self.base_labels:
-            d["base_labels"] = self.base_labels
-        return d
+        files = {"embedding": self.embedding, "raw_predictions": self.raw_predictions,
+                 "base_labels": self.base_labels}
+        return {"id": self.scene_id, "path": self.path, "role": self.role,
+                **{name: rel for name, rel in files.items() if rel}}
 
 
 @dataclass
@@ -493,15 +489,16 @@ def save_support(support: SupportSet, out: str | Path, embed) -> None:
     (out / "support.json").write_text(json.dumps(doc, indent=2))
 
 
-def load_support(manifest: Manifest) -> tuple[SupportSet, dict[str, Path]]:
-    """The corpus's support set, each support scene file loaded once, and the
-    embedding file listed for each support scene, keyed by its source path.
+def load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
+    """The corpus's support set, each support scene file loaded once, and a
+    FileFeatureProvider of each support scene's one embedding file.
 
     A manifest without a support entry (named by its source_path, if any),
     or a missing support file, is a ConfigError; a support.json that is not
     JSON, has another version, no `classes` object, a non-integer class key,
-    or a shot without a string `scene` or `mask` path is a FormatError
-    naming the file.
+    a shot without a string `scene` or `mask` path, a `k` other than every
+    class's integer shot count, or a scene listed with two embedding files
+    is a FormatError naming the file. A shot may omit its scene's file.
     """
     if not manifest.support:
         where = f"{manifest.source_path}: " if manifest.source_path else ""
@@ -520,6 +517,10 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, dict[str, Path]]:
         }
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed support file: {type(exc).__name__}: {exc}") from exc
+    counts = {len(shots) for shots in parsed.values()}
+    if "k" in doc and not (type(doc["k"]) is int and counts <= {doc["k"]}):
+        raise FormatError(f"{path}: field 'k' must be the integer shot count of every "
+                          f"class, got {json.dumps(doc['k'])} for counts {sorted(counts)}")
     scenes: dict[str, PointCloudScene] = {}
     embeddings: dict[str, Path] = {}
     shots = {}
@@ -530,9 +531,13 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, dict[str, Path]]:
                 scenes[scene_rel] = load_scene(manifest.resolve(scene_rel))
             scene = scenes[scene_rel]
             if embedding_rel is not None:
-                embeddings[scene.source_path] = manifest.resolve(embedding_rel)
+                embedding = manifest.resolve(embedding_rel)
+                listed = embeddings.setdefault(scene.source_path, embedding)
+                if listed != embedding:
+                    raise FormatError(f"{path}: support scene {scene.source_path} is listed "
+                                      f"with two embedding files, {listed} and {embedding}")
             mask_path = manifest.resolve(mask_rel)
             mask = checked_mask(str(mask_path), load_mask(mask_path), scene.point_count)
             class_shots.append(SupportShot(scene, mask))
         shots[c] = tuple(class_shots)
-    return SupportSet(schema=manifest.schema, shots=shots), embeddings
+    return SupportSet(schema=manifest.schema, shots=shots), FileFeatureProvider(embeddings)

@@ -15,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import from_dtype
 from numpy.lib.recfunctions import repack_fields
 
-import pcrefine.cli as cli_module
 import pcrefine.scene_io as scene_io
 from pcrefine import (
-    FileFeatureProvider,
     MixConfig,
     PointCloudScene,
     VoxelConfig,
@@ -92,6 +90,19 @@ class TestSimulate:
         np.testing.assert_array_equal(sa.positions, sb.positions)
         np.testing.assert_array_equal(sa.labels, sb.labels)
 
+    def test_no_room_for_a_background_anchor_writes_nothing(self, tmp_path, capsys):
+        # 8 orthonormal class anchors span all 8 dimensions.
+        out = tmp_path / "x"
+        code, stdout, err = run(capsys, "simulate", "--out", str(out),
+                                "--base", "3", "--novel", "5", "--dim", "8")
+        assert code == EXIT_CONTRACT
+        assert json.loads(err)["error"] == {
+            "type": "ConfigError",
+            "message": "cannot build a background anchor orthogonal to all class anchors; "
+                       "increase the feature dimension"}
+        assert stdout == ""
+        assert not out.exists()
+
     def test_rejects_zero_classes(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--out", str(tmp_path / "x"),
                            "--base", "0")
@@ -112,8 +123,7 @@ class TestRefine:
         assert report["tau"] == 0.6
         assert len(report["scenes"]) == 4
         manifest = load_manifest(corpus / "manifest.json")
-        support_set, embeddings = load_support(manifest)
-        prototypes = support_prototypes(support_set, FileFeatureProvider(embeddings))
+        prototypes = support_prototypes(*load_support(manifest))
         for entry in manifest.entries("train"):
             refined = load_labels(out / f"{entry.scene_id}.npy")
             base = load_labels(manifest.resolve(entry.base_labels))
@@ -319,6 +329,46 @@ class TestRefine:
         assert error["message"].endswith(" is not finite")
         assert not out.exists() or not list(out.glob("*.npy"))
 
+    def test_support_scene_with_two_embedding_files(self, tmp_path, capsys):
+        # One shot of a shared support scene names another file of as many
+        # rows: its features would replace the scene's for every shot on it.
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2", "--noise-sigma": "0.1"})
+        support_path = corpus / "support.json"
+        doc = json.loads(support_path.read_text())
+        shots = [shot for c in doc["classes"] for shot in doc["classes"][c]]
+        scene = next(s["scene"] for s in shots if sum(t["scene"] == s["scene"] for t in shots) > 1)
+        first, second = [shot for shot in shots if shot["scene"] == scene][:2]
+        save_embeddings(np.array(load_embeddings(corpus / first["embedding"]))[::-1],
+                        corpus / "support/other.gfve")
+        second["embedding"] = "support/other.gfve"
+        support_path.write_text(json.dumps(doc))
+        out = tmp_path / "refined"
+        code, stdout, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                                "--out", str(out))
+        assert code == EXIT_IO
+        assert json.loads(err)["error"] == {
+            "type": "FormatError",
+            "message": f"{support_path}: support scene {corpus / scene} is listed with two "
+                       f"embedding files, {corpus / first['embedding']} and "
+                       f"{corpus / 'support/other.gfve'}"}
+        assert stdout == "" and not out.exists()
+
+    def test_shot_without_embedding_uses_its_scenes_file(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "2", "--noise-sigma": "0.1"})
+        manifest = str(corpus / "manifest.json")
+        assert run(capsys, "refine", "--manifest", manifest, "--out", str(tmp_path / "a"))[0] == EXIT_OK
+        support_path = corpus / "support.json"
+        doc = json.loads(support_path.read_text())
+        shots = [shot for c in doc["classes"] for shot in doc["classes"][c]]
+        for i, shot in enumerate(shots):  # every later shot on a scene lists no file
+            if any(t["scene"] == shot["scene"] for t in shots[:i]):
+                del shot["embedding"]
+        assert len(shots) > sum("embedding" in shot for shot in shots)
+        support_path.write_text(json.dumps(doc))
+        assert run(capsys, "refine", "--manifest", manifest, "--out", str(tmp_path / "b"))[0] == EXIT_OK
+        for path in sorted((tmp_path / "a").iterdir()):
+            assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes()
+
     def test_narrower_support_embedding_names_the_support_scene(self, tmp_path, capsys):
         # K = 2 shots per class on different support scenes: their pooled
         # vectors of two widths cannot be averaged.
@@ -472,10 +522,8 @@ class TestMixBytes:
                 save_scene(mixed, ref / f"{entry.scene_id}.ply")
         decoded = []
         decode = scene_io.load_scene
-        for module in (cli_module, scene_io):
-            monkeypatch.setattr(module, "load_scene",
-                                lambda path: decoded.append(Path(path)) or decode(path),
-                                raising=False)
+        monkeypatch.setattr(scene_io, "load_scene",
+                            lambda path: decoded.append(Path(path)) or decode(path))
         with warnings_recorded() as warned:
             code, _, _ = run(capsys, "mix", "--manifest", str(corpus / "manifest.json"),
                              "--out", str(tmp_path / "mixed"), "--blocks", "3",
@@ -564,6 +612,12 @@ def break_support(path, case):
         doc["classes"]["novel"] = doc["classes"].pop(first)
     elif case.startswith("version_"):
         doc["version"] = VERSIONS[case]
+    elif case.startswith("k_"):
+        doc["k"] = KS[case]
+    elif case == "scene_with_two_embeddings":
+        # The first shot's scene and mask again, with the second shot's embedding file.
+        shots = doc["classes"][first]
+        shots[1] = {**shots[0], "embedding": shots[1]["embedding"]}
     else:
         del doc["classes"][first][0][case.removeprefix("shot_without_")]
     path.write_text(json.dumps(doc))
@@ -572,6 +626,8 @@ def break_support(path, case):
 
 # A version other than the JSON integer 1; true and 1.0 equal 1 in Python.
 VERSIONS = {"version_7": 7, "version_true": True, "version_float": 1.0}
+# A "k" other than the JSON integer shot count of every class (2 here).
+KS = {"k_5": 5, "k_1": 1, "k_true": True, "k_float": 2.0, "k_null": None}
 
 
 @pytest.mark.parametrize("command", ["refine", "mix"])
@@ -586,6 +642,8 @@ VERSIONS = {"version_7": 7, "version_true": True, "version_float": 1.0}
     ("version_7", EXIT_IO, "FormatError"),
     ("version_true", EXIT_IO, "FormatError"),
     ("version_float", EXIT_IO, "FormatError"),
+    *((case, EXIT_IO, "FormatError") for case in KS),
+    ("scene_with_two_embeddings", EXIT_IO, "FormatError"),
     ("mask_of_twos", EXIT_IO, "FormatError"),
     ("mask_of_strings", EXIT_IO, "FormatError"),
 ])

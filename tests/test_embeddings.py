@@ -305,6 +305,11 @@ class TestSyntheticProvider:
         wrong = ~np.isclose((feats * own).sum(axis=1), 1.0)
         assert abs(wrong.mean() - p) < 0.01
 
+    def test_no_room_for_a_background_anchor(self, schema):
+        # As many orthonormal class anchors as dimensions leave no direction free.
+        with pytest.raises(ConfigError, match="^cannot build a background anchor orthogonal"):
+            SyntheticFeatureProvider(schema, SyntheticProviderConfig(dim=schema.n_classes))
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             SyntheticProviderConfig(confusion_prob=1.5)
@@ -328,7 +333,10 @@ class TestFileProvider:
         scene = make_scene([0, 1, 2, 3])
         scene.source_path = "scene_a"
         provider = FileFeatureProvider({"scene_a": tmp_path / "s.gfve"})
-        with pytest.raises(AlignmentError):
+        # The text of a train scene's mismatch: both files and both counts.
+        with pytest.raises(AlignmentError, match=f"^scene_a declares 4 points, but "
+                                                 f"{re.escape(str(tmp_path / 's.gfve'))} "
+                                                 f"holds 3 feature rows$"):
             provider.embed_scene(scene)
 
     def test_unknown_scene(self):

@@ -94,7 +94,7 @@ def test_eval_grid_votes_with_the_record_and_columns_freed(corpus, monkeypatch):
 
     monkeypatch.setattr(cli_module, "_read_geometry", reading)
     monkeypatch.setattr(scene_module, "_majority_labels", voting)
-    monkeypatch.setattr(cli_module, "_majority_labels", voting, raising=False)
+    monkeypatch.setattr(cli_module, "_majority_labels", voting)
     with contextlib.redirect_stdout(None):
         assert main(args) == EXIT_OK
     assert alive == [False, False]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,10 @@ class TestAccumulate:
             [1, 1, 0],  # gt 1: one confused with 0, one hit
         ])
         np.testing.assert_array_equal(conf.counts, expected)
+
+    def test_counts_of_wrong_shape_rejected(self):
+        with pytest.raises(ContractError, match=re.escape("counts shape (2, 2) != (2, 3)")):
+            ConfusionMatrix(2, np.zeros((2, 2)))
 
     def test_background_gt_excluded(self):
         conf = ConfusionMatrix(2)

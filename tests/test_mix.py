@@ -42,6 +42,10 @@ class TestCorners:
         for key in PAIRINGS:
             np.testing.assert_array_equal(c[key], [1, 2, 3])
 
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(ConfigError, match="corners_xy needs at least one point"):
+            corners_xy(np.zeros((0, 3)))
+
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(1000, 3))

@@ -138,6 +138,10 @@ class TestPrototypeSet:
         with pytest.raises(ContractError):
             PrototypeSet({3: np.ones(4), 4: np.ones(5)})
 
+    def test_non_vector_rejected(self):
+        with pytest.raises(ContractError, match="prototype for class 3 is not a vector"):
+            PrototypeSet({3: np.ones((2, 2))})
+
     def test_matrix_ordering(self):
         ps = PrototypeSet({5: np.array([1.0, 0.0]), 3: np.array([0.0, 1.0])})
         ids, mat = ps.matrix()

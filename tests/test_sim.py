@@ -112,6 +112,15 @@ class TestCorrupt:
             n_after = int((out == c).sum())
             assert n_after == n_before - int(np.floor(frac * n_before))
 
+    def test_erosion_spares_a_class_too_small_to_lose_a_point(self, schema):
+        # floor(0.2 * 4) = 0 points of class 3 go; floor(0.2 * 6) = 1 of class 4 does.
+        gt = np.array([3] * 4 + [4] * 6 + [0] * 2)
+        positions = np.column_stack([np.arange(12.0), np.zeros(12), np.zeros(12)])
+        out = corrupt_predictions(gt, positions, NoiseSpec(erosion_frac=0.2), schema)
+        np.testing.assert_array_equal(out[:4], gt[:4])
+        assert (out[4:10] == 4).sum() == 5
+        np.testing.assert_array_equal(out[10:], gt[10:])
+
     def test_erosion_removes_boundary_points(self, schema):
         scene = demo_scene(schema, seed=2)
         noise = NoiseSpec(erosion_frac=0.3)

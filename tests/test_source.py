@@ -1,6 +1,7 @@
 """Checks on the package source, read with the standard library's ast:
-every module-level import in src/pcrefine is used in its module, and the
-CLI has one output path."""
+every module-level import in src/pcrefine is used in its module, the CLI
+has one output path, and every embedding file is read through one row
+check."""
 
 import ast
 from pathlib import Path
@@ -43,17 +44,21 @@ def test_no_unused_module_level_import(module):
 OUTPUT_FUNCTIONS = ("main", "_error_object")
 
 
+def nodes_outside(source: str, functions) -> list[ast.AST]:
+    """Every node of the module source outside its module-level functions
+    named in functions."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in functions
+              for node in ast.walk(fn)}
+    return [node for node in ast.walk(tree) if id(node) not in inside]
+
+
 def output_code(source: str) -> list[tuple[int, str]]:
     """The (line, name) of each json.dump or json.dumps, and each read of
     REPORT_SCHEMA_VERSION, outside the module-level OUTPUT_FUNCTIONS."""
-    tree = ast.parse(source)
-    allowed = {id(node) for fn in tree.body
-               if isinstance(fn, ast.FunctionDef) and fn.name in OUTPUT_FUNCTIONS
-               for node in ast.walk(fn)}
     found = []
-    for node in ast.walk(tree):
-        if id(node) in allowed:
-            continue
+    for node in nodes_outside(source, OUTPUT_FUNCTIONS):
         if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
             found.append((node.lineno, f"json.{node.attr}"))
         elif (isinstance(node, ast.Name) and node.id == "REPORT_SCHEMA_VERSION"
@@ -73,3 +78,30 @@ def test_output_checker_finds_output_code():
 
 def test_cli_writes_output_only_in_main():
     assert output_code((SRC / "cli.py").read_text()) == []
+
+
+# The one embedding read: _scene_embedding loads a scene's embedding file and
+# checks one feature row per PLY point, for train and support scenes alike.
+EMBEDDING_READERS = ("_scene_embedding",)
+
+
+def embedding_reads(source: str) -> list[int]:
+    """The line of each read of the name load_embeddings, bare or as an
+    attribute, outside the module-level EMBEDDING_READERS."""
+    return sorted(node.lineno for node in nodes_outside(source, EMBEDDING_READERS)
+                  if (isinstance(node, ast.Name) and node.id == "load_embeddings"
+                      and isinstance(node.ctx, ast.Load))
+                  or (isinstance(node, ast.Attribute) and node.attr == "load_embeddings"))
+
+
+def test_embedding_read_checker_finds_reads():
+    source = ("from .embeddings import load_embeddings\n"
+              "def _scene_embedding(ply, n, e):\n    return load_embeddings(e)\n"
+              "def cmd_x(args):\n    read = load_embeddings\n"
+              "    return embeddings.load_embeddings(args.path)\n")
+    assert embedding_reads(source) == [5, 6]
+
+
+def test_embeddings_are_read_only_through_the_row_check():
+    found = {path.name: embedding_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
