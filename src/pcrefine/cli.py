@@ -7,6 +7,10 @@ deterministic given its inputs and --seed; exit codes are 0 (ok),
 Each cmd_* returns its output document, without a version, and the file
 it goes to, or None; main alone stamps the version, writes the document
 indented to that file and prints it on one line.
+
+The module level imports only errors, scene and scene_io, which main and
+eval read; each cmd_* imports the other layers it runs, so a process
+loads only its command's modules.
 """
 
 from __future__ import annotations
@@ -17,16 +21,11 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import benchmark, metrics, sim
-from .embeddings import SyntheticFeatureProvider, SyntheticProviderConfig, _scene_embedding, save_embeddings
 from .errors import ConfigError, FormatError, PcrefineError
-from .infill import InfillConfig
-from .mix import MixConfig, _blocks
-from .pipeline import refine_labels
-from .prototypes import SupportSet, support_prototypes
 from .scene import ClassSchema, VoxelConfig, _cell_keys, _check_number, _majority_labels
 from .scene_io import (
     Manifest,
@@ -42,7 +41,10 @@ from .scene_io import (
     save_scene,
     save_support,
 )
-from .selection import SelectionConfig
+
+if TYPE_CHECKING:
+    from .mix import MixConfig
+    from .prototypes import SupportSet
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -149,6 +151,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_simulate(args) -> tuple[dict, None]:
     """Write a synthetic corpus under --out; its document is printed only."""
+    from . import sim
+    from .embeddings import SyntheticFeatureProvider, SyntheticProviderConfig, save_embeddings
+
     # The counts here, and --seed and the noise flags in the configs, are checked before any mkdir.
     for flag in ("scenes", "support_scenes", "base", "novel", "shots"):
         _check_number(f"--{flag.replace('_', '-')}", getattr(args, flag), integer=True, lo=1)
@@ -222,6 +227,12 @@ def _scene_faults(entry: SceneEntry):
 
 def cmd_refine(args) -> tuple[dict, Path]:
     """Write refined train labels as <out>/<id>.npy; the document goes to <out>/report.json."""
+    from .embeddings import _scene_embedding
+    from .infill import InfillConfig
+    from .pipeline import refine_labels
+    from .prototypes import support_prototypes
+    from .selection import SelectionConfig
+
     sel_cfg = SelectionConfig(tau=args.tau)
     inf_cfg = InfillConfig(delta=args.delta)
     manifest = load_manifest(Path(args.manifest))
@@ -253,6 +264,8 @@ def cmd_refine(args) -> tuple[dict, Path]:
 
 def cmd_mix(args) -> tuple[dict, None]:
     """Write each mixed train scene as <out>/<id>.ply; its document is printed only."""
+    from .mix import MixConfig
+
     cfg = MixConfig(n_blocks=args.blocks, crop_margin_xy=args.margin, seed=args.seed)
     manifest = load_manifest(Path(args.manifest))
     entries = _role_entries(manifest, "train")
@@ -272,6 +285,8 @@ def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: 
     read; the blocks read only the base's corners and floor, from its float32
     columns. The scene's buffers are freed on return, before cmd_mix reads
     the next one."""
+    from .mix import _blocks
+
     columns, labels, rec, _, _ = _read_geometry(manifest.resolve(entry.path),
                                                 manifest.schema.n_classes)
     del labels  # read only for its check
@@ -282,6 +297,8 @@ def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: 
 
 def cmd_stats(args) -> tuple[dict, str | None]:
     """Per-class statistics of the corpus' train and test scenes, for --out."""
+    from . import benchmark
+
     manifest = load_manifest(Path(args.manifest))
     # Only the checked labels outlive each read: no scene is built.
     labels = (_read_geometry(manifest.resolve(e.path), manifest.schema.n_classes)[1]
@@ -292,6 +309,8 @@ def cmd_stats(args) -> tuple[dict, str | None]:
 
 def cmd_split(args) -> tuple[dict, str | None]:
     """The base/novel class schema built from a stats file, for --out."""
+    from . import benchmark
+
     path = Path(args.stats)
     try:
         doc = json.loads(path.read_bytes())
@@ -325,6 +344,8 @@ def _truth_labels(manifest: Manifest, entry: SceneEntry, grid: VoxelConfig | Non
 def cmd_eval(args) -> tuple[dict, str | None]:
     """Scores of --pred-dir against the role's ground truth, for --out. The
     table is printed here, before main prints the document."""
+    from . import metrics
+
     # Checked before any file is read: a negative, NaN or infinite grid is a ConfigError.
     grid = None if args.grid == 0 else VoxelConfig(grid_size=args.grid)
     manifest = load_manifest(Path(args.manifest))

@@ -16,13 +16,18 @@ import stat
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embeddings import FileFeatureProvider, _replacing, save_embeddings
 from .errors import AlignmentError, ConfigError, ContractError, FormatError
-from .prototypes import SupportSet, SupportShot
 from .scene import ClassSchema, PointCloudScene, check_finite, checked_labels, checked_mask
+
+# embeddings and prototypes are imported where support sets and replaced
+# files are handled, so reading a scene or a manifest loads neither.
+if TYPE_CHECKING:
+    from .embeddings import FileFeatureProvider
+    from .prototypes import SupportSet
 
 # The version of manifest.json and support.json; command output documents
 # are versioned apart, by the CLI's REPORT_SCHEMA_VERSION.
@@ -80,6 +85,8 @@ def _write_vertices(path: str | Path, records: list[np.ndarray]) -> None:
     """Write vertex records of one dtype, one after another, as one binary
     little-endian PLY, under a temporary name then moved over path: a
     record mapped from path itself (_read_geometry) can be written back."""
+    from .embeddings import _replacing
+
     names = records[0].dtype.names
     header = ["ply", "format binary_little_endian 1.0",
               f"element vertex {sum(rec.shape[0] for rec in records)}"]
@@ -315,15 +322,20 @@ def load_labels(path: str | Path) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
-def load_mask(path: str | Path) -> np.ndarray:
+def load_mask(path: str | Path, n: int | None = None) -> np.ndarray:
     """A support mask file as bool: checked_mask's rule, stored as bools or
-    integers (never floats); any other array is a FormatError."""
+    integers (never floats), one entry per point of a scene of n points if
+    n is given. A 1-D mask of another length is checked_mask's
+    AlignmentError naming the file; any other fault is a FormatError."""
     mask = load_npy(path)
     if mask.dtype.kind not in "biu":
         raise FormatError(f"{path}: expected a mask of bools or 0/1 integers, got {mask.dtype}")
     try:
-        return checked_mask(str(path), mask)
+        # A mask that is not 1-D is refused as such, whatever n is.
+        return checked_mask(str(path), mask, n if mask.ndim == 1 else None)
     except ContractError as exc:
+        if isinstance(exc, AlignmentError) and mask.ndim == 1:
+            raise  # its length: the file is well formed, the scene disagrees
         raise FormatError(str(exc)) from exc
 
 
@@ -468,6 +480,8 @@ def save_support(support: SupportSet, out: str | Path, embed) -> None:
     """Write out/support.json and the files it lists under out/support: each
     distinct support scene and its features embed(scene) once, and one mask
     .npy per shot."""
+    from .embeddings import save_embeddings
+
     out = Path(out)
     (out / "support").mkdir(parents=True, exist_ok=True)
     doc = {"version": FORMAT_VERSION, "k": support.k, "classes": {}}
@@ -500,6 +514,9 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
     class's integer shot count, or a scene listed with two embedding files
     is a FormatError naming the file. A shot may omit its scene's file.
     """
+    from .embeddings import FileFeatureProvider
+    from .prototypes import SupportSet, SupportShot
+
     if not manifest.support:
         where = f"{manifest.source_path}: " if manifest.source_path else ""
         raise ConfigError(f"{where}manifest has no support entry")
@@ -521,23 +538,27 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
     if "k" in doc and not (type(doc["k"]) is int and counts <= {doc["k"]}):
         raise FormatError(f"{path}: field 'k' must be the integer shot count of every "
                           f"class, got {json.dumps(doc['k'])} for counts {sorted(counts)}")
-    scenes: dict[str, PointCloudScene] = {}
+    # By file, not spelling: support/a.ply and support/../support/a.ply are
+    # one scene, and name one embedding file alike.
+    scenes: dict[tuple[int, int], PointCloudScene] = {}
     embeddings: dict[str, Path] = {}
     shots = {}
     for c, shot_paths in parsed.items():
         class_shots = []
         for scene_rel, mask_rel, embedding_rel in shot_paths:
-            if scene_rel not in scenes:
-                scenes[scene_rel] = load_scene(manifest.resolve(scene_rel))
-            scene = scenes[scene_rel]
+            scene_path = manifest.resolve(scene_rel)
+            st = os.stat(scene_path)
+            key = (st.st_dev, st.st_ino)
+            if key not in scenes:
+                scenes[key] = load_scene(scene_path)
+            scene = scenes[key]
             if embedding_rel is not None:
                 embedding = manifest.resolve(embedding_rel)
                 listed = embeddings.setdefault(scene.source_path, embedding)
-                if listed != embedding:
+                if listed != embedding and listed.resolve() != embedding.resolve():
                     raise FormatError(f"{path}: support scene {scene.source_path} is listed "
                                       f"with two embedding files, {listed} and {embedding}")
-            mask_path = manifest.resolve(mask_rel)
-            mask = checked_mask(str(mask_path), load_mask(mask_path), scene.point_count)
+            mask = load_mask(manifest.resolve(mask_rel), scene.point_count)
             class_shots.append(SupportShot(scene, mask))
         shots[c] = tuple(class_shots)
     return SupportSet(schema=manifest.schema, shots=shots), FileFeatureProvider(embeddings)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import from_dtype
 from numpy.lib.recfunctions import repack_fields
 
+import pcrefine.prototypes as prototypes_module
 import pcrefine.scene_io as scene_io
 from pcrefine import (
     MixConfig,
@@ -656,6 +657,84 @@ def test_bad_support_file(tmp_path, capsys, command, case, code, error):
     assert json.loads(err)["error"]["type"] == error
     assert str(broken) in json.loads(err)["error"]["message"]
     assert out == ""
+
+
+def respell_shared_scene(corpus, other_embedding=False):
+    """Rewrite, in support.json, the scene and embedding paths of a shot whose
+    scene file an earlier shot also lists, from support/<file> to
+    support/./../support/<file>, the same files; or set its embedding to
+    another support scene's file. Return the shot."""
+    path = corpus / "support.json"
+    doc = json.loads(path.read_text())
+    shots = [shot for class_shots in doc["classes"].values() for shot in class_shots]
+    shot = next(shot for i, shot in enumerate(shots)
+                if shot["scene"] in {earlier["scene"] for earlier in shots[:i]})
+    if other_embedding:
+        shot["embedding"] = next(s["embedding"] for s in shots if s["scene"] != shot["scene"])
+    else:
+        shot["embedding"] = shot["embedding"].replace("support/", "support/./../support/")
+    shot["scene"] = shot["scene"].replace("support/", "support/./../support/")
+    path.write_text(json.dumps(doc))
+    return shot
+
+
+class TestSupportFiles:
+    """load_support loads each support scene file once, however support.json
+    spells its path, and checks each mask where its file is read and in
+    SupportShot, no more."""
+
+    def test_respelled_scene_path_loads_one_scene(self, tmp_path, capsys, monkeypatch):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+        refine = ["refine", "--manifest", str(corpus / "manifest.json"), "--out"]
+        assert run(capsys, *refine, str(tmp_path / "plain"))[0] == EXIT_OK
+        doc = json.loads((corpus / "support.json").read_text())
+        files = {shot["scene"] for shots in doc["classes"].values() for shot in shots}
+        respell_shared_scene(corpus)
+
+        loaded = []
+        read = scene_io.load_scene
+        monkeypatch.setattr(scene_io, "load_scene", lambda path: loaded.append(path) or read(path))
+        support, _ = load_support(load_manifest(corpus / "manifest.json"))
+        scenes = {id(shot.scene) for shots in support.shots.values() for shot in shots}
+        assert len(loaded) == len(scenes) == len(files)
+
+        assert run(capsys, *refine, str(tmp_path / "respelled"))[0] == EXIT_OK
+        plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert plain == sorted(p.name for p in (tmp_path / "respelled").iterdir())
+        assert "report.json" in plain
+        for name in plain:
+            assert (tmp_path / "respelled" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes(), name
+
+    def test_respelled_scene_with_another_embedding_is_format_error(self, tmp_path, capsys):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+        shot = respell_shared_scene(corpus, other_embedding=True)
+        code, out, err = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                             "--out", str(tmp_path / "out"))
+        assert code == EXIT_IO and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "FormatError"
+        assert "is listed with two embedding files" in error["message"]
+        assert str(corpus / shot["embedding"]) in error["message"]
+
+    def test_each_mask_checked_twice(self, tmp_path, capsys, monkeypatch):
+        # Once where its file is read, with the scene's point count, and once
+        # in SupportShot, the library's boundary.
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
+        calls = []
+        check = prototypes_module.checked_mask
+
+        def counting(name, *args, **kwargs):
+            calls.append(name)
+            return check(name, *args, **kwargs)
+
+        monkeypatch.setattr(scene_io, "checked_mask", counting)
+        monkeypatch.setattr(prototypes_module, "checked_mask", counting)
+        support, _ = load_support(load_manifest(corpus / "manifest.json"))
+        n_shots = sum(len(shots) for shots in support.shots.values())
+        assert n_shots == 10
+        assert len(calls) == 2 * n_shots
+        assert calls.count("support") == n_shots
 
 
 def break_input(corpus, pred_dir, case):

@@ -4,7 +4,8 @@ of `python -m pcrefine.cli`, and the bytes a chain of CLI processes writes.
 
 No command loads scipy, simulate --erosion included, and the chain runs
 and writes the same bytes when scipy cannot be imported at all.
-Importing the CLI loads no third-party package but numpy.
+Importing the CLI loads no third-party package but numpy, and each command
+loads only the pcrefine layers it runs.
 The test process has scipy loaded already, so every check runs in a new
 `sys.executable` with `PYTHONPATH` pointing at this checkout's `src`.
 """
@@ -27,9 +28,10 @@ import json, sys
 import pcrefine, pcrefine.cli
 argv = json.loads(sys.argv[1])
 code = pcrefine.cli.main(argv) if argv else 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+          for top in ("scipy", "pcrefine")}
 with open(sys.argv[2], "w") as f:
-    json.dump({"code": code, "scipy": loaded}, f)
+    json.dump({"code": code, **loaded}, f)
 """
 
 
@@ -62,31 +64,66 @@ def corpus(tmp_path_factory):
     return root
 
 
-def scipy_after(root, argv):
-    """The scipy modules loaded by a fresh interpreter running `main(argv)`."""
-    result = root / "child.json"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv), str(result)],
-                   env=env, cwd=root, check=True, stdout=subprocess.DEVNULL)
-    doc = json.loads(result.read_text())
-    assert doc["code"] == EXIT_OK
-    return set(doc["scipy"])
+COMMANDS = {
+    "import": [],
+    "eval": ["eval", "--manifest", "corpus/manifest.json", "--pred-dir", "refined"],
+    "mix": ["mix", "--manifest", "corpus/manifest.json", "--out", "mixed"],
+    "stats": ["stats", "--manifest", "corpus/manifest.json"],
+    "split": ["split", "--stats", "stats.json", "--threshold", "1", "--base", "2"],
+    "simulate-no-erosion": ["simulate", "--out", "sim0", "--scenes", "1", "--support-scenes",
+                            "1", "--dim", "16"],
+    "simulate-erosion": ["simulate", "--out", "sim1", "--scenes", "1", "--support-scenes", "1",
+                         "--dim", "16", "--erosion", "0.2"],
+    "refine": ["refine", "--manifest", "corpus/manifest.json", "--out", "refined2"],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["eval", "--manifest", "corpus/manifest.json", "--pred-dir", "refined"],
-    ["mix", "--manifest", "corpus/manifest.json", "--out", "mixed"],
-    ["stats", "--manifest", "corpus/manifest.json"],
-    ["split", "--stats", "stats.json", "--threshold", "1", "--base", "2"],
-    ["simulate", "--out", "sim0", "--scenes", "1", "--support-scenes", "1", "--dim", "16"],
-    ["simulate", "--out", "sim1", "--scenes", "1", "--support-scenes", "1", "--dim", "16",
-     "--erosion", "0.2"],
-    ["refine", "--manifest", "corpus/manifest.json", "--out", "refined2"],
-], ids=["import", "eval", "mix", "stats", "split", "simulate-no-erosion", "simulate-erosion",
-        "refine"])
-def test_command_loads_no_scipy(corpus, argv):
-    assert scipy_after(corpus, argv) == set()
+@pytest.fixture(scope="module")
+def loaded_after(corpus):
+    """The scipy and pcrefine modules a fresh interpreter has loaded once
+    `main` returns from a command of COMMANDS, by top-level package; each
+    command runs once."""
+    runs = {}
+
+    def loaded(command):
+        if command not in runs:
+            result = corpus / "child.json"
+            env = {**os.environ, "PYTHONPATH": str(SRC)}
+            subprocess.run([sys.executable, "-c", CHILD, json.dumps(COMMANDS[command]),
+                            str(result)], env=env, cwd=corpus, check=True,
+                           stdout=subprocess.DEVNULL)
+            doc = json.loads(result.read_text())
+            assert doc["code"] == EXIT_OK
+            runs[command] = {top: set(doc[top]) for top in ("scipy", "pcrefine")}
+        return runs[command]
+
+    return loaded
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_loads_no_scipy(loaded_after, command):
+    assert loaded_after(command)["scipy"] == set()
+
+
+# The layers every CLI process loads: main and eval share errors, scene and
+# scene_io. Each command adds only the layers it runs.
+CLI_BASE = {"cli", "errors", "scene", "scene_io"}
+COMMAND_LAYERS = {
+    "import": set(),
+    "eval": {"metrics"},
+    "mix": {"mix", "prototypes", "embeddings"},  # PLYs are written through embeddings._replacing
+    "stats": {"benchmark"},
+    "split": {"benchmark"},
+    "simulate-no-erosion": {"sim", "prototypes", "embeddings"},
+    "simulate-erosion": {"sim", "prototypes", "embeddings"},
+    "refine": {"embeddings", "prototypes", "selection", "infill", "pipeline"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_loads_only_its_layers(loaded_after, command):
+    want = {"pcrefine", *(f"pcrefine.{m}" for m in CLI_BASE | COMMAND_LAYERS[command])}
+    assert loaded_after(command)["pcrefine"] == want
 
 
 # pcrefine sets OpenBLAS to one thread when it loads, unless the caller chose a
@@ -101,6 +138,33 @@ if os.path.exists("/proc/self/status"):
         threads = next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
 print(json.dumps({"value": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
 """
+
+
+# numpy reads OPENBLAS_NUM_THREADS once, when it loads: a finder ahead of the
+# import system's records the variable at the moment numpy is first imported.
+BLAS_AT_NUMPY = """
+import json, os, sys
+assert "numpy" not in sys.modules
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Watch())
+import pcrefine
+loaded = "numpy" in sys.modules
+pcrefine.PointCloudScene
+print(json.dumps({"at_numpy": seen[:1], "numpy_at_import": loaded}))
+"""
+
+
+def test_package_import_sets_blas_threads_before_numpy_loads():
+    # `import pcrefine` loads no layer, so numpy loads with the first public name.
+    out = subprocess.run([sys.executable, "-c", BLAS_AT_NUMPY], env=env_with_blas_threads(None),
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == {"at_numpy": ["1"], "numpy_at_import": False}
 
 
 def env_with_blas_threads(value):

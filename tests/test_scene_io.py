@@ -438,6 +438,23 @@ def test_other_mask_is_format_error(tmp_path, mask):
         load_mask(tmp_path / "m.npy")
 
 
+def test_mask_of_another_length_is_alignment_error(tmp_path):
+    # The file is well formed: its length disagrees with the scene's point count.
+    np.save(tmp_path / "m.npy", np.array([True, False, True]))
+    with pytest.raises(AlignmentError) as caught:
+        load_mask(tmp_path / "m.npy", 4)
+    assert str(caught.value) == f"{tmp_path / 'm.npy'} mask of shape (3,) is not 4 entries, one per point"
+    assert load_mask(tmp_path / "m.npy", 3).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("mask", [np.ones((3, 1), dtype=bool), np.array(True)], ids=["2-D", "0-D"])
+def test_mask_not_1d_is_format_error_whatever_the_count(tmp_path, mask):
+    np.save(tmp_path / "m.npy", mask)
+    with pytest.raises(FormatError) as caught:
+        load_mask(tmp_path / "m.npy", 3)
+    assert str(caught.value) == f"{tmp_path / 'm.npy'} mask of shape {mask.shape} is not a 1-D vector"
+
+
 def test_labels_npy_round_trip(tmp_path):
     labels = np.array([-1, 0, 7, 3], dtype=np.int64)
     save_labels(labels, tmp_path / "l.npy")
