@@ -48,6 +48,33 @@ if TYPE_CHECKING:
 
 REPORT_SCHEMA_VERSION = 1
 
+
+def _return_freed_heap() -> None:
+    """Hand the C heap's free pages back to the OS, where glibc can.
+
+    glibc serves numpy blocks of a few MB from the heap once it has freed a
+    mapping that large, and free() shrinks the heap only when nothing live
+    sits above them, so whether freed pages stay resident depends on where
+    small, unrelated allocations fell. In a process that runs commands
+    through main, a command's data then landed in or beside what came
+    before it, and its peak RSS moved by 15 MB from run to run. cmd_eval
+    calls this before a --grid vote reads its first scene: the vote's
+    buffers take fresh pages either way. Without a grid eval holds only
+    labels, and returning the heap a refine left before it cost more than
+    eval's own work. cmd_mix calls it once its scenes are written, for
+    whatever reads them next; not before, as mix reuses the pages freed
+    before it, and returning them made it fault 3,300 pages in afresh.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes  # numpy has loaded it already
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # None outside glibc
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
+
+
 EXIT_OK = 0
 EXIT_CONTRACT = 2
 EXIT_IO = 3
@@ -275,24 +302,26 @@ def cmd_mix(args) -> tuple[dict, None]:
     for i, entry in enumerate(entries):
         _mix_scene(manifest, entry, support, cfg, np.random.default_rng([args.seed, i]),
                    out / f"{entry.scene_id}.ply")
+    del support
+    _return_freed_heap()
     return {"mixed_scenes": len(entries), "blocks": args.blocks}, None
 
 
 def _mix_scene(manifest: Manifest, entry: SceneEntry, support: SupportSet, cfg: MixConfig,
                rng: np.random.Generator, path: Path) -> None:
     """save_scene(mix(scene, support, cfg, rng), path) for a manifest scene,
-    with the base points, which mix never alters, written from the record as
+    with the base points, which mix never alters, copied from the PLY as
     read; the blocks read only the base's corners and floor, from its float32
     columns. The scene's buffers are freed on return, before cmd_mix reads
     the next one."""
     from .mix import _blocks
 
-    columns, labels, rec, _, _ = _read_geometry(manifest.resolve(entry.path),
-                                                manifest.schema.n_classes)
+    source = manifest.resolve(entry.path)
+    columns, labels, rec, _, _ = _read_geometry(source, manifest.schema.n_classes)
     del labels  # read only for its check
     blocks = _blocks(columns.T, support, cfg, rng)
     del columns
-    _append_blocks(path, rec, blocks)
+    _append_blocks(path, rec, blocks, source)
 
 
 def cmd_stats(args) -> tuple[dict, str | None]:
@@ -348,6 +377,8 @@ def cmd_eval(args) -> tuple[dict, str | None]:
 
     # Checked before any file is read: a negative, NaN or infinite grid is a ConfigError.
     grid = None if args.grid == 0 else VoxelConfig(grid_size=args.grid)
+    if grid is not None:
+        _return_freed_heap()
     manifest = load_manifest(Path(args.manifest))
     pred_dir = Path(args.pred_dir)
     conf = metrics.ConfusionMatrix(manifest.schema.n_classes)

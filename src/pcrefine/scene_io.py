@@ -38,6 +38,10 @@ class MissingLabelWarning(UserWarning):
     """Raised as a warning when a PLY file carries no 'label' property."""
 
 
+# Rows of a vertex record copied out at a time: about 1.3 MB of a coloured
+# record, whose pages are then released if the record is mapped.
+_RECORD_CHUNK = 2**16
+
 # Vertex property name -> (the PLY type names it may be declared as, the
 # first being the one written, and the little-endian numpy type it is stored as).
 _PROPERTIES = {
@@ -81,10 +85,15 @@ def _vertex_record(
     return rec
 
 
-def _write_vertices(path: str | Path, records: list[np.ndarray]) -> None:
+def _write_vertices(
+    path: str | Path, records: list[np.ndarray], source: Path | None = None
+) -> None:
     """Write vertex records of one dtype, one after another, as one binary
     little-endian PLY, under a temporary name then moved over path: a
-    record mapped from path itself (_read_geometry) can be written back."""
+    record mapped from path itself (_read_geometry) can be written back.
+    source, if given, is the file the mapped records were read from: their
+    bytes are copied from it by the kernel where it can, so the pages
+    _read_geometry released are not mapped back in."""
     from .embeddings import _replacing
 
     names = records[0].dtype.names
@@ -94,20 +103,51 @@ def _write_vertices(path: str | Path, records: list[np.ndarray]) -> None:
     with _replacing(path) as f:
         f.write(("\n".join(header + ["end_header"]) + "\n").encode("ascii"))
         for rec in records:
-            f.write(rec)
+            if source is None or not _copy_mapped(rec, source, f):
+                f.write(rec)
+
+
+def _copy_mapped(rec: np.ndarray, source: Path, f) -> bool:
+    """Append rec's bytes to the file f by copying them from source with
+    os.copy_file_range, if rec views source's mapping; True if done. False,
+    with f as it was, for a record in memory, where the call is missing
+    (outside Linux) or fails, or if source is no longer the size mapped."""
+    view = _mapping_of(rec)
+    copy = getattr(os, "copy_file_range", None)
+    if view is None or copy is None:
+        return False
+    mapping, offset = view
+    f.flush()
+    start, done = f.tell(), 0
+    try:
+        with open(source, "rb") as src:
+            if os.fstat(src.fileno()).st_size == len(mapping):
+                while done < rec.nbytes:
+                    n = copy(src.fileno(), f.fileno(), rec.nbytes - done, offset + done,
+                             start + done)
+                    if not n:
+                        break
+                    done += n
+    except OSError:
+        pass
+    # The copy writes at explicit offsets and leaves f's position alone.
+    f.seek(start + done if done == rec.nbytes else start)
+    return done == rec.nbytes
 
 
 def _append_blocks(
     path: str | Path,
     rec: np.ndarray,
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+    source: Path | None = None,
 ) -> None:
-    """Write a base vertex record as read, then (positions, labels, colors)
-    blocks encoded, as the PLY save_scene would write for the whole: colours
-    are kept only if the base and every block have them. A base record laid
-    out otherwise (another property order, no label, colours to drop) is
-    copied field by field into save_scene's layout first, a missing label
-    as -1; each field converts exactly, so the bytes are the same."""
+    """Write a base vertex record as read from source, then (positions,
+    labels, colors) blocks encoded, as the PLY save_scene would write for
+    the whole: colours are kept only if the base and every block have them.
+    A base record laid out otherwise (another property order, no label,
+    colours to drop) is copied field by field into save_scene's layout
+    first, a missing label as -1; each field converts exactly, so the bytes
+    are the same."""
     has_color = "red" in rec.dtype.names and all(colors is not None for *_, colors in blocks)
     dtype = _vertex_dtype(has_color)
     if rec.dtype != dtype:
@@ -117,7 +157,7 @@ def _append_blocks(
             base[name] = rec[name] if name in rec.dtype.names else -1
         rec = base
     encoded = [_vertex_record(p, labels, c if has_color else None) for p, labels, c in blocks]
-    _write_vertices(path, [rec, *encoded])
+    _write_vertices(path, [rec, *encoded], source)
 
 
 def load_scene(path: str | Path) -> PointCloudScene:
@@ -154,8 +194,11 @@ def _read_geometry(
 
     A binary record is a read-only view of the mapped file, which stays
     mapped while the record lives: its pages are the page cache's, so no
-    copy of the file is read into fresh memory for each scene. Truncating
-    the file while the record is alive raises SIGBUS on access."""
+    copy of the file is read into fresh memory for each scene. The columns
+    and labels are copied out _RECORD_CHUNK rows at a time, and each
+    chunk's pages leave the process once copied, so the whole file is never
+    resident beside the heap; a later read of the record maps them back.
+    Truncating the file while the record is alive raises SIGBUS on access."""
     path = Path(path)
     data = _mapped(path)
     fmt, count, dtype, body_offset = _parse_header(path, data)
@@ -173,25 +216,66 @@ def _read_geometry(
 
     if count < 1:
         raise AlignmentError(f"{path}: a scene must contain at least one point")
-    columns = np.stack([rec[name] for name in ("x", "y", "z")])
+    # Labels are kept in the file's int32: one copy out of the packed record.
+    has_labels = "label" in dtype.names
+    columns = np.empty((3, count), dtype=np.float32)
+    labels = np.empty(count, dtype=np.int32) if has_labels else np.full(count, -1, dtype=np.int32)
+    for start in range(0, count, _RECORD_CHUNK):
+        stop = min(start + _RECORD_CHUNK, count)
+        chunk = rec[start:stop]
+        for k, name in enumerate(("x", "y", "z")):
+            columns[k, start:stop] = chunk[name]
+        if has_labels:
+            labels[start:stop] = chunk["label"]
+        _drop_mapped_pages(rec, start, stop)
     # A NaN or an infinity shows in its column's min or max; check_finite's
     # exact scan then names the first such point.
     extremes = np.stack([columns.min(axis=1), columns.max(axis=1)], axis=1)
     if not np.isfinite(extremes).all():
         check_finite(str(path), columns)
-    # Kept in the file's int32: one copy out of the packed record.
-    if "label" in dtype.names:
-        labels = np.array(rec["label"], dtype=np.int32)
-    else:
+    if not has_labels:
         warnings.warn(
             f"{path}: no 'label' property; labels default to -1", MissingLabelWarning
         )
-        labels = np.full(count, -1, dtype=np.int32)
     lo, hi = int(labels.min()), int(labels.max())
     if lo < -1 or hi >= n_classes:
         # Raised on the int64 cast, so the message reads as for any label file.
         checked_labels(f"{path}:", labels.astype(np.int64), hi=n_classes)
     return columns, labels, rec, extremes, (lo, hi)
+
+
+def _mapping_of(rec: np.ndarray) -> "tuple[mmap.mmap, int] | None":
+    """The mapped file a record views (_read_geometry's) and the record's
+    byte offset in it, or None for a record in memory."""
+    base = rec.base
+    while isinstance(base, np.ndarray):  # a view of the record
+        base = base.base
+    mapping = getattr(base, "obj", None)  # np.frombuffer's memoryview of the mmap
+    if not hasattr(mapping, "madvise"):
+        return None
+    return mapping, (rec.__array_interface__["data"][0]
+                     - np.frombuffer(mapping, np.uint8).__array_interface__["data"][0])
+
+
+def _drop_mapped_pages(rec: np.ndarray, start: int, stop: int) -> None:
+    """Release this process's pages of rows start to stop of a record that
+    views a mapped file, once they are read: from the page holding row
+    start to the one holding row stop, which the next chunk still uses, or
+    to the file's end after the last row. The pages stay in the page cache,
+    so touching those rows again maps them back. A record in memory is left
+    alone."""
+    view = _mapping_of(rec)
+    if view is None:
+        return
+    import mmap  # loaded already: the record is mapped
+
+    mapping, first = view
+    page = mmap.PAGESIZE
+    lo = (first + start * rec.dtype.itemsize) // page * page
+    hi = (len(mapping) if stop == rec.shape[0]
+          else (first + stop * rec.dtype.itemsize) // page * page)
+    if hi > lo:
+        mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _mapped(path: Path) -> "mmap.mmap | bytes":

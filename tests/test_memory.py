@@ -3,12 +3,19 @@
 mix, stats and eval hold one scene at a time, so listing one PLY under
 three scene ids must not raise a command's peak much above the peak with
 one id. Peaks are traced by tracemalloc, which sees numpy's buffers and
-Python's bytes objects, but not a mapped file's pages.
+Python's bytes objects, but not a mapped file's pages. eval --grid hands
+the heap freed before it back to the OS before it reads a scene, and mix
+once its scenes are written.
 """
 
 import contextlib
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +115,68 @@ def test_eval_grid_votes_with_the_record_and_columns_freed(corpus, monkeypatch):
 
     monkeypatch.setattr(cli_module, "_read_geometry", pinning)
     assert traced_peak(args) - peak >= 0.8 * N_POINTS * 12
+
+
+def test_freed_heap_returned_before_eval_reads_and_after_mix_writes(corpus, monkeypatch):
+    # eval --grid before its first scene is read, so its vote does not land
+    # among what came before it; mix once its last scene is written and its
+    # support set is gone, so whatever reads the mixed PLYs next does not
+    # land among mix's freed buffers.
+    out = corpus / "mixed_trim"
+    calls, supports, reads = [], [], []
+    load_support, read_geometry = cli_module.load_support, cli_module._read_geometry
+
+    def loading(manifest):
+        support, provider = load_support(manifest)
+        supports.append(weakref.ref(support))
+        return support, provider
+
+    def reading(*args):
+        reads.append(args[0])
+        return read_geometry(*args)
+
+    monkeypatch.setattr(cli_module, "load_support", loading)
+    monkeypatch.setattr(cli_module, "_read_geometry", reading)
+    monkeypatch.setattr(cli_module, "_return_freed_heap", lambda: calls.append(
+        (len(reads), sorted(p.name for p in out.iterdir()), supports[0]() is None)))
+    with contextlib.redirect_stdout(None):
+        assert main(["mix", "--manifest", str(corpus / "big_3.json"), "--out", str(out)]) == EXIT_OK
+        assert main(argv(corpus, "eval", 3)) == EXIT_OK
+        # Without a grid eval votes nothing, and leaves the heap as it is.
+        assert main(["eval", "--manifest", str(corpus / "manifest.json"),
+                     "--pred-dir", str(corpus / "raw")]) == EXIT_OK
+    mixed = ["big_0.ply", "big_1.ply", "big_2.ply"]
+    assert calls == [(3, mixed, True), (3, mixed, True)]
+
+
+TRIM_PROBE = """
+import numpy as np
+import pcrefine.cli as cli
+
+def anon_mb():
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) / 1024
+
+np.ones(2 << 20).sum()  # a freed 16 MB mapping: glibc now serves smaller blocks from the heap
+blocks = [np.ones(1 << 17) for _ in range(24)]  # 24 MB
+pin = np.ones(1 << 17)  # allocated above them, so free() cannot shrink the heap
+del blocks
+before = anon_mb()
+cli._return_freed_heap()
+print(before - anon_mb())
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
+                    reason="malloc_trim is glibc's")
+def test_return_freed_heap_releases_a_hole_below_a_live_block():
+    # In a fresh interpreter, so no earlier test's heap is in the way.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", TRIM_PROBE], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert float(out) >= 20, f"{out.strip()} MB returned of 24"
 
 
 def test_stats_reads_no_more_than_mix(corpus):

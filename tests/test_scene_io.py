@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcrefine.scene_io as scene_io
 from pcrefine import PointCloudScene, load_scene, save_scene
 from pcrefine.errors import AlignmentError, ConfigError, ContractError, FormatError
 from pcrefine.scene_io import (
@@ -16,6 +17,7 @@ from pcrefine.scene_io import (
     _read_ascii,
     _read_geometry,
     _vertex_count,
+    _write_vertices,
     load_labels,
     load_manifest,
     load_mask,
@@ -416,6 +418,88 @@ def test_load_scene_arrays_equal_stack_reference(tmp_path_factory, n, seed, fmt,
     assert_same_bytes(got.positions, positions)
     assert_same_bytes(got.colors, colors)
     assert_same_bytes(got.labels, labels)
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 14, 15, 3000])
+def test_chunked_read_and_write_equal_the_references(tmp_path, monkeypatch, n):
+    # 7 rows at a time, the mapping's pages released behind each chunk: the
+    # arrays and bytes of the unchunked references, around every boundary
+    # and across pages.
+    monkeypatch.setattr(scene_io, "_RECORD_CHUNK", 7)
+    scene = make_scene(n, seed=n)
+    path = tmp_path / "s.ply"
+    save_scene(scene, path)
+    assert path.read_bytes() == encode_tobytes(scene)
+    got = load_scene(path)
+    positions, colors, labels = decode_stack(path)
+    assert_same_bytes(got.positions, positions)
+    assert_same_bytes(got.colors, colors)
+    assert_same_bytes(got.labels, labels)
+    for source in (None, path):  # through the mapping, and file to file
+        _write_vertices(tmp_path / "copy.ply", [_read_geometry(path)[2]], source)
+        assert (tmp_path / "copy.ply").read_bytes() == path.read_bytes()
+
+
+def mapped_kb(path):
+    """Resident kB of this process's mappings of path, from Linux's smaps."""
+    name, total, inside = os.path.realpath(path), 0, False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+                inside = line.rstrip("\n").endswith(" " + name)
+            elif inside and line.startswith("Rss:"):
+                total += int(line.split()[1])
+    return total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")
+def test_mapped_pages_leave_once_read_and_are_not_mapped_back_to_write(tmp_path):
+    # The whole file is never resident in the process beside the copies
+    # made of it, and writing the record out copies it file to file.
+    path = tmp_path / "s.ply"
+    save_scene(make_scene(200_000), path)
+    rec = _read_geometry(path)[2]
+    assert mapped_kb(path) == 0
+    _write_vertices(tmp_path / "copy.ply", [rec, rec[:3]], path)
+    assert mapped_kb(path) == 0
+    _write_vertices(tmp_path / "reference.ply", [np.array(rec), np.array(rec[:3])])
+    assert (tmp_path / "copy.ply").read_bytes() == (tmp_path / "reference.ply").read_bytes()
+    # Read again, the record's pages come back from the page cache: the
+    # check above would see them.
+    assert mapped_kb(path) >= 0.9 * path.stat().st_size // 1024
+
+
+@pytest.mark.parametrize("fault", ["missing", "error", "short", "resized"])
+def test_file_to_file_copy_falls_back_to_the_mapping(tmp_path, monkeypatch, fault):
+    # Where the kernel cannot copy, or the file is no longer the one mapped,
+    # the record is written from its mapping, over any bytes copied so far.
+    path = tmp_path / "s.ply"
+    save_scene(make_scene(5000), path)
+    rec = _read_geometry(path)[2]
+    expected = path.read_bytes()
+    copy_file_range = getattr(os, "copy_file_range", None)
+
+    def short(src, dst, count, offset_src, offset_dst):  # two pages, then end of file
+        if offset_src >= 8192:
+            return 0
+        return copy_file_range(src, dst, min(count, 4096), offset_src, offset_dst)
+
+    def failing(*args):
+        raise OSError(18, "Invalid cross-device link")
+
+    if fault == "missing":
+        monkeypatch.delattr(os, "copy_file_range", raising=False)
+    elif fault == "error":
+        monkeypatch.setattr(os, "copy_file_range", failing, raising=False)
+    elif fault == "short":
+        if copy_file_range is None:
+            pytest.skip("no os.copy_file_range here")
+        monkeypatch.setattr(os, "copy_file_range", short)
+    else:  # replaced since it was read: the mapping keeps the old file
+        save_scene(make_scene(5001, seed=1), tmp_path / "other.ply")
+        os.replace(tmp_path / "other.ply", path)
+    _write_vertices(tmp_path / "copy.ply", [rec], path)
+    assert (tmp_path / "copy.ply").read_bytes() == expected
 
 
 @pytest.mark.parametrize("mask", [
