@@ -7,7 +7,6 @@ precomputed feature files or a deterministic synthetic generator.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import struct
 import warnings
@@ -20,25 +19,10 @@ import numpy as np
 from .errors import AlignmentError, ConfigError, FormatError
 from .prototypes import PrototypeSet
 from .scene import ClassSchema, PointCloudScene, _check_number, checked_labels
+from .scene_io import _mapped, _replacing
 
 EMBEDDING_MAGIC = b"GFVE"
 EMBEDDING_VERSION = 1
-
-
-@contextlib.contextmanager
-def _replacing(path: str | Path):
-    """A binary file open for writing under a temporary name beside path,
-    moved over path when the block ends, or removed if it raises: data
-    mapped from path itself can be written back to it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_embeddings(features: np.ndarray, path: str | Path) -> None:
@@ -64,13 +48,11 @@ def load_embeddings(path: str | Path) -> np.ndarray:
     """The (N, D) float32 matrix of an embedding file, as stored.
 
     The payload must be exactly n x d x 4 bytes, checked against the file
-    size before anything is mapped. The result is a read-only, C-contiguous
-    view of the mapped file, so only the pages of the rows a caller reads
-    are ever loaded. Truncating the file while the view is alive raises
-    SIGBUS on access.
+    size before anything is mapped (by scene_io._mapped, as a PLY is). The
+    result is a read-only, C-contiguous view of the mapping, so only the
+    pages of the rows a caller reads are ever loaded. Truncating the file
+    while the view is alive raises SIGBUS on access.
     """
-    import mmap  # here, not at module level, as np.memmap does: keeps CLI start-up lean
-
     path = Path(path)
     with open(path, "rb") as f:
         header = f.read(20)
@@ -92,7 +74,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
             )
         if need == 0:  # an empty payload cannot be mapped
             return np.empty((n, d), dtype="<f4")
-        buf = mmap.mmap(f.fileno(), 20 + need, access=mmap.ACCESS_READ)
+        buf = _mapped(f)
     return np.frombuffer(buf, dtype="<f4", count=n * d, offset=20).reshape(n, d)
 
 

@@ -5,11 +5,14 @@ Supported PLY vertex layout: x, y, z as float32 (required), red/green/blue
 as uint8 (optional, all three or none), label as int32 (optional; missing
 labels load as -1 with a MissingLabelWarning). Reads ASCII and binary
 little-endian PLY into one vertex record; writes binary little-endian.
-Both JSON files carry "version": FORMAT_VERSION, a JSON integer.
+Both JSON files carry "version": FORMAT_VERSION, a JSON integer. The file
+mechanics of PLY and embedding files alike are here: _mapped, the one opener
+that maps a file, and _replacing, the one atomic writer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import stat
@@ -23,8 +26,7 @@ import numpy as np
 from .errors import AlignmentError, ConfigError, ContractError, FormatError
 from .scene import ClassSchema, PointCloudScene, check_finite, checked_labels, checked_mask
 
-# embeddings and prototypes are imported where support sets and replaced
-# files are handled, so reading a scene or a manifest loads neither.
+# embeddings and prototypes load only in save_support and load_support.
 if TYPE_CHECKING:
     from .embeddings import FileFeatureProvider
     from .prototypes import SupportSet
@@ -49,6 +51,22 @@ _PROPERTIES = {
     **dict.fromkeys(("red", "green", "blue"), (("uchar", "uint8"), "u1")),
     "label": (("int", "int32"), "<i4"),
 }
+
+
+@contextlib.contextmanager
+def _replacing(path: str | Path):
+    """A binary file open for writing under a temporary name beside path,
+    moved over path when the block ends, or removed if it raises: data
+    mapped from path itself can be written back to it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_scene(scene: PointCloudScene, path: str | Path) -> None:
@@ -94,8 +112,6 @@ def _write_vertices(
     source, if given, is the file the mapped records were read from: their
     bytes are copied from it by the kernel where it can, so the pages
     _read_geometry released are not mapped back in."""
-    from .embeddings import _replacing
-
     names = records[0].dtype.names
     header = ["ply", "format binary_little_endian 1.0",
               f"element vertex {sum(rec.shape[0] for rec in records)}"]
@@ -200,7 +216,8 @@ def _read_geometry(
     resident beside the heap; a later read of the record maps them back.
     Truncating the file while the record is alive raises SIGBUS on access."""
     path = Path(path)
-    data = _mapped(path)
+    with open(path, "rb") as f:
+        data = _mapped(f)
     fmt, count, dtype, body_offset = _parse_header(path, data)
     if fmt == "ascii":
         rec = _read_ascii(path, data[body_offset:], count, dtype)
@@ -278,29 +295,30 @@ def _drop_mapped_pages(rec: np.ndarray, start: int, stop: int) -> None:
         mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
-def _mapped(path: Path) -> "mmap.mmap | bytes":
-    """A file's bytes, as a read-only mapping, or read when the file cannot
-    be mapped: an empty file or a pipe."""
-    import mmap  # here, as in load_embeddings: keeps CLI start-up lean
+def _mapped(f) -> "mmap.mmap | bytes":
+    """The bytes of the binary file f, open for reading, as a read-only
+    mapping of the whole file, or read from f's position when it cannot be
+    mapped: an empty file or a pipe. The mapping outlives f."""
+    import mmap  # here, not at module level, as np.memmap does: keeps CLI start-up lean
 
-    with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size:
-            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        return f.read()
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size:
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return f.read()
 
 
 def _vertex_count(path: Path) -> int:
     """The vertex count a PLY file's header declares, its body unread.
     Raises as _parse_header."""
-    return _parse_header(path, _mapped(path))[1]
+    with open(path, "rb") as f:
+        return _parse_header(path, _mapped(f))[1]
 
 
 def _parse_header(path: Path, data: bytes) -> tuple[str, int, np.dtype, int]:
     """The format, vertex count, record dtype (the declared properties in file
     order, typed by _PROPERTIES) and body offset of a PLY file."""
-    end = data.find(b"end_header\n")
-    if end < 0:
+    end = data.find(b"\nend_header\n") + 1  # a whole line, not a comment's last word
+    if not end:
         raise FormatError(f"{path}: missing 'end_header' line")
     body_offset = end + len(b"end_header\n")
     # A non-ASCII byte decodes to U+FFFD, which matches no keyword, name or type.

@@ -111,7 +111,8 @@ CLI_BASE = {"cli", "errors", "scene", "scene_io"}
 COMMAND_LAYERS = {
     "import": set(),
     "eval": {"metrics"},
-    "mix": {"mix", "prototypes", "embeddings"},  # PLYs are written through embeddings._replacing
+    # embeddings for load_support's FileFeatureProvider, which mix never reads
+    "mix": {"mix", "prototypes", "embeddings"},
     "stats": {"benchmark"},
     "split": {"benchmark"},
     "simulate-no-erosion": {"sim", "prototypes", "embeddings"},
@@ -124,6 +125,32 @@ COMMAND_LAYERS = {
 def test_command_loads_only_its_layers(loaded_after, command):
     want = {"pcrefine", *(f"pcrefine.{m}" for m in CLI_BASE | COMMAND_LAYERS[command])}
     assert loaded_after(command)["pcrefine"] == want
+
+
+# A PLY round trip through every scene_io reader and writer: the file layer
+# maps and replaces files itself, so it loads no embeddings or prototypes.
+PLY_ROUND_TRIP = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from pcrefine.scene import PointCloudScene
+from pcrefine.scene_io import _append_blocks, _read_geometry, load_scene, save_scene
+path = Path(sys.argv[1])
+save_scene(PointCloudScene(np.zeros((4, 3)), np.arange(4), np.ones((4, 3))), path)
+scene = load_scene(path)
+rec = _read_geometry(path)[2]
+_append_blocks(path, rec, [(scene.positions + 1, scene.labels, scene.colors)], source=path)
+assert load_scene(path).point_count == 8
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "pcrefine")))
+"""
+
+
+def test_ply_round_trip_loads_only_the_file_layer(tmp_path):
+    out = subprocess.run([sys.executable, "-c", PLY_ROUND_TRIP, str(tmp_path / "s.ply")],
+                         env=env_with_blas_threads(None), check=True, capture_output=True,
+                         text=True).stdout
+    assert set(json.loads(out)) == {"pcrefine", *(f"pcrefine.{m}" for m in
+                                                   ("errors", "scene", "scene_io"))}
 
 
 # pcrefine sets OpenBLAS to one thread when it loads, unless the caller chose a

@@ -301,6 +301,26 @@ def test_ascii_and_binary_decode_alike(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+def test_comment_ending_in_end_header_does_not_end_the_header(tmp_path, fmt):
+    """The header ends at a line that is exactly end_header; a comment line
+    that ends with the word is skipped like any other comment."""
+    ascii_path = tmp_path / "a.ply"
+    ascii_path.write_text(ASCII_PLY)
+    if fmt == "ascii":
+        data = ASCII_PLY.encode()
+    else:
+        save_scene(load_scene(ascii_path), tmp_path / "b.ply")
+        data = (tmp_path / "b.ply").read_bytes()
+    path = tmp_path / "commented.ply"
+    path.write_bytes(data.replace(b"element vertex 2\n",
+                                  b"comment written by tool_end_header\nelement vertex 2\n", 1))
+    assert _vertex_count(path) == 2
+    scene, want = load_scene(path), load_scene(ascii_path)
+    for field in ("positions", "labels", "colors"):
+        np.testing.assert_array_equal(getattr(scene, field), getattr(want, field))
+
+
 def encode_tobytes(scene):
     """The reference: save_scene's bytes as it was written, casting whole
     (N, 3) arrays and writing the record through tobytes()."""

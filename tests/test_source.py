@@ -1,7 +1,7 @@
 """Checks on the package source, read with the standard library's ast:
 every module-level import in src/pcrefine is used in its module, the CLI
-has one output path, and every embedding file is read through one row
-check."""
+has one output path, every embedding file is read through one row check,
+and every file is mapped and replaced by scene_io alone."""
 
 import ast
 from pathlib import Path
@@ -105,3 +105,38 @@ def test_embedding_read_checker_finds_reads():
 def test_embeddings_are_read_only_through_the_row_check():
     found = {path.name: embedding_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# The one file layer: scene_io._mapped is the only code that maps a file,
+# PLY or embedding file alike, and scene_io alone defines _replacing, the
+# atomic writer both formats are written through.
+OPENERS = {"scene_io.py": ("_mapped",)}
+
+
+def mmap_reads(source: str, functions=()) -> list[int]:
+    """The line of each read of the attribute mmap.mmap outside the
+    module-level functions named in functions."""
+    return sorted(node.lineno for node in nodes_outside(source, functions)
+                  if isinstance(node, ast.Attribute) and node.attr == "mmap"
+                  and isinstance(node.value, ast.Name) and node.value.id == "mmap")
+
+
+def test_mmap_checker_finds_reads():
+    source = ("import mmap\n"
+              "def _mapped(f):\n    return mmap.mmap(f.fileno(), 0)\n"
+              "def load(f):\n    opener = mmap.mmap\n    return mmap.mmap(f.fileno(), 0)\n")
+    assert mmap_reads(source, ("_mapped",)) == [5, 6]
+    assert mmap_reads(source) == [3, 5, 6]
+
+
+def test_files_are_mapped_only_by_scene_io_mapped():
+    found = {path.name: mmap_reads(path.read_text(), OPENERS.get(path.name, ()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_replacing_is_defined_only_in_scene_io():
+    defined = [path.name for path in sorted(SRC.glob("*.py"))
+               if any(isinstance(node, ast.FunctionDef) and node.name == "_replacing"
+                      for node in ast.walk(ast.parse(path.read_text())))]
+    assert defined == ["scene_io.py"]
