@@ -234,11 +234,11 @@ def cmd_simulate(args) -> tuple[dict, None]:
     return {"out": str(out), "scenes": args.scenes, "support_shots": args.shots}, None
 
 
-def _role_entries(manifest: Manifest, role: str) -> list[SceneEntry]:
-    """The manifest's scenes with this role; none at all is a usage error."""
-    entries = manifest.entries(role)
+def _role_entries(manifest: Manifest, *roles: str) -> list[SceneEntry]:
+    """The manifest's scenes with any of these roles; none at all is a usage error."""
+    entries = [e for e in manifest.scenes if e.role in roles]
     if not entries:
-        raise ConfigError(f"manifest has no scenes with role {role!r}")
+        raise ConfigError(f"manifest has no scenes with role {' or '.join(map(repr, roles))}")
     return entries
 
 
@@ -331,7 +331,7 @@ def cmd_stats(args) -> tuple[dict, str | None]:
     manifest = load_manifest(Path(args.manifest))
     # Only the checked labels outlive each read: no scene is built.
     labels = (_read_geometry(manifest.resolve(e.path), manifest.schema.n_classes)[1]
-              for e in manifest.scenes if e.role != "support")
+              for e in _role_entries(manifest, "train", "test"))
     stats = benchmark._label_stats(labels, manifest.schema)
     return {"count_mode": "scenes", "classes": stats.to_dict()}, args.out
 

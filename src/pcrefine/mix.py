@@ -61,8 +61,8 @@ def crop_novel(
     """Cut the XY bounding box of masked points, expanded by margin per side.
 
     The full Z range is kept. Retained points carry the support scene's label
-    where masked and -1 elsewhere, so surrounding context comes along without
-    leaking foreign labels.
+    where masked and -1 elsewhere, so surrounding context comes along; no
+    foreign label leaks while the mask lies inside its class.
     """
     mask = checked_mask("crop", mask, support_scene.point_count)
     if not mask.any():
@@ -77,8 +77,7 @@ def crop_novel(
     kept_mask = mask[keep]
     labels = np.where(kept_mask, support_scene.labels[keep], -1)
     colors = support_scene.colors[keep] if support_scene.colors is not None else None
-    cropped = PointCloudScene(positions=pos[keep], labels=labels, colors=colors)
-    return cropped, kept_mask
+    return PointCloudScene(positions=pos[keep], labels=labels, colors=colors), kept_mask
 
 
 def mix(
@@ -89,9 +88,9 @@ def mix(
 ) -> PointCloudScene:
     """Insert n_blocks cropped support shots around the base scene.
 
-    Shots are sampled uniformly with replacement (class, then shot). Each
-    block aligns against the accumulated cloud from previous blocks, so
-    insertions fan out as the scene grows. Base points, labelled below n_classes, are never altered.
+    Shots are sampled uniformly with replacement (class, then shot); each block aligns
+    against the cloud grown so far, so insertions fan out. A block carries its shot's class
+    where the mask selects, -1 elsewhere. Base points, labelled below n_classes, are never altered.
     """
     checked_labels(f"{base.source_path or 'scene'}:", base.labels, hi=support.schema.n_classes)
     if rng is None:
@@ -107,7 +106,7 @@ def _blocks(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """The (positions, labels, colors) of each block mix inserts around a base
     cloud at base_positions, (N, 3) float32 or float64, in order; only the
-    base's corners and floor are read."""
+    base's corners and floor are read. A shot's mask, not its scene, labels a block."""
     classes = support.classes()
     # The grown cloud's corners and floor, carried block to block. Taking
     # each corner over the pair (carried, block) keeps corners_xy's rule:
@@ -118,7 +117,7 @@ def _blocks(
     for _ in range(cfg.n_blocks):
         c = classes[int(rng.integers(0, len(classes)))]
         shot = support.shots[c][int(rng.integers(0, support.k))]
-        cropped, _ = crop_novel(shot.scene, shot.mask, cfg.crop_margin_xy)
+        cropped, kept_mask = crop_novel(shot.scene, shot.mask, cfg.crop_margin_xy)
         pairing = pick_pair(rng)
         # Snap the block's opposite corner onto the chosen corner in XY and
         # drop it to the floor in Z.
@@ -131,5 +130,5 @@ def _blocks(
         block = corners_xy(moved)
         corners = {k: corners_xy(np.stack([corners[k], block[k]]))[k] for k in PAIRINGS}
         floor = np.min([floor, moved[:, 2].min()])
-        blocks.append((moved, cropped.labels, cropped.colors))
+        blocks.append((moved, np.where(kept_mask, c, -1), cropped.colors))
     return blocks

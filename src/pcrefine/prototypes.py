@@ -149,7 +149,8 @@ class SupportShot:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """K shots per novel class on scenes labelled below n_classes; masks exclusive per class."""
+    """K >= 1 shots for exactly the novel classes, on scenes labelled in [-1, n_classes).
+    Each shot's mask is its annotation: masks may overlap and need not match the labels."""
 
     schema: ClassSchema
     shots: dict[int, tuple[SupportShot, ...]]

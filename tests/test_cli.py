@@ -21,8 +21,10 @@ from pcrefine import (
     MixConfig,
     PointCloudScene,
     VoxelConfig,
+    crop_novel,
     metrics,
     mix,
+    pick_pair,
     refine_labels,
     support_prototypes,
     voxelize,
@@ -551,6 +553,57 @@ class TestMixBytes:
                     assert (column == column.min()).sum() > 1 and (column == column.max()).sum() > 1
                 assert (columns[2] == columns[2].min()).sum() > 1
 
+    def test_blocks_are_labelled_by_their_masks(self, tmp_path, capsys):
+        # The support PLYs lose their labels, and the first shot drawn has its
+        # mask widened over base-labelled points inside its box: a block holds
+        # the shot's class exactly where the mask selects, -1 elsewhere.
+        corpus = mix_corpus(tmp_path, capsys, "coloured")
+        manifest = load_manifest(corpus / "manifest.json")
+        support, _ = load_support(manifest)
+        classes = support.classes()
+        rng = np.random.default_rng([4, 0])
+        c = classes[int(rng.integers(0, len(classes)))]
+        j = int(rng.integers(0, support.k))
+        shot = support.shots[c][j]
+        xy = shot.scene.positions[:, :2]
+        lo, hi = xy[shot.mask].min(axis=0), xy[shot.mask].max(axis=0)
+        inside = ((xy >= lo) & (xy <= hi)).all(axis=1)
+        widened = shot.mask | (inside & (shot.scene.labels >= 0)
+                               & (shot.scene.labels < manifest.schema.n_base))
+        assert (widened & ~shot.mask).any()
+        doc = json.loads((corpus / "support.json").read_text())
+        np.save(corpus / doc["classes"][str(c)][j]["mask"], widened)
+        for path in sorted(corpus.glob("support/*.ply")):
+            edit_ply_record(path, lambda rec: rec[[n for n in rec.dtype.names if n != "label"]])
+
+        cfg = MixConfig(n_blocks=3, crop_margin_xy=0.5, seed=4)
+        with warnings_recorded() as caught:
+            support, _ = load_support(manifest)
+            for i, entry in enumerate(manifest.entries("train")):
+                base = load_scene(manifest.resolve(entry.path))
+                mixed = mix(base, support, cfg, np.random.default_rng([4, i]))
+                save_scene(mixed, tmp_path / f"ref_{entry.scene_id}.ply")
+                rng, expected = np.random.default_rng([4, i]), []
+                for _ in range(cfg.n_blocks):
+                    b = classes[int(rng.integers(0, len(classes)))]
+                    block_shot = support.shots[b][int(rng.integers(0, support.k))]
+                    expected.append(np.where(crop_novel(block_shot.scene, block_shot.mask,
+                                                        cfg.crop_margin_xy)[1], b, -1))
+                    pick_pair(rng)
+                np.testing.assert_array_equal(mixed.labels[base.point_count:],
+                                              np.concatenate(expected))
+        assert (support.shots[c][j].mask == widened).all()
+        assert (mixed.labels[base.point_count:] >= manifest.schema.n_base).any()
+        with warnings_recorded() as warned:
+            code, _, _ = run(capsys, "mix", "--manifest", str(corpus / "manifest.json"),
+                             "--out", str(tmp_path / "mixed"), "--blocks", "3",
+                             "--margin", "0.5", "--seed", "4")
+        assert code == EXIT_OK
+        assert [str(w.message) for w in warned] == [str(w.message) for w in caught]
+        for entry in manifest.entries("train"):
+            assert ((tmp_path / f"mixed/{entry.scene_id}.ply").read_bytes()
+                    == (tmp_path / f"ref_{entry.scene_id}.ply").read_bytes()), entry.scene_id
+
     @pytest.mark.parametrize("layout", ["coloured", "shuffled"])
     def test_out_over_its_own_input(self, tmp_path, capsys, layout):
         # The base record is mapped from the very file each output replaces.
@@ -939,15 +992,16 @@ def test_fault_names_its_scene_or_file(tmp_path, capsys, command, fault):
 
 @pytest.mark.parametrize("command, role", [
     ("refine", None), ("mix", None), ("eval", None), ("eval", "test"), ("eval", "trian"),
+    ("stats", None),
 ])
 def test_no_scenes_for_role(tmp_path, capsys, command, role):
     corpus = simulate(tmp_path, capsys, **{"--scenes": "1"})
     manifest_path = corpus / "manifest.json"
     if role is None:
-        # Every scene moved out of the role the command reads.
+        # Every scene moved out of the roles the command reads.
         doc = json.loads(manifest_path.read_text())
         for entry in doc["scenes"]:
-            entry["role"] = "test"
+            entry["role"] = "support" if command == "stats" else "test"
         manifest_path.write_text(json.dumps(doc))
     argv = [command, "--manifest", str(manifest_path)]
     if command == "eval":
@@ -958,7 +1012,10 @@ def test_no_scenes_for_role(tmp_path, capsys, command, role):
     assert code == EXIT_CONTRACT
     error = json.loads(err)["error"]
     assert error["type"] == "ConfigError"
-    assert repr(role or "train") in error["message"]
+    if command == "stats":
+        assert error["message"] == "manifest has no scenes with role 'train' or 'test'"
+    else:
+        assert error["message"].endswith(f"manifest has no scenes with role {role or 'train'!r}")
     assert out == ""
 
 

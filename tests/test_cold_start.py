@@ -230,6 +230,36 @@ for entry in manifest.entries("train"):
     refined = PointCloudScene(scene.positions, load_labels(f"refined/{entry.scene_id}.npy"))
     np.save(f"pred_grid/{entry.scene_id}.npy", voxelize(refined, VoxelConfig(0.05)).labels)
 """
+# A copy of the corpus's train and support scenes, masks and manifests, every
+# PLY given seeded colours, for a coloured mix.
+COLOURED_CORPUS = """
+import shutil
+from pathlib import Path
+import numpy as np
+from pcrefine import PointCloudScene, load_scene, save_scene
+shutil.copytree("corpus", "coloured",
+                ignore=shutil.ignore_patterns("embeddings", "raw", "base_labels", "*.gfve"))
+rng = np.random.default_rng(5)
+for path in sorted(Path("coloured").glob("*/*.ply")):
+    scene = load_scene(path)
+    colors = rng.uniform(0, 1, size=(scene.point_count, 3))
+    save_scene(PointCloudScene(scene.positions, scene.labels, colors), path)
+"""
+# eval --grid scores the coloured mix through a manifest of the mixed scenes;
+# each is predicted as its cells' majority, with every fifth cell missed.
+MIXED_PREDICTIONS = """
+import dataclasses, os
+import numpy as np
+from pcrefine import VoxelConfig, load_manifest, load_scene, save_manifest, voxelize
+manifest = load_manifest("coloured/manifest.json")
+mixed = [dataclasses.replace(e, path=f"mixed/{e.scene_id}.ply") for e in manifest.entries("train")]
+save_manifest(dataclasses.replace(manifest, scenes=mixed), "coloured/mixed.json")
+os.mkdir("pred_coloured")
+for entry in mixed:
+    labels = voxelize(load_scene(manifest.resolve(entry.path)), VoxelConfig(0.05)).labels
+    labels[::5] = -1
+    np.save(f"pred_coloured/{entry.scene_id}.npy", labels)
+"""
 
 
 # The sha256 of every file the default-thread chain writes, and of each
@@ -255,10 +285,10 @@ def written_under(root):
 
 
 def chain_outputs(root, blas_threads):
-    """Every file a simulate -> refine -> eval, eval --grid, mix, stats ->
-    split chain of fresh processes writes under `root`, by relative path,
-    and each command's stdout, as stdout/<step>, with the given OpenBLAS
-    setting."""
+    """Every file a simulate -> refine -> eval, eval --grid, mix, coloured
+    mix -> eval --grid, stats -> split chain of fresh processes writes under
+    `root`, by relative path, and each command's stdout, as stdout/<step>,
+    with the given OpenBLAS setting."""
     env = env_with_blas_threads(blas_threads)
     stdout = {}
     for step, args in (
@@ -268,6 +298,13 @@ def chain_outputs(root, blas_threads):
                        "--pred-dir", "pred_grid", "--grid", "0.05", "--out", "eval_grid.json"]),
         ("mix", [CONSOLE, "mix", "--manifest", "corpus/manifest.json", "--out", "mixed",
                  "--blocks", "3"]),
+        (None, [COLOURED_CORPUS]),
+        ("mix_coloured", [CONSOLE, "mix", "--manifest", "coloured/manifest.json",
+                          "--out", "coloured/mixed", "--blocks", "3"]),
+        (None, [MIXED_PREDICTIONS]),
+        ("eval_coloured", [CONSOLE, "eval", "--manifest", "coloured/mixed.json",
+                           "--pred-dir", "pred_coloured", "--grid", "0.05",
+                           "--out", "eval_coloured.json"]),
         ("stats", [CONSOLE, "stats", "--manifest", "corpus/manifest.json", "--out", "stats.json"]),
         ("split", [CONSOLE, "split", "--stats", "stats.json", "--threshold", "1", "--base", "2",
                    "--out", "split.json"]),

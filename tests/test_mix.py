@@ -265,8 +265,8 @@ class TestMix:
         classes = support.classes()
         c = classes[int(rng2.integers(0, len(classes)))]
         shot = support.shots[c][int(rng2.integers(0, support.k))]
-        cropped, _ = crop_novel(shot.scene, shot.mask, 1.0)
-        assert sorted(inserted) == sorted(cropped.labels)
+        _, kept_mask = crop_novel(shot.scene, shot.mask, 1.0)
+        assert sorted(inserted) == sorted(np.where(kept_mask, c, -1))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -295,15 +295,17 @@ def translate_and_align(base, novel_local, pairing):
 
 
 def reference_mix(base, support, cfg):
-    """`mix` as a loop of translate_and_align over the same sampling stream."""
+    """`mix` as a loop of translate_and_align over the same sampling stream;
+    each crop is labelled by its shot's mask: the class where masked, else -1."""
     rng = np.random.default_rng(cfg.seed)
     classes = support.classes()
     mixed = base
     for _ in range(cfg.n_blocks):
         c = classes[int(rng.integers(0, len(classes)))]
         shot = support.shots[c][int(rng.integers(0, support.k))]
-        cropped, _ = crop_novel(shot.scene, shot.mask, cfg.crop_margin_xy)
-        mixed = translate_and_align(mixed, cropped, pick_pair(rng))
+        cropped, kept_mask = crop_novel(shot.scene, shot.mask, cfg.crop_margin_xy)
+        block = PointCloudScene(cropped.positions, np.where(kept_mask, c, -1), cropped.colors)
+        mixed = translate_and_align(mixed, block, pick_pair(rng))
     return mixed
 
 
@@ -348,7 +350,9 @@ def random_case(seed):
             n = int(rng.integers(1, 25))
             mask = rng.random(n) < 0.5
             mask[int(rng.integers(0, n))] = True
+            # Every third point is base-labelled, under the mask or not.
             labels = np.where(mask, c, 0)
+            labels[::3] = 0
             on = colour_mode == 1 or (colour_mode == 3 and (c - 2, j) != bare)
             per.append(SupportShot(PointCloudScene(cloud(n, -2, 2), labels,
                                                    colours(n, on)), mask))
