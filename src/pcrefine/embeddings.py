@@ -49,9 +49,13 @@ def load_embeddings(path: str | Path) -> np.ndarray:
 
     The payload must be exactly n x d x 4 bytes, checked against the file
     size before anything is mapped (by scene_io._mapped, as a PLY is). The
-    result is a read-only, C-contiguous view of the mapping, so only the
-    pages of the rows a caller reads are ever loaded. Truncating the file
-    while the view is alive raises SIGBUS on access.
+    result is a read-only, C-contiguous view of the mapping: the file is
+    read as its rows are touched, but a touch may map far more than the
+    row (the kernel can map a whole large page-cache folio, 2 MiB, per
+    fault), so scattered reads soon hold the whole file. The refine core
+    reads it a window at a time in file order and releases each window's
+    pages behind it (prototypes._windows). Truncating the file while the
+    view is alive raises SIGBUS on access.
     """
     path = Path(path)
     with open(path, "rb") as f:

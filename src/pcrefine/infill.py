@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .prototypes import PrototypeSet, checked_features, novel_prototypes
+from .prototypes import PrototypeSet, _windows, checked_features, novel_prototypes
 from .scene import ClassSchema, _check_number, checked_labels
 
 
@@ -81,28 +81,34 @@ def _infill(
 
 
 # Rows per infill block. Each similarity is one dot product of its own row
-# and prototype, so the block size bounds the float64 copy's memory and
-# never changes a result.
+# and prototype, so the block size bounds the float64 copy's memory (16 MiB
+# of 512-wide rows) and never changes a result. Blocks lie inside the
+# feature windows of prototypes._windows, whose mapped pages are released
+# behind them.
 INFILL_BLOCK_ROWS = 4096
 
 
 def _nearest_prototype(
     features: np.ndarray, rows: np.ndarray, protos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index and cosine of the most similar prototype for each listed row.
+    """Index and cosine of the most similar prototype for each listed row,
+    rows ascending.
 
-    Rows are gathered and cast to float64 one block at a time, so the whole
-    float64 copy of the unlabeled set is never built. Ties go to the first
+    Rows are read one window of the matrix at a time, in file order, and
+    gathered and cast to float64 one block at a time, so the whole float64
+    copy of the unlabeled set is never built. Ties go to the first
     prototype. A listed row that is not finite is a ContractError naming
-    its index in features.
+    the first such row by its index in features.
     """
     best, best_sim = [], []
-    for start in range(0, rows.size, INFILL_BLOCK_ROWS):
-        block = rows[start:start + INFILL_BLOCK_ROWS]
-        sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos,
-                               row_ids=block)
-        best.append(np.argmax(sims, axis=1))
-        best_sim.append(sims[np.arange(block.size), best[-1]])
+    for start, stop in _windows(features):
+        i, j = np.searchsorted(rows, (start, stop))
+        for k in range(i, j, INFILL_BLOCK_ROWS):
+            block = rows[k:min(k + INFILL_BLOCK_ROWS, j)]
+            sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos,
+                                   row_ids=block)
+            best.append(np.argmax(sims, axis=1))
+            best_sim.append(sims[np.arange(block.size), best[-1]])
     return np.concatenate(best), np.concatenate(best_sim)
 
 

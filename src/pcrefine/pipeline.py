@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .infill import InfillConfig, _infill, adaptive_set
-from .prototypes import PrototypeSet, novel_prototypes
+from .prototypes import PrototypeSet
 from .scene import ClassSchema
-from .selection import SelectionConfig, select_and_merge
+from .selection import SelectionConfig, _select_and_merge
 
 
 @dataclass
@@ -45,12 +45,12 @@ def refine_labels(
     selection_cfg = selection_cfg or SelectionConfig()
     infill_cfg = infill_cfg or InfillConfig()
 
-    y_prime, agreement, kept = select_and_merge(
+    y_prime, agreement, kept, context = _select_and_merge(
         features, raw, base_labels, support, selection_cfg, schema
     )
 
-    # y_prime holds checked labels: the unchecked cores of context_prototypes and infill.
-    context = novel_prototypes(features, y_prime, schema)
+    # context is context_prototypes(features, y_prime, schema), pooled with the
+    # predicted prototypes; y_prime holds checked labels: the unchecked core of infill.
     adaptive = adaptive_set(context, support, schema)
     y_final, n_assigned = _infill(y_prime, np.asarray(features), adaptive, infill_cfg.delta)
 

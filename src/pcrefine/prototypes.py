@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ContractError, EmptyMaskError
 from .scene import ClassSchema, PointCloudScene, checked_labels, checked_mask
+from .scene_io import _drop_mapped_pages
 
 
 def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -36,21 +37,90 @@ def pool_by_class(
 ) -> dict[int, np.ndarray]:
     """Masked mean per label value, for every c >= 0 present in checked int64 labels.
 
-    Bitwise equal to masked_pool(features, labels == c): the labeled rows
-    are stably sorted by label, and each class's rows are gathered in
-    ascending row order and summed in float64. Only labeled rows are read,
-    and neither the feature matrix nor a class's rows are cast as a whole.
+    Bitwise equal to masked_pool(features, labels == c): each class's rows
+    are gathered in ascending row order and summed in float64, by
+    _pool_windows, which reads the matrix a window of rows at a time. Only
+    labeled rows are read, and neither the feature matrix nor a class's
+    rows are cast as a whole.
     """
-    features = np.asarray(features)
+    return {c: mean for c, (mean, _) in _pool_windows(np.asarray(features), labels).items()}
+
+
+# A feature matrix is read in file order, WINDOW_BYTES of rows at a time, and
+# a mapped matrix's pages are released behind each window. The rows pooled
+# are copied into a staging buffer of STAGE_BYTES, classes grouped to fit, so
+# one window and one stage bound the memory a pool holds, whatever N x D is.
+WINDOW_BYTES = 32 << 20
+STAGE_BYTES = 16 << 20
+
+
+def _windows(features: np.ndarray):
+    """The (start, stop) rows of each window of a 2-D feature matrix, in file
+    order; once the caller moves on, the window's mapped pages are released
+    (scene_io._drop_mapped_pages), and a matrix in memory is left alone."""
+    n = features.shape[0]
+    step = max(1, WINDOW_BYTES // max(1, features.shape[1] * features.itemsize))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        yield start, stop
+        _drop_mapped_pages(features, start, stop)
+
+
+def _pool_windows(
+    features: np.ndarray, labels: np.ndarray, inner: np.ndarray | None = None,
+    wanted=lambda c, mean: True,
+) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+    """For every c >= 0 in checked int64 labels, the masked mean of the rows
+    labeled c and, given a bool vector inner, the mean of those rows where
+    inner is set, if wanted(c, mean) and there are any (None otherwise),
+    read in one pass over the windows.
+
+    Each class's rows are taken from each window straight into the class's
+    slot of the stage, in ascending row order, and once the last window is
+    read each slot is summed in float64 as one array: the same reduction
+    over the same rows as features[rows].sum(axis=0, dtype=np.float64), so
+    both means are bitwise equal to masked_pool's.
+    """
     valid = np.flatnonzero(labels >= 0)
+    if valid.size and valid[-1] >= features.shape[0]:
+        raise IndexError(f"row {valid[-1]} is labeled, past the {features.shape[0]} feature rows")
     order = valid[np.argsort(labels[valid], kind="stable")]
-    values, starts, counts = np.unique(
-        labels[order], return_index=True, return_counts=True
-    )
-    return {
-        int(c): features[order[i:i + n]].sum(axis=0, dtype=np.float64) / n
-        for c, i, n in zip(values, starts, counts)
-    }
+    values, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    ends = starts + counts
+    row_bytes = max(1, features.shape[1] * features.itemsize)
+    stage = np.empty((min(order.size, max(1, STAGE_BYTES // row_bytes)), features.shape[1]),
+                     features.dtype)
+    pooled = {}
+    first = 0
+    while first < values.size:
+        # Classes first to last - 1 share the stage; a larger class has its own.
+        last = int(np.searchsorted(ends, starts[first] + stage.shape[0], side="right"))
+        last = max(last, first + 1)
+        lo, hi = starts[first], ends[last - 1]
+        held = stage if hi - lo <= stage.shape[0] else np.empty((hi - lo, features.shape[1]),
+                                                                  features.dtype)
+        rows = order[lo:hi]
+        # Ascending: class k's rows, offset by k * n, so one search finds
+        # where every class's rows in a window start and stop.
+        offsets = np.arange(last - first) * features.shape[0]
+        key = np.repeat(offsets, counts[first:last]) + rows
+        for start, stop in _windows(features):
+            cuts = np.searchsorted(key, [offsets + start, offsets + stop]).tolist()
+            for i, j in zip(*cuts):
+                if j > i:  # mode "raise" would copy out twice; every row is in range
+                    features.take(rows[i:j], axis=0, out=held[i:j], mode="clip")
+        for c, a, b in zip(values[first:last], starts[first:last] - lo, ends[first:last] - lo):
+            mean = held[a:b].sum(axis=0, dtype=np.float64) / (b - a)
+            part = None
+            if inner is not None and wanted(int(c), mean):
+                within = inner[rows[a:b]]
+                if within.all():
+                    part = mean
+                elif within.any():
+                    part = held[a:b][within].sum(axis=0, dtype=np.float64) / within.sum()
+            pooled[int(c)] = mean, part
+        first = last
+    return pooled
 
 
 def novel_prototypes(

@@ -3,11 +3,13 @@ files of a corpus, manifest.json and support.json.
 
 Supported PLY vertex layout: x, y, z as float32 (required), red/green/blue
 as uint8 (optional, all three or none), label as int32 (optional; missing
-labels load as -1 with a MissingLabelWarning). Reads ASCII and binary
-little-endian PLY into one vertex record; writes binary little-endian.
+labels load as -1, with a MissingLabelWarning except for a support scene).
+Reads ASCII and binary little-endian PLY into one vertex record; writes
+binary little-endian.
 Both JSON files carry "version": FORMAT_VERSION, a JSON integer. The file
 mechanics of PLY and embedding files alike are here: _mapped, the one opener
-that maps a file, and _replacing, the one atomic writer.
+that maps a file, _drop_mapped_pages, which releases the pages of rows read,
+and _replacing, the one atomic writer.
 """
 
 from __future__ import annotations
@@ -262,8 +264,9 @@ def _read_geometry(
 
 
 def _mapping_of(rec: np.ndarray) -> "tuple[mmap.mmap, int] | None":
-    """The mapped file a record views (_read_geometry's) and the record's
-    byte offset in it, or None for a record in memory."""
+    """The mapped file an array views (_read_geometry's record or
+    load_embeddings' matrix) and the array's byte offset in it, or None for
+    an array in memory."""
     base = rec.base
     while isinstance(base, np.ndarray):  # a view of the record
         base = base.base
@@ -275,12 +278,13 @@ def _mapping_of(rec: np.ndarray) -> "tuple[mmap.mmap, int] | None":
 
 
 def _drop_mapped_pages(rec: np.ndarray, start: int, stop: int) -> None:
-    """Release this process's pages of rows start to stop of a record that
-    views a mapped file, once they are read: from the page holding row
-    start to the one holding row stop, which the next chunk still uses, or
-    to the file's end after the last row. The pages stay in the page cache,
-    so touching those rows again maps them back. A record in memory is left
-    alone."""
+    """Release this process's pages of rows start to stop of a row-major
+    array that views a mapped file, a vertex record or a feature matrix,
+    once they are read: from the page holding row start to the one holding
+    row stop, which the next rows still use, or to the file's end after the
+    last row. Rows are rec.strides[0] bytes apart. The pages stay in the
+    page cache, so touching those rows again maps them back. An array in
+    memory is left alone."""
     view = _mapping_of(rec)
     if view is None:
         return
@@ -288,9 +292,9 @@ def _drop_mapped_pages(rec: np.ndarray, start: int, stop: int) -> None:
 
     mapping, first = view
     page = mmap.PAGESIZE
-    lo = (first + start * rec.dtype.itemsize) // page * page
+    lo = (first + start * rec.strides[0]) // page * page
     hi = (len(mapping) if stop == rec.shape[0]
-          else (first + stop * rec.dtype.itemsize) // page * page)
+          else (first + stop * rec.strides[0]) // page * page)
     if hi > lo:
         mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
@@ -614,7 +618,8 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
     JSON, has another version, no `classes` object, a non-integer class key,
     a shot without a string `scene` or `mask` path, a `k` other than every
     class's integer shot count, or a scene listed with two embedding files
-    is a FormatError naming the file. A shot may omit its scene's file.
+    is a FormatError naming the file. A shot may omit its scene's file. A
+    support PLY may omit its labels, silently: its shots' masks annotate it.
     """
     from .embeddings import FileFeatureProvider
     from .prototypes import SupportSet, SupportShot
@@ -652,7 +657,9 @@ def load_support(manifest: Manifest) -> tuple[SupportSet, FileFeatureProvider]:
             st = os.stat(scene_path)
             key = (st.st_dev, st.st_ino)
             if key not in scenes:
-                scenes[key] = load_scene(scene_path)
+                with warnings.catch_warnings():  # the shots' masks annotate it
+                    warnings.simplefilter("ignore", MissingLabelWarning)
+                    scenes[key] = load_scene(scene_path)
             scene = scenes[key]
             if embedding_rel is not None:
                 embedding = manifest.resolve(embedding_rel)

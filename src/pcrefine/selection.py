@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .prototypes import PrototypeSet, checked_features, cosine, novel_prototypes
+from .prototypes import PrototypeSet, _pool_windows, checked_features, cosine
 from .scene import ClassSchema, _check_number, checked_labels
 
 
@@ -54,15 +54,35 @@ def select_and_merge(
     prototypes, raw labels are one integer in [-1, n_classes) per feature
     row, and base labels one in [-1, n_base).
     """
+    return _select_and_merge(features, raw, base_labels, support, cfg, schema)[:3]
+
+
+def _select_and_merge(
+    features: np.ndarray,
+    raw: np.ndarray,
+    base_labels: np.ndarray,
+    support: PrototypeSet,
+    cfg: SelectionConfig,
+    schema: ClassSchema,
+) -> tuple[np.ndarray, dict[int, float], list[int], PrototypeSet]:
+    """select_and_merge, and the kept classes' context prototypes, pooled in
+    the same pass as the predicted prototypes: y_prime == c exactly where
+    raw == c on base background and c is kept, so it is the mean of the
+    class's raw rows on base background, where there are any."""
     features = checked_features("support", features, support)
     raw = checked_labels("raw", raw, features.shape[0], schema.n_classes)
     base_labels = checked_labels("base", base_labels, features.shape[0], schema.n_base)
-    agreement = prototype_agreement(novel_prototypes(features, raw, schema), support)
+    background = base_labels == -1
+    # Keeps c as the decision below does, so no candidate is summed for a dropped class.
+    pooled = _pool_windows(features, np.where(raw >= schema.n_base, raw, -1), background,
+                           lambda c, mean: c in support and cosine(mean, support[c]) >= cfg.tau)
+    predicted = PrototypeSet({c: mean for c, (mean, _) in pooled.items()})
+    agreement = prototype_agreement(predicted, support)
     kept = [c for c, sim in sorted(agreement.items()) if sim >= cfg.tau]
     # A kept raw label goes where the base labels are background; base wins elsewhere.
-    y_prime = np.where(base_labels != -1, base_labels,
-                       np.where(np.isin(raw, kept), raw, -1))
-    return y_prime, agreement, kept
+    y_prime = np.where(background, np.where(np.isin(raw, kept), raw, -1), base_labels)
+    context = PrototypeSet({c: pooled[c][1] for c in kept if pooled[c][1] is not None})
+    return y_prime, agreement, kept, context
 
 
 def ps_refine(

@@ -637,6 +637,33 @@ class TestMixBytes:
         assert not (out / "train_001.ply").exists()
 
 
+def test_support_plys_without_labels_are_read_silently(tmp_path, capsys):
+    # A support set's masks are its annotation: refine and mix read support
+    # PLYs without labels with no MissingLabelWarning, and write the bytes
+    # they write with the labels there.
+    corpus = simulate(tmp_path, capsys, **{"--scenes": "1", "--support-scenes": "6"})
+    commands = {"refine": ["--tau", "0.3"], "mix": ["--blocks", "3", "--seed", "2"]}
+
+    def outputs(tag):
+        written = {}
+        for command, flags in commands.items():
+            out = tmp_path / f"{command}_{tag}"
+            with warnings_recorded() as warned:
+                code, _, _ = run(capsys, command, "--manifest", str(corpus / "manifest.json"),
+                                 "--out", str(out), *flags)
+            assert code == EXIT_OK and not warned, (command, [str(w.message) for w in warned])
+            written.update({f"{command}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+        return written
+
+    labelled = outputs("labelled")
+    for path in sorted(corpus.glob("support/*.ply")):
+        edit_ply_record(path, lambda rec: rec[[n for n in rec.dtype.names if n != "label"]])
+        assert b"property int label" not in path.read_bytes()
+    assert outputs("unlabelled") == labelled
+    assert any(name.startswith("refine/") for name in labelled)
+    assert any(name.startswith("mix/") for name in labelled)
+
+
 def break_support(path, case):
     """Corrupt a support.json, its first shot's mask or the manifest's entry
     for it; return the faulty file's path."""

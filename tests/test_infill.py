@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pcrefine import (
     infill,
     masked_pool,
 )
+import pcrefine.prototypes as prototypes
 from pcrefine.errors import ConfigError, ContractError
 from pcrefine.infill import (
     INFILL_BLOCK_ROWS,
@@ -223,6 +226,42 @@ class TestBlockedInfill:
             assert out.tobytes() == expected.tobytes()
             outcomes.update(np.unique(out[y == -1] == -1))
         assert outcomes == {True, False}  # some rows infilled, some left unlabeled
+
+
+class TestWindowedInfill:
+    """Infill at 7-row windows and 3-row blocks: every block lies in one
+    window, and neither changes a result."""
+
+    @pytest.fixture(autouse=True)
+    def tiny(self, monkeypatch):
+        monkeypatch.setattr(prototypes, "WINDOW_BYTES", 7 * 8 * 8)
+        # sys.modules: the pcrefine namespace's attribute `infill` is the function.
+        monkeypatch.setattr(sys.modules["pcrefine.infill"], "INFILL_BLOCK_ROWS", 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_unblocked(self, schema, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(-1, schema.n_classes, size=200)
+        y[rng.random(200) < 0.4] = -1
+        feats = rng.normal(size=(200, 8))
+        adaptive = PrototypeSet({c: rng.normal(size=8) for c in schema.novel_indices})
+        best, best_sim = _nearest_prototype(feats, np.flatnonzero(y == -1), adaptive.matrix()[1])
+        expected, expected_best, expected_sim = unblocked_infill(y, feats, adaptive, 0.05)
+        assert best.tobytes() == expected_best.tobytes()
+        assert best_sim.tobytes() == expected_sim.tobytes()
+        assert infill(y, feats, adaptive, InfillConfig(0.05)).tobytes() == expected.tobytes()
+
+    def test_first_non_finite_row_named(self, schema):
+        # The first bad unlabeled row, in the third window, is named, not a
+        # labeled bad row before it or an unlabeled one in a later window.
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(40, 8))
+        y = np.full(40, -1)
+        y[[2, 16]] = 0
+        feats[[2, 16, 17, 30], 1] = [np.nan, np.inf, np.nan, -np.inf]
+        adaptive = PrototypeSet({c: rng.normal(size=8) for c in schema.novel_indices})
+        with pytest.raises(ContractError, match=r"feature row 17 is not finite"):
+            infill(y, feats, adaptive, InfillConfig())
 
 
 class TestPerPairCosine:

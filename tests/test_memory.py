@@ -11,6 +11,7 @@ once its scenes are written.
 import contextlib
 import os
 import platform
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -211,3 +212,61 @@ def test_eval_grid_votes_in_32_bits(corpus, monkeypatch):
     monkeypatch.setattr(cli_module, "_cell_keys", keying)
     widened = traced_peak(args)
     assert widened - peak >= 6 * N_POINTS, f"{peak / 1e6:.2f} MB, widened {widened / 1e6:.2f} MB"
+
+
+# A child refines one scene from its mapped embedding file and prints the
+# rise of its own peak RSS (VmHWM) over the peak after its imports and
+# inputs: wait4's ru_maxrss would count the RSS a spawned child inherits
+# from this process at exec.
+REFINE_PEAK = """
+import sys
+import numpy as np
+from pcrefine import ClassSchema, PrototypeSet, refine_labels
+from pcrefine.embeddings import load_embeddings
+
+def hwm_mib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+
+schema = ClassSchema(("b0", "b1"), tuple(f"n{i}" for i in range(6)))
+raw, base, anchors = (np.load(p) for p in sys.argv[2:5])
+support = PrototypeSet({c: anchors[c] for c in schema.novel_indices})
+features = load_embeddings(sys.argv[1])
+baseline = hwm_mib()
+refine_labels(features, raw, base, support, schema)
+print(hwm_mib() - baseline)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_refine_holds_one_window_and_one_stage_of_features(tmp_path):
+    # A 105 MB embedding file, three windows and more, with novel rows on
+    # every page: a refine that gathered from the whole mapping would hold
+    # all of it.
+    from pcrefine.embeddings import EMBEDDING_MAGIC, EMBEDDING_VERSION
+    from pcrefine.prototypes import STAGE_BYTES, WINDOW_BYTES
+
+    n, d, chunk = 51_200, 512, 4096
+    rng = np.random.default_rng(3)
+    anchors = np.linalg.qr(rng.standard_normal((d, 8)))[0].T  # 8 orthonormal classes
+    raw = rng.integers(-1, 8, size=n)
+    base = np.where(raw < 2, raw, -1)
+    noise = rng.standard_normal((chunk, d)).astype(np.float32) * 0.02
+    path = tmp_path / "big.gfve"
+    try:
+        with open(path, "wb") as f:
+            f.write(EMBEDDING_MAGIC + struct.pack("<IQI", EMBEDDING_VERSION, n, d))
+            for start in range(0, n, chunk):
+                rows = raw[start:start + chunk]
+                f.write((anchors[rows].astype(np.float32) + noise[:rows.size]).tobytes())
+        inputs = []
+        for name, array in (("raw", raw), ("base", base), ("anchors", anchors)):
+            np.save(tmp_path / f"{name}.npy", array)
+            inputs.append(str(tmp_path / f"{name}.npy"))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", REFINE_PEAK, str(path), *inputs],
+                             capture_output=True, text=True, env=env, check=True).stdout
+    finally:
+        path.unlink(missing_ok=True)
+    bound = (WINDOW_BYTES + STAGE_BYTES) / 2**20 + 24
+    assert float(out) < bound, f"peak rose {float(out):.1f} MiB over a {n * d * 4 / 2**20:.0f} MiB file"

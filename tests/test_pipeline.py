@@ -28,12 +28,14 @@ from pcrefine.infill import (
     adaptive_set,
     context_prototypes,
     infill,
+    pairwise_cosine,
 )
 from pcrefine.metrics import ConfusionMatrix, accumulate, pseudo_label_quality
-from pcrefine.prototypes import PrototypeSet, SupportSet, SupportShot
+import pcrefine.prototypes as prototypes
+from pcrefine.prototypes import PrototypeSet, SupportSet, SupportShot, cosine, masked_pool, pool_by_class
 from pcrefine.scene import checked_labels
 from pcrefine.scene_io import save_labels
-from pcrefine.selection import select_and_merge
+from pcrefine.selection import _select_and_merge, select_and_merge
 from pcrefine.sim import base_only_labels, random_scene_spec
 
 SCHEMA = ClassSchema(
@@ -111,6 +113,68 @@ class TestCoreMatchesPublicStages:
                 reached["filtered"] += len(report.filtered_classes)
                 reached["infilled"] += report.infilled_points
         # The grid exercises both selection outcomes and infilling.
+        assert all(reached.values()), reached
+
+
+def reference_refine(feats, raw, base, support, tau, delta):
+    """The refine as it was before one windowed pass pooled it: masked_pool
+    per class over the whole matrix, once for the predicted prototypes and
+    again over y_prime for the context ones, then one infill over every
+    unlabeled row."""
+    novel = [c for c in np.unique(raw) if SCHEMA.is_novel(int(c))]
+    predicted = {int(c): masked_pool(feats, raw == c) for c in novel}
+    agreement = {c: cosine(v, support[c]) for c, v in predicted.items()}
+    kept = [c for c, sim in sorted(agreement.items()) if sim >= tau]
+    y_prime = np.where(base != -1, base, np.where(np.isin(raw, kept), raw, -1))
+    context = {c: masked_pool(feats, y_prime == c) for c in kept if (y_prime == c).any()}
+    adaptive = PrototypeSet({c: context.get(c, support[c]) for c in SCHEMA.novel_indices})
+    ids, protos = adaptive.matrix()
+    y = y_prime.copy()
+    rows = np.flatnonzero(y_prime == -1)
+    sims = pairwise_cosine(np.asarray(feats[rows], dtype=np.float64), protos)
+    best = np.argmax(sims, axis=1)
+    y[rows] = np.where(sims[np.arange(rows.size), best] >= delta, ids[best], -1)
+    return y_prime, agreement, kept, predicted, context, y
+
+
+class TestWindowedCore:
+    """The public stages and the refine core, at windows of 64 rows and a
+    stage of 100, against the whole-matrix reference: novel classes span
+    several windows and stage groups, and some are larger than the stage."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_public_stages_and_core_against_the_reference(self, monkeypatch, dtype):
+        monkeypatch.setattr(prototypes, "WINDOW_BYTES", 64 * 16 * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(prototypes, "STAGE_BYTES", 100 * 16 * np.dtype(dtype).itemsize)
+        reached = {"kept": 0, "filtered": 0, "context": 0}
+        for seed in range(3):
+            feats, raw, base, support = noisy_case(seed)
+            feats = feats.astype(dtype)
+            for tau, delta in [(0.3, 0.5), (0.6, 0.8), (0.9, 0.95)]:
+                y_prime, agreement, kept, predicted, context, y = reference_refine(
+                    feats, raw, base, support, tau, delta)
+                sel_cfg = SelectionConfig(tau)
+                got = select_and_merge(feats, raw, base, support, sel_cfg, SCHEMA)
+                assert len(got) == 3
+                assert got[0].tobytes() == y_prime.tobytes()
+                assert got[1] == agreement and got[2] == kept
+                assert ps_refine(feats, raw, base, support, sel_cfg, SCHEMA).tobytes() == \
+                    y_prime.tobytes()
+                core = _select_and_merge(feats, raw, base, support, sel_cfg, SCHEMA)[3]
+                public = context_prototypes(feats, y_prime, SCHEMA)
+                assert core.classes() == public.classes() == sorted(context)
+                for c in context:
+                    assert core[c].tobytes() == public[c].tobytes() == context[c].tobytes()
+                pooled = pool_by_class(feats, np.where(np.isin(raw, list(predicted)), raw, -1))
+                assert {c: v.tobytes() for c, v in pooled.items()} == \
+                    {c: v.tobytes() for c, v in predicted.items()}
+                refined, report = refine_labels(feats, raw, base, support, SCHEMA, sel_cfg,
+                                                InfillConfig(delta))
+                assert refined.tobytes() == y.tobytes()
+                assert report.class_agreement == agreement and report.kept_classes == kept
+                reached["kept"] += len(kept)
+                reached["filtered"] += len(agreement) - len(kept)
+                reached["context"] += len(context)
         assert all(reached.values()), reached
 
 

@@ -15,7 +15,8 @@ from pcrefine import (
     support_prototypes,
 )
 from pcrefine.errors import AlignmentError, ContractError, EmptyMaskError
-from pcrefine.prototypes import novel_prototypes, pool_by_class
+import pcrefine.prototypes as prototypes
+from pcrefine.prototypes import _pool_windows, novel_prototypes, pool_by_class
 
 
 class TestMaskedPool:
@@ -104,6 +105,87 @@ class TestPoolByClass:
 
     def test_no_labeled_rows(self):
         assert pool_by_class(np.ones((3, 2)), np.array([-1, -1, -1])) == {}
+
+
+def tiny_windows(monkeypatch, dtype, d, window_rows, stage_rows):
+    """Windows and stage of the given numbers of (d,)-wide rows of dtype."""
+    row = d * np.dtype(dtype).itemsize
+    monkeypatch.setattr(prototypes, "WINDOW_BYTES", window_rows * row)
+    monkeypatch.setattr(prototypes, "STAGE_BYTES", stage_rows * row)
+
+
+class TestWindowedPool:
+    """_pool_windows with 7-row windows and a 20-row stage: classes span
+    several windows and several stage groups, one class is larger than the
+    stage, and one has no row where inner is set."""
+
+    @staticmethod
+    def case(dtype, d):
+        rng = np.random.default_rng(d)
+        n = 301
+        feats = (rng.standard_normal((n, d)) * 100).astype(dtype)
+        feats[rng.random((n, d)) < 0.2] = -0.0
+        labels = np.full(n, -1)
+        labels[rng.permutation(n)[:50]] = 3  # larger than the stage
+        free = np.flatnonzero(labels == -1)
+        for c, size in zip((0, 1, 2, 5, 6, 8), (6, 9, 5, 8, 7, 12)):
+            pick = rng.choice(free, size, replace=False)
+            labels[pick] = c
+            free = np.setdiff1d(free, pick)
+        inner = rng.random(n) < 0.6
+        inner[labels == 5] = False
+        feats[labels == 6, 0] = -0.0  # a column of -0.0
+        return feats, labels, inner
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_bitwise_equal_to_the_references(self, monkeypatch, dtype, d):
+        tiny_windows(monkeypatch, dtype, d, window_rows=7, stage_rows=20)
+        feats, labels, inner = self.case(dtype, d)
+        pooled = _pool_windows(feats, labels, inner)
+        candidates = pool_by_class(feats, np.where(inner, labels, -1))
+        assert sorted(pooled) == [0, 1, 2, 3, 5, 6, 8]
+        for c, (mean, part) in pooled.items():
+            rows = np.flatnonzero(labels == c)
+            reference = feats[rows].sum(axis=0, dtype=np.float64) / rows.size
+            assert mean.tobytes() == reference.tobytes()
+            assert mean.tobytes() == masked_pool(feats, labels == c).tobytes()
+            if c == 5:
+                assert part is None and c not in candidates
+            else:
+                assert part.tobytes() == candidates[c].tobytes()
+                assert part.tobytes() == masked_pool(feats, (labels == c) & inner).tobytes()
+        assert {c: v.tobytes() for c, v in pool_by_class(feats, labels).items()} == \
+            {c: mean.tobytes() for c, (mean, _) in pooled.items()}
+
+    def test_unwanted_class_has_no_inner_mean(self, monkeypatch):
+        tiny_windows(monkeypatch, np.float32, 3, window_rows=7, stage_rows=20)
+        feats, labels, inner = self.case(np.float32, 3)
+        seen = []
+        pooled = _pool_windows(feats, labels, inner,
+                               lambda c, mean: seen.append((c, mean.tobytes())) or c != 3)
+        assert seen == [(c, pooled[c][0].tobytes()) for c in sorted(pooled)]
+        assert [c for c, (_, part) in pooled.items() if part is None] == [3, 5]
+
+    def test_each_stage_group_reads_every_window_in_file_order(self, monkeypatch):
+        # Classes 0, 1, 2 fill one stage (20 rows), 3 (50 rows) has its own,
+        # 5 and 6 share one, and 8 takes the last.
+        tiny_windows(monkeypatch, np.float64, 3, window_rows=7, stage_rows=20)
+        feats, labels, inner = self.case(np.float64, 3)
+        walked, windows = [], prototypes._windows
+
+        def recording(features):
+            for start, stop in windows(features):
+                walked.append((start, stop))
+                yield start, stop
+
+        monkeypatch.setattr(prototypes, "_windows", recording)
+        _pool_windows(feats, labels, inner)
+        assert walked == [(s, min(s + 7, 301)) for s in range(0, 301, 7)] * 4
+
+    def test_labels_past_the_features_raise(self):
+        with pytest.raises(IndexError):
+            pool_by_class(np.ones((3, 2)), np.array([0, -1, -1, 1]))
 
 
 class TestCosine:

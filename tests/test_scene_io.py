@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import pcrefine.scene_io as scene_io
 from pcrefine import PointCloudScene, load_scene, save_scene
+from pcrefine.embeddings import load_embeddings, save_embeddings
 from pcrefine.errors import AlignmentError, ConfigError, ContractError, FormatError
 from pcrefine.scene_io import (
     Manifest,
     MissingLabelWarning,
     SceneEntry,
+    _drop_mapped_pages,
     _parse_header,
     _read_ascii,
     _read_geometry,
@@ -487,6 +489,37 @@ def test_mapped_pages_leave_once_read_and_are_not_mapped_back_to_write(tmp_path)
     # Read again, the record's pages come back from the page cache: the
     # check above would see them.
     assert mapped_kb(path) >= 0.9 * path.stat().st_size // 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads Linux's smaps")
+def test_feature_rows_released_by_row_stride(tmp_path):
+    # A GFVE matrix's rows are 4 x 300 bytes apart, past a 20-byte header:
+    # releasing rows [a, b) drops the pages from the one holding row a to the
+    # one holding row b, and the last rows release to the end of the file.
+    # Where the kernel maps a large folio whole (2 MiB), a cut inside it may
+    # release all of it: FOLIO kB of slack at each cut.
+    path = tmp_path / "f.gfve"
+    n, d, FOLIO = 20_000, 300, 2048
+    save_embeddings(np.random.default_rng(0).standard_normal((n, d)), path)
+    feats = load_embeddings(path)
+    total = feats.sum(dtype=np.float64)  # every page mapped
+    size_kb = -(-path.stat().st_size // 4096) * 4
+    assert mapped_kb(path) == size_kb
+
+    def page(row):
+        return (20 + row * d * 4) // 4096 * 4
+
+    _drop_mapped_pages(feats, 5000, 10_000)
+    rows_kb = page(10_000) - page(5000)
+    assert rows_kb <= size_kb - mapped_kb(path) <= rows_kb + 2 * FOLIO
+    _drop_mapped_pages(feats, 16_000, n)
+    kept_kb = page(5000) + page(16_000) - page(10_000)
+    assert kept_kb - 3 * FOLIO <= mapped_kb(path) <= kept_kb
+    assert feats.sum(dtype=np.float64) == total  # mapped back from the page cache
+    # A matrix in memory is left alone.
+    copy = np.array(feats)
+    _drop_mapped_pages(copy, 0, n)
+    assert (copy == feats).all()
 
 
 @pytest.mark.parametrize("fault", ["missing", "error", "short", "resized"])
