@@ -236,7 +236,7 @@ def cmd_simulate(args) -> tuple[dict, None]:
 
 def _role_entries(manifest: Manifest, *roles: str) -> list[SceneEntry]:
     """The manifest's scenes with any of these roles; none at all is a usage error."""
-    entries = [e for e in manifest.scenes if e.role in roles]
+    entries = manifest.entries(*roles)
     if not entries:
         raise ConfigError(f"manifest has no scenes with role {' or '.join(map(repr, roles))}")
     return entries

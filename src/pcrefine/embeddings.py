@@ -54,7 +54,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
     row (the kernel can map a whole large page-cache folio, 2 MiB, per
     fault), so scattered reads soon hold the whole file. The refine core
     reads it a window at a time in file order and releases each window's
-    pages behind it (prototypes._windows). Truncating the file while the
+    pages behind it (scene_io._windows). Truncating the file while the
     view is alive raises SIGBUS on access.
     """
     path = Path(path)

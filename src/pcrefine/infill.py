@@ -10,8 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .prototypes import PrototypeSet, _windows, checked_features, novel_prototypes
+from . import prototypes
+from .prototypes import PrototypeSet, _pool_windows, checked_features
 from .scene import ClassSchema, _check_number, checked_labels
+from .scene_io import _windows
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,8 @@ def context_prototypes(
     """Masked mean feature per novel class present in y_prime, checked below n_classes."""
     features = np.asarray(features)
     y_prime = checked_labels("y_prime", y_prime, features.shape[0], schema.n_classes)
-    return novel_prototypes(features, y_prime, schema)
+    pooled = _pool_windows(features, np.where(y_prime >= schema.n_base, y_prime, -1))
+    return PrototypeSet({c: mean for c, (mean, _) in pooled.items()})
 
 
 def adaptive_set(
@@ -83,8 +86,8 @@ def _infill(
 # Rows per infill block. Each similarity is one dot product of its own row
 # and prototype, so the block size bounds the float64 copy's memory (16 MiB
 # of 512-wide rows) and never changes a result. Blocks lie inside the
-# feature windows of prototypes._windows, whose mapped pages are released
-# behind them.
+# feature windows that scene_io._windows walks, prototypes.WINDOW_BYTES of
+# rows each, whose mapped pages are released behind them.
 INFILL_BLOCK_ROWS = 4096
 
 
@@ -101,7 +104,7 @@ def _nearest_prototype(
     the first such row by its index in features.
     """
     best, best_sim = [], []
-    for start, stop in _windows(features):
+    for start, stop in _windows(features, prototypes.WINDOW_BYTES):
         i, j = np.searchsorted(rows, (start, stop))
         for k in range(i, j, INFILL_BLOCK_ROWS):
             block = rows[k:min(k + INFILL_BLOCK_ROWS, j)]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContractError, EmptyMaskError
 from .scene import ClassSchema, PointCloudScene, checked_labels, checked_mask
-from .scene_io import _drop_mapped_pages
+from .scene_io import _windows
 
 
 def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -32,38 +32,12 @@ def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return features[mask].sum(axis=0, dtype=np.float64) / count
 
 
-def pool_by_class(
-    features: np.ndarray, labels: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Masked mean per label value, for every c >= 0 present in checked int64 labels.
-
-    Bitwise equal to masked_pool(features, labels == c): each class's rows
-    are gathered in ascending row order and summed in float64, by
-    _pool_windows, which reads the matrix a window of rows at a time. Only
-    labeled rows are read, and neither the feature matrix nor a class's
-    rows are cast as a whole.
-    """
-    return {c: mean for c, (mean, _) in _pool_windows(np.asarray(features), labels).items()}
-
-
 # A feature matrix is read in file order, WINDOW_BYTES of rows at a time, and
-# a mapped matrix's pages are released behind each window. The rows pooled
-# are copied into a staging buffer of STAGE_BYTES, classes grouped to fit, so
-# one window and one stage bound the memory a pool holds, whatever N x D is.
+# a mapped matrix's pages are released behind each window (scene_io._windows).
+# The rows pooled are copied into a staging buffer of STAGE_BYTES, classes
+# grouped to fit, so one window and one stage bound the memory a pool holds.
 WINDOW_BYTES = 32 << 20
 STAGE_BYTES = 16 << 20
-
-
-def _windows(features: np.ndarray):
-    """The (start, stop) rows of each window of a 2-D feature matrix, in file
-    order; once the caller moves on, the window's mapped pages are released
-    (scene_io._drop_mapped_pages), and a matrix in memory is left alone."""
-    n = features.shape[0]
-    step = max(1, WINDOW_BYTES // max(1, features.shape[1] * features.itemsize))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        yield start, stop
-        _drop_mapped_pages(features, start, stop)
 
 
 def _pool_windows(
@@ -73,7 +47,8 @@ def _pool_windows(
     """For every c >= 0 in checked int64 labels, the masked mean of the rows
     labeled c and, given a bool vector inner, the mean of those rows where
     inner is set, if wanted(c, mean) and there are any (None otherwise),
-    read in one pass over the windows.
+    read in one pass over the windows. Given inner, wanted (selection's keep
+    rule) is called once per class in ascending order, as its mean is pooled.
 
     Each class's rows are taken from each window straight into the class's
     slot of the stage, in ascending row order, and once the last window is
@@ -104,7 +79,7 @@ def _pool_windows(
         # where every class's rows in a window start and stop.
         offsets = np.arange(last - first) * features.shape[0]
         key = np.repeat(offsets, counts[first:last]) + rows
-        for start, stop in _windows(features):
+        for start, stop in _windows(features, WINDOW_BYTES):
             cuts = np.searchsorted(key, [offsets + start, offsets + stop]).tolist()
             for i, j in zip(*cuts):
                 if j > i:  # mode "raise" would copy out twice; every row is in range
@@ -121,17 +96,6 @@ def _pool_windows(
             pooled[int(c)] = mean, part
         first = last
     return pooled
-
-
-def novel_prototypes(
-    features: np.ndarray, labels: np.ndarray, schema: ClassSchema
-) -> PrototypeSet:
-    """Masked mean feature per novel class present in checked int64 labels.
-
-    Only rows labeled with a novel class are pooled.
-    """
-    novel = (labels >= schema.n_base) & (labels < schema.n_classes)
-    return PrototypeSet(pool_by_class(features, np.where(novel, labels, -1)))
 
 
 def checked_features(name: str, features, prototypes: PrototypeSet) -> np.ndarray:

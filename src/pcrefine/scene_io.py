@@ -8,7 +8,8 @@ Reads ASCII and binary little-endian PLY into one vertex record; writes
 binary little-endian.
 Both JSON files carry "version": FORMAT_VERSION, a JSON integer. The file
 mechanics of PLY and embedding files alike are here: _mapped, the one opener
-that maps a file, _drop_mapped_pages, which releases the pages of rows read,
+that maps a file, _windows, the one walker that reads a mapped array in file
+order and releases each window's pages behind the read (_drop_mapped_pages),
 and _replacing, the one atomic writer.
 """
 
@@ -213,9 +214,9 @@ def _read_geometry(
     A binary record is a read-only view of the mapped file, which stays
     mapped while the record lives: its pages are the page cache's, so no
     copy of the file is read into fresh memory for each scene. The columns
-    and labels are copied out _RECORD_CHUNK rows at a time, and each
-    chunk's pages leave the process once copied, so the whole file is never
-    resident beside the heap; a later read of the record maps them back.
+    and labels are copied out _RECORD_CHUNK rows at a time (_windows), and
+    each chunk's pages leave the process once copied, so the whole file is
+    never resident beside the heap; a later read maps them back.
     Truncating the file while the record is alive raises SIGBUS on access."""
     path = Path(path)
     with open(path, "rb") as f:
@@ -239,14 +240,12 @@ def _read_geometry(
     has_labels = "label" in dtype.names
     columns = np.empty((3, count), dtype=np.float32)
     labels = np.empty(count, dtype=np.int32) if has_labels else np.full(count, -1, dtype=np.int32)
-    for start in range(0, count, _RECORD_CHUNK):
-        stop = min(start + _RECORD_CHUNK, count)
+    for start, stop in _windows(rec, _RECORD_CHUNK * rec.strides[0]):
         chunk = rec[start:stop]
         for k, name in enumerate(("x", "y", "z")):
             columns[k, start:stop] = chunk[name]
         if has_labels:
             labels[start:stop] = chunk["label"]
-        _drop_mapped_pages(rec, start, stop)
     # A NaN or an infinity shows in its column's min or max; check_finite's
     # exact scan then names the first such point.
     extremes = np.stack([columns.min(axis=1), columns.max(axis=1)], axis=1)
@@ -275,6 +274,19 @@ def _mapping_of(rec: np.ndarray) -> "tuple[mmap.mmap, int] | None":
         return None
     return mapping, (rec.__array_interface__["data"][0]
                      - np.frombuffer(mapping, np.uint8).__array_interface__["data"][0])
+
+
+def _windows(rec: np.ndarray, window_bytes: int):
+    """The (start, stop) rows of each window of rec, in file order: as many
+    rows as fit window_bytes of the file, rows being abs(rec.strides[0])
+    bytes apart even in a column slice. Once the caller moves on, the
+    window's pages are released (_drop_mapped_pages)."""
+    n = rec.shape[0]
+    step = max(1, window_bytes // max(1, abs(rec.strides[0])))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        yield start, stop
+        _drop_mapped_pages(rec, start, stop)
 
 
 def _drop_mapped_pages(rec: np.ndarray, start: int, stop: int) -> None:
@@ -485,8 +497,8 @@ class Manifest:
     root: Path = Path(".")
     source_path: Path | None = None  # the manifest file, when loaded from one
 
-    def entries(self, role: str) -> list[SceneEntry]:
-        return [e for e in self.scenes if e.role == role]
+    def entries(self, *roles: str) -> list[SceneEntry]:
+        return [e for e in self.scenes if e.role in roles]
 
     def resolve(self, rel: str) -> Path:
         return self.root / rel

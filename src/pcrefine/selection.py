@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .prototypes import PrototypeSet, _pool_windows, checked_features, cosine
 from .scene import ClassSchema, _check_number, checked_labels
 
@@ -20,21 +20,6 @@ class SelectionConfig:
 
     def __post_init__(self):
         _check_number("tau", self.tau, lo=-1, hi=1)
-
-
-def prototype_agreement(
-    predicted: PrototypeSet, support: PrototypeSet
-) -> dict[int, float]:
-    """Cosine between predicted and support prototype, per predicted class."""
-    agreement = {}
-    for c in predicted.classes():
-        if c not in support:
-            raise ConfigError(
-                f"novel class {c} predicted but absent from the support prototypes; "
-                f"the class list used for prediction does not match the support set"
-            )
-        agreement[c] = cosine(predicted[c], support[c])
-    return agreement
 
 
 def select_and_merge(
@@ -73,12 +58,26 @@ def _select_and_merge(
     raw = checked_labels("raw", raw, features.shape[0], schema.n_classes)
     base_labels = checked_labels("base", base_labels, features.shape[0], schema.n_base)
     background = base_labels == -1
-    # Keeps c as the decision below does, so no candidate is summed for a dropped class.
-    pooled = _pool_windows(features, np.where(raw >= schema.n_base, raw, -1), background,
-                           lambda c, mean: c in support and cosine(mean, support[c]) >= cfg.tau)
-    predicted = PrototypeSet({c: mean for c, (mean, _) in pooled.items()})
-    agreement = prototype_agreement(predicted, support)
-    kept = [c for c, sim in sorted(agreement.items()) if sim >= cfg.tau]
+    agreement, kept = {}, []
+
+    def keep(c, mean):
+        # The keep rule, once per class as the pass pools it, so no candidate is
+        # summed for a dropped class. A non-finite prototype is raised here, and
+        # so wins over a class absent from the support, raised after the pass.
+        if not np.isfinite(mean).all():
+            raise ContractError(f"prototype for class {c} is not finite")
+        if c in support:
+            agreement[c] = cosine(mean, support[c])
+            if agreement[c] >= cfg.tau:
+                kept.append(c)
+        return c in kept
+
+    pooled = _pool_windows(features, np.where(raw >= schema.n_base, raw, -1), background, keep)
+    absent = [c for c in pooled if c not in support]
+    if absent:
+        raise ConfigError(f"novel class {absent[0]} predicted but absent from the support "
+                          f"prototypes; the class list used for prediction does not match "
+                          f"the support set")
     # A kept raw label goes where the base labels are background; base wins elsewhere.
     y_prime = np.where(background, np.where(np.isin(raw, kept), raw, -1), base_labels)
     context = PrototypeSet({c: pooled[c][1] for c in kept if pooled[c][1] is not None})

@@ -32,8 +32,10 @@ from pcrefine.infill import (
 )
 from pcrefine.metrics import ConfusionMatrix, accumulate, pseudo_label_quality
 import pcrefine.prototypes as prototypes
-from pcrefine.prototypes import PrototypeSet, SupportSet, SupportShot, cosine, masked_pool, pool_by_class
+from pcrefine.prototypes import PrototypeSet, SupportSet, SupportShot, _pool_windows, cosine, masked_pool
 from pcrefine.scene import checked_labels
+from pcrefine.embeddings import load_embeddings, save_embeddings
+import pcrefine.scene_io as scene_io
 from pcrefine.scene_io import save_labels
 from pcrefine.selection import _select_and_merge, select_and_merge
 from pcrefine.sim import base_only_labels, random_scene_spec
@@ -165,8 +167,8 @@ class TestWindowedCore:
                 assert core.classes() == public.classes() == sorted(context)
                 for c in context:
                     assert core[c].tobytes() == public[c].tobytes() == context[c].tobytes()
-                pooled = pool_by_class(feats, np.where(np.isin(raw, list(predicted)), raw, -1))
-                assert {c: v.tobytes() for c, v in pooled.items()} == \
+                pooled = _pool_windows(feats, np.where(np.isin(raw, list(predicted)), raw, -1))
+                assert {c: mean.tobytes() for c, (mean, _) in pooled.items()} == \
                     {c: v.tobytes() for c, v in predicted.items()}
                 refined, report = refine_labels(feats, raw, base, support, SCHEMA, sel_cfg,
                                                 InfillConfig(delta))
@@ -176,6 +178,30 @@ class TestWindowedCore:
                 reached["filtered"] += len(agreement) - len(kept)
                 reached["context"] += len(context)
         assert all(reached.values()), reached
+
+    def test_column_slice_of_a_mapped_matrix(self, tmp_path, monkeypatch):
+        # The slice's rows lie strides[0] bytes apart in the file, 4 x 256,
+        # not 4 x 64: every window the refine walks is sized by that stride,
+        # so it spans at most WINDOW_BYTES of the file (16 file rows here),
+        # and the slice refines as its copy in memory does, byte for byte.
+        feats, raw, base, support = noisy_case(0, dim=64)
+        wide = np.zeros((feats.shape[0], 256), np.float32)
+        wide[:, :64] = feats
+        save_embeddings(wide, tmp_path / "f.gfve")
+        sliced = load_embeddings(tmp_path / "f.gfve")[:, :64]
+        monkeypatch.setattr(prototypes, "WINDOW_BYTES", 16 * 256 * 4)
+        spans, drop = [], scene_io._drop_mapped_pages
+
+        def recording(rec, start, stop):
+            spans.append((stop - start) * rec.strides[0])
+            drop(rec, start, stop)
+
+        monkeypatch.setattr(scene_io, "_drop_mapped_pages", recording)
+        y, report = refine_labels(sliced, raw, base, support, SCHEMA)
+        assert len(spans) > 2 and max(spans) <= prototypes.WINDOW_BYTES
+        y_copy, report_copy = refine_labels(np.array(sliced), raw, base, support, SCHEMA)
+        assert y.tobytes() == y_copy.tobytes()
+        assert report.to_dict() == report_copy.to_dict()
 
 
 class TestChecksOnce:

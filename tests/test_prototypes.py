@@ -9,6 +9,7 @@ from pcrefine import (
     SupportShot,
     SyntheticFeatureProvider,
     SyntheticProviderConfig,
+    context_prototypes,
     cosine,
     crop_novel,
     masked_pool,
@@ -16,7 +17,12 @@ from pcrefine import (
 )
 from pcrefine.errors import AlignmentError, ContractError, EmptyMaskError
 import pcrefine.prototypes as prototypes
-from pcrefine.prototypes import _pool_windows, novel_prototypes, pool_by_class
+from pcrefine.prototypes import _pool_windows
+
+
+def means(features, labels):
+    """The masked mean per class of _pool_windows, for every c >= 0 in labels."""
+    return {c: mean for c, (mean, _) in _pool_windows(features, labels).items()}
 
 
 class TestMaskedPool:
@@ -79,12 +85,14 @@ class TestPoolByClass:
         feats = rng.standard_normal((500, 7)).astype(dtype)
         # Interleaved labels with background, negative and out-of-schema values.
         labels = rng.integers(-3, schema.n_classes + 4, size=500)
-        pooled = pool_by_class(feats, labels)
+        pooled = means(feats, labels)
         assert sorted(pooled) == sorted(set(labels[labels >= 0].tolist()))
         for c, v in pooled.items():
             assert v.dtype == np.float64
             assert v.tobytes() == masked_pool(feats, labels == c).tobytes()
-        novel = novel_prototypes(feats, labels, schema)
+        # context_prototypes checks its labels: out-of-schema values are -1 there.
+        novel = context_prototypes(
+            feats, np.where(labels < schema.n_classes, np.maximum(labels, -1), -1), schema)
         assert novel.classes() == [c for c in sorted(pooled) if schema.is_novel(c)]
         for c in novel.classes():
             assert novel[c].tobytes() == pooled[c].tobytes()
@@ -97,14 +105,14 @@ class TestPoolByClass:
         feats = (rng.standard_normal((n, d)) * 100).astype(dtype)
         labels = rng.integers(-1, 3, size=n)
         labels[0] = 0
-        for c, v in pool_by_class(feats, labels).items():
+        for c, v in means(feats, labels).items():
             rows = np.flatnonzero(labels == c)
             expected = np.asarray(feats[rows], dtype=np.float64).sum(axis=0) / rows.size
             assert v.tobytes() == expected.tobytes()
             assert masked_pool(feats, labels == c).tobytes() == expected.tobytes()
 
     def test_no_labeled_rows(self):
-        assert pool_by_class(np.ones((3, 2)), np.array([-1, -1, -1])) == {}
+        assert means(np.ones((3, 2)), np.array([-1, -1, -1])) == {}
 
 
 def tiny_windows(monkeypatch, dtype, d, window_rows, stage_rows):
@@ -143,7 +151,7 @@ class TestWindowedPool:
         tiny_windows(monkeypatch, dtype, d, window_rows=7, stage_rows=20)
         feats, labels, inner = self.case(dtype, d)
         pooled = _pool_windows(feats, labels, inner)
-        candidates = pool_by_class(feats, np.where(inner, labels, -1))
+        candidates = means(feats, np.where(inner, labels, -1))
         assert sorted(pooled) == [0, 1, 2, 3, 5, 6, 8]
         for c, (mean, part) in pooled.items():
             rows = np.flatnonzero(labels == c)
@@ -155,7 +163,7 @@ class TestWindowedPool:
             else:
                 assert part.tobytes() == candidates[c].tobytes()
                 assert part.tobytes() == masked_pool(feats, (labels == c) & inner).tobytes()
-        assert {c: v.tobytes() for c, v in pool_by_class(feats, labels).items()} == \
+        assert {c: v.tobytes() for c, v in means(feats, labels).items()} == \
             {c: mean.tobytes() for c, (mean, _) in pooled.items()}
 
     def test_unwanted_class_has_no_inner_mean(self, monkeypatch):
@@ -174,8 +182,8 @@ class TestWindowedPool:
         feats, labels, inner = self.case(np.float64, 3)
         walked, windows = [], prototypes._windows
 
-        def recording(features):
-            for start, stop in windows(features):
+        def recording(features, window_bytes):
+            for start, stop in windows(features, window_bytes):
                 walked.append((start, stop))
                 yield start, stop
 
@@ -185,7 +193,7 @@ class TestWindowedPool:
 
     def test_labels_past_the_features_raise(self):
         with pytest.raises(IndexError):
-            pool_by_class(np.ones((3, 2)), np.array([0, -1, -1, 1]))
+            _pool_windows(np.ones((3, 2)), np.array([0, -1, -1, 1]))
 
 
 class TestCosine:

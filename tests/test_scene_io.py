@@ -656,6 +656,16 @@ def test_manifest_round_trip(tmp_path, schema):
     assert back.source_path == tmp_path / "manifest.json"
 
 
+def test_entries_keep_manifest_order_across_roles(schema):
+    manifest = Manifest(schema=schema, scenes=[
+        SceneEntry("s0", "s0.ply", "test"), SceneEntry("s1", "s1.ply", "train"),
+        SceneEntry("s2", "s2.ply", "support"), SceneEntry("s3", "s3.ply", "train"),
+    ])
+    assert [e.scene_id for e in manifest.entries("train")] == ["s1", "s3"]
+    assert [e.scene_id for e in manifest.entries("train", "test")] == ["s0", "s1", "s3"]
+    assert manifest.entries() == []
+
+
 def test_no_support_entry_names_the_manifest_file(tmp_path, schema):
     manifest = Manifest(schema=schema)
     with pytest.raises(ConfigError, match="^manifest has no support entry$"):

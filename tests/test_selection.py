@@ -1,15 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
 from pcrefine import (
+    ClassSchema,
     PrototypeSet,
     SelectionConfig,
+    context_prototypes,
     cosine,
     masked_pool,
     ps_refine,
+    refine_labels,
 )
-from pcrefine.errors import ConfigError
-from pcrefine.prototypes import novel_prototypes
+from pcrefine.errors import ConfigError, ContractError
+import pcrefine.selection as selection
 from pcrefine.selection import select_and_merge
 
 
@@ -45,20 +50,20 @@ class TestPredictedPrototypes:
         feats = np.zeros((3, 4))
         feats[1] = [1.0, 2.0, 3.0, 4.0]
         raw = np.array([-1, 5, 0])
-        protos = novel_prototypes(feats, raw, schema)
+        protos = context_prototypes(feats, raw, schema)
         assert protos.classes() == [5]
         np.testing.assert_array_equal(protos[5], [1.0, 2.0, 3.0, 4.0])
 
     def test_no_novel_labels(self, schema):
         feats = np.ones((4, 3))
         raw = np.array([0, 1, 2, -1])
-        assert len(novel_prototypes(feats, raw, schema)) == 0
+        assert len(context_prototypes(feats, raw, schema)) == 0
 
     def test_matches_pool_oracle(self, schema):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(200, 6))
         raw = rng.integers(-1, schema.n_classes, size=200)
-        protos = novel_prototypes(feats, raw, schema)
+        protos = context_prototypes(feats, raw, schema)
         for c in schema.novel_indices:
             if (raw == c).any():
                 np.testing.assert_allclose(
@@ -155,10 +160,62 @@ class TestPsRefine:
         support = PrototypeSet({c: rng.normal(size=d) for c in schema.novel_indices})
         tau = 0.1
         out = ps_refine(feats, raw, base, support, SelectionConfig(tau), schema)
-        predicted = novel_prototypes(feats, raw, schema)
+        predicted = context_prototypes(feats, raw, schema)
         for i in np.flatnonzero(out != -1):
             c = int(out[i])
             if c >= schema.n_base:
                 assert cosine(predicted[c], support[c]) >= tau
             else:
                 assert base[i] == c
+
+
+class TestKeepRuleOnce:
+    """One keep decision per predicted class, on schema ("a", "b") /
+    ("n0", "n1", "n2"), where raw classes 2, 3 and 4 are all predicted."""
+
+    SCHEMA = ClassSchema(("a", "b"), ("n0", "n1", "n2"))
+
+    @staticmethod
+    def case(absent=None, nan_class=None):
+        rng = np.random.default_rng(0)
+        n, d = 60, 4
+        feats = rng.normal(size=(n, d))
+        raw = np.repeat([-1, 0, 2, 3, 4], 12)
+        base = np.where(np.arange(n) % 3 == 0, 1, -1)
+        # Classes 2 and 4 agree with their support prototypes; 3 opposes its own.
+        support = {c: masked_pool(feats, raw == c) for c in (2, 4)}
+        support[3] = -masked_pool(feats, raw == 3)
+        support.pop(absent, None)
+        if nan_class is not None:
+            feats[np.flatnonzero(raw == nan_class)[0], 1] = np.nan
+        return feats, raw, base, PrototypeSet(support)
+
+    def refine(self, feats, raw, base, support):
+        return refine_labels(feats, raw, base, support, self.SCHEMA, SelectionConfig(0.6))
+
+    def test_one_cosine_per_predicted_class(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(a)
+            return cosine(a, b)
+
+        monkeypatch.setattr(selection, "cosine", counting)
+        _, report = self.refine(*self.case())
+        assert len(calls) == 3
+        assert sorted(report.class_agreement) == [2, 3, 4]
+        assert report.kept_classes == [2, 4] and report.filtered_classes == [3]
+
+    def test_absent_support_class(self):
+        text = ("novel class 3 predicted but absent from the support prototypes; "
+                "the class list used for prediction does not match the support set")
+        with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+            self.refine(*self.case(absent=3))
+
+    def test_non_finite_prototype(self):
+        with pytest.raises(ContractError, match=r"^prototype for class 4 is not finite$"):
+            self.refine(*self.case(nan_class=4))
+
+    def test_non_finite_prototype_wins_over_an_absent_class(self):
+        with pytest.raises(ContractError, match=r"^prototype for class 4 is not finite$"):
+            self.refine(*self.case(absent=3, nan_class=4))

@@ -1,7 +1,8 @@
 """Checks on the package source, read with the standard library's ast:
 every module-level import in src/pcrefine is used in its module, the CLI
 has one output path, every embedding file is read through one row check,
-and every file is mapped and replaced by scene_io alone."""
+every file is mapped, walked and replaced by scene_io alone, and
+selection's keep rule is stated once."""
 
 import ast
 from pathlib import Path
@@ -135,8 +136,65 @@ def test_files_are_mapped_only_by_scene_io_mapped():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def defined_in(name: str) -> list[str]:
+    """The modules of src/pcrefine that define a function called name."""
+    return [path.name for path in sorted(SRC.glob("*.py"))
+            if any(isinstance(node, ast.FunctionDef) and node.name == name
+                   for node in ast.walk(ast.parse(path.read_text())))]
+
+
 def test_replacing_is_defined_only_in_scene_io():
-    defined = [path.name for path in sorted(SRC.glob("*.py"))
-               if any(isinstance(node, ast.FunctionDef) and node.name == "_replacing"
-                      for node in ast.walk(ast.parse(path.read_text())))]
-    assert defined == ["scene_io.py"]
+    assert defined_in("_replacing") == ["scene_io.py"]
+
+
+# The one file-order walker: scene_io._windows reads a mapped array, PLY
+# record or feature matrix, a window at a time and releases each window's
+# pages behind it; no other code releases pages.
+WALKERS = {"scene_io.py": ("_windows",)}
+
+
+def page_drops(source: str, functions=()) -> list[int]:
+    """The line of each call of _drop_mapped_pages, bare or as an attribute,
+    outside the module-level functions named in functions."""
+    return sorted(node.lineno for node in nodes_outside(source, functions)
+                  if isinstance(node, ast.Call)
+                  and "_drop_mapped_pages" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)))
+
+
+def test_page_drop_checker_finds_calls():
+    source = ("def _windows(rec, size):\n    _drop_mapped_pages(rec, 0, 1)\n"
+              "def read(rec):\n    _drop_mapped_pages(rec, 0, 1)\n"
+              "    scene_io._drop_mapped_pages(rec, 1, 2)\n")
+    assert page_drops(source, ("_windows",)) == [4, 5]
+    assert page_drops(source) == [2, 4, 5]
+
+
+def test_pages_are_dropped_only_by_the_walker():
+    found = {path.name: page_drops(path.read_text(), WALKERS.get(path.name, ()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_walker_is_defined_only_in_scene_io():
+    assert defined_in("_windows") == ["scene_io.py"]
+
+
+def tau_comparisons(source: str) -> list[int]:
+    """The line of each `>= tau` comparison, against a name or attribute tau."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, ast.GtE)
+                          and "tau" in (getattr(right, "id", None), getattr(right, "attr", None))
+                          for op, right in zip(node.ops, node.comparators)))
+
+
+def test_tau_checker_finds_comparisons():
+    source = "a >= tau\nb >= cfg.tau\nc > cfg.tau\nd >= delta\ne = tau >= f\n"
+    assert tau_comparisons(source) == [1, 2]
+
+
+def test_keep_rule_is_stated_once():
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in tau_comparisons(path.read_text())]
+    assert len(found) == 1, found
