@@ -83,14 +83,6 @@ def _infill(
     return out, int(assigned.sum())
 
 
-# Rows per infill block. Each similarity is one dot product of its own row
-# and prototype, so the block size bounds the float64 copy's memory (16 MiB
-# of 512-wide rows) and never changes a result. Blocks lie inside the
-# feature windows that scene_io._windows walks, prototypes.WINDOW_BYTES of
-# rows each, whose mapped pages are released behind them.
-INFILL_BLOCK_ROWS = 4096
-
-
 def _nearest_prototype(
     features: np.ndarray, rows: np.ndarray, protos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +95,17 @@ def _nearest_prototype(
     prototype. A listed row that is not finite is a ContractError naming
     the first such row by its index in features.
     """
+    # A block is prototypes.STAGE_BYTES of float64 rows, inside one of the
+    # windows, prototypes.WINDOW_BYTES of rows each, whose mapped pages are
+    # released behind them (both read through the module, so a patched
+    # value reaches them). Each similarity is one dot product of its own row
+    # and prototype, so neither size changes a result.
+    block_rows = max(1, prototypes.STAGE_BYTES // max(1, 8 * features.shape[1]))
     best, best_sim = [], []
     for start, stop in _windows(features, prototypes.WINDOW_BYTES):
         i, j = np.searchsorted(rows, (start, stop))
-        for k in range(i, j, INFILL_BLOCK_ROWS):
-            block = rows[k:min(k + INFILL_BLOCK_ROWS, j)]
+        for k in range(i, j, block_rows):
+            block = rows[k:min(k + block_rows, j)]
             sims = pairwise_cosine(np.asarray(features[block], dtype=np.float64), protos,
                                    row_ids=block)
             best.append(np.argmax(sims, axis=1))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, EmptyMaskError
+from .errors import AlignmentError, ContractError, EmptyMaskError
 from .scene import ClassSchema, PointCloudScene, checked_labels, checked_mask
 from .scene_io import _windows
 
@@ -34,10 +34,23 @@ def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 # A feature matrix is read in file order, WINDOW_BYTES of rows at a time, and
 # a mapped matrix's pages are released behind each window (scene_io._windows).
-# The rows pooled are copied into a staging buffer of STAGE_BYTES, classes
-# grouped to fit, so one window and one stage bound the memory a pool holds.
-WINDOW_BYTES = 32 << 20
-STAGE_BYTES = 16 << 20
+# The rows pooled are copied into one staging buffer of STAGE_BYTES: classes
+# are grouped to fit, and a larger class is summed through it in float64
+# chunks (_chunked_sums). Infill's float64 block is STAGE_BYTES too, so a
+# refine holds one window, one stage and one block whatever its class sizes
+# or width: over a 100 MiB file of 512-wide rows a refine's peak rises by
+# 27 MiB when no class fills the stage and 30 MiB when one holds 65% of the
+# rows (tests/test_memory.py). The window stays at 16 MiB: on the
+# refine_corpus benchmark an 8 MiB one lowered the peak by about 7 MB but,
+# walking twice the windows, cost more build CPU (BENCH_40.json).
+WINDOW_BYTES = 16 << 20
+STAGE_BYTES = 8 << 20
+
+
+def _laid_over(stage: np.ndarray, dtype, rows: int, width: int) -> np.ndarray:
+    """A (rows, width) matrix of dtype laid over the first bytes of the
+    uint8 stage."""
+    return stage[:rows * width * np.dtype(dtype).itemsize].view(dtype).reshape(rows, width)
 
 
 def _pool_windows(
@@ -46,13 +59,17 @@ def _pool_windows(
 ) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
     """For every c >= 0 in checked int64 labels, the masked mean of the rows
     labeled c and, given a bool vector inner, the mean of those rows where
-    inner is set, if wanted(c, mean) and there are any (None otherwise),
-    read in one pass over the windows. Given inner, wanted (selection's keep
-    rule) is called once per class in ascending order, as its mean is pooled.
+    inner is set, if wanted(c, mean) and there are any (None otherwise).
+    Given inner, wanted (selection's keep rule) is called once per class in
+    ascending order, with the class's whole mean.
 
-    Each class's rows are taken from each window straight into the class's
-    slot of the stage, in ascending row order, and once the last window is
-    read each slot is summed in float64 as one array: the same reduction
+    Classes are grouped in ascending order to fit the stage, and each group
+    is read in one walk over the windows: each class's rows are taken from
+    each window straight into the class's slot of the stage, in ascending
+    row order, and once the last window is read each slot is summed in
+    float64 as one array, and its inner rows only if the class is wanted.
+    A class larger than the stage is summed through it in float64 chunks in
+    its own walk, its inner rows' sum beside it. Both are the same reduction
     over the same rows as features[rows].sum(axis=0, dtype=np.float64), so
     both means are bitwise equal to masked_pool's.
     """
@@ -62,40 +79,87 @@ def _pool_windows(
     order = valid[np.argsort(labels[valid], kind="stable")]
     values, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
     ends = starts + counts
-    row_bytes = max(1, features.shape[1] * features.itemsize)
-    stage = np.empty((min(order.size, max(1, STAGE_BYTES // row_bytes)), features.shape[1]),
-                     features.dtype)
+    width = features.shape[1]
+    row_bytes = width * features.itemsize
+    fit = max(1, STAGE_BYTES // max(1, row_bytes))  # rows of features the stage holds
+    # A chunked sum lays two rows of each of two sums over the stage at least.
+    stage = np.empty(max(min(order.size, fit) * row_bytes, 32 * width), np.uint8)
     pooled = {}
+
+    def finish(c, mean, within, inner_mean):
+        part = None
+        if inner is not None and wanted(c, mean):
+            if within.all():
+                part = mean
+            elif within.any():
+                part = inner_mean()
+        pooled[c] = mean, part
+
     first = 0
     while first < values.size:
-        # Classes first to last - 1 share the stage; a larger class has its own.
-        last = int(np.searchsorted(ends, starts[first] + stage.shape[0], side="right"))
+        last = int(np.searchsorted(ends, starts[first] + fit, side="right"))
         last = max(last, first + 1)
         lo, hi = starts[first], ends[last - 1]
-        held = stage if hi - lo <= stage.shape[0] else np.empty((hi - lo, features.shape[1]),
-                                                                  features.dtype)
         rows = order[lo:hi]
-        # Ascending: class k's rows, offset by k * n, so one search finds
-        # where every class's rows in a window start and stop.
-        offsets = np.arange(last - first) * features.shape[0]
-        key = np.repeat(offsets, counts[first:last]) + rows
-        for start, stop in _windows(features, WINDOW_BYTES):
-            cuts = np.searchsorted(key, [offsets + start, offsets + stop]).tolist()
-            for i, j in zip(*cuts):
-                if j > i:  # mode "raise" would copy out twice; every row is in range
-                    features.take(rows[i:j], axis=0, out=held[i:j], mode="clip")
-        for c, a, b in zip(values[first:last], starts[first:last] - lo, ends[first:last] - lo):
-            mean = held[a:b].sum(axis=0, dtype=np.float64) / (b - a)
-            part = None
-            if inner is not None and wanted(int(c), mean):
-                within = inner[rows[a:b]]
-                if within.all():
-                    part = mean
-                elif within.any():
-                    part = held[a:b][within].sum(axis=0, dtype=np.float64) / within.sum()
-            pooled[int(c)] = mean, part
+        within = None if inner is None else inner[rows]
+        if hi - lo > fit and width > 1:
+            # One class larger than the stage; its inner rows are summed beside
+            # it unless they are all of its rows or none.
+            split = within is not None and within.any() and not within.all()
+            sums = _chunked_sums(features, [rows, rows[within]] if split else [rows], stage)
+            finish(int(values[first]), sums[0] / rows.size, within,
+                   lambda: sums[1] / within.sum())
+        else:
+            # Classes first to last - 1 share the stage; a larger class of one
+            # column (no larger than a label vector) has a buffer of its own.
+            held = (_laid_over(stage, features.dtype, hi - lo, width) if hi - lo <= fit
+                    else np.empty((hi - lo, width), features.dtype))
+            # Ascending: class k's rows, offset by k * n, so one search finds
+            # where every class's rows in a window start and stop.
+            offsets = np.arange(last - first) * features.shape[0]
+            key = np.repeat(offsets, counts[first:last]) + rows
+            for start, stop in _windows(features, WINDOW_BYTES):
+                cuts = np.searchsorted(key, [offsets + start, offsets + stop]).tolist()
+                for i, j in zip(*cuts):
+                    if j > i:  # mode "raise" would copy out twice; every row is in range
+                        features.take(rows[i:j], axis=0, out=held[i:j], mode="clip")
+            for c, a, b in zip(values[first:last], starts[first:last] - lo, ends[first:last] - lo):
+                ours = None if within is None else within[a:b]
+                finish(int(c), held[a:b].sum(axis=0, dtype=np.float64) / (b - a), ours,
+                       lambda: held[a:b][ours].sum(axis=0, dtype=np.float64) / ours.sum())
         first = last
     return pooled
+
+
+def _chunked_sums(features: np.ndarray, streams: list[np.ndarray],
+                  stage: np.ndarray) -> list[np.ndarray]:
+    """The float64 sum of the rows of features (at least 2 wide) listed in
+    each of streams, ascending row vectors, read in one walk over the
+    windows.
+
+    Each stream's rows are copied in file order into its share of the stage,
+    laid over as float64, and a full share is summed as one array whose
+    leading row carries on the sum so far. numpy sums a matrix at least 2
+    wide down its rows one row at a time, so this is bitwise
+    features[rows].sum(axis=0, dtype=np.float64); a single column it sums
+    pairwise within its buffer, which is why a width-1 class is not chunked.
+    """
+    width = features.shape[1]
+    share = stage.size // (8 * width * len(streams))
+    bufs = _laid_over(stage, np.float64, len(streams) * share, width).reshape(-1, share, width)
+    fills = [0] * len(streams)  # the first chunk has no leading row
+    for start, stop in _windows(features, WINDOW_BYTES):
+        for s, (buf, rows) in enumerate(zip(bufs, streams)):
+            i, j = np.searchsorted(rows, (start, stop)).tolist()
+            while i < j:
+                k = min(j - i, share - fills[s])
+                buf[fills[s]:fills[s] + k] = features[rows[i:i + k]]
+                fills[s] += k
+                i += k
+                if fills[s] == share:
+                    buf[0] = buf.sum(axis=0)
+                    fills[s] = 1
+    return [buf[:fill].sum(axis=0) for buf, fill in zip(bufs, fills)]
 
 
 def checked_features(name: str, features, prototypes: PrototypeSet) -> np.ndarray:
@@ -219,9 +283,11 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
     Each shot contributes with equal weight regardless of its mask size;
     for K = 1 this is the plain masked mean. Each distinct support scene is
     embedded once, and its features are released once every shot on it is
-    pooled, so at most one scene's features are held at a time. Support
+    pooled, so at most one scene's features are held at a time; a shot is
+    pooled in file order through one window and one stage, like a refine.
+    Features that are not one row per point are an AlignmentError, support
     scenes whose features differ in width, and a shot whose pooled rows are
-    not finite, are ContractErrors naming the support scene's file.
+    not finite, ContractErrors, each naming the support scene's file.
     """
     by_scene: dict[int, list[tuple[int, int, SupportShot]]] = {}
     for c in support.classes():
@@ -231,7 +297,11 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
     first = None  # the first support scene's path and feature shape
     for shots in by_scene.values():
         scene = shots[0][2].scene
-        feats = provider.embed_scene(scene)
+        feats = np.asarray(provider.embed_scene(scene))
+        if feats.ndim != 2 or feats.shape[0] != scene.point_count:
+            raise AlignmentError(f"support scene {scene.source_path}: features of shape "
+                                 f"{feats.shape} are not a matrix of one row per point "
+                                 f"({scene.point_count} points)")
         if first is None:
             first = scene.source_path, feats.shape
         elif feats.shape[1:] != first[1][1:]:
@@ -240,7 +310,7 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
                 f"differ in width from those of support scene {first[0]}, of shape {first[1]}"
             )
         for c, k, shot in shots:
-            pooled[c, k] = masked_pool(feats, shot.mask)
+            pooled[c, k] = _pool_windows(feats, np.where(shot.mask, 0, -1))[0][0]
             if not np.isfinite(pooled[c, k]).all():
                 raise ContractError(f"support scene {scene.source_path}: "
                                     f"prototype for class {c} is not finite")

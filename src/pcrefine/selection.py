@@ -62,8 +62,10 @@ def _select_and_merge(
 
     def keep(c, mean):
         # The keep rule, once per class as the pass pools it, so no candidate is
-        # summed for a dropped class. A non-finite prototype is raised here, and
-        # so wins over a class absent from the support, raised after the pass.
+        # summed for a dropped class that fits the stage (a larger class's is
+        # summed beside its mean in the same walk). A non-finite prototype is
+        # raised here, and so wins over a class absent from the support,
+        # raised after the pass.
         if not np.isfinite(mean).all():
             raise ContractError(f"prototype for class {c} is not finite")
         if c in support:

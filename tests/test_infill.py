@@ -15,10 +15,18 @@ from pcrefine import (
 import pcrefine.prototypes as prototypes
 from pcrefine.errors import ConfigError, ContractError
 from pcrefine.infill import (
-    INFILL_BLOCK_ROWS,
     _nearest_prototype,
     pairwise_cosine,
 )
+
+# An infill block holds prototypes.STAGE_BYTES of float64 rows; block_rows
+# patches the stage so that blocks are BLOCK_ROWS rows of the given width.
+BLOCK_ROWS = 4096
+
+
+def block_rows(monkeypatch, width, rows=BLOCK_ROWS):
+    """Patch prototypes.STAGE_BYTES to rows float64 rows of width."""
+    monkeypatch.setattr(prototypes, "STAGE_BYTES", rows * 8 * width)
 
 
 def unit(d, axis):
@@ -204,12 +212,13 @@ def unblocked_infill(y, feats, adaptive, delta):
 class TestBlockedInfill:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_unlabeled", [
-        1, INFILL_BLOCK_ROWS - 1, INFILL_BLOCK_ROWS + 1, 2 * INFILL_BLOCK_ROWS + 1,
-        4 * INFILL_BLOCK_ROWS + 123,  # more than three blocks
+        1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
+        4 * BLOCK_ROWS + 123,  # more than three blocks
     ])
-    def test_bitwise_equal_to_unblocked(self, schema, n_unlabeled, dtype):
+    def test_bitwise_equal_to_unblocked(self, schema, monkeypatch, n_unlabeled, dtype):
         rng = np.random.default_rng(n_unlabeled)
         n_labeled, d = 500, 32
+        block_rows(monkeypatch, d)
         y = np.concatenate([np.full(n_unlabeled, -1),
                             rng.integers(0, schema.n_classes, size=n_labeled)])
         y = y[rng.permutation(y.size)]
@@ -235,8 +244,7 @@ class TestWindowedInfill:
     @pytest.fixture(autouse=True)
     def tiny(self, monkeypatch):
         monkeypatch.setattr(prototypes, "WINDOW_BYTES", 7 * 8 * 8)
-        # sys.modules: the pcrefine namespace's attribute `infill` is the function.
-        monkeypatch.setattr(sys.modules["pcrefine.infill"], "INFILL_BLOCK_ROWS", 3)
+        block_rows(monkeypatch, 8, rows=3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bitwise_equal_to_unblocked(self, schema, seed):
@@ -250,6 +258,17 @@ class TestWindowedInfill:
         assert best.tobytes() == expected_best.tobytes()
         assert best_sim.tobytes() == expected_sim.tobytes()
         assert infill(y, feats, adaptive, InfillConfig(0.05)).tobytes() == expected.tobytes()
+
+    def test_blocks_are_one_stage_of_float64_rows_inside_a_window(self, schema, monkeypatch):
+        # 7-row windows cut 3-row blocks at rows 7, 14, ...: blocks of 3, 3, 1.
+        sizes, cosine_of = [], pairwise_cosine
+        # sys.modules: the pcrefine namespace's attribute `infill` is the function.
+        monkeypatch.setattr(sys.modules["pcrefine.infill"], "pairwise_cosine",
+                            lambda rows, *args, **kw: sizes.append(len(rows)) or
+                            cosine_of(rows, *args, **kw))
+        feats = np.random.default_rng(0).normal(size=(20, 8))
+        _nearest_prototype(feats, np.arange(20), np.ones((2, 8)))
+        assert sizes == [3, 3, 1, 3, 3, 1, 3, 3]
 
     def test_first_non_finite_row_named(self, schema):
         # The first bad unlabeled row, in the third window, is named, not a
@@ -287,9 +306,10 @@ class TestPerPairCosine:
 class TestNonFiniteFeatures:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
-    def test_unlabeled_row_named(self, schema, value, dtype):
+    def test_unlabeled_row_named(self, schema, monkeypatch, value, dtype):
         rng = np.random.default_rng(0)
-        n = 2 * INFILL_BLOCK_ROWS + 5  # the bad row sits in the last block
+        block_rows(monkeypatch, 6)
+        n = 2 * BLOCK_ROWS + 5  # the bad row sits in the last block
         feats = rng.normal(size=(n, 6)).astype(dtype)
         feats[n - 3, 4] = value
         feats[n - 1, 0] = value  # a later bad row is not the one named

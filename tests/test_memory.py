@@ -240,33 +240,38 @@ print(hwm_mib() - baseline)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
 def test_refine_holds_one_window_and_one_stage_of_features(tmp_path):
-    # A 105 MB embedding file, three windows and more, with novel rows on
-    # every page: a refine that gathered from the whole mapping would hold
-    # all of it.
+    # A 100 MiB embedding file, several windows, with novel rows on every
+    # page: a refine that gathered from the whole mapping would hold all of
+    # it. In the uniform file no class fills the stage; in the dominant one
+    # a novel class holds about 65% of the rows, many stages' worth, which
+    # must be summed through the stage, not gathered into its own buffer.
     from pcrefine.embeddings import EMBEDDING_MAGIC, EMBEDDING_VERSION
     from pcrefine.prototypes import STAGE_BYTES, WINDOW_BYTES
 
     n, d, chunk = 51_200, 512, 4096
     rng = np.random.default_rng(3)
     anchors = np.linalg.qr(rng.standard_normal((d, 8)))[0].T  # 8 orthonormal classes
-    raw = rng.integers(-1, 8, size=n)
-    base = np.where(raw < 2, raw, -1)
+    uniform = rng.integers(-1, 8, size=n)
+    dominant = np.where(rng.random(n) < 0.65, 2, uniform)
     noise = rng.standard_normal((chunk, d)).astype(np.float32) * 0.02
-    path = tmp_path / "big.gfve"
-    try:
-        with open(path, "wb") as f:
-            f.write(EMBEDDING_MAGIC + struct.pack("<IQI", EMBEDDING_VERSION, n, d))
-            for start in range(0, n, chunk):
-                rows = raw[start:start + chunk]
-                f.write((anchors[rows].astype(np.float32) + noise[:rows.size]).tobytes())
-        inputs = []
-        for name, array in (("raw", raw), ("base", base), ("anchors", anchors)):
-            np.save(tmp_path / f"{name}.npy", array)
-            inputs.append(str(tmp_path / f"{name}.npy"))
-        env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", REFINE_PEAK, str(path), *inputs],
-                             capture_output=True, text=True, env=env, check=True).stdout
-    finally:
-        path.unlink(missing_ok=True)
     bound = (WINDOW_BYTES + STAGE_BYTES) / 2**20 + 24
-    assert float(out) < bound, f"peak rose {float(out):.1f} MiB over a {n * d * 4 / 2**20:.0f} MiB file"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
+    for name, raw in (("uniform", uniform), ("dominant", dominant)):
+        path = tmp_path / "big.gfve"
+        try:
+            with open(path, "wb") as f:
+                f.write(EMBEDDING_MAGIC + struct.pack("<IQI", EMBEDDING_VERSION, n, d))
+                for start in range(0, n, chunk):
+                    rows = raw[start:start + chunk]
+                    f.write((anchors[rows].astype(np.float32) + noise[:rows.size]).tobytes())
+            inputs = []
+            for array_name, array in (("raw", raw), ("base", np.where(raw < 2, raw, -1)),
+                                      ("anchors", anchors)):
+                np.save(tmp_path / f"{array_name}.npy", array)
+                inputs.append(str(tmp_path / f"{array_name}.npy"))
+            out = subprocess.run([sys.executable, "-c", REFINE_PEAK, str(path), *inputs],
+                                 capture_output=True, text=True, env=env, check=True).stdout
+        finally:
+            path.unlink(missing_ok=True)
+        assert float(out) < bound, \
+            f"{name}: peak rose {float(out):.1f} MiB over a {n * d * 4 / 2**20:.0f} MiB file"

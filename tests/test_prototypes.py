@@ -196,6 +196,67 @@ class TestWindowedPool:
             _pool_windows(np.ones((3, 2)), np.array([0, -1, -1, 1]))
 
 
+class TestChunkedPool:
+    """Exactness table at 7-row windows: classes of stage - 1, stage,
+    stage + 1 and 3 * stage + 5 rows, the last two larger than the stage and
+    so, at least 2 wide, summed through it in float64 chunks. Each mean and
+    inner mean is bitwise the cast-then-sum reference and masked_pool's."""
+
+    @staticmethod
+    def check(dtype, d, size):
+        rng = np.random.default_rng(size * d)
+        n = size + 40
+        feats = (rng.standard_normal((n, d)) * 100).astype(dtype)
+        feats[rng.random((n, d)) < 0.2] = -0.0
+        labels = np.full(n, -1)
+        rows = np.sort(rng.permutation(n)[:size])
+        labels[rows] = 4
+        others = np.setdiff1d(np.arange(n), rows)
+        labels[others[:12]] = 1  # a small class sharing a stage group with 4
+        if d > 1:
+            feats[rows, 0] = -0.0  # a column of -0.0 beside others
+        inner = rng.random(n) < 0.6
+        inner[rows[:2]] = True, False  # some but not all of class 4's rows
+        pooled = _pool_windows(feats, labels, inner)
+        assert sorted(pooled) == [1, 4]
+        for c, (mean, part) in pooled.items():
+            mask = labels == c
+            for got, rows_c in ((mean, np.flatnonzero(mask)), (part, np.flatnonzero(mask & inner))):
+                reference = feats[rows_c].sum(axis=0, dtype=np.float64) / rows_c.size
+                assert got.tobytes() == reference.tobytes()
+                assert got.tobytes() == masked_pool(feats, np.isin(np.arange(n), rows_c)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 512])
+    @pytest.mark.parametrize("size", [19, 20, 21, 65])
+    def test_bitwise_equal_at_and_past_the_stage(self, monkeypatch, dtype, d, size):
+        tiny_windows(monkeypatch, dtype, d, window_rows=7, stage_rows=20)
+        self.check(dtype, d, size)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_equal_past_numpy_casting_buffer(self, monkeypatch, dtype, d):
+        # The reference casts through numpy's 8192-element buffer, which a
+        # 4100-row stage and a 12,305-row class outgrow; one column it sums
+        # pairwise within the buffer, so a width-1 class is gathered whole.
+        tiny_windows(monkeypatch, dtype, d, window_rows=1000, stage_rows=4100)
+        self.check(dtype, d, 3 * 4100 + 5)
+
+    def test_chunks_and_small_groups_share_the_walks(self, monkeypatch):
+        # Class 4 (65 rows) is summed in its own walk, its inner rows beside
+        # it; class 1 (12 rows) fills a stage group of its own.
+        tiny_windows(monkeypatch, np.float32, 3, window_rows=7, stage_rows=20)
+        walked, windows = [], prototypes._windows
+
+        def recording(features, window_bytes):
+            walked.append(0)
+            yield from windows(features, window_bytes)
+
+        monkeypatch.setattr(prototypes, "_windows", recording)
+        self.check(np.float32, 3, 65)
+        assert len(walked) == 2
+
+
 class TestCosine:
     def test_identical(self):
         assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
@@ -348,6 +409,33 @@ class TestSupportPrototypes:
         p3 = support_prototypes(SupportSet(schema=schema, shots=three), provider)
         for c in schema.novel_indices:
             np.testing.assert_array_equal(p1[c], p3[c])
+
+    def test_features_not_one_row_per_point(self, schema):
+        scene = constant_scene(5, 0, 3)
+        shots = {c: (SupportShot(scene, [1, 1, 0, 0, 0]),) for c in schema.novel_indices}
+
+        class ShortProvider:
+            def embed_scene(self, scene):
+                return np.ones((scene.point_count - 1, 3))
+
+        with pytest.raises(AlignmentError, match=r"features of shape \(4, 3\) are not a matrix "
+                                                 r"of one row per point \(5 points\)"):
+            support_prototypes(SupportSet(schema=schema, shots=shots), ShortProvider())
+
+    def test_shots_pooled_bitwise_as_masked_pool(self, schema, monkeypatch):
+        # At 7-row windows and a 20-row stage a shot of about 65 rows is
+        # summed in chunks, the others in stage groups.
+        tiny_windows(monkeypatch, np.float64, 16, window_rows=7, stage_rows=20)
+        provider = SyntheticFeatureProvider(
+            schema, SyntheticProviderConfig(dim=16, anchor_seed=0, noise_sigma=0.2))
+        rng = np.random.default_rng(5)
+        scene = PointCloudScene(rng.uniform(0, 1, size=(100, 3)), np.full(100, 4))
+        masks = {c: rng.random(100) < (0.65 if c == 4 else 0.1) for c in schema.novel_indices}
+        shots = {c: (SupportShot(scene, masks[c]),) for c in schema.novel_indices}
+        protos = support_prototypes(SupportSet(schema=schema, shots=shots), provider)
+        feats = provider.embed_scene(scene)
+        for c in schema.novel_indices:
+            assert protos[c].tobytes() == masked_pool(feats, masks[c]).tobytes()
 
     def test_pooling_beats_single_shot(self, schema):
         # Averaging K noisy shots should align with the class anchor at

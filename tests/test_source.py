@@ -1,8 +1,9 @@
 """Checks on the package source, read with the standard library's ast:
 every module-level import in src/pcrefine is used in its module, the CLI
 has one output path, every embedding file is read through one row check,
-every file is mapped, walked and replaced by scene_io alone, and
-selection's keep rule is stated once."""
+every file is mapped, walked and replaced by scene_io alone, the package
+pools through the windowed pool alone, and selection's keep rule is stated
+once."""
 
 import ast
 from pathlib import Path
@@ -153,31 +154,38 @@ def test_replacing_is_defined_only_in_scene_io():
 WALKERS = {"scene_io.py": ("_windows",)}
 
 
-def page_drops(source: str, functions=()) -> list[int]:
-    """The line of each call of _drop_mapped_pages, bare or as an attribute,
-    outside the module-level functions named in functions."""
+def calls(source: str, name: str, functions=()) -> list[int]:
+    """The line of each call of name, bare or as an attribute, outside the
+    module-level functions named in functions."""
     return sorted(node.lineno for node in nodes_outside(source, functions)
                   if isinstance(node, ast.Call)
-                  and "_drop_mapped_pages" in (getattr(node.func, "id", None),
-                                               getattr(node.func, "attr", None)))
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_page_drop_checker_finds_calls():
     source = ("def _windows(rec, size):\n    _drop_mapped_pages(rec, 0, 1)\n"
               "def read(rec):\n    _drop_mapped_pages(rec, 0, 1)\n"
               "    scene_io._drop_mapped_pages(rec, 1, 2)\n")
-    assert page_drops(source, ("_windows",)) == [4, 5]
-    assert page_drops(source) == [2, 4, 5]
+    assert calls(source, "_drop_mapped_pages", ("_windows",)) == [4, 5]
+    assert calls(source, "_drop_mapped_pages") == [2, 4, 5]
 
 
 def test_pages_are_dropped_only_by_the_walker():
-    found = {path.name: page_drops(path.read_text(), WALKERS.get(path.name, ()))
+    found = {path.name: calls(path.read_text(), "_drop_mapped_pages", WALKERS.get(path.name, ()))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_walker_is_defined_only_in_scene_io():
     assert defined_in("_windows") == ["scene_io.py"]
+
+
+# masked_pool gathers all of a mask's rows at once; it stays public for
+# library callers, and the package pools through _pool_windows' window and
+# stage, support shots included.
+def test_package_never_calls_masked_pool():
+    found = {path.name: calls(path.read_text(), "masked_pool") for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def tau_comparisons(source: str) -> list[int]:
