@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -253,7 +254,15 @@ def _scene_faults(entry: SceneEntry):
 
 
 def cmd_refine(args) -> tuple[dict, Path]:
-    """Write refined train labels as <out>/<id>.npy; the document goes to <out>/report.json."""
+    """Write refined train labels as <out>/<id>.npy; the document goes to <out>/report.json.
+
+    Each scene's labels are written as soon as it is refined, into a
+    .partial-* directory under --out, so one scene's labels are held at a
+    time. Once every scene has succeeded they are moved into --out; on any
+    failure the directory is removed, so a failed run leaves no labels
+    behind. A killed process may leave the directory."""
+    import tempfile
+
     from .embeddings import _scene_embedding
     from .infill import InfillConfig
     from .pipeline import refine_labels
@@ -268,23 +277,24 @@ def cmd_refine(args) -> tuple[dict, Path]:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Every scene is refined before anything is written, so a run that fails
-    # on a later scene leaves no labels behind.
-    refined_labels, scene_reports = {}, {}
-    for entry in entries:
-        with _scene_faults(entry):
-            if not (entry.embedding and entry.raw_predictions and entry.base_labels):
-                raise ConfigError("lacks embedding/raw/base_labels")
-            ply = manifest.resolve(entry.path)
-            feats = _scene_embedding(ply, _vertex_count(ply), manifest.resolve(entry.embedding))
-            raw = load_labels(manifest.resolve(entry.raw_predictions))
-            base = load_labels(manifest.resolve(entry.base_labels))
-            refined_labels[entry.scene_id], report = refine_labels(
-                feats, raw, base, support, manifest.schema, sel_cfg, inf_cfg
-            )
-        scene_reports[entry.scene_id] = report.to_dict()
-    for scene_id, refined in refined_labels.items():
-        save_labels(refined, out / f"{scene_id}.npy")
+    scene_reports = {}
+    with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as staging:
+        for entry in entries:
+            with _scene_faults(entry):
+                if not (entry.embedding and entry.raw_predictions and entry.base_labels):
+                    raise ConfigError("lacks embedding/raw/base_labels")
+                ply = manifest.resolve(entry.path)
+                feats = _scene_embedding(ply, _vertex_count(ply), manifest.resolve(entry.embedding))
+                raw = load_labels(manifest.resolve(entry.raw_predictions))
+                base = load_labels(manifest.resolve(entry.base_labels))
+                refined, report = refine_labels(
+                    feats, raw, base, support, manifest.schema, sel_cfg, inf_cfg
+                )
+            save_labels(refined, Path(staging, f"{entry.scene_id}.npy"))
+            del refined  # freed before the next scene is refined
+            scene_reports[entry.scene_id] = report.to_dict()
+        for scene_id in scene_reports:
+            os.replace(Path(staging, f"{scene_id}.npy"), out / f"{scene_id}.npy")
 
     return {"tau": args.tau, "delta": args.delta, "scenes": scene_reports}, out / "report.json"
 

@@ -39,11 +39,12 @@ def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # chunks (_chunked_sums). Infill's float64 block is STAGE_BYTES too, so a
 # refine holds one window, one stage and one block whatever its class sizes
 # or width: over a 100 MiB file of 512-wide rows a refine's peak rises by
-# 27 MiB when no class fills the stage and 30 MiB when one holds 65% of the
-# rows (tests/test_memory.py). The window stays at 16 MiB: on the
-# refine_corpus benchmark an 8 MiB one lowered the peak by about 7 MB but,
-# walking twice the windows, cost more build CPU (BENCH_40.json).
-WINDOW_BYTES = 16 << 20
+# 18 MiB when no class fills the stage and 22 MiB when one holds 65% of the
+# rows (tests/test_memory.py). A window of 8 MiB, not 16, walks twice the
+# windows; with the context rows summed in place and a support scene's shots
+# pooled in one walk, refine_corpus's build CPU still fell by 9.6% (9 of 10
+# pairs) and its peak_rss_mb from 86.6 to 69.1 MB (10 of 10, BENCH_41.json).
+WINDOW_BYTES = 8 << 20
 STAGE_BYTES = 8 << 20
 
 
@@ -126,9 +127,22 @@ def _pool_windows(
             for c, a, b in zip(values[first:last], starts[first:last] - lo, ends[first:last] - lo):
                 ours = None if within is None else within[a:b]
                 finish(int(c), held[a:b].sum(axis=0, dtype=np.float64) / (b - a), ours,
-                       lambda: held[a:b][ours].sum(axis=0, dtype=np.float64) / ours.sum())
+                       lambda: _inner_sum(held[a:b], ours) / ours.sum())
         first = last
     return pooled
+
+
+def _inner_sum(held: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """held[inner].sum(axis=0, dtype=np.float64), bitwise, with no copy of
+    the rows for a matrix at least 2 wide: the other rows are overwritten
+    with -0.0 in place and every row is summed. numpy sums such a matrix
+    down its rows one row at a time, and adding -0.0 leaves every float64,
+    +0.0 included, as it was. A single column it sums pairwise within its
+    buffer, where the -0.0 rows would move the splits, so it is gathered."""
+    if held.shape[1] == 1:
+        return held[inner].sum(axis=0, dtype=np.float64)
+    held[~inner] = -0.0
+    return held.sum(axis=0, dtype=np.float64)
 
 
 def _chunked_sums(features: np.ndarray, streams: list[np.ndarray],
@@ -283,8 +297,9 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
     Each shot contributes with equal weight regardless of its mask size;
     for K = 1 this is the plain masked mean. Each distinct support scene is
     embedded once, and its features are released once every shot on it is
-    pooled, so at most one scene's features are held at a time; a shot is
-    pooled in file order through one window and one stage, like a refine.
+    pooled, so at most one scene's features are held at a time; its shots
+    are pooled in file order through one window and one stage, like a
+    refine, in one walk unless their masks overlap.
     Features that are not one row per point are an AlignmentError, support
     scenes whose features differ in width, and a shot whose pooled rows are
     not finite, ContractErrors, each naming the support scene's file.
@@ -309,8 +324,22 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
                 f"support scene {scene.source_path}: features of shape {feats.shape} "
                 f"differ in width from those of support scene {first[0]}, of shape {first[1]}"
             )
-        for c, k, shot in shots:
-            pooled[c, k] = _pool_windows(feats, np.where(shot.mask, 0, -1))[0][0]
+        # The scene's shots are pooled together, shot i as label i: one walk
+        # per label vector, and a shot whose mask overlaps one already in the
+        # vector waits for the next.
+        means, left = {}, range(len(shots))
+        while left:
+            labels, later = np.full(scene.point_count, -1, np.int64), []
+            for i in left:
+                mask = shots[i][2].mask
+                if (labels[mask] >= 0).any():
+                    later.append(i)
+                else:
+                    labels[mask] = i
+            means.update((i, mean) for i, (mean, _) in _pool_windows(feats, labels).items())
+            left = later
+        for i, (c, k, shot) in enumerate(shots):
+            pooled[c, k] = means[i]
             if not np.isfinite(pooled[c, k]).all():
                 raise ContractError(f"support scene {scene.source_path}: "
                                     f"prototype for class {c} is not finite")

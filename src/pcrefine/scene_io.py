@@ -283,21 +283,22 @@ def _windows(rec: np.ndarray, window_bytes: int):
     window's pages are released (_drop_mapped_pages)."""
     n = rec.shape[0]
     step = max(1, window_bytes // max(1, abs(rec.strides[0])))
+    view = _mapping_of(rec)  # once per walk, not once per window
     for start in range(0, n, step):
         stop = min(start + step, n)
         yield start, stop
-        _drop_mapped_pages(rec, start, stop)
+        _drop_mapped_pages(rec, view, start, stop)
 
 
-def _drop_mapped_pages(rec: np.ndarray, start: int, stop: int) -> None:
+def _drop_mapped_pages(rec: np.ndarray, view: "tuple[mmap.mmap, int] | None",
+                       start: int, stop: int) -> None:
     """Release this process's pages of rows start to stop of a row-major
     array that views a mapped file, a vertex record or a feature matrix,
     once they are read: from the page holding row start to the one holding
     row stop, which the next rows still use, or to the file's end after the
-    last row. Rows are rec.strides[0] bytes apart. The pages stay in the
-    page cache, so touching those rows again maps them back. An array in
-    memory is left alone."""
-    view = _mapping_of(rec)
+    last row. view is _mapping_of(rec). Rows are rec.strides[0] bytes apart.
+    The pages stay in the page cache, so touching those rows again maps them
+    back. An array in memory (view None) is left alone."""
     if view is None:
         return
     import mmap  # loaded already: the record is mapped

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import from_dtype
 from numpy.lib.recfunctions import repack_fields
 
+import pcrefine.cli as cli_module
+import pcrefine.pipeline as pipeline_module
 import pcrefine.prototypes as prototypes_module
 import pcrefine.scene_io as scene_io
 from pcrefine import (
@@ -264,6 +266,52 @@ class TestRefine:
                        f"but {embedding} holds {n} feature rows"}
         assert stdout == ""
         assert list(out.iterdir()) == []
+
+    def test_each_scene_is_staged_before_the_next_is_refined(self, tmp_path, capsys, monkeypatch):
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "3"})
+        out = tmp_path / "refined"
+        seen, refine = [], pipeline_module.refine_labels
+
+        def recording(*args):
+            seen.append([p.relative_to(out).parts for p in sorted(out.rglob("*.npy"))])
+            return refine(*args)
+
+        monkeypatch.setattr(pipeline_module, "refine_labels", recording)
+        code, _, _ = run(capsys, "refine", "--manifest", str(corpus / "manifest.json"),
+                         "--out", str(out))
+        assert code == EXIT_OK
+        [staging] = {parts[0] for parts in seen[-1]}
+        assert staging.startswith(".partial-")
+        assert seen == [[], [(staging, "train_000.npy")],
+                        [(staging, "train_000.npy"), (staging, "train_001.npy")]]
+        # Every file moved into --out, and no staging directory left.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report.json", "train_000.npy", "train_001.npy", "train_002.npy"]
+
+    @pytest.mark.parametrize("fault, code", [("raw_label", EXIT_CONTRACT), ("write", EXIT_IO)])
+    def test_failing_later_scene_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                      fault, code):
+        # An earlier run's files stay byte for byte, and the staged labels of
+        # the scenes before the fault are removed with their directory.
+        corpus = simulate(tmp_path, capsys, **{"--scenes": "3"})
+        out = tmp_path / "refined"
+        argv = ["refine", "--manifest", str(corpus / "manifest.json"), "--out", str(out)]
+        assert run(capsys, *argv, "--tau", "-1")[0] == EXIT_OK  # keeps every class
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        if fault == "raw_label":
+            raw = np.load(corpus / "raw/train_002.npy")
+            raw[0] = 99
+            np.save(corpus / "raw/train_002.npy", raw)
+        else:
+            def failing(labels, path):
+                if Path(path).name == "train_002.npy":
+                    raise OSError(28, "No space left on device")
+                save_labels(labels, path)
+
+            monkeypatch.setattr(cli_module, "save_labels", failing)
+        assert run(capsys, *argv)[0] == code
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(out.glob(".partial-*"))
 
     def test_missing_train_ply_is_io_error(self, tmp_path, capsys):
         corpus = simulate(tmp_path, capsys, **{"--scenes": "2"})

@@ -192,9 +192,9 @@ class TestWindowedCore:
         monkeypatch.setattr(prototypes, "WINDOW_BYTES", 16 * 256 * 4)
         spans, drop = [], scene_io._drop_mapped_pages
 
-        def recording(rec, start, stop):
+        def recording(rec, view, start, stop):
             spans.append((stop - start) * rec.strides[0])
-            drop(rec, start, stop)
+            drop(rec, view, start, stop)
 
         monkeypatch.setattr(scene_io, "_drop_mapped_pages", recording)
         y, report = refine_labels(sliced, raw, base, support, SCHEMA)

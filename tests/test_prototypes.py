@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +259,57 @@ class TestChunkedPool:
         assert len(walked) == 2
 
 
+class TestContextSumInPlace:
+    """A kept class's inner rows are summed in its stage slot, the other
+    rows overwritten with -0.0 (a single column is gathered): each inner
+    mean is bitwise the cast-then-sum reference, wherever the outer rows
+    lie and whatever -0.0 the features hold."""
+
+    PLACES = {
+        "first": lambda n: np.arange(n) >= n // 3,
+        "last": lambda n: np.arange(n) < n - n // 3,
+        "alternating": lambda n: np.arange(n) % 2 == 1,
+        "all_but_one": lambda n: np.arange(n) == n // 2,
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 512])
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    def test_bitwise_equal_to_the_gathered_sum(self, dtype, d, place):
+        rng = np.random.default_rng(d)
+        n = 61
+        feats = (rng.standard_normal((n, d)) * 100).astype(dtype)
+        feats[rng.random((n, d)) < 0.2] = -0.0
+        inner = self.PLACES[place](n)
+        if d > 1:
+            feats[:, 0] = -0.0  # a column of -0.0 throughout
+            feats[inner, -1] = -0.0  # and one of -0.0 on the inner rows only
+        labels = np.zeros(n, np.int64)
+        labels[::7] = -1  # unlabeled rows between the class's rows
+        sel = (labels == 0) & inner
+        (mean, part), = _pool_windows(feats, labels, inner).values()
+        reference = feats[sel].sum(axis=0, dtype=np.float64) / sel.sum()
+        assert part.tobytes() == reference.tobytes()
+        assert mean.tobytes() == (feats[labels == 0].sum(axis=0, dtype=np.float64)
+                                  / (labels == 0).sum()).tobytes()
+
+    def test_allocates_nothing_the_size_of_the_class(self):
+        # The class fills its stage slot; gathering its inner half would
+        # allocate half its size again.
+        rng = np.random.default_rng(0)
+        n, d = 2000, 512
+        feats = rng.standard_normal((n, d)).astype(np.float32)
+        labels, inner = np.zeros(n, np.int64), np.arange(n) % 2 == 0
+        tracemalloc.start()
+        try:
+            _pool_windows(feats, labels, inner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - feats.nbytes < feats.nbytes / 8, \
+            f"{peak / 1e6:.2f} MB for a {feats.nbytes / 1e6:.2f} MB class"
+
+
 class TestCosine:
     def test_identical(self):
         assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
@@ -436,6 +489,48 @@ class TestSupportPrototypes:
         feats = provider.embed_scene(scene)
         for c in schema.novel_indices:
             assert protos[c].tobytes() == masked_pool(feats, masks[c]).tobytes()
+
+    def test_shots_on_one_scene_share_a_walk_unless_they_overlap(self, schema, monkeypatch):
+        # One shot per novel class on one scene: disjoint masks are pooled in
+        # one walk, and a mask overlapping an earlier shot's takes a second.
+        walked, windows = [], prototypes._windows
+
+        def recording(features, window_bytes):
+            walked.append(0)
+            yield from windows(features, window_bytes)
+
+        monkeypatch.setattr(prototypes, "_windows", recording)
+        provider = SyntheticFeatureProvider(
+            schema, SyntheticProviderConfig(dim=16, anchor_seed=0, noise_sigma=0.2))
+        rng = np.random.default_rng(7)
+        scene = PointCloudScene(rng.uniform(0, 1, size=(100, 3)), np.full(100, 4))
+        part = np.arange(100) % len(schema.novel_indices)
+        masks = {c: part == i for i, c in enumerate(schema.novel_indices)}
+        feats = provider.embed_scene(scene)
+        for walks in (1, 2):
+            walked.clear()
+            shots = {c: (SupportShot(scene, masks[c]),) for c in schema.novel_indices}
+            protos = support_prototypes(SupportSet(schema=schema, shots=shots), provider)
+            assert len(walked) == walks
+            for c in schema.novel_indices:
+                assert protos[c].tobytes() == masked_pool(feats, masks[c]).tobytes()
+            masks[7] = masks[7] | masks[5]
+
+    def test_first_non_finite_shot_in_shot_order_is_named(self, schema):
+        # Classes 5 and 6 pool a NaN row, in one walk: class 5's shot comes first.
+        scene = PointCloudScene(np.zeros((10, 3)), np.full(10, 4))
+        part = np.arange(10) % len(schema.novel_indices)
+        shots = {c: (SupportShot(scene, part == i),) for i, c in enumerate(schema.novel_indices)}
+        feats = np.ones((10, 3))
+        feats[(part == 2) | (part == 3), 1] = np.nan
+
+        class NanProvider:
+            def embed_scene(self, scene):
+                return feats
+
+        with pytest.raises(ContractError, match=r"^support scene None: "
+                                                r"prototype for class 5 is not finite$"):
+            support_prototypes(SupportSet(schema=schema, shots=shots), NanProvider())
 
     def test_pooling_beats_single_shot(self, schema):
         # Averaging K noisy shots should align with the class anchor at

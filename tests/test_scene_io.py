@@ -15,6 +15,7 @@ from pcrefine.scene_io import (
     MissingLabelWarning,
     SceneEntry,
     _drop_mapped_pages,
+    _mapping_of,
     _parse_header,
     _read_ascii,
     _read_geometry,
@@ -509,16 +510,16 @@ def test_feature_rows_released_by_row_stride(tmp_path):
     def page(row):
         return (20 + row * d * 4) // 4096 * 4
 
-    _drop_mapped_pages(feats, 5000, 10_000)
+    _drop_mapped_pages(feats, _mapping_of(feats), 5000, 10_000)
     rows_kb = page(10_000) - page(5000)
     assert rows_kb <= size_kb - mapped_kb(path) <= rows_kb + 2 * FOLIO
-    _drop_mapped_pages(feats, 16_000, n)
+    _drop_mapped_pages(feats, _mapping_of(feats), 16_000, n)
     kept_kb = page(5000) + page(16_000) - page(10_000)
     assert kept_kb - 3 * FOLIO <= mapped_kb(path) <= kept_kb
     assert feats.sum(dtype=np.float64) == total  # mapped back from the page cache
     # A matrix in memory is left alone.
     copy = np.array(feats)
-    _drop_mapped_pages(copy, 0, n)
+    _drop_mapped_pages(copy, _mapping_of(copy), 0, n)
     assert (copy == feats).all()
 
 
