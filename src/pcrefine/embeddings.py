@@ -26,7 +26,8 @@ EMBEDDING_VERSION = 1
 
 
 def save_embeddings(features: np.ndarray, path: str | Path) -> None:
-    """Write an (N, D) matrix as an embedding file of little-endian float32.
+    """Write an (N, D) matrix, D >= 1, as an embedding file of little-endian
+    float32.
 
     A C-contiguous little-endian float32 array is written from its own
     buffer, with no copy; any other input is converted once. The file is
@@ -35,8 +36,8 @@ def save_embeddings(features: np.ndarray, path: str | Path) -> None:
     to it.
     """
     features = np.asarray(features, dtype="<f4", order="C")
-    if features.ndim != 2:
-        raise ConfigError(f"expected (N, D) matrix, got shape {features.shape}")
+    if features.ndim != 2 or features.shape[1] == 0:
+        raise ConfigError(f"expected (N, D) matrix with D >= 1, got shape {features.shape}")
     n, d = features.shape
     with _replacing(path) as f:
         f.write(EMBEDDING_MAGIC)
@@ -45,7 +46,7 @@ def save_embeddings(features: np.ndarray, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> np.ndarray:
-    """The (N, D) float32 matrix of an embedding file, as stored.
+    """The (N, D) float32 matrix of an embedding file, as stored; D >= 1.
 
     The payload must be exactly n x d x 4 bytes, checked against the file
     size before anything is mapped (by scene_io._mapped, as a PLY is). The
@@ -67,6 +68,8 @@ def load_embeddings(path: str | Path) -> np.ndarray:
         version, n, d = struct.unpack_from("<IQI", header, 4)
         if version != EMBEDDING_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if d == 0:  # no feature to compare: every prototype would be degenerate
+            raise FormatError(f"{path}: features of shape ({n}, 0) have no columns")
         need = n * d * 4
         have = os.fstat(f.fileno()).st_size - 20
         # Exact: a header whose n or d was rewritten smaller would otherwise

@@ -95,12 +95,12 @@ def _nearest_prototype(
     prototype. A listed row that is not finite is a ContractError naming
     the first such row by its index in features.
     """
-    # A block is prototypes.STAGE_BYTES of float64 rows, inside one of the
-    # windows, prototypes.WINDOW_BYTES of rows each, whose mapped pages are
-    # released behind them (both read through the module, so a patched
-    # value reaches them). Each similarity is one dot product of its own row
-    # and prototype, so neither size changes a result.
-    block_rows = max(1, prototypes.STAGE_BYTES // max(1, 8 * features.shape[1]))
+    # A block is prototypes.BLOCK_BYTES of float64 rows, as the pool's is,
+    # inside one of the windows, prototypes.WINDOW_BYTES of rows each, whose
+    # mapped pages are released behind them (both read through the module,
+    # so a patched value reaches them). Each similarity is one dot product of
+    # its own row and prototype, so neither size changes a result.
+    block_rows = max(1, prototypes.BLOCK_BYTES // max(1, 8 * features.shape[1]))
     best, best_sim = [], []
     for start, stop in _windows(features, prototypes.WINDOW_BYTES):
         i, j = np.searchsorted(rows, (start, stop))

@@ -34,146 +34,87 @@ def masked_pool(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 # A feature matrix is read in file order, WINDOW_BYTES of rows at a time, and
 # a mapped matrix's pages are released behind each window (scene_io._windows).
-# The rows pooled are copied into one staging buffer of STAGE_BYTES: classes
-# are grouped to fit, and a larger class is summed through it in float64
-# chunks (_chunked_sums). Infill's float64 block is STAGE_BYTES too, so a
-# refine holds one window, one stage and one block whatever its class sizes
-# or width: over a 100 MiB file of 512-wide rows a refine's peak rises by
-# 18 MiB when no class fills the stage and 22 MiB when one holds 65% of the
-# rows (tests/test_memory.py). A window of 8 MiB, not 16, walks twice the
-# windows; with the context rows summed in place and a support scene's shots
-# pooled in one walk, refine_corpus's build CPU still fell by 9.6% (9 of 10
-# pairs) and its peak_rss_mb from 86.6 to 69.1 MB (10 of 10, BENCH_41.json).
+# The pool sums its rows through one float64 block of BLOCK_BYTES (128 rows
+# at width 512), and infill scores its rows one such block at a time, so a
+# refine holds one window, one block and two float64 sums per class whatever
+# its class sizes or width, and walks each scene's file twice: once to pool,
+# once to infill. Over a 100 MiB file of 512-wide rows a refine's peak rises
+# by 10 MiB whether or not one class holds 65% of the rows
+# (tests/test_memory.py), against 18 and 22 MiB with an 8 MiB stage.
 WINDOW_BYTES = 8 << 20
-STAGE_BYTES = 8 << 20
-
-
-def _laid_over(stage: np.ndarray, dtype, rows: int, width: int) -> np.ndarray:
-    """A (rows, width) matrix of dtype laid over the first bytes of the
-    uint8 stage."""
-    return stage[:rows * width * np.dtype(dtype).itemsize].view(dtype).reshape(rows, width)
+BLOCK_BYTES = 512 << 10
 
 
 def _pool_windows(
-    features: np.ndarray, labels: np.ndarray, inner: np.ndarray | None = None,
-    wanted=lambda c, mean: True,
+    features: np.ndarray, labels: np.ndarray, inner: np.ndarray | None = None
 ) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-    """For every c >= 0 in checked int64 labels, the masked mean of the rows
-    labeled c and, given a bool vector inner, the mean of those rows where
-    inner is set, if wanted(c, mean) and there are any (None otherwise).
-    Given inner, wanted (selection's keep rule) is called once per class in
-    ascending order, with the class's whole mean.
+    """For every c >= 0 in checked int64 labels, ascending, the masked mean
+    of the rows labeled c and, given a bool vector inner, the mean of those
+    rows where inner is set, or None where there are none (or no inner).
 
-    Classes are grouped in ascending order to fit the stage, and each group
-    is read in one walk over the windows: each class's rows are taken from
-    each window straight into the class's slot of the stage, in ascending
-    row order, and once the last window is read each slot is summed in
-    float64 as one array, and its inner rows only if the class is wanted.
-    A class larger than the stage is summed through it in float64 chunks in
-    its own walk, its inner rows' sum beside it. Both are the same reduction
-    over the same rows as features[rows].sum(axis=0, dtype=np.float64), so
-    both means are bitwise equal to masked_pool's.
+    One walk over the windows: in each window, each class's rows, ascending,
+    are cast into one float64 block behind a leading row that carries the
+    class's sum so far, and the block is summed into that carry; given
+    inner, the block's outer rows are then overwritten with -0.0 and it is
+    summed again behind the class's inner carry. Each carry starts at -0.0,
+    the exact identity of IEEE addition, and numpy sums a matrix at least 2
+    wide down its rows one row at a time, so both sums are bitwise
+    features[rows].sum(axis=0, dtype=np.float64), as masked_pool takes it.
+    A single column numpy sums pairwise, so each class of a one-column
+    matrix is gathered whole, at most a label vector's bytes.
     """
     valid = np.flatnonzero(labels >= 0)
     if valid.size and valid[-1] >= features.shape[0]:
         raise IndexError(f"row {valid[-1]} is labeled, past the {features.shape[0]} feature rows")
-    order = valid[np.argsort(labels[valid], kind="stable")]
-    values, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
-    ends = starts + counts
+    values, counts = np.unique(labels[valid], return_counts=True)
     width = features.shape[1]
-    row_bytes = width * features.itemsize
-    fit = max(1, STAGE_BYTES // max(1, row_bytes))  # rows of features the stage holds
-    # A chunked sum lays two rows of each of two sums over the stage at least.
-    stage = np.empty(max(min(order.size, fit) * row_bytes, 32 * width), np.uint8)
-    pooled = {}
-
-    def finish(c, mean, within, inner_mean):
-        part = None
-        if inner is not None and wanted(c, mean):
-            if within.all():
-                part = mean
-            elif within.any():
-                part = inner_mean()
-        pooled[c] = mean, part
-
-    first = 0
-    while first < values.size:
-        last = int(np.searchsorted(ends, starts[first] + fit, side="right"))
-        last = max(last, first + 1)
-        lo, hi = starts[first], ends[last - 1]
-        rows = order[lo:hi]
-        within = None if inner is None else inner[rows]
-        if hi - lo > fit and width > 1:
-            # One class larger than the stage; its inner rows are summed beside
-            # it unless they are all of its rows or none.
-            split = within is not None and within.any() and not within.all()
-            sums = _chunked_sums(features, [rows, rows[within]] if split else [rows], stage)
-            finish(int(values[first]), sums[0] / rows.size, within,
-                   lambda: sums[1] / within.sum())
-        else:
-            # Classes first to last - 1 share the stage; a larger class of one
-            # column (no larger than a label vector) has a buffer of its own.
-            held = (_laid_over(stage, features.dtype, hi - lo, width) if hi - lo <= fit
-                    else np.empty((hi - lo, width), features.dtype))
-            # Ascending: class k's rows, offset by k * n, so one search finds
-            # where every class's rows in a window start and stop.
-            offsets = np.arange(last - first) * features.shape[0]
-            key = np.repeat(offsets, counts[first:last]) + rows
-            for start, stop in _windows(features, WINDOW_BYTES):
-                cuts = np.searchsorted(key, [offsets + start, offsets + stop]).tolist()
-                for i, j in zip(*cuts):
-                    if j > i:  # mode "raise" would copy out twice; every row is in range
-                        features.take(rows[i:j], axis=0, out=held[i:j], mode="clip")
-            for c, a, b in zip(values[first:last], starts[first:last] - lo, ends[first:last] - lo):
-                ours = None if within is None else within[a:b]
-                finish(int(c), held[a:b].sum(axis=0, dtype=np.float64) / (b - a), ours,
-                       lambda: _inner_sum(held[a:b], ours) / ours.sum())
-        first = last
-    return pooled
-
-
-def _inner_sum(held: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """held[inner].sum(axis=0, dtype=np.float64), bitwise, with no copy of
-    the rows for a matrix at least 2 wide: the other rows are overwritten
-    with -0.0 in place and every row is summed. numpy sums such a matrix
-    down its rows one row at a time, and adding -0.0 leaves every float64,
-    +0.0 included, as it was. A single column it sums pairwise within its
-    buffer, where the -0.0 rows would move the splits, so it is gathered."""
-    if held.shape[1] == 1:
-        return held[inner].sum(axis=0, dtype=np.float64)
-    held[~inner] = -0.0
-    return held.sum(axis=0, dtype=np.float64)
-
-
-def _chunked_sums(features: np.ndarray, streams: list[np.ndarray],
-                  stage: np.ndarray) -> list[np.ndarray]:
-    """The float64 sum of the rows of features (at least 2 wide) listed in
-    each of streams, ascending row vectors, read in one walk over the
-    windows.
-
-    Each stream's rows are copied in file order into its share of the stage,
-    laid over as float64, and a full share is summed as one array whose
-    leading row carries on the sum so far. numpy sums a matrix at least 2
-    wide down its rows one row at a time, so this is bitwise
-    features[rows].sum(axis=0, dtype=np.float64); a single column it sums
-    pairwise within its buffer, which is why a width-1 class is not chunked.
-    """
-    width = features.shape[1]
-    share = stage.size // (8 * width * len(streams))
-    bufs = _laid_over(stage, np.float64, len(streams) * share, width).reshape(-1, share, width)
-    fills = [0] * len(streams)  # the first chunk has no leading row
-    for start, stop in _windows(features, WINDOW_BYTES):
-        for s, (buf, rows) in enumerate(zip(bufs, streams)):
-            i, j = np.searchsorted(rows, (start, stop)).tolist()
-            while i < j:
-                k = min(j - i, share - fills[s])
-                buf[fills[s]:fills[s] + k] = features[rows[i:i + k]]
-                fills[s] += k
-                i += k
-                if fills[s] == share:
-                    buf[0] = buf.sum(axis=0)
-                    fills[s] = 1
-    return [buf[:fill].sum(axis=0) for buf, fill in zip(bufs, fills)]
+    sums = np.full((values.size, width), -0.0)
+    inner_sums = sums.copy()
+    inner_counts = np.zeros(values.size, np.int64)
+    if width == 1:
+        order = valid[np.argsort(labels[valid], kind="stable")]
+        for s, b in enumerate(np.cumsum(counts).tolist()):
+            rows = order[b - counts[s]:b]
+            sums[s] = features[rows].sum(axis=0, dtype=np.float64)
+            if inner is not None:
+                rows = rows[inner[rows]]
+                inner_counts[s] = rows.size
+                inner_sums[s] = features[rows].sum(axis=0, dtype=np.float64)
+    else:
+        step = max(1, BLOCK_BYTES // max(1, 8 * width) - 1)  # rows behind the carry
+        block = np.empty((min(step, valid.size) + 1, width))
+        for start, stop in _windows(features, WINDOW_BYTES):
+            i, j = np.searchsorted(valid, (start, stop)).tolist()
+            if i == j:
+                continue
+            rows = valid[i:j]
+            of = labels[rows]
+            by_class = np.argsort(of, kind="stable")
+            rows, of = rows[by_class], of[by_class]
+            within = None if inner is None else inner[rows]
+            cuts = (np.flatnonzero(of[1:] != of[:-1]) + 1).tolist()
+            slots = np.searchsorted(values, of[[0, *cuts]]).tolist()
+            for s, a, b in zip(slots, [0, *cuts], [*cuts, rows.size]):
+                for p in range(a, b, step):
+                    q = min(p + step, b)
+                    piece = rows[p:q]
+                    part = block[:q - p + 1]
+                    part[1:] = features[piece]
+                    part[0] = sums[s]
+                    part.sum(axis=0, out=sums[s])
+                    if within is None:
+                        continue
+                    ours = within[p:q]
+                    k = np.count_nonzero(ours)
+                    if k:
+                        inner_counts[s] += k
+                        if k < piece.size:
+                            part[1:][~ours] = -0.0
+                        part[0] = inner_sums[s]
+                        part.sum(axis=0, out=inner_sums[s])
+    return {int(c): (sums[s] / counts[s],
+                     inner_sums[s] / inner_counts[s] if inner_counts[s] else None)
+            for s, c in enumerate(values)}
 
 
 def checked_features(name: str, features, prototypes: PrototypeSet) -> np.ndarray:
@@ -298,7 +239,7 @@ def support_prototypes(support: SupportSet, provider) -> PrototypeSet:
     for K = 1 this is the plain masked mean. Each distinct support scene is
     embedded once, and its features are released once every shot on it is
     pooled, so at most one scene's features are held at a time; its shots
-    are pooled in file order through one window and one stage, like a
+    are pooled in file order through one window and one block, like a
     refine, in one walk unless their masks overlap.
     Features that are not one row per point are an AlignmentError, support
     scenes whose features differ in width, and a shot whose pooled rows are

@@ -51,30 +51,25 @@ def _select_and_merge(
     schema: ClassSchema,
 ) -> tuple[np.ndarray, dict[int, float], list[int], PrototypeSet]:
     """select_and_merge, and the kept classes' context prototypes, pooled in
-    the same pass as the predicted prototypes: y_prime == c exactly where
+    the same walk as the predicted prototypes: y_prime == c exactly where
     raw == c on base background and c is kept, so it is the mean of the
-    class's raw rows on base background, where there are any."""
+    class's raw rows on base background, where there are any. Every class's
+    candidate is pooled; only a kept class's is used."""
     features = checked_features("support", features, support)
     raw = checked_labels("raw", raw, features.shape[0], schema.n_classes)
     base_labels = checked_labels("base", base_labels, features.shape[0], schema.n_base)
     background = base_labels == -1
+    pooled = _pool_windows(features, np.where(raw >= schema.n_base, raw, -1), background)
+    # The keep rule, once per class in ascending order. A non-finite prototype
+    # is raised here, and so wins over a class absent from the support.
     agreement, kept = {}, []
-
-    def keep(c, mean):
-        # The keep rule, once per class as the pass pools it, so no candidate is
-        # summed for a dropped class that fits the stage (a larger class's is
-        # summed beside its mean in the same walk). A non-finite prototype is
-        # raised here, and so wins over a class absent from the support,
-        # raised after the pass.
+    for c, (mean, _) in pooled.items():
         if not np.isfinite(mean).all():
             raise ContractError(f"prototype for class {c} is not finite")
         if c in support:
             agreement[c] = cosine(mean, support[c])
             if agreement[c] >= cfg.tau:
                 kept.append(c)
-        return c in kept
-
-    pooled = _pool_windows(features, np.where(raw >= schema.n_base, raw, -1), background, keep)
     absent = [c for c in pooled if c not in support]
     if absent:
         raise ConfigError(f"novel class {absent[0]} predicted but absent from the support "

@@ -125,7 +125,8 @@ class TestFileFormat:
         payload = np.asarray(features, np.float32).astype("<f4").tobytes()
         assert (tmp_path / "e.gfve").read_bytes() == header + payload
 
-    @pytest.mark.parametrize("features", [np.float32(1.0), np.zeros(4)], ids=["0-d", "1-d"])
+    @pytest.mark.parametrize("features", [np.float32(1.0), np.zeros(4), np.zeros((3, 0))],
+                             ids=["0-d", "1-d", "zero-width"])
     def test_not_a_matrix_rejected_with_its_shape(self, tmp_path, features):
         with pytest.raises(ConfigError, match=rf"got shape {re.escape(str(features.shape))}$"):
             save_embeddings(features, tmp_path / "e.gfve")
@@ -167,12 +168,20 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="magic"):
             load_embeddings(tmp_path / "bad.gfve")
 
-    @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+    @pytest.mark.parametrize("shape", [(0, 5)])
     def test_empty_payload_loads_without_mapping(self, tmp_path, no_mmap, shape):
         save_embeddings(np.zeros(shape), tmp_path / "e.gfve")
         back = load_embeddings(tmp_path / "e.gfve")
         assert back.shape == shape
         assert back.dtype == np.float32
+
+    @pytest.mark.parametrize("n", [3, 0])
+    def test_zero_width_file_rejected_with_its_shape(self, tmp_path, no_mmap, n):
+        # Written past save_embeddings, which refuses the matrix: a file of
+        # no columns would give every class a degenerate prototype.
+        (tmp_path / "e.gfve").write_bytes(b"GFVE" + struct.pack("<IQI", 1, n, 0))
+        with pytest.raises(FormatError, match=rf"e\.gfve: features of shape \({n}, 0\) have no columns$"):
+            load_embeddings(tmp_path / "e.gfve")
 
     def test_mapped_view_is_read_only_and_contiguous(self, tmp_path):
         mat = np.arange(12, dtype=np.float32).reshape(4, 3)

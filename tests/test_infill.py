@@ -19,14 +19,14 @@ from pcrefine.infill import (
     pairwise_cosine,
 )
 
-# An infill block holds prototypes.STAGE_BYTES of float64 rows; block_rows
-# patches the stage so that blocks are BLOCK_ROWS rows of the given width.
+# An infill block holds prototypes.BLOCK_BYTES of float64 rows; block_rows
+# patches it so that blocks are BLOCK_ROWS rows of the given width.
 BLOCK_ROWS = 4096
 
 
 def block_rows(monkeypatch, width, rows=BLOCK_ROWS):
-    """Patch prototypes.STAGE_BYTES to rows float64 rows of width."""
-    monkeypatch.setattr(prototypes, "STAGE_BYTES", rows * 8 * width)
+    """Patch prototypes.BLOCK_BYTES to rows float64 rows of width."""
+    monkeypatch.setattr(prototypes, "BLOCK_BYTES", rows * 8 * width)
 
 
 def unit(d, axis):

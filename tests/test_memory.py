@@ -242,11 +242,11 @@ print(hwm_mib() - baseline)
 def test_refine_holds_one_window_and_one_stage_of_features(tmp_path):
     # A 100 MiB embedding file, several windows, with novel rows on every
     # page: a refine that gathered from the whole mapping would hold all of
-    # it. In the uniform file no class fills the stage; in the dominant one
-    # a novel class holds about 65% of the rows, many stages' worth, which
-    # must be summed through the stage, not gathered into its own buffer.
+    # it. In the uniform file no class fills the block; in the dominant one
+    # a novel class holds about 65% of the rows, many blocks' worth in every
+    # window, which must go through the block, not into a buffer of its own.
     from pcrefine.embeddings import EMBEDDING_MAGIC, EMBEDDING_VERSION
-    from pcrefine.prototypes import STAGE_BYTES, WINDOW_BYTES
+    from pcrefine.prototypes import BLOCK_BYTES, WINDOW_BYTES
 
     n, d, chunk = 51_200, 512, 4096
     rng = np.random.default_rng(3)
@@ -254,7 +254,7 @@ def test_refine_holds_one_window_and_one_stage_of_features(tmp_path):
     uniform = rng.integers(-1, 8, size=n)
     dominant = np.where(rng.random(n) < 0.65, 2, uniform)
     noise = rng.standard_normal((chunk, d)).astype(np.float32) * 0.02
-    bound = (WINDOW_BYTES + STAGE_BYTES) / 2**20 + 24
+    bound = (WINDOW_BYTES + BLOCK_BYTES) / 2**20 + 24
     env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
     for name, raw in (("uniform", uniform), ("dominant", dominant)):
         path = tmp_path / "big.gfve"

@@ -141,13 +141,13 @@ def reference_refine(feats, raw, base, support, tau, delta):
 
 class TestWindowedCore:
     """The public stages and the refine core, at windows of 64 rows and a
-    stage of 100, against the whole-matrix reference: novel classes span
-    several windows and stage groups, and some are larger than the stage."""
+    block of 20, against the whole-matrix reference: novel classes span
+    several windows, and some overflow the block inside one window."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_public_stages_and_core_against_the_reference(self, monkeypatch, dtype):
         monkeypatch.setattr(prototypes, "WINDOW_BYTES", 64 * 16 * np.dtype(dtype).itemsize)
-        monkeypatch.setattr(prototypes, "STAGE_BYTES", 100 * 16 * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(prototypes, "BLOCK_BYTES", 20 * 16 * 8)
         reached = {"kept": 0, "filtered": 0, "context": 0}
         for seed in range(3):
             feats, raw, base, support = noisy_case(seed)
@@ -178,6 +178,24 @@ class TestWindowedCore:
                 reached["filtered"] += len(agreement) - len(kept)
                 reached["context"] += len(context)
         assert all(reached.values()), reached
+
+    def test_one_scene_refine_walks_its_features_twice(self, monkeypatch):
+        # Once to pool every class's predicted and context prototypes, once
+        # to infill, whatever the class sizes.
+        monkeypatch.setattr(prototypes, "WINDOW_BYTES", 64 * 16 * 8)
+        monkeypatch.setattr(prototypes, "BLOCK_BYTES", 20 * 16 * 8)
+        feats, raw, base, support = noisy_case(0)
+        walks = []
+        for module in (prototypes, sys.modules["pcrefine.infill"]):
+            def recording(features, window_bytes, name=module.__name__, walk=module._windows):
+                walks.append((name, features is feats))
+                yield from walk(features, window_bytes)
+
+            monkeypatch.setattr(module, "_windows", recording)
+        _, report = refine_labels(feats, raw, base, support, SCHEMA, SelectionConfig(0.3),
+                                  InfillConfig(0.5))
+        assert report.kept_classes and report.infilled_points
+        assert walks == [("pcrefine.prototypes", True), ("pcrefine.infill", True)]
 
     def test_column_slice_of_a_mapped_matrix(self, tmp_path, monkeypatch):
         # The slice's rows lie strides[0] bytes apart in the file, 4 x 256,

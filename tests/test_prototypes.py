@@ -117,17 +117,32 @@ class TestPoolByClass:
         assert means(np.ones((3, 2)), np.array([-1, -1, -1])) == {}
 
 
-def tiny_windows(monkeypatch, dtype, d, window_rows, stage_rows):
-    """Windows and stage of the given numbers of (d,)-wide rows of dtype."""
-    row = d * np.dtype(dtype).itemsize
-    monkeypatch.setattr(prototypes, "WINDOW_BYTES", window_rows * row)
-    monkeypatch.setattr(prototypes, "STAGE_BYTES", stage_rows * row)
+def tiny_windows(monkeypatch, dtype, d, window_rows, block_rows):
+    """Windows of window_rows (d,)-wide rows of dtype, and a block of
+    block_rows float64 rows: the carry and block_rows - 1 rows behind it."""
+    monkeypatch.setattr(prototypes, "WINDOW_BYTES", window_rows * d * np.dtype(dtype).itemsize)
+    monkeypatch.setattr(prototypes, "BLOCK_BYTES", block_rows * d * 8)
+
+
+def recording_walks(monkeypatch):
+    """The (start, stop) windows of each walk _pool_windows makes, one list
+    per walk."""
+    walks, windows = [], prototypes._windows
+
+    def recording(features, window_bytes):
+        walks.append([])
+        for start, stop in windows(features, window_bytes):
+            walks[-1].append((start, stop))
+            yield start, stop
+
+    monkeypatch.setattr(prototypes, "_windows", recording)
+    return walks
 
 
 class TestWindowedPool:
-    """_pool_windows with 7-row windows and a 20-row stage: classes span
-    several windows and several stage groups, one class is larger than the
-    stage, and one has no row where inner is set."""
+    """_pool_windows with 7-row windows and a 20-row block: classes span
+    several windows, one is larger than the block, and one has no row where
+    inner is set."""
 
     @staticmethod
     def case(dtype, d):
@@ -136,7 +151,7 @@ class TestWindowedPool:
         feats = (rng.standard_normal((n, d)) * 100).astype(dtype)
         feats[rng.random((n, d)) < 0.2] = -0.0
         labels = np.full(n, -1)
-        labels[rng.permutation(n)[:50]] = 3  # larger than the stage
+        labels[rng.permutation(n)[:50]] = 3  # larger than the block
         free = np.flatnonzero(labels == -1)
         for c, size in zip((0, 1, 2, 5, 6, 8), (6, 9, 5, 8, 7, 12)):
             pick = rng.choice(free, size, replace=False)
@@ -150,11 +165,11 @@ class TestWindowedPool:
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 3, 32])
     def test_bitwise_equal_to_the_references(self, monkeypatch, dtype, d):
-        tiny_windows(monkeypatch, dtype, d, window_rows=7, stage_rows=20)
+        tiny_windows(monkeypatch, dtype, d, window_rows=7, block_rows=20)
         feats, labels, inner = self.case(dtype, d)
         pooled = _pool_windows(feats, labels, inner)
         candidates = means(feats, np.where(inner, labels, -1))
-        assert sorted(pooled) == [0, 1, 2, 3, 5, 6, 8]
+        assert list(pooled) == [0, 1, 2, 3, 5, 6, 8]
         for c, (mean, part) in pooled.items():
             rows = np.flatnonzero(labels == c)
             reference = feats[rows].sum(axis=0, dtype=np.float64) / rows.size
@@ -168,30 +183,21 @@ class TestWindowedPool:
         assert {c: v.tobytes() for c, v in means(feats, labels).items()} == \
             {c: mean.tobytes() for c, (mean, _) in pooled.items()}
 
-    def test_unwanted_class_has_no_inner_mean(self, monkeypatch):
-        tiny_windows(monkeypatch, np.float32, 3, window_rows=7, stage_rows=20)
-        feats, labels, inner = self.case(np.float32, 3)
-        seen = []
-        pooled = _pool_windows(feats, labels, inner,
-                               lambda c, mean: seen.append((c, mean.tobytes())) or c != 3)
-        assert seen == [(c, pooled[c][0].tobytes()) for c in sorted(pooled)]
-        assert [c for c, (_, part) in pooled.items() if part is None] == [3, 5]
-
-    def test_each_stage_group_reads_every_window_in_file_order(self, monkeypatch):
-        # Classes 0, 1, 2 fill one stage (20 rows), 3 (50 rows) has its own,
-        # 5 and 6 share one, and 8 takes the last.
-        tiny_windows(monkeypatch, np.float64, 3, window_rows=7, stage_rows=20)
-        feats, labels, inner = self.case(np.float64, 3)
-        walked, windows = [], prototypes._windows
-
-        def recording(features, window_bytes):
-            for start, stop in windows(features, window_bytes):
-                walked.append((start, stop))
-                yield start, stop
-
-        monkeypatch.setattr(prototypes, "_windows", recording)
+    @pytest.mark.parametrize("sizes", ["mixed", "one_past_the_block", "all_in_one_class"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_walks_the_windows_once_in_file_order(self, monkeypatch, d, sizes):
+        # However the classes compare with the block (small ones, one many
+        # blocks long, every row in one class), one walk reads every window.
+        tiny_windows(monkeypatch, np.float64, d, window_rows=7, block_rows=20)
+        feats, labels, inner = self.case(np.float64, d)
+        if sizes == "one_past_the_block":
+            labels = np.full(301, -1)
+            labels[:21], labels[100:112] = 4, 1
+        elif sizes == "all_in_one_class":
+            labels = np.zeros(301, np.int64)
+        walks = recording_walks(monkeypatch)
         _pool_windows(feats, labels, inner)
-        assert walked == [(s, min(s + 7, 301)) for s in range(0, 301, 7)] * 4
+        assert walks == [[(s, min(s + 7, 301)) for s in range(0, 301, 7)]]
 
     def test_labels_past_the_features_raise(self):
         with pytest.raises(IndexError):
@@ -199,10 +205,11 @@ class TestWindowedPool:
 
 
 class TestChunkedPool:
-    """Exactness table at 7-row windows: classes of stage - 1, stage,
-    stage + 1 and 3 * stage + 5 rows, the last two larger than the stage and
-    so, at least 2 wide, summed through it in float64 chunks. Each mean and
-    inner mean is bitwise the cast-then-sum reference and masked_pool's."""
+    """Exactness table: classes of block - 1, block, block + 1 and
+    3 * block + 5 rows, at 7-row windows (no window holds a block of a
+    class) and at windows holding the whole class (its rows overflow the
+    block inside one window). Each mean and inner mean is bitwise the
+    cast-then-sum reference and masked_pool's."""
 
     @staticmethod
     def check(dtype, d, size):
@@ -214,13 +221,13 @@ class TestChunkedPool:
         rows = np.sort(rng.permutation(n)[:size])
         labels[rows] = 4
         others = np.setdiff1d(np.arange(n), rows)
-        labels[others[:12]] = 1  # a small class sharing a stage group with 4
+        labels[others[:12]] = 1  # a small class beside 4 in the same windows
         if d > 1:
             feats[rows, 0] = -0.0  # a column of -0.0 beside others
         inner = rng.random(n) < 0.6
         inner[rows[:2]] = True, False  # some but not all of class 4's rows
         pooled = _pool_windows(feats, labels, inner)
-        assert sorted(pooled) == [1, 4]
+        assert list(pooled) == [1, 4]
         for c, (mean, part) in pooled.items():
             mask = labels == c
             for got, rows_c in ((mean, np.flatnonzero(mask)), (part, np.flatnonzero(mask & inner))):
@@ -232,38 +239,31 @@ class TestChunkedPool:
     @pytest.mark.parametrize("d", [1, 2, 3, 512])
     @pytest.mark.parametrize("size", [19, 20, 21, 65])
     def test_bitwise_equal_at_and_past_the_stage(self, monkeypatch, dtype, d, size):
-        tiny_windows(monkeypatch, dtype, d, window_rows=7, stage_rows=20)
+        tiny_windows(monkeypatch, dtype, d, window_rows=7, block_rows=20)
+        self.check(dtype, d, size)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 512])
+    @pytest.mark.parametrize("size", [19, 20, 21, 65])
+    def test_bitwise_equal_past_the_block_in_one_window(self, monkeypatch, dtype, d, size):
+        tiny_windows(monkeypatch, dtype, d, window_rows=size + 40, block_rows=20)
         self.check(dtype, d, size)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bitwise_equal_past_numpy_casting_buffer(self, monkeypatch, dtype, d):
         # The reference casts through numpy's 8192-element buffer, which a
-        # 4100-row stage and a 12,305-row class outgrow; one column it sums
+        # 4100-row block and a 12,305-row class outgrow; one column it sums
         # pairwise within the buffer, so a width-1 class is gathered whole.
-        tiny_windows(monkeypatch, dtype, d, window_rows=1000, stage_rows=4100)
+        tiny_windows(monkeypatch, dtype, d, window_rows=1000, block_rows=4100)
         self.check(dtype, d, 3 * 4100 + 5)
-
-    def test_chunks_and_small_groups_share_the_walks(self, monkeypatch):
-        # Class 4 (65 rows) is summed in its own walk, its inner rows beside
-        # it; class 1 (12 rows) fills a stage group of its own.
-        tiny_windows(monkeypatch, np.float32, 3, window_rows=7, stage_rows=20)
-        walked, windows = [], prototypes._windows
-
-        def recording(features, window_bytes):
-            walked.append(0)
-            yield from windows(features, window_bytes)
-
-        monkeypatch.setattr(prototypes, "_windows", recording)
-        self.check(np.float32, 3, 65)
-        assert len(walked) == 2
 
 
 class TestContextSumInPlace:
-    """A kept class's inner rows are summed in its stage slot, the other
-    rows overwritten with -0.0 (a single column is gathered): each inner
-    mean is bitwise the cast-then-sum reference, wherever the outer rows
-    lie and whatever -0.0 the features hold."""
+    """A class's inner rows are summed in the block, the other rows
+    overwritten with -0.0 (a single column is gathered): each inner mean is
+    bitwise the cast-then-sum reference, wherever the outer rows lie and
+    whatever -0.0 the features hold."""
 
     PLACES = {
         "first": lambda n: np.arange(n) >= n // 3,
@@ -294,8 +294,8 @@ class TestContextSumInPlace:
                                   / (labels == 0).sum()).tobytes()
 
     def test_allocates_nothing_the_size_of_the_class(self):
-        # The class fills its stage slot; gathering its inner half would
-        # allocate half its size again.
+        # The class goes through the block one piece at a time; a gather of
+        # its rows, or of its inner half, would allocate a share of its size.
         rng = np.random.default_rng(0)
         n, d = 2000, 512
         feats = rng.standard_normal((n, d)).astype(np.float32)
@@ -306,7 +306,7 @@ class TestContextSumInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - feats.nbytes < feats.nbytes / 8, \
+        assert peak < prototypes.BLOCK_BYTES + feats.nbytes / 8, \
             f"{peak / 1e6:.2f} MB for a {feats.nbytes / 1e6:.2f} MB class"
 
 
@@ -476,9 +476,9 @@ class TestSupportPrototypes:
             support_prototypes(SupportSet(schema=schema, shots=shots), ShortProvider())
 
     def test_shots_pooled_bitwise_as_masked_pool(self, schema, monkeypatch):
-        # At 7-row windows and a 20-row stage a shot of about 65 rows is
-        # summed in chunks, the others in stage groups.
-        tiny_windows(monkeypatch, np.float64, 16, window_rows=7, stage_rows=20)
+        # At 7-row windows and a 20-row block a shot of about 65 rows goes
+        # through the block in many pieces, the others in a few.
+        tiny_windows(monkeypatch, np.float64, 16, window_rows=7, block_rows=20)
         provider = SyntheticFeatureProvider(
             schema, SyntheticProviderConfig(dim=16, anchor_seed=0, noise_sigma=0.2))
         rng = np.random.default_rng(5)
@@ -493,13 +493,7 @@ class TestSupportPrototypes:
     def test_shots_on_one_scene_share_a_walk_unless_they_overlap(self, schema, monkeypatch):
         # One shot per novel class on one scene: disjoint masks are pooled in
         # one walk, and a mask overlapping an earlier shot's takes a second.
-        walked, windows = [], prototypes._windows
-
-        def recording(features, window_bytes):
-            walked.append(0)
-            yield from windows(features, window_bytes)
-
-        monkeypatch.setattr(prototypes, "_windows", recording)
+        walked = recording_walks(monkeypatch)
         provider = SyntheticFeatureProvider(
             schema, SyntheticProviderConfig(dim=16, anchor_seed=0, noise_sigma=0.2))
         rng = np.random.default_rng(7)

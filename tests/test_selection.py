@@ -206,6 +206,17 @@ class TestKeepRuleOnce:
         assert sorted(report.class_agreement) == [2, 3, 4]
         assert report.kept_classes == [2, 4] and report.filtered_classes == [3]
 
+    def test_dropped_class_has_no_context_prototype(self):
+        # Every class's candidate is pooled in the walk; only the kept
+        # classes' become context prototypes.
+        feats, raw, base, support = self.case()
+        _, agreement, kept, context = selection._select_and_merge(
+            feats, raw, base, support, SelectionConfig(0.6), self.SCHEMA)
+        assert kept == [2, 4] and sorted(agreement) == [2, 3, 4]
+        assert context.classes() == [2, 4]
+        for c in kept:
+            assert context[c].tobytes() == masked_pool(feats, (raw == c) & (base == -1)).tobytes()
+
     def test_absent_support_class(self):
         text = ("novel class 3 predicted but absent from the support prototypes; "
                 "the class list used for prediction does not match the support set")

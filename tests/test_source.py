@@ -182,7 +182,7 @@ def test_walker_is_defined_only_in_scene_io():
 
 # masked_pool gathers all of a mask's rows at once; it stays public for
 # library callers, and the package pools through _pool_windows' window and
-# stage, support shots included.
+# block, support shots included.
 def test_package_never_calls_masked_pool():
     found = {path.name: calls(path.read_text(), "masked_pool") for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
